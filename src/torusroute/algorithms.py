@@ -66,16 +66,10 @@ def turn_count(r: Route) -> int:
 
 # -- shared search kernels ----------------------------------------------------
 
-def _relaxed_set(rg: RoutingGraph) -> frozenset:
-    if not hasattr(rg, "_relaxed_cache"):
-        rg._relaxed_cache = frozenset(rg.added)
-    return rg._relaxed_cache
-
-
 def _decode(rg: RoutingGraph, verts: list[int]) -> Route:
     """Decode a tree path, then store its least-non-standard legal encoding."""
     raw = decode_rg_path(rg, verts)
-    return preferred_encoding(rg.topology, raw.src, raw.steps, _relaxed_set(rg))
+    return preferred_encoding(rg.topology, raw.src, raw.steps, rg.relaxed)
 
 
 def _steps_of_edges(rg: RoutingGraph, edges) -> tuple[int, ...]:
@@ -83,16 +77,6 @@ def _steps_of_edges(rg: RoutingGraph, edges) -> tuple[int, ...]:
     t = rg.topology
     return tuple(t.channels[link][1]
                  for link in rg.edge_link[edges] if link != DUMMY_LINK)
-
-
-def _route_links(rg: RoutingGraph, r: Route) -> list[int]:
-    t = rg.topology
-    out = []
-    node = r.src
-    for d in r.steps:
-        out.append(int(t.channel_table[node, d]))
-        node = int(t.neighbor_table[node, d])
-    return out
 
 
 def _walk_parents(rg: RoutingGraph, parent_edge: np.ndarray, begin_vid: int,
@@ -160,7 +144,7 @@ def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
             continue
         verts, edges = walked
         routes[dst] = preferred_encoding(t, source, _steps_of_edges(rg, edges),
-                                         _relaxed_set(rg))
+                                         rg.relaxed)
         for e in edges:
             link = int(rg.edge_link[e])
             if link != DUMMY_LINK:
@@ -295,7 +279,6 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
     its own to the count.
     """
     t = rg.topology
-    relaxed = _relaxed_set(rg)
     dist, counts, parent_edge = _bfs_count(rg, source)
     begin = rg.begin_vid(source)
     out = {}
@@ -309,7 +292,7 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
             continue
         _, edges = _walk_parents(rg, parent_edge, begin, evid)
         steps = _steps_of_edges(rg, edges)
-        seq, encodings = legal_encodings(t, source, steps, relaxed)
+        seq, encodings = legal_encodings(t, source, steps, rg.relaxed)
         fs, body, ls = encodings[0]
         canonical = Route(source, dst, fs, body, ls, tuple(seq))
         out[dst] = (canonical, int(counts[evid]) == len(encodings))
@@ -329,6 +312,19 @@ def unique_route_stats(rg: RoutingGraph, nodes=None) -> tuple[int, int]:
             total += 1
             unique += bool(is_unique)
     return unique, total
+
+
+def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
+    """Ordered node pairs (i, j), i != j, with a begin->end path."""
+    t = rg.topology
+    pairs = set()
+    ends = np.array([rg.end_vid(v) for v in t.live_nodes], dtype=np.int64)
+    for src in t.live_nodes:
+        dist = _bfs_count(rg, src)[0]
+        for v, evid in zip(t.live_nodes, ends):
+            if v != src and dist[evid] >= 0:
+                pairs.add((src, v))
+    return pairs
 
 
 class _SsspEngine:
@@ -416,7 +412,7 @@ class _SsspEngine:
         rg = self.rg
         return preferred_encoding(rg.topology, source,
                                   _steps_of_edges(rg, edges),
-                                  _relaxed_set(rg))
+                                  rg.relaxed)
 
     def tree(self, source: int, dst_nodes) -> dict[int, Route]:
         return {dst: self.route_of(source, edges)
@@ -467,7 +463,7 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
                 unique_pairs += 1
             if is_unique and not skip_unique_stage:
                 routes[(src, dst)] = canonical
-                for link in _route_links(rg, canonical):
+                for link in t.walk(src, canonical.steps)[1]:
                     loads[link] += 1
             else:
                 key = (turn_count(canonical), len(canonical), src)
@@ -529,7 +525,7 @@ def _variant_tables(rg: RoutingGraph, nodes, cap: int):
     row = 0
     for vs in variants:
         for r in vs:
-            ls = _route_links(rg, r)
+            ls = t.walk(r.src, r.steps)[1]
             links[row, :len(ls)] = ls
             row += 1
     return pairs, variants, counts, offsets, links

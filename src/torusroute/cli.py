@@ -1,17 +1,15 @@
 """Command line front end: generate, verify, compare, sweep.
 
 Exit codes: 0 ok, 1 verification failure, 2 I/O or parse error, 3 unroutable
-topology. Sweep parallelism is capped by the TORUS_ROUTE_THREADS variable.
+topology.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .cdg import assert_deadlock_free, augment_cdg, build_cdg, used_direction_se
 from .errors import (DeadlockCycleError, DisconnectedError, IntegrityError,
                      ParseError, TopologyError, UnroutablePairError)
 from .metrics import PATTERNS, channel_loads, load_report, pattern_loads
-from .routes import check_table, load_table, write_table
+from .routes import check_table, load_table, route_channels, write_table
 from .routing_graph import apply_augmentation, build_routing_graph
 from .topology import Topology, load_topology, make_torus
 
@@ -116,16 +114,11 @@ def used_turn_cycle_check(t, table):
     from .cdg import CDG
     used = set()
     for r in table.routes.values():
-        node = r.src
-        steps = r.steps
-        for a, b in zip(steps, steps[1:]):
-            nxt = int(t.neighbor_table[node, a])
-            used.add(((node, a), (nxt, b)))
-            node = nxt
+        channels = route_channels(t, r)
+        used.update(zip(channels, channels[1:]))
     sub = CDG(t)
-    for (u, di), (v, dj) in sorted(used):
-        sub.add_edge(t.channel_id[(u, di)], t.channel_id[(v, dj)],
-                     ring=(di == dj))
+    for ci, cj in sorted(used):
+        sub.add_edge(ci, cj, ring=(t.channels[ci][1] == t.channels[cj][1]))
     return assert_deadlock_free(sub)
 
 
@@ -178,8 +171,7 @@ def cmd_compare(args) -> int:
             times.append(time.perf_counter() - start)
         wall = sum(times) / len(times)
         for pattern in args.patterns:
-            rep = (load_report(table) if pattern == "alltoall"
-                   else pattern_loads(table, pattern))
+            rep = pattern_loads(table, pattern)
             rows.append({
                 "algo": algo, "pattern": pattern, "pi": rep.pi,
                 "sigma4": f"{rep.sigma[4]:.6f}",
@@ -228,35 +220,14 @@ def sample_dims(n: int, lo: int, hi: int, samples: int, seed: int):
 
 
 def run_sweep(n: int, lo: int, hi: int, samples: int, seed: int, algos,
-              genetic_params=None, threads: int | None = None):
+              genetic_params=None):
     """Seeded random-topology sweep; rows ordered by sample index."""
-    dims_list = sample_dims(n, lo, hi, samples, seed)
-    if threads is None:
-        threads = int(os.environ.get("TORUS_ROUTE_THREADS", "1"))
     rows = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(sweep_one, dims, algos, genetic_params)
-                       for dims in dims_list]
-            results = []
-            for i, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001
-                    print(f"sweep sample {i} {dims_list[i]} failed: {exc}",
-                          file=sys.stderr)
-                    results.append(None)
-    else:
-        results = []
-        for i, dims in enumerate(dims_list):
-            try:
-                results.append(sweep_one(dims, algos, genetic_params))
-            except Exception as exc:  # noqa: BLE001
-                print(f"sweep sample {i} {dims} failed: {exc}",
-                      file=sys.stderr)
-                results.append(None)
-    for i, res in enumerate(results):
-        if res is None:
+    for i, dims in enumerate(sample_dims(n, lo, hi, samples, seed)):
+        try:
+            res = sweep_one(dims, algos, genetic_params)
+        except Exception as exc:  # noqa: BLE001
+            print(f"sweep sample {i} {dims} failed: {exc}", file=sys.stderr)
             continue
         base_pi = res.get("bfs", {}).get("pi")
         for algo in algos:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedError, TopologyError
-from .routes import RoutingTable
+from .routes import RoutingTable, route_channels
 from .topology import Topology, sum_pair_distances
 
 PATTERNS = ("transpose", "neighbor", "tornado", "alltoall")
@@ -123,32 +123,22 @@ def pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def loads_of_pairs(rt: RoutingTable, pairs) -> np.ndarray:
-    t = rt.topology
-    loads = np.zeros(t.n_channels, dtype=np.int64)
-    for s, d in pairs:
-        r = rt.routes[(s, d)]
-        node = r.src
-        for step in r.steps:
-            loads[t.channel_table[node, step]] += 1
-            node = int(t.neighbor_table[node, step])
-    return loads
+def _report(loads: np.ndarray, gamma_perfect: float, routes, ks,
+            include_loads: bool) -> LoadReport:
+    return LoadReport(
+        pi=int(loads.max()) if loads.size else 0,
+        min_load=int(loads.min()) if loads.size else 0,
+        gamma_perfect=gamma_perfect,
+        sigma={k: deviation(loads, gamma_perfect, k) for k in ks},
+        max_d=max((len(r) for r in routes), default=0),
+        loads=loads if include_loads else None,
+    )
 
 
 def load_report(rt: RoutingTable, ks=(4,), include_loads=False) -> LoadReport:
     """Full-table report: loads, edge-forwarding index, deviation, diameter."""
-    t = rt.topology
-    loads = channel_loads(rt)
-    gp = perfect_channel_load(t)
-    max_d = max((len(r) for r in rt.routes.values()), default=0)
-    return LoadReport(
-        pi=int(loads.max()) if loads.size else 0,
-        min_load=int(loads.min()) if loads.size else 0,
-        gamma_perfect=gp,
-        sigma={k: deviation(loads, gp, k) for k in ks},
-        max_d=max_d,
-        loads=loads if include_loads else None,
-    )
+    return _report(channel_loads(rt), perfect_channel_load(rt.topology),
+                   rt.routes.values(), ks, include_loads)
 
 
 def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
@@ -160,7 +150,10 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
     """
     t = rt.topology
     pairs = pattern_pairs(t, pattern)
-    loads = loads_of_pairs(rt, pairs)
+    routes = [rt.routes[p] for p in pairs]
+    ids = [c for r in routes for c in route_channels(t, r)]
+    loads = np.bincount(np.asarray(ids, dtype=np.int64),
+                        minlength=t.n_channels)
     total_min = 0
     for s, d in pairs:
         dist = t.distance(s, d)
@@ -168,13 +161,4 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
             raise DisconnectedError(
                 f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
         total_min += dist
-    gp = total_min / t.n_channels
-    max_d = max((len(rt.routes[p]) for p in pairs), default=0)
-    return LoadReport(
-        pi=int(loads.max()) if loads.size else 0,
-        min_load=int(loads.min()) if loads.size else 0,
-        gamma_perfect=gp,
-        sigma={k: deviation(loads, gp, k) for k in ks},
-        max_d=max_d,
-        loads=loads if include_loads else None,
-    )
+    return _report(loads, total_min / t.n_channels, routes, ks, include_loads)

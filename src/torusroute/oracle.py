@@ -20,8 +20,6 @@ CdgEdge = tuple[tuple[int, int], tuple[int, int]]
 
 @dataclass(frozen=True)
 class RuleConfig:
-    allow_fs: bool = True
-    allow_ls: bool = True
     relaxed_turns: frozenset[CdgEdge] = frozenset()
 
     @staticmethod
@@ -53,7 +51,7 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
         total = len(prefix) + len(seq)
         if node == dst and seq:
             found.add(prefix + tuple(seq))
-        if seq and rules.allow_ls and total + 1 <= max_len:
+        if seq and total + 1 <= max_len:
             last = seq[-1]
             for ld in range(n, 2 * n):
                 if nbr[node, ld] != dst:
@@ -88,7 +86,7 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
 
     if feasible(src, 0):
         body(src, [], [0] * n, None, -1, -1)
-    if rules.allow_fs and max_len >= 1:
+    if max_len >= 1:
         for fd in range(n):
             v = nbr[src, fd]
             if v < 0:

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, TopologyError
 from .routing_graph import RoutingGraph, VKind, vec_last_direction, vec_to_code
 from .topology import Topology, parse_direction
 
@@ -39,15 +39,32 @@ def make_route(t: Topology, src: int, fs: int | None, body: Iterable[int],
                ls: int | None) -> Route:
     """Build a Route by walking the steps from src (no rule checking)."""
     body = tuple(body)
-    seq = [src]
     steps = (() if fs is None else (fs,)) + body + (() if ls is None else (ls,))
-    for d in steps:
-        v = t.neighbor(seq[-1], d)
-        if v is None:
-            raise ValueError(
-                f"step {t.dir_name(d)} from {t.coord_str(seq[-1])} is dead")
-        seq.append(v)
+    if steps and (src in t.failed_nodes or not 0 <= src < t.num_coords):
+        raise TopologyError(f"node {src} does not exist")
+    seq = _live_walk(t, src, steps)
     return Route(src, seq[-1], fs, body, ls, tuple(seq))
+
+
+def _live_walk(t: Topology, src: int, steps: tuple[int, ...]) -> list[int]:
+    """Nodes visited by ``steps`` from ``src``; ValueError at a dead step."""
+    nodes, channels = t.walk(src, steps)
+    if len(channels) < len(steps):
+        raise ValueError(f"step {t.dir_name(steps[len(channels)])} from "
+                         f"{t.coord_str(nodes[-1])} is dead")
+    return nodes
+
+
+def route_channels(t: Topology, r: Route) -> list[int]:
+    """Channel ids a route crosses; IntegrityError at its first dead one."""
+    steps = r.steps
+    nodes, channels = t.walk(r.src, steps)
+    if len(channels) < len(steps):
+        raise IntegrityError(
+            f"route {t.coord_str(r.src)}->{t.coord_str(r.dst)} crosses dead "
+            f"channel {t.coord_str(nodes[-1])}"
+            f"{t.dir_name(steps[len(channels)])}")
+    return channels
 
 
 def decode_rg_path(rg: RoutingGraph, path: list[int]) -> Route:
@@ -99,14 +116,7 @@ def legal_encodings(t: Topology, src: int, steps: tuple[int, ...],
     analysis relies on this list being exactly the routing-graph encodings.
     """
     n = t.n
-    nbr = t.neighbor_table
-    seq = [src]
-    for d in steps:
-        v = int(nbr[seq[-1], d])
-        if v < 0:
-            raise ValueError(
-                f"step {t.dir_name(d)} from {t.coord_str(seq[-1])} is dead")
-        seq.append(v)
+    seq = _live_walk(t, src, steps)
 
     def body_ok(body):
         vec = {}
@@ -172,20 +182,17 @@ def preferred_encoding(t: Topology, src: int, steps: tuple[int, ...],
 def route_to_rg_path(rg: RoutingGraph, r: Route) -> list[int]:
     """Vertex path of a route in the routing graph (inverse of decode)."""
     t = rg.topology
+    nodes = _live_walk(t, r.src, r.steps)
     path = [rg.begin_vid(r.src)]
-    node = r.src
     if r.fs is not None:
-        node = t.neighbor(node, r.fs)
-        path.append(rg.fs_vid(node, r.fs))
+        path.append(rg.fs_vid(nodes[1], r.fs))
     vec = [0] * t.n
-    for d in r.body:
-        node = t.neighbor(node, d)
+    for node, d in zip(nodes[1 + (r.fs is not None):], r.body):
         vec[d % t.n] = 1 if d < t.n else -1
         path.append(rg.dirbit_vid(node, vec_to_code(vec)))
     if r.ls is not None:
-        node = t.neighbor(node, r.ls)
-        path.append(rg.ls_vid(node, r.ls))
-    path.append(rg.end_vid(node))
+        path.append(rg.ls_vid(nodes[-1], r.ls))
+    path.append(rg.end_vid(nodes[-1]))
     return path
 
 
@@ -201,9 +208,6 @@ def validate_route(t: Topology, r: Route,
     n = t.n
     problems: list[str] = []
 
-    def dead(u, d):
-        return t.neighbor_table[u, d] < 0
-
     # shape
     if not r.body and not (r.fs is not None and r.ls is None):
         if r.fs is None and r.ls is None:
@@ -213,15 +217,14 @@ def validate_route(t: Topology, r: Route,
         return problems
 
     # liveness of the node sequence
-    seq = [r.src]
-    for i, d in enumerate(r.steps):
-        u = seq[-1]
-        if u in t.failed_nodes or dead(u, d):
-            problems.append(
-                f"step {i + 1} ({t.dir_name(d)} from {t.coord_str(u)}) uses a "
-                "dead link")
-            return problems
-        seq.append(int(t.neighbor_table[u, d]))
+    steps = r.steps
+    seq, channels = t.walk(r.src, steps)
+    if len(channels) < len(steps):
+        i = len(channels)
+        problems.append(
+            f"step {i + 1} ({t.dir_name(steps[i])} from "
+            f"{t.coord_str(seq[-1])}) uses a dead link")
+        return problems
     if tuple(seq) != r.node_seq:
         problems.append("node_seq does not match the steps")
     if seq[-1] != r.dst:
@@ -294,16 +297,7 @@ class RoutingTable:
             t = self.topology
             ids = []
             for (_, _), r in sorted(self.routes.items()):
-                node = r.src
-                for d in r.steps:
-                    cid = int(t.channel_table[node, d])
-                    if cid < 0:
-                        raise IntegrityError(
-                            f"route {t.coord_str(r.src)}->{t.coord_str(r.dst)}"
-                            f" crosses dead channel "
-                            f"{t.coord_str(node)}{t.dir_name(d)}")
-                    ids.append(cid)
-                    node = int(t.neighbor_table[node, d])
+                ids.extend(route_channels(t, r))
             self._link_ids = np.asarray(ids, dtype=np.int64)
         return self._link_ids
 

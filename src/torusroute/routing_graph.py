@@ -74,7 +74,8 @@ class RGVertexInfo:
 class RoutingGraph:
     """CSR adjacency over the per-node vertex blocks of a topology."""
 
-    def __init__(self, topology: Topology, edges, added=()):
+    def __init__(self, topology: Topology, edges=None, added=()):
+        """``edges`` defaults to the topology's baseline edges."""
         t = topology
         self.topology = t
         n = t.n
@@ -82,7 +83,15 @@ class RoutingGraph:
         self.n_vertices = t.num_coords * self.block
         self.codes = dirbit_codes(n)
         self._code_offset = {c: i for i, c in enumerate(self.codes)}
+        # DIRBIT code of the sign vector holding only direction d
+        self.single_codes = [
+            vec_to_code([(1 if d < n else -1) if j == d % n else 0
+                         for j in range(n)])
+            for d in range(2 * n)]
         self.added = tuple(added)
+        self.relaxed = frozenset(self.added)
+        if edges is None:
+            edges = _build_edges(self)
 
         order = sorted(range(len(edges)), key=lambda i: edges[i][0])
         self.edge_tail = np.array([edges[i][0] for i in order], dtype=np.int32)
@@ -164,46 +173,27 @@ class RoutingGraph:
             self._rev = (rindptr, order.astype(np.int64))
         return self._rev
 
-def _build_edges(t: Topology) -> list[tuple[int, int, int, bool]]:
+def _build_edges(rg: RoutingGraph) -> list[tuple[int, int, int, bool]]:
+    t = rg.topology
     n = t.n
-    codes = dirbit_codes(n)
-    code_offset = {c: i for i, c in enumerate(codes)}
-    block = 3 ** n + 2 * n + 1
-    nbr = t.neighbor_table
-    chan = t.channel_table
-
-    def begin(u):
-        return u * block
-
-    def dirbit(u, code):
-        return u * block + 1 + code_offset[code]
-
-    def fs(u, d):
-        return u * block + 1 + len(codes) + d
-
-    def ls(u, d):
-        return u * block + 1 + len(codes) + n + (d - n)
-
-    def end(u):
-        return (u + 1) * block - 1
-
-    single = [vec_to_code(tuple(1 if j == d % n and d < n else
-                                (-1 if j == d % n else 0)
-                                for j in range(n)))
-              for d in range(2 * n)]
-    lasts = {c: vec_last_direction(code_to_vec(c, n), n) for c in codes}
+    nbr = t.neighbor_rows
+    chan = t.channel_rows
+    begin, dirbit, fs, ls, end = (rg.begin_vid, rg.dirbit_vid, rg.fs_vid,
+                                  rg.ls_vid, rg.end_vid)
+    single = rg.single_codes
+    lasts = {c: vec_last_direction(code_to_vec(c, n), n) for c in rg.codes}
 
     edges: list[tuple[int, int, int, bool]] = []
     for u in t.live_nodes:
         # BEGIN: single-direction steps, positive non-standard first steps, eject
         for d in range(2 * n):
-            v = nbr[u, d]
+            v = nbr[u][d]
             if v >= 0:
-                edges.append((begin(u), dirbit(v, single[d]), chan[u, d], False))
+                edges.append((begin(u), dirbit(v, single[d]), chan[u][d], False))
         for d in range(n):
-            v = nbr[u, d]
+            v = nbr[u][d]
             if v >= 0:
-                edges.append((begin(u), fs(v, d), chan[u, d], False))
+                edges.append((begin(u), fs(v, d), chan[u][d], False))
         edges.append((begin(u), end(u), DUMMY_LINK, False))
 
         # FS vertices: continue with a strictly later, non-opposite direction
@@ -212,21 +202,21 @@ def _build_edges(t: Topology) -> list[tuple[int, int, int, bool]]:
             for k in range(l + 1, 2 * n):
                 if k == opp:
                     continue
-                v = nbr[u, k]
+                v = nbr[u][k]
                 if v >= 0:
-                    edges.append((fs(u, l), dirbit(v, single[k]), chan[u, k],
+                    edges.append((fs(u, l), dirbit(v, single[k]), chan[u][k],
                                   False))
             edges.append((fs(u, l), end(u), DUMMY_LINK, False))
 
         # DIRBIT vertices
-        for c in codes:
+        for c in rg.codes:
             vec = code_to_vec(c, n)
             last = lasts[c]
             src = dirbit(u, c)
             for k in range(last, 2 * n):
                 if k != last and vec[k % n] != 0:
                     continue  # direction-bit rule: dimension already used
-                v = nbr[u, k]
+                v = nbr[u][k]
                 if v < 0:
                     continue
                 if k == last:
@@ -235,14 +225,14 @@ def _build_edges(t: Topology) -> list[tuple[int, int, int, bool]]:
                     nvec = list(vec)
                     nvec[k % n] = 1 if k < n else -1
                     nc = vec_to_code(nvec)
-                edges.append((src, dirbit(v, nc), chan[u, k], False))
+                edges.append((src, dirbit(v, nc), chan[u][k], False))
             opp_last = (last + n) % (2 * n)
             for k in range(max(n, last + 1), 2 * n):
                 if k == opp_last:
                     continue
-                v = nbr[u, k]
+                v = nbr[u][k]
                 if v >= 0:
-                    edges.append((src, ls(v, k), chan[u, k], False))
+                    edges.append((src, ls(v, k), chan[u][k], False))
             edges.append((src, end(u), DUMMY_LINK, False))
 
         # LS vertices only eject
@@ -253,7 +243,7 @@ def _build_edges(t: Topology) -> list[tuple[int, int, int, bool]]:
 
 def build_routing_graph(t: Topology) -> RoutingGraph:
     """Baseline routing graph of a topology (no relaxed turns)."""
-    return RoutingGraph(t, _build_edges(t))
+    return RoutingGraph(t)
 
 
 def apply_augmentation(rg: RoutingGraph,
@@ -270,9 +260,6 @@ def apply_augmentation(rg: RoutingGraph,
     n = t.n
     added = list(added)
     extra: list[tuple[int, int, int, bool]] = []
-    single = {d: vec_to_code(tuple((1 if d < n else -1) if j == d % n else 0
-                                   for j in range(n)))
-              for d in range(2 * n)}
     for edge in added:
         (ui, di), (uj, dj) = edge
         desc = (f"[({t.coord_str(ui)},{t.dir_name(di)}),"
@@ -280,16 +267,16 @@ def apply_augmentation(rg: RoutingGraph,
         if di <= dj:
             raise ValueError(f"augmentation edge {desc} does not violate the "
                              "direction order")
-        if t.neighbor(ui, di) != uj:
+        nodes, channels = t.walk(ui, (di, dj))
+        if len(nodes) < 2 or nodes[1] != uj:
             raise ValueError(f"augmentation edge {desc} endpoints are not "
                              "linked by its direction")
-        uk = t.neighbor(uj, dj)
-        if uk is None:
+        if len(channels) < 2:
             raise ValueError(f"augmentation edge {desc} head channel is dead")
-        link = int(t.channel_table[uj, dj])
+        uk, link = nodes[2], channels[1]
         if di < n:  # usable as a first positive step
-            extra.append((rg.fs_vid(uj, di), rg.dirbit_vid(uk, single[dj]),
-                          link, True))
+            extra.append((rg.fs_vid(uj, di),
+                          rg.dirbit_vid(uk, rg.single_codes[dj]), link, True))
         elif dj >= n:  # usable as a last negative step
             for c in rg.codes:
                 if vec_last_direction(code_to_vec(c, n), n) == di:
@@ -318,35 +305,6 @@ def _gather_edges(rg: RoutingGraph, frontier: np.ndarray) -> np.ndarray:
     eids = np.arange(total, dtype=np.int64)
     eids += np.repeat(starts - offsets, counts)
     return eids
-
-
-def hop_distances(rg: RoutingGraph, source_vid: int) -> np.ndarray:
-    """Unweighted hop distance from a vertex to every vertex (-1 unreachable)."""
-    dist = np.full(rg.n_vertices, -1, dtype=np.int32)
-    dist[source_vid] = 0
-    frontier = np.array([source_vid], dtype=np.int64)
-    level = 0
-    while len(frontier):
-        eids = _gather_edges(rg, frontier)
-        heads = rg.edge_head[eids]
-        fresh = np.unique(heads[dist[heads] < 0])
-        level += 1
-        dist[fresh] = level
-        frontier = fresh.astype(np.int64)
-    return dist
-
-
-def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
-    """Ordered node pairs (i, j), i != j, with a begin->end path."""
-    t = rg.topology
-    pairs = set()
-    ends = np.array([rg.end_vid(v) for v in t.live_nodes], dtype=np.int64)
-    for src in t.live_nodes:
-        dist = hop_distances(rg, rg.begin_vid(src))
-        for v, evid in zip(t.live_nodes, ends):
-            if v != src and dist[evid] >= 0:
-                pairs.add((src, v))
-    return pairs
 
 
 def dump_routing_graph(rg: RoutingGraph, loads: np.ndarray | None = None):

@@ -73,6 +73,9 @@ class Topology:
                                      dtype=np.int32)
         for i, (u, d) in enumerate(self.channels):
             self.channel_table[u, d] = i
+        # plain-list rows: indexing them is cheaper than numpy scalar access
+        self.neighbor_rows = self.neighbor_table.tolist()
+        self.channel_rows = self.channel_table.tolist()
         self._dist_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
@@ -140,6 +143,27 @@ class Topology:
             raise TopologyError(f"node {u} does not exist")
         v = int(self.neighbor_table[u, d])
         return v if v >= 0 else None
+
+    def walk(self, src: int, steps: Iterable[int]
+             ) -> tuple[list[int], list[int]]:
+        """(nodes, channel ids) crossed by following ``steps`` from ``src``.
+
+        The walk stops at the first dead link and returns the prefix it
+        walked, so it failed exactly when fewer channels than steps come
+        back. A failed source has no live link and walks no step.
+        """
+        nbr, chan = self.neighbor_rows, self.channel_rows
+        node = src
+        nodes = [src]
+        channels = []
+        for d in steps:
+            c = chan[node][d]
+            if c < 0:
+                break
+            node = nbr[node][d]
+            nodes.append(node)
+            channels.append(c)
+        return nodes, channels
 
     def distance(self, a: int, b: int) -> int | None:
         """Minimal hop count between live nodes, None when unreachable."""
@@ -238,14 +262,6 @@ def make_torus(dims: Sequence[int],
         links.add((v, clean.opposite(d)))
 
     return Topology(dims, nodes, frozenset(links))
-
-
-def neighbor(t: Topology, u: int, d: int) -> int | None:
-    return t.neighbor(u, d)
-
-
-def torus_distance(t: Topology, a: int, b: int) -> int | None:
-    return t.distance(a, b)
 
 
 def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:

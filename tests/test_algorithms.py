@@ -5,7 +5,6 @@ from torusroute import (GeneticParams, build_bfs_routes, build_rt_bfs,
                         build_rt_genetic, build_rt_sssp, build_sssp,
                         channel_loads, enumerate_minimal_routes, load_report,
                         make_torus, turn_count, unique_route_stats)
-from torusroute.algorithms import _route_links
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.routes import check_table, make_route, table_to_text
@@ -53,9 +52,9 @@ def test_bfs_second_source_avoids_loaded_side():
     t, rg, g, added = prepared([4])
     loads = np.zeros(t.n_channels, dtype=np.int64)
     first = build_bfs_routes(rg, 0, loads)
-    loaded = set(_route_links(rg, first[2]))
+    loaded = set(t.walk(0, first[2].steps)[1])
     second = build_bfs_routes(rg, 2, loads)
-    assert not (set(_route_links(rg, second[0])) & loaded)
+    assert not (set(t.walk(2, second[0].steps)[1]) & loaded)
 
 
 def test_bfs_unroutable_names_pair():

@@ -128,12 +128,12 @@ def test_run_sweep_rows_have_unique_fraction():
     assert all(row["max_d"] >= 1 for row in rows)
 
 
-def test_run_sweep_threaded_matches_serial():
-    serial = run_sweep(2, 2, 3, 4, seed=9, algos=["bfs"], threads=1)
-    threaded = run_sweep(2, 2, 3, 4, seed=9, algos=["bfs"], threads=3)
+def test_run_sweep_same_seed_same_rows():
+    first = run_sweep(2, 2, 3, 4, seed=9, algos=["bfs"])
+    second = run_sweep(2, 2, 3, 4, seed=9, algos=["bfs"])
     strip = lambda rows: [  # noqa: E731
         {k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
-    assert strip(serial) == strip(threaded)
+    assert strip(first) == strip(second)
 
 
 def test_generate_genetic_flags(tmp_path):

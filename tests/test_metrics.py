@@ -139,12 +139,17 @@ def test_pattern_referencing_failed_node():
 
 
 def test_load_integrity_failure():
-    t = make_torus([3, 3])
+    t, rg, g, added = prepared([3, 3])
     faulty = make_torus([3, 3], failed_links=[((0, 0), 0)])
     r = make_route(t, t.node_id((0, 0)), None, [0], None)
     table = RoutingTable(faulty, {(r.src, r.dst): r})
-    with pytest.raises(IntegrityError):
+    dead = r"route \(0,0\)->\(1,0\) crosses dead channel \(0,0\)\+X"
+    with pytest.raises(IntegrityError, match=dead):
         channel_loads(table)
+    # the tornado pattern on 3x3 holds the pair (0,0)->(1,0)
+    full = RoutingTable(faulty, build_rt_bfs(rg).routes)
+    with pytest.raises(IntegrityError, match=dead):
+        pattern_loads(full, "tornado")
 
 
 @pytest.mark.parametrize("dims", [[3, 3], [4, 2], [2, 2, 3]])

@@ -3,8 +3,8 @@ import pytest
 from torusroute import (Route, RoutingTable, build_rt_bfs, decode_rg_path,
                         make_route, make_torus, parse_table, table_to_text,
                         validate_route)
-from torusroute.errors import ParseError
-from torusroute.routes import check_table, route_to_rg_path
+from torusroute.errors import ParseError, TopologyError
+from torusroute.routes import check_table, legal_encodings, route_to_rg_path
 
 from conftest import prepared
 
@@ -63,6 +63,15 @@ def test_validate_route_liveness():
     r = make_route(clean, clean.node_id((0, 0)), None, [0], None)
     msgs = validate_route(t, r)
     assert any("dead link" in m for m in msgs)
+    r = make_route(clean, clean.node_id((2, 0)), None, [0, 0], None)
+    assert validate_route(t, r) == ["step 2 (+X from (0,0)) uses a dead link"]
+    with pytest.raises(ValueError, match=r"^step \+X from \(0,0\) is dead$"):
+        make_route(t, t.node_id((2, 0)), None, [0, 0], None)
+    with pytest.raises(ValueError, match=r"^step \+X from \(0,0\) is dead$"):
+        legal_encodings(t, t.node_id((2, 0)), (0, 0))
+    failed = make_torus([3, 3], failed_nodes=[(0, 0)])
+    with pytest.raises(TopologyError, match="node 0 does not exist"):
+        make_route(failed, 0, None, [0], None)
 
 
 def test_validate_route_shapes(grid33):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusroute import make_torus, most_remote, neighbor, torus_distance
+from torusroute import make_torus, most_remote
 from torusroute.errors import ParseError, TopologyError
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_topology,
@@ -57,9 +57,28 @@ def test_neighbor_wraparound_and_ring():
     assert t.neighbor(t.node_id((2, 0)), 0) == t.node_id((0, 0))
     r = make_torus([4])
     assert r.neighbor(3, 0) == 0
-    # module-level operation surface mirrors the methods
-    assert neighbor(r, 3, 0) == 0
-    assert torus_distance(r, 0, 2) == 2
+
+
+def test_walk_live_route():
+    t = make_torus([3, 3])
+    u, v, w = t.node_id((0, 0)), t.node_id((1, 0)), t.node_id((1, 1))
+    nodes, channels = t.walk(u, (0, 1))  # +X +Y
+    assert nodes == [u, v, w]
+    assert channels == [t.channel_id[(u, 0)], t.channel_id[(v, 1)]]
+    assert t.walk(u, ()) == ([u], [])
+
+
+def test_walk_stops_at_dead_link():
+    t = make_torus([3, 3], failed_links=[((1, 0), 1)])
+    u, v = t.node_id((0, 0)), t.node_id((1, 0))
+    nodes, channels = t.walk(u, (0, 1, 1))  # +Y from (1,0) is dead
+    assert nodes == [u, v]
+    assert channels == [t.channel_id[(u, 0)]]
+
+
+def test_walk_from_failed_source():
+    t = make_torus([3, 3], failed_nodes=[(0, 0)])
+    assert t.walk(0, (0, 1)) == ([0], [])
 
 
 @given(small_dims, st.data())
