@@ -6,8 +6,8 @@ weight is the base weight plus the load of its link, so all routing-graph
 edges over one cable always weigh the same.
 
 * ``build_rt_bfs``: iterated breadth-first trees, sources ordered by a
-  most-remote heuristic, each level's frontier expanded in ascending order of
-  outgoing edge weight.
+  most-remote heuristic, each level's frontier expanded lightest arrival
+  first.
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric.
@@ -26,7 +26,7 @@ from .errors import UnroutablePairError
 from .metrics import deviation, perfect_channel_load
 from .routes import (Route, RoutingTable, decode_rg_path, legal_encodings,
                      preferred_encoding)
-from .routing_graph import DUMMY_LINK, RoutingGraph, _gather_edges
+from .routing_graph import DUMMY_LINK, RoutingGraph
 from .topology import most_remote
 
 
@@ -97,41 +97,67 @@ def _walk_parents(rg: RoutingGraph, parent_edge: np.ndarray, begin_vid: int,
     return verts, edges
 
 
+def _levels(rg: RoutingGraph, begin: int, key=None):
+    """Hop levels of the routing graph from ``begin``, one level per yield.
+
+    Yields (new vertices, their parent edges, the parents' keys, open edge
+    ids, open heads); the open edges leave the frontier for vertices not
+    reached before. A new vertex's parent is its open in-edge with the least
+    (key, edge id). ``key`` maps edge ids to integer keys (all 0 when
+    omitted) and runs once per level, after the caller has handled the
+    previous yield, so it may read per-vertex state the caller keeps.
+    """
+    reached = np.zeros(rg.n_vertices, dtype=bool)
+    reached[begin] = True
+    frontier = np.array([begin], dtype=np.int64)
+    while len(frontier):
+        starts = rg.indptr[frontier]
+        counts = rg.indptr[frontier + 1] - starts
+        eids = np.arange(int(counts.sum()), dtype=np.int64)
+        eids += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        heads = rg.edge_head[eids].astype(np.int64)
+        open_m = ~reached[heads]
+        eids, heads = eids[open_m], heads[open_m]
+        if not len(eids):
+            return
+        keys = (np.zeros(len(eids), dtype=np.int64) if key is None
+                else key(eids))
+        # the frontier ascends and edge ids are tail-major, so eids ascend
+        # and a stable sort by (head, key) leaves ties in edge-id order
+        span = int(keys.max()) + 1
+        if (int(heads.max()) + 1) * span < 2 ** 62:
+            order = np.argsort(heads * span + keys, kind="stable")
+        else:
+            order = np.lexsort((keys, heads))
+        heads_s = heads[order]
+        chosen = order[np.flatnonzero(np.diff(heads_s, prepend=-1))]
+        frontier = heads[chosen]
+        reached[frontier] = True
+        yield frontier, eids[chosen], keys[chosen], eids, heads
+
+
 def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
                      targets=None) -> dict[int, Route]:
     """Breadth-first route tree from one source, then weight bookkeeping.
 
-    Each frontier is expanded in ascending order of the weight of the edge
-    the vertex was claimed through (ties by vertex id), so arrivals over
-    lightly loaded links extend their paths first; the first claimant of a
-    vertex becomes its parent. After the tree is read back, every chosen
-    route adds one unit of load to each physical link it crosses.
+    Lightest arrival first: a vertex's parent is its in-edge with the least
+    (load of the link the tail arrived over, edge id). Edge ids are
+    tail-major, so this is the first claimant when each frontier is expanded
+    in ascending arrival load, ties by vertex id. After the tree is read
+    back, every chosen route adds one unit of load to each physical link it
+    crosses.
     """
     t = rg.topology
     if targets is None:
         targets = t.live_nodes
     loads_ext = np.concatenate([loads, [0]])
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
+    arrival = np.zeros(rg.n_vertices, dtype=np.int64)  # the source: load-free
     begin = rg.begin_vid(source)
-    claimed = np.zeros(rg.n_vertices, dtype=bool)
-    claimed[begin] = True
-    frontier = np.array([begin], dtype=np.int64)
-    arrival_w = np.zeros(1, dtype=np.int64)  # the source arrives load-free
-    while len(frontier):
-        order = np.lexsort((frontier, arrival_w))
-        frontier = frontier[order]
-        eids = _gather_edges(rg, frontier)
-        if not len(eids):
-            break
-        heads = rg.edge_head[eids]
-        open_m = ~claimed[heads]
-        cand = heads[open_m]
-        cand_e = eids[open_m]
-        uniq, first = np.unique(cand, return_index=True)
-        parent_edge[uniq] = cand_e[first]
-        claimed[uniq] = True
-        frontier = uniq.astype(np.int64)
-        arrival_w = loads_ext[rg.edge_link[parent_edge[frontier]]]
+    for new, parents, _, _, _ in _levels(
+            rg, begin, lambda e: arrival[rg.edge_tail[e]]):
+        parent_edge[new] = parents
+        arrival[new] = loads_ext[rg.edge_link[parents]]
 
     routes: dict[int, Route] = {}
     missing = []
@@ -184,22 +210,11 @@ def _bfs_count(rg: RoutingGraph, source: int):
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
     dist[begin] = 0
     counts[begin] = 1
-    frontier = np.array([begin], dtype=np.int64)
-    level = 0
-    while len(frontier):
-        eids = _gather_edges(rg, np.sort(frontier))
-        if not len(eids):
-            break
-        heads = rg.edge_head[eids]
-        open_m = dist[heads] < 0
-        uniq, first = np.unique(heads[open_m], return_index=True)
-        parent_edge[uniq] = eids[open_m][first]
-        level += 1
-        dist[uniq] = level
-        next_m = dist[heads] == level
-        np.add.at(counts, heads[next_m],
-                  counts[rg.edge_tail[eids[next_m]]])
-        frontier = uniq.astype(np.int64)
+    for level, (new, parents, _, eids, heads) in enumerate(
+            _levels(rg, begin), 1):
+        parent_edge[new] = parents
+        dist[new] = level
+        np.add.at(counts, heads, counts[rg.edge_tail[eids]])
     return dist, counts, parent_edge
 
 
@@ -328,22 +343,16 @@ def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
 
 
 class _SsspEngine:
-    """Reusable scratch state for repeated shortest-path-tree calls.
+    """Repeated shortest-path trees under a load ledger that keeps growing.
 
-    The per-edge weight vector (base plus link load) is maintained
-    incrementally as routes are applied, and generation stamps replace
-    per-call array clearing.
+    The per-edge weight vector (base plus link load) is kept up to date as
+    routes are applied, so each tree starts from the current loads.
     """
 
     def __init__(self, rg: RoutingGraph, loads: np.ndarray, base: int):
         self.rg = rg
-        self.base = base
         loads_ext = np.concatenate([loads, [0]])
         self.w = base + loads_ext[rg.edge_link]
-        self.dist = np.zeros(rg.n_vertices, dtype=np.int64)
-        self.parent = np.full(rg.n_vertices, -1, dtype=np.int64)
-        self.stamp = np.zeros(rg.n_vertices, dtype=np.int64)
-        self.gen = 0
         order = np.argsort(rg.edge_link, kind="stable")
         self._edges_by_link = order
         self._link_starts = np.searchsorted(
@@ -354,55 +363,34 @@ class _SsspEngine:
         self.w[self._edges_by_link[lo:hi]] += 1
 
     def tree_edges(self, source: int, dst_nodes) -> dict[int, list[int]]:
-        """Edge-id chains of the shortest path tree, one per destination."""
+        """Edge-id chains of the shortest path tree, one per destination.
+
+        A head's parent is its in-edge with the least (distance, edge id);
+        the search stops once every requested end vertex is reached.
+        """
         rg = self.rg
         t = rg.topology
-        self.gen += 1
-        gen = self.gen
-        dist, parent, stamp, w = self.dist, self.parent, self.stamp, self.w
+        w = self.w
+        dist = np.zeros(rg.n_vertices, dtype=np.int64)
+        parent = np.full(rg.n_vertices, -1, dtype=np.int64)
         ends = np.array([rg.end_vid(d) for d in dst_nodes], dtype=np.int64)
         begin = rg.begin_vid(source)
-        dist[begin] = 0
-        stamp[begin] = gen
-        parent[begin] = -1
-        frontier = np.array([begin], dtype=np.int64)
-        while len(frontier) and len(ends):
-            eids = _gather_edges(rg, frontier)
-            if not len(eids):
+        for new, parents, keys, _, _ in _levels(
+                rg, begin, lambda e: dist[rg.edge_tail[e]] + w[e]):
+            dist[new] = keys
+            parent[new] = parents
+            ends = ends[parent[ends] < 0]
+            if not len(ends):
                 break
-            heads = rg.edge_head[eids]
-            open_m = stamp[heads] != gen
-            heads = heads[open_m]
-            eids = eids[open_m]
-            if not len(heads):
-                break
-            cand = dist[rg.edge_tail[eids]] + w[eids]
-            # per-head minimum of (distance, edge id); edge ids are
-            # tail-major, so ties fall to the smallest tail, then adjacency
-            inner = cand * rg.n_edges + eids
-            if int(heads.max()) * (int(inner.max()) + 1) < 2 ** 62:
-                order = np.argsort(heads * (inner.max() + 1) + inner,
-                                   kind="stable")
-            else:
-                order = np.lexsort((inner, heads))
-            heads_s = heads[order]
-            first = np.flatnonzero(np.diff(heads_s, prepend=-1))
-            chosen = order[first]
-            uniq = heads_s[first]
-            dist[uniq] = cand[chosen]
-            parent[uniq] = eids[chosen]
-            stamp[uniq] = gen
-            ends = ends[stamp[ends] != gen]
-            frontier = uniq.astype(np.int64)
 
         out: dict[int, list[int]] = {}
         missing = []
         for dst in dst_nodes:
-            evid = rg.end_vid(dst)
-            if stamp[evid] != gen:
+            walked = _walk_parents(rg, parent, begin, rg.end_vid(dst))
+            if walked is None:
                 missing.append((source, dst))
                 continue
-            out[dst] = _walk_parents(rg, parent, begin, evid)[1]
+            out[dst] = walked[1]
         if missing:
             raise UnroutablePairError(
                 [(t.coord_str(s), t.coord_str(d)) for s, d in missing])

@@ -51,9 +51,6 @@ class CDG:
     def direction_of(self, cid: int) -> int:
         return self.channels[cid][1]
 
-    def channel_str(self, cid: int) -> str:
-        return self.topology.channel_str(self.channels[cid])
-
     def used_set(self, channel: Channel) -> frozenset[int]:
         if self.used_dirs is None:
             raise RuntimeError("used_direction_sets has not run")

@@ -18,7 +18,8 @@ from .algorithms import (GeneticParams, build_rt_bfs, build_rt_genetic,
 from .cdg import assert_deadlock_free, augment_cdg, build_cdg, used_direction_sets
 from .errors import (DeadlockCycleError, DisconnectedError, IntegrityError,
                      ParseError, TopologyError, UnroutablePairError)
-from .metrics import PATTERNS, channel_loads, load_report, pattern_loads
+from .metrics import (PATTERNS, channel_loads, load_report, pattern_loads,
+                      pattern_pairs)
 from .routes import check_table, load_table, route_channels, write_table
 from .routing_graph import apply_augmentation, build_routing_graph
 from .topology import Topology, load_topology, make_torus
@@ -156,6 +157,12 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     t = _load_topology_or_exit(args.topology)
     _check_ceiling(t, args.force)
+    try:
+        for pattern in args.patterns:
+            pattern_pairs(t, pattern)
+    except TopologyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     rg, g, added = prepare(t)
     rows = []
     for algo in args.algos:

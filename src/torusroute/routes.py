@@ -107,6 +107,50 @@ def decode_rg_path(rg: RoutingGraph, path: list[int]) -> Route:
                  tuple(seq))
 
 
+def _violations(t: Topology, seq, fs: int | None, body: tuple[int, ...],
+                ls: int | None, relaxed):
+    """Rule violations, lazily, of one (fs, body, ls) split of a route.
+
+    ``seq`` is the route's walked node sequence and ``relaxed`` the set of
+    registered relaxed turns.
+    """
+    n = t.n
+    if fs is not None and fs >= n:
+        yield "first step must be a positive direction"
+    if ls is not None and ls < n:
+        yield "last step must be a negative direction"
+
+    # body: non-decreasing order, one sign per dimension
+    vec = [0] * n
+    prev = None
+    for i, d in enumerate(body):
+        sign = 1 if d < n else -1
+        if vec[d % n] not in (0, sign):
+            yield (f"body step {i + 1} ({t.dir_name(d)}) reuses dimension "
+                   f"{d % n + 1} with the opposite sign")
+        if prev is not None and d < prev:
+            yield (f"body step {i + 1} ({t.dir_name(d)}) violates the "
+                   "direction order")
+        vec[d % n] = sign
+        prev = d
+
+    # first-step turn: strictly ascending and not a U-turn, else registered
+    if fs is not None and body:
+        b1 = body[0]
+        if (not (fs < b1 and b1 != t.opposite(fs))
+                and ((seq[0], fs), (seq[1], b1)) not in relaxed):
+            yield (f"first-step turn {t.dir_name(fs)}->{t.dir_name(b1)} "
+                   "is not a registered relaxed turn")
+
+    # last-step turn, symmetric
+    if ls is not None:
+        last = body[-1]
+        if (not (last < ls and ls != t.opposite(last))
+                and ((seq[-3], last), (seq[-2], ls)) not in relaxed):
+            yield (f"last-step turn {t.dir_name(last)}->{t.dir_name(ls)} "
+                   "is not a registered relaxed turn")
+
+
 def legal_encodings(t: Topology, src: int, steps: tuple[int, ...],
                     relaxed=frozenset(), first_only: bool = False):
     """(node sequence, every legal (fs, body, ls) decomposition of ``steps``).
@@ -117,25 +161,6 @@ def legal_encodings(t: Topology, src: int, steps: tuple[int, ...],
     """
     n = t.n
     seq = _live_walk(t, src, steps)
-
-    def body_ok(body):
-        vec = {}
-        prev = None
-        for d in body:
-            dim, sign = d % n, d < n
-            if prev is not None and d < prev:
-                return False
-            if vec.get(dim, sign) != sign:
-                return False
-            vec[dim] = sign
-            prev = d
-        return True
-
-    def turn_ok(tail_node, a, node, b):
-        if a < b and b != t.opposite(a):
-            return True
-        return ((tail_node, a), (node, b)) in relaxed
-
     k = len(steps)
     candidates = [(None, steps, None)]
     if k == 1 and steps[0] < n:
@@ -148,15 +173,10 @@ def legal_encodings(t: Topology, src: int, steps: tuple[int, ...],
         candidates.append((steps[0], steps[1:-1], steps[-1]))
     out = []
     for fs, body, ls in candidates:
-        if not body_ok(body):
-            continue
-        if fs is not None and body and not turn_ok(seq[0], fs, seq[1], body[0]):
-            continue
-        if ls is not None and not turn_ok(seq[-3], body[-1], seq[-2], ls):
-            continue
-        out.append((fs, tuple(body), ls))
-        if first_only:
-            break
+        if next(_violations(t, seq, fs, body, ls, relaxed), None) is None:
+            out.append((fs, tuple(body), ls))
+            if first_only:
+                break
     return seq, out
 
 
@@ -205,7 +225,6 @@ def validate_route(t: Topology, r: Route,
     is registered there.
     """
     relaxed = set(relaxed_turns)
-    n = t.n
     problems: list[str] = []
 
     # shape
@@ -230,45 +249,7 @@ def validate_route(t: Topology, r: Route,
     if seq[-1] != r.dst:
         problems.append("route does not end at dst")
 
-    if r.fs is not None and r.fs >= n:
-        problems.append("first step must be a positive direction")
-    if r.ls is not None and r.ls < n:
-        problems.append("last step must be a negative direction")
-
-    # body: non-decreasing order, one sign per dimension
-    vec = [0] * n
-    prev = None
-    for i, d in enumerate(r.body):
-        sign = 1 if d < n else -1
-        if vec[d % n] not in (0, sign):
-            problems.append(
-                f"body step {i + 1} ({t.dir_name(d)}) reuses dimension "
-                f"{d % n + 1} with the opposite sign")
-        if prev is not None and d < prev:
-            problems.append(
-                f"body step {i + 1} ({t.dir_name(d)}) violates the direction "
-                "order")
-        vec[d % n] = sign
-        prev = d
-
-    # first-step turn: strictly ascending and not a U-turn, else registered
-    if r.fs is not None and r.body:
-        b1 = r.body[0]
-        if not (r.fs < b1 and b1 != t.opposite(r.fs)):
-            if ((r.src, r.fs), (seq[1], b1)) not in relaxed:
-                problems.append(
-                    f"first-step turn {t.dir_name(r.fs)}->{t.dir_name(b1)} "
-                    "is not a registered relaxed turn")
-
-    # last-step turn, symmetric
-    if r.ls is not None:
-        last = r.body[-1]
-        if not (last < r.ls and r.ls != t.opposite(last)):
-            if ((seq[-3], last), (seq[-2], r.ls)) not in relaxed:
-                problems.append(
-                    f"last-step turn {t.dir_name(last)}->{t.dir_name(r.ls)} "
-                    "is not a registered relaxed turn")
-
+    problems.extend(_violations(t, seq, r.fs, r.body, r.ls, relaxed))
     return problems
 
 

@@ -291,22 +291,6 @@ def apply_augmentation(rg: RoutingGraph,
     return RoutingGraph(t, base + extra, added=tuple(rg.added) + tuple(added))
 
 
-# -- searches ---------------------------------------------------------------
-
-def _gather_edges(rg: RoutingGraph, frontier: np.ndarray) -> np.ndarray:
-    """Edge ids leaving ``frontier``, preserving frontier order."""
-    starts = rg.indptr[frontier]
-    counts = rg.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.zeros(len(frontier), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    eids = np.arange(total, dtype=np.int64)
-    eids += np.repeat(starts - offsets, counts)
-    return eids
-
-
 def dump_routing_graph(rg: RoutingGraph, loads: np.ndarray | None = None):
     """Debug dump, one line per edge."""
     t = rg.topology

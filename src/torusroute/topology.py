@@ -19,14 +19,6 @@ MAX_DIMS = 4
 DIM_NAMES = "XYZK"
 
 
-def direction_dim(d: int, n: int) -> int:
-    return d % n
-
-
-def is_positive(d: int, n: int) -> bool:
-    return d < n
-
-
 def opposite_direction(d: int, n: int) -> int:
     return (d + n) % (2 * n)
 

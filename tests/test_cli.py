@@ -104,6 +104,16 @@ def test_compare_csv(tmp_path, capsys):
     assert float(by_key[("bfs", "alltoall")]["wall_time_s"]) >= 0
 
 
+def test_compare_pattern_on_failed_node_is_io_error(tmp_path, capsys):
+    topo = write_topo(tmp_path, "dims: 4 4 2\nfail-node: 0 0 1\n")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", topo, "--algos", "bfs",
+                 "--patterns", "alltoall", "tornado", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: tornado pattern references failed node (0,0,1)\n")
+    assert not out.exists()
+
+
 def test_sweep_shape_and_determinism(tmp_path):
     out1 = str(tmp_path / "s1.csv")
     out2 = str(tmp_path / "s2.csv")

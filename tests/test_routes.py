@@ -1,6 +1,11 @@
+import functools
+import hashlib
+import pathlib
+
 import pytest
 
-from torusroute import (Route, RoutingTable, build_rt_bfs, decode_rg_path,
+from torusroute import (GeneticParams, Route, RoutingTable, build_rt_bfs,
+                        build_rt_genetic, build_rt_sssp, decode_rg_path,
                         make_route, make_torus, parse_table, table_to_text,
                         validate_route)
 from torusroute.errors import ParseError, TopologyError
@@ -57,6 +62,57 @@ def test_validate_route_examples(grid33):
     assert any("opposite sign" in m for m in msgs)
 
 
+def test_validate_route_rule_messages(grid33):
+    """One route per rule, each with the exact list of its violations."""
+    t = grid33[0]
+    u = t.node_id((0, 0))
+    cases = [
+        ((2, [3], None), ["first step must be a positive direction"]),
+        ((None, [0], 1), ["last step must be a negative direction"]),
+        ((None, [0, 2], None),
+         ["body step 2 (-X) reuses dimension 1 with the opposite sign"]),
+        ((None, [1, 0], None),
+         ["body step 2 (+X) violates the direction order"]),
+        ((1, [0], None),
+         ["first-step turn +Y->+X is not a registered relaxed turn"]),
+        ((None, [3], 2),
+         ["last-step turn -Y->-X is not a registered relaxed turn"]),
+    ]
+    for (fs, body, ls), want in cases:
+        assert validate_route(t, make_route(t, u, fs, body, ls)) == want
+    # every rule at once keeps this order
+    assert validate_route(t, make_route(t, u, 3, [2, 0], 0)) == [
+        "first step must be a positive direction",
+        "last step must be a negative direction",
+        "body step 2 (+X) reuses dimension 1 with the opposite sign",
+        "body step 2 (+X) violates the direction order",
+        "first-step turn -Y->-X is not a registered relaxed turn",
+        "last-step turn +X->+X is not a registered relaxed turn",
+    ]
+    v, w = t.node_id((0, 1)), t.node_id((0, 2))
+    fs_turn = make_route(t, u, 1, [0], None)
+    assert validate_route(t, fs_turn, [((u, 1), (v, 0))]) == []
+    ls_turn = make_route(t, u, None, [3], 2)
+    assert validate_route(t, ls_turn, [((u, 3), (w, 2))]) == []
+
+
+def test_legal_encodings_exact_lists(grid33):
+    t = grid33[0]
+    u, v = t.node_id((0, 0)), t.node_id((0, 1))
+    a, b = t.node_id((1, 0)), t.node_id((1, 2))
+    cases = [
+        ((0,), (), [(None, (0,), None), (0, (), None)]),
+        ((0, 1), (), [(None, (0, 1), None), (0, (1,), None)]),
+        ((1, 0), (), []),
+        ((1, 0), [((u, 1), (v, 0))], [(1, (0,), None)]),
+        ((0, 3, 2), (), []),
+        ((0, 3, 2), [((a, 3), (b, 2))], [(None, (0, 3), 2), (0, (3,), 2)]),
+        ((2, 0), (), []),
+    ]
+    for steps, relaxed, want in cases:
+        assert legal_encodings(t, u, steps, frozenset(relaxed))[1] == want
+
+
 def test_validate_route_liveness():
     t = make_torus([3, 3], failed_links=[((0, 0), 0)])
     clean = make_torus([3, 3])
@@ -111,17 +167,60 @@ def test_table_line_format(mesh22):
         "(0,0) -> (1,1) : FS+Y +X | nodes: (0,0) (0,1) (1,1)\n")
 
 
+FAULTED_44 = dict(failed_links=[((0, 0), 0)])  # the (0,0)+X link
+
+
+@functools.lru_cache(maxsize=None)
+def _table(algo, dims, faulted=False):
+    t, rg, g, added = prepared(dims, **(FAULTED_44 if faulted else {}))
+    if algo == "genetic":
+        return build_rt_genetic(rg, params=GeneticParams(max_generations=3))
+    return {"bfs": build_rt_bfs, "sssp": build_rt_sssp}[algo](rg)
+
+
 def test_golden_table_files():
     """Generated tables are byte-stable against committed goldens."""
-    import pathlib
-    from torusroute import build_rt_sssp
     data = pathlib.Path(__file__).parent / "data"
-    t, rg, g, added = prepared([3, 3])
-    assert table_to_text(build_rt_bfs(rg)) == (
+    assert table_to_text(_table("bfs", (3, 3))) == (
         (data / "grid33_bfs.table").read_text(encoding="utf-8"))
-    t2, rg2, g2, a2 = prepared([2, 2])
-    assert table_to_text(build_rt_sssp(rg2)) == (
+    assert table_to_text(_table("sssp", (2, 2))) == (
         (data / "mesh22_sssp.table").read_text(encoding="utf-8"))
+    # SHA-256 of table_to_text on inputs whose load tie-breaks matter
+    digests = {
+        ("bfs", (4, 4), False): "e5281431e4fba46dbd1fd76cb5787686"
+                                "c45bdc271aeb72e1184828260698fef8",
+        ("sssp", (4, 4), False): "9763ec9798abcd85f2cb87e7a8690208"
+                                 "da9869a5d2b7af0878d3041748f0b72b",
+        ("bfs", (4, 2, 2, 2), False): "0757b3866911281fa0d5b23742d950e0"
+                                      "da1fe910b7edde336300c5c44a578d57",
+        ("sssp", (4, 2, 2, 2), False): "9e506bbdca04a66f5135e64fb557a8cb"
+                                       "26ba72b4165af9fe838a1f8530159d70",
+        ("genetic", (4, 2, 2, 2), False): "2991a8a9c0156d45afb06a00645052a9"
+                                          "9ef4535463d6f9f22abc70566cfc1093",
+        ("bfs", (4, 4), True): "b77dfd64c51010d715ff4b4a44833edd"
+                               "f8190c262ee280cc18bcf7a6d39fc18a",
+        ("sssp", (4, 4), True): "53b267ae0e00b3db2e5ef1916f576836"
+                                "176884fbb9239272b9106629d8719042",
+    }
+    for key, want in digests.items():
+        text = table_to_text(_table(*key))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, key
+
+
+@pytest.mark.parametrize("dims,faulted", [((4, 2, 2, 2), False),
+                                          ((4, 4), True)])
+def test_table_routes_are_routing_graph_paths(dims, faulted):
+    """Every emitted (fs, body, ls) split is a path of the routing graph.
+
+    The graph is built from the rules independently of the rule function
+    that picks the split, so it witnesses each encoding.
+    """
+    rg = prepared(dims, **(FAULTED_44 if faulted else {}))[1]
+    edges = set(zip(rg.edge_tail.tolist(), rg.edge_head.tolist()))
+    for algo in ("bfs", "sssp", "genetic"):
+        for r in _table(algo, dims, faulted).routes.values():
+            path = route_to_rg_path(rg, r)
+            assert set(zip(path, path[1:])) <= edges, (algo, r)
 
 
 def test_parse_table_errors(grid33):
