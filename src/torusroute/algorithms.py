@@ -1,9 +1,8 @@
 """Routing-table generators over the routing graph.
 
 Three generators share one load ledger convention: a per-channel counter that
-every chosen route increments along its physical links. An edge's effective
-weight is the base weight plus the load of its link, so all routing-graph
-edges over one cable always weigh the same.
+every chosen route increments along its physical links. An edge weighs the
+load of its link, so all routing-graph edges over one cable weigh the same.
 
 * ``build_rt_bfs``: iterated breadth-first trees, sources ordered by a
   most-remote heuristic, each level's frontier expanded lightest arrival
@@ -12,8 +11,9 @@ edges over one cable always weigh the same.
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
-  grouped by (turn count, length, source) and served by repeated shortest
-  path trees; a large base weight keeps every returned path hop-minimal.
+  grouped by (turn count, length, source) and served by repeated least-load
+  trees; every tree is searched level by level, so hop count decides first
+  and load only breaks ties.
 """
 
 from __future__ import annotations
@@ -72,29 +72,48 @@ def _decode(rg: RoutingGraph, verts: list[int]) -> Route:
     return preferred_encoding(rg.topology, raw.src, raw.steps, rg.relaxed)
 
 
-def _steps_of_edges(rg: RoutingGraph, edges) -> tuple[int, ...]:
-    """Physical step directions of a tree path (the final eject edge aside)."""
-    t = rg.topology
-    return tuple(t.channels[link][1]
-                 for link in rg.edge_link[edges] if link != DUMMY_LINK)
+def _chains(rg: RoutingGraph, parent_edge: np.ndarray, source: int,
+            dsts) -> dict[int, list[int]]:
+    """Physical link ids of the tree path to every destination but ``source``.
+
+    Raises UnroutablePairError naming every destination whose end vertex the
+    parent tree does not reach, in destination order.
+    """
+    begin = rg.begin_vid(source)
+    out: dict[int, list[int]] = {}
+    missing = []
+    for dst in dsts:
+        if dst == source:
+            continue
+        v = rg.end_vid(dst)
+        edges = []
+        while v != begin:
+            e = int(parent_edge[v])
+            if e < 0:
+                missing.append(dst)
+                break
+            edges.append(e)
+            v = int(rg.edge_tail[e])
+        else:
+            edges.reverse()
+            out[dst] = [link for link in rg.edge_link[edges].tolist()
+                        if link != DUMMY_LINK]
+    if missing:
+        t = rg.topology
+        raise UnroutablePairError(
+            [(t.coord_str(source), t.coord_str(d)) for d in missing])
+    return out
 
 
-def _walk_parents(rg: RoutingGraph, parent_edge: np.ndarray, begin_vid: int,
-                  end_vid: int):
-    """(vertex path, edge ids) from begin to end, or None if unreached."""
-    verts = [end_vid]
-    edges = []
-    v = end_vid
-    while v != begin_vid:
-        e = int(parent_edge[v])
-        if e < 0:
-            return None
-        edges.append(e)
-        v = int(rg.edge_tail[e])
-        verts.append(v)
-    verts.reverse()
-    edges.reverse()
-    return verts, edges
+def _steps(t, links: list[int]) -> tuple[int, ...]:
+    """Direction of every link in a chain."""
+    return tuple(t.channels[link][1] for link in links)
+
+
+def _route(rg: RoutingGraph, source: int, links: list[int]) -> Route:
+    """The least-non-standard legal encoding of a chain's physical steps."""
+    return preferred_encoding(rg.topology, source, _steps(rg.topology, links),
+                              rg.relaxed)
 
 
 def _levels(rg: RoutingGraph, begin: int, key=None):
@@ -145,39 +164,23 @@ def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
     tail-major, so this is the first claimant when each frontier is expanded
     in ascending arrival load, ties by vertex id. After the tree is read
     back, every chosen route adds one unit of load to each physical link it
-    crosses.
+    crosses; an unroutable pair raises before any load is added.
     """
-    t = rg.topology
     if targets is None:
-        targets = t.live_nodes
-    loads_ext = np.concatenate([loads, [0]])
+        targets = rg.topology.live_nodes
+    loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
     arrival = np.zeros(rg.n_vertices, dtype=np.int64)  # the source: load-free
-    begin = rg.begin_vid(source)
     for new, parents, _, _, _ in _levels(
-            rg, begin, lambda e: arrival[rg.edge_tail[e]]):
+            rg, rg.begin_vid(source), lambda e: arrival[rg.edge_tail[e]]):
         parent_edge[new] = parents
         arrival[new] = loads_ext[rg.edge_link[parents]]
 
     routes: dict[int, Route] = {}
-    missing = []
-    for dst in targets:
-        if dst == source:
-            continue
-        walked = _walk_parents(rg, parent_edge, begin, rg.end_vid(dst))
-        if walked is None:
-            missing.append((source, dst))
-            continue
-        verts, edges = walked
-        routes[dst] = preferred_encoding(t, source, _steps_of_edges(rg, edges),
-                                         rg.relaxed)
-        for e in edges:
-            link = int(rg.edge_link[e])
-            if link != DUMMY_LINK:
-                loads[link] += 1
-    if missing:
-        raise UnroutablePairError(
-            [(t.coord_str(s), t.coord_str(d)) for s, d in missing])
+    for dst, links in _chains(rg, parent_edge, source, targets).items():
+        routes[dst] = _route(rg, source, links)
+        for link in links:
+            loads[link] += 1
     return routes
 
 
@@ -294,26 +297,15 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
     its own to the count.
     """
     t = rg.topology
-    dist, counts, parent_edge = _bfs_count(rg, source)
-    begin = rg.begin_vid(source)
+    _, counts, parent_edge = _bfs_count(rg, source)
     out = {}
-    missing = []
-    for dst in nodes:
-        if dst == source:
-            continue
-        evid = rg.end_vid(dst)
-        if dist[evid] < 0:
-            missing.append((source, dst))
-            continue
-        _, edges = _walk_parents(rg, parent_edge, begin, evid)
-        steps = _steps_of_edges(rg, edges)
-        seq, encodings = legal_encodings(t, source, steps, rg.relaxed)
+    for dst, links in _chains(rg, parent_edge, source, nodes).items():
+        seq, encodings = legal_encodings(t, source, _steps(t, links),
+                                         rg.relaxed)
         fs, body, ls = encodings[0]
         canonical = Route(source, dst, fs, body, ls, tuple(seq))
-        out[dst] = (canonical, int(counts[evid]) == len(encodings))
-    if missing:
-        raise UnroutablePairError(
-            [(t.coord_str(s), t.coord_str(d)) for s, d in missing])
+        out[dst] = (canonical,
+                    int(counts[rg.end_vid(dst)]) == len(encodings))
     return out
 
 
@@ -342,84 +334,43 @@ def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
     return pairs
 
 
-class _SsspEngine:
-    """Repeated shortest-path trees under a load ledger that keeps growing.
+def _sssp_chains(rg: RoutingGraph, source: int, dsts,
+                 loads: np.ndarray) -> dict[int, list[int]]:
+    """Least-load minimal-hop chains from one source (see ``_chains``).
 
-    The per-edge weight vector (base plus link load) is kept up to date as
-    routes are applied, so each tree starts from the current loads.
+    A vertex's parent is its in-edge with the least (load of the path to the
+    tail plus the load of the edge's link, edge id). Every candidate tail of
+    one new vertex lies on the same hop level, so the tree is hop-minimal and
+    load only breaks ties. The search stops once every requested end vertex
+    is reached.
     """
-
-    def __init__(self, rg: RoutingGraph, loads: np.ndarray, base: int):
-        self.rg = rg
-        loads_ext = np.concatenate([loads, [0]])
-        self.w = base + loads_ext[rg.edge_link]
-        order = np.argsort(rg.edge_link, kind="stable")
-        self._edges_by_link = order
-        self._link_starts = np.searchsorted(
-            rg.edge_link[order], np.arange(rg.topology.n_channels + 1))
-
-    def add_load(self, link: int):
-        lo, hi = self._link_starts[link], self._link_starts[link + 1]
-        self.w[self._edges_by_link[lo:hi]] += 1
-
-    def tree_edges(self, source: int, dst_nodes) -> dict[int, list[int]]:
-        """Edge-id chains of the shortest path tree, one per destination.
-
-        A head's parent is its in-edge with the least (distance, edge id);
-        the search stops once every requested end vertex is reached.
-        """
-        rg = self.rg
-        t = rg.topology
-        w = self.w
-        dist = np.zeros(rg.n_vertices, dtype=np.int64)
-        parent = np.full(rg.n_vertices, -1, dtype=np.int64)
-        ends = np.array([rg.end_vid(d) for d in dst_nodes], dtype=np.int64)
-        begin = rg.begin_vid(source)
-        for new, parents, keys, _, _ in _levels(
-                rg, begin, lambda e: dist[rg.edge_tail[e]] + w[e]):
-            dist[new] = keys
-            parent[new] = parents
-            ends = ends[parent[ends] < 0]
-            if not len(ends):
-                break
-
-        out: dict[int, list[int]] = {}
-        missing = []
-        for dst in dst_nodes:
-            walked = _walk_parents(rg, parent, begin, rg.end_vid(dst))
-            if walked is None:
-                missing.append((source, dst))
-                continue
-            out[dst] = walked[1]
-        if missing:
-            raise UnroutablePairError(
-                [(t.coord_str(s), t.coord_str(d)) for s, d in missing])
-        return out
-
-    def route_of(self, source: int, edges: list[int]) -> Route:
-        rg = self.rg
-        return preferred_encoding(rg.topology, source,
-                                  _steps_of_edges(rg, edges),
-                                  rg.relaxed)
-
-    def tree(self, source: int, dst_nodes) -> dict[int, Route]:
-        return {dst: self.route_of(source, edges)
-                for dst, edges in self.tree_edges(source, dst_nodes).items()}
+    loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
+    dist = np.zeros(rg.n_vertices, dtype=np.int64)
+    parent = np.full(rg.n_vertices, -1, dtype=np.int64)
+    ends = np.array([rg.end_vid(d) for d in dsts if d != source],
+                    dtype=np.int64)
+    for new, parents, keys, _, _ in _levels(
+            rg, rg.begin_vid(source),
+            lambda e: dist[rg.edge_tail[e]] + loads_ext[rg.edge_link[e]]):
+        dist[new] = keys
+        parent[new] = parents
+        ends = ends[parent[ends] < 0]
+        if not len(ends):
+            break
+    return _chains(rg, parent, source, dsts)
 
 
-def build_sssp(rg: RoutingGraph, source: int, dst_nodes, loads: np.ndarray,
-               base: int | None = None) -> dict[int, Route]:
-    """Level-settled shortest path tree slice for a destination set.
+def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
+               loads: np.ndarray) -> dict[int, Route]:
+    """Least-load minimal-hop route tree slice for a destination set.
 
-    Every edge weighs ``base`` plus its link load; the base (node count
-    squared by default) dominates any accumulated load, so hop count decides
-    first and load only breaks ties within a level. A vertex's distance is
-    final once its level completes, and the search stops as soon as all
-    requested end vertices are settled.
+    The tree is searched level by level, so hop count decides first; among
+    the in-edges of one vertex the least loaded path wins, ties by edge id.
+    ``loads`` is read, not changed.
     """
-    if base is None:
-        base = len(rg.topology.live_nodes) ** 2
-    return _SsspEngine(rg, loads, base).tree(source, list(dst_nodes))
+    return {dst: _route(rg, source, links)
+            for dst, links in _sssp_chains(rg, source, list(dst_nodes),
+                                           loads).items()}
 
 
 def build_rt_sssp(rg: RoutingGraph, nodes=None,
@@ -458,28 +409,21 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
                 pending.setdefault(key, []).append(dst)
 
     calls = 0
-    engine = _SsspEngine(rg, loads, base=len(nodes) ** 2)
     for key in sorted(pending):
         src = key[2]
         dsts = sorted(pending[key])
         while dsts:
             calls += 1
-            paths = engine.tree_edges(src, dsts)
+            chains = _sssp_chains(rg, src, dsts, loads)
             used: set[int] = set()
-            accepted = []
             for dst in dsts:
-                links = {int(link) for link in rg.edge_link[paths[dst]]
-                         if link != DUMMY_LINK}
-                if links & used:
-                    continue
-                accepted.append((dst, links))
-                used |= links
-            for dst, links in accepted:
-                routes[(src, dst)] = engine.route_of(src, paths[dst])
-                for link in links:
-                    loads[link] += 1
-                    engine.add_load(link)
-            dsts = [d for d in dsts if d not in {a for a, _ in accepted}]
+                links = chains[dst]
+                if used.isdisjoint(links):
+                    used.update(links)
+                    routes[(src, dst)] = _route(rg, src, links)
+            for link in used:
+                loads[link] += 1
+            dsts = [d for d in dsts if (src, d) not in routes]
 
     return RoutingTable(t, routes,
                         GenerationStats("sssp", loads, sssp_calls=calls,

@@ -10,12 +10,14 @@ import argparse
 import csv
 import sys
 import time
+from typing import NoReturn
 
 import numpy as np
 
 from .algorithms import (GeneticParams, build_rt_bfs, build_rt_genetic,
                          build_rt_sssp, unique_route_stats)
-from .cdg import assert_deadlock_free, augment_cdg, build_cdg, used_direction_sets
+from .cdg import (CDG, assert_deadlock_free, augment_cdg, build_cdg,
+                  used_direction_sets)
 from .errors import (DeadlockCycleError, DisconnectedError, IntegrityError,
                      ParseError, TopologyError, UnroutablePairError)
 from .metrics import (PATTERNS, channel_loads, load_report, pattern_loads,
@@ -54,44 +56,49 @@ def generate_table(rg, algo: str, params: GeneticParams | None = None):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
+def _exit_io(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_IO)
+
+
 def _load_topology_or_exit(path: str) -> Topology:
     try:
         return load_topology(path)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _exit_io(f"cannot read {path}: {exc}")
     except (ParseError, TopologyError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _exit_io(f"{path}: {exc}")
 
 
 def _check_ceiling(t: Topology, force: bool):
     if len(t.live_nodes) > DEFAULT_NODE_CEILING and not force:
-        print(f"error: {len(t.live_nodes)} nodes exceeds the desk-scale "
-              f"ceiling of {DEFAULT_NODE_CEILING}; pass --force to proceed",
-              file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        _exit_io(f"{len(t.live_nodes)} nodes exceeds the desk-scale ceiling "
+                 f"of {DEFAULT_NODE_CEILING}; pass --force to proceed")
 
 
 def _genetic_params(args) -> GeneticParams:
-    return GeneticParams(population=args.population, mutation=args.mutation,
-                         stagnation_limit=args.stagnation,
-                         epsilon=args.epsilon, seed=args.seed)
+    try:
+        return GeneticParams(population=args.population,
+                             mutation=args.mutation,
+                             stagnation_limit=args.stagnation,
+                             epsilon=args.epsilon, seed=args.seed)
+    except ValueError as exc:
+        _exit_io(str(exc))
 
 
 def cmd_generate(args) -> int:
     t = _load_topology_or_exit(args.topology)
     _check_ceiling(t, args.force)
+    params = _genetic_params(args)
     rg, g, added = prepare(t)
     try:
-        table = generate_table(rg, args.algo, _genetic_params(args))
+        table = generate_table(rg, args.algo, params)
     except UnroutablePairError as exc:
         print("error: topology is unroutable", file=sys.stderr)
         for pair in exc.pairs:
             print(f"  {pair[0]} -> {pair[1]}", file=sys.stderr)
         return EXIT_UNROUTABLE
     out = args.out or (args.topology + f".{args.algo}.table")
-    write_table(table, out)
     report = load_report(table)
     extra = {
         "algo": args.algo,
@@ -104,15 +111,18 @@ def cmd_generate(args) -> int:
     if table.stats is not None and table.stats.sssp_calls:
         extra["sssp_calls"] = table.stats.sssp_calls
     report_path = args.report or (out + ".report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json(extra) + "\n")
+    try:
+        write_table(table, out)
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json(extra) + "\n")
+    except OSError as exc:
+        _exit_io(f"cannot write {exc.filename}: {exc}")
     print(f"wrote {out} and {report_path}")
     return EXIT_OK
 
 
 def used_turn_cycle_check(t, table):
     """Deadlock check on exactly the dependencies the table's routes create."""
-    from .cdg import CDG
     used = set()
     for r in table.routes.values():
         channels = route_channels(t, r)
@@ -155,14 +165,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.runs < 1:
+        _exit_io(f"--runs must be >= 1, got {args.runs}")
     t = _load_topology_or_exit(args.topology)
     _check_ceiling(t, args.force)
     try:
         for pattern in args.patterns:
             pattern_pairs(t, pattern)
     except TopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _exit_io(str(exc))
+    params = _genetic_params(args)
     rg, g, added = prepare(t)
     rows = []
     for algo in args.algos:
@@ -171,7 +183,7 @@ def cmd_compare(args) -> int:
         for _ in range(args.runs):
             start = time.perf_counter()
             try:
-                table = generate_table(rg, algo, _genetic_params(args))
+                table = generate_table(rg, algo, params)
             except UnroutablePairError as exc:
                 print(f"error: {algo}: {exc}", file=sys.stderr)
                 return EXIT_UNROUTABLE
@@ -247,6 +259,9 @@ def run_sweep(n: int, lo: int, hi: int, samples: int, seed: int, algos,
 
 
 def cmd_sweep(args) -> int:
+    if args.min_size > args.max_size:
+        _exit_io(f"--min-size {args.min_size} exceeds --max-size "
+                 f"{args.max_size}")
     rows = run_sweep(args.n, args.min_size, args.max_size, args.samples,
                      args.seed, args.algos, _genetic_params(args))
     out_rows = []
@@ -271,8 +286,11 @@ def _write_csv(path, rows, fields):
         writer.writerows(rows)
 
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            emit(fh)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                emit(fh)
+        except OSError as exc:
+            _exit_io(f"cannot write {path}: {exc}")
     else:
         emit(sys.stdout)
 

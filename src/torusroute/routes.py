@@ -263,12 +263,6 @@ class RoutingTable:
         self.stats = stats
         self._link_ids = None
 
-    def route(self, src: int, dst: int) -> Route:
-        return self.routes[(src, dst)]
-
-    def pairs(self):
-        return self.routes.keys()
-
     def __len__(self):
         return len(self.routes)
 

@@ -200,20 +200,8 @@ class Topology:
     def is_connected(self) -> bool:
         if not self.live_nodes:
             return False
-        row = self._bfs_live_reach(self.live_nodes[0])
-        return all(row[v] for v in self.live_nodes)
-
-    def _bfs_live_reach(self, src: int) -> np.ndarray:
-        seen = np.zeros(self.num_coords, dtype=bool)
-        seen[src] = True
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbor_table[u]:
-                if v >= 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(int(v))
-        return seen
+        row = self._bfs_distances(self.live_nodes[0])
+        return all(row[v] >= 0 for v in self.live_nodes)
 
 
 def make_torus(dims: Sequence[int],

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from torusroute import (GeneticParams, build_bfs_routes, build_rt_bfs,
-                        build_rt_genetic, build_rt_sssp, build_sssp,
-                        channel_loads, enumerate_minimal_routes, load_report,
-                        make_torus, turn_count, unique_route_stats)
+from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
+                        build_rt_bfs, build_rt_genetic, build_rt_sssp,
+                        build_sssp, channel_loads, enumerate_minimal_routes,
+                        load_report, make_torus, turn_count,
+                        unique_route_stats)
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.routes import check_table, make_route, table_to_text
@@ -63,6 +66,27 @@ def test_bfs_unroutable_names_pair():
     with pytest.raises(UnroutablePairError) as err:
         build_rt_bfs(rg)
     assert ("(0)", "(1)") in err.value.pairs
+
+
+def test_unroutable_pairs_are_named_in_order():
+    """Ring of 4 with (0)+X and (2)+X failed: (0) reaches only (3).
+
+    Every generator names both unreached destinations of source (0), and
+    ``build_bfs_routes`` adds no load before it raises.
+    """
+    t = make_torus([4], failed_links=[((0,), 0), ((2,), 0)])
+    rg, g, added = prepare(t)
+    loads = np.zeros(t.n_channels, dtype=np.int64)
+    calls = [lambda: build_bfs_routes(rg, 0, loads),
+             lambda: build_sssp(rg, 0, [1, 2, 3], loads),
+             lambda: unique_route_stats(rg),
+             lambda: build_rt_sssp(rg),
+             lambda: build_rt_bfs(rg)]
+    for call in calls:
+        with pytest.raises(UnroutablePairError) as err:
+            call()
+        assert err.value.pairs == [("(0)", "(1)"), ("(0)", "(2)")]
+    assert not loads.any()
 
 
 def test_enumerate_examples(ring4, grid33, mesh22):
@@ -133,6 +157,22 @@ def test_sssp_minimality_under_random_loads(grid33):
     routes = build_sssp(rg, 0, list(t.live_nodes[1:]), loads)
     for dst, r in routes.items():
         assert len(r) == t.distance(0, dst)
+
+
+def test_sssp_exact_routes_under_random_loads(desmos):
+    """The least-load tie-breaks of one tree, pinned by the SHA-256 of its
+    routes as table text; the ledger is read, not changed."""
+    t, rg, g, added = desmos
+    rng = np.random.default_rng(3)
+    loads = rng.integers(0, 50, size=t.n_channels).astype(np.int64)
+    before = loads.copy()
+    routes = build_sssp(rg, 0, list(t.live_nodes[1:]), loads)
+    text = table_to_text(RoutingTable(t, {(0, d): r
+                                          for d, r in routes.items()}))
+    assert len(routes) == len(t.live_nodes) - 1
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "40c56d3a1f7fb6018e2579d97e7cd8e62b713d70c4cb8133d177d2eda994420d")
+    assert (loads == before).all()
 
 
 def test_sssp_stage_comparison():

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from torusroute.cli import main, run_sweep
 
 
@@ -83,6 +85,24 @@ def test_unroutable_exit_code(tmp_path, capsys):
     topo = write_topo(tmp_path, "dims: 2\nfail-link: 0 +X\n")
     assert main(["generate", topo, "--algo", "bfs"]) == 3
     assert "(0) -> (1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "{topo}", "--algo", "sssp", "--population", "1"],
+    ["compare", "{topo}", "--mutation", "2"],
+    ["compare", "{topo}", "--runs", "0"],
+    ["sweep", "--n", "2", "--min-size", "5", "--max-size", "3"],
+    ["generate", "{topo}", "--out", "{tmp}/missing/x.table"],
+    ["compare", "{topo}", "--out", "{tmp}/missing/x.csv"],
+])
+def test_bad_flag_or_unwritable_output_is_io_error(tmp_path, argv):
+    topo = write_topo(tmp_path, "dims: 3 3\n")
+    argv = [a.format(topo=topo, tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "torusroute", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_node_ceiling_guard(tmp_path):

@@ -175,6 +175,8 @@ def _table(algo, dims, faulted=False):
     t, rg, g, added = prepared(dims, **(FAULTED_44 if faulted else {}))
     if algo == "genetic":
         return build_rt_genetic(rg, params=GeneticParams(max_generations=3))
+    if algo == "sssp-stage2":  # every pair through the shortest-path trees
+        return build_rt_sssp(rg, skip_unique_stage=True)
     return {"bfs": build_rt_bfs, "sssp": build_rt_sssp}[algo](rg)
 
 
@@ -201,6 +203,13 @@ def test_golden_table_files():
                                "f8190c262ee280cc18bcf7a6d39fc18a",
         ("sssp", (4, 4), True): "53b267ae0e00b3db2e5ef1916f576836"
                                 "176884fbb9239272b9106629d8719042",
+        ("sssp", (5, 4, 3), False): "5f4b725606dfddcb37ff6c14996b6db3"
+                                    "6f76bca1d5f9cc0ff988d41b7fa858f5",
+        ("sssp-stage2", (4, 2, 2, 2), False): (
+            "a11d433ab861883699dca8bf9c6150de"
+            "c6b3bed94e2b6d66cdf1b8d457fdfa9b"),
+        ("sssp-stage2", (4, 4), True): "6d4bdd730bf3a99e04e5f6a425328c32"
+                                       "e13a7da98640fad690df18ce0c17f790",
     }
     for key, want in digests.items():
         text = table_to_text(_table(*key))
