@@ -15,7 +15,7 @@ from .routes import (Route, RoutingTable, check_table, decode_rg_path,
                      load_table, make_route, parse_table, table_to_text,
                      validate_route, write_table)
 from .routing_graph import (RoutingGraph, apply_augmentation,
-                            build_routing_graph, dump_routing_graph)
+                            build_routing_graph)
 from .topology import (Topology, load_topology, make_torus, most_remote,
                        parse_topology, topology_to_text)
 

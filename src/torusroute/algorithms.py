@@ -11,9 +11,10 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
-  grouped by (turn count, length, source) and served by repeated least-load
-  trees; every tree is searched level by level, so hop count decides first
-  and load only breaks ties.
+  grouped by (turn count, length, source) and served by a repeated
+  least-load dynamic program over the group's hop-level DAG (the edges that
+  raise the hop level by one, into the ancestors of the group's end
+  vertices), so hop count decides first and load only breaks ties.
 """
 
 from __future__ import annotations
@@ -80,24 +81,27 @@ def _chains(rg: RoutingGraph, parent_edge: np.ndarray, source: int,
     parent tree does not reach, in destination order.
     """
     begin = rg.begin_vid(source)
+    # memoryviews index to Python ints without copying the arrays
+    parent, tail, link = (memoryview(a) for a in (parent_edge, rg.edge_tail,
+                                                  rg.edge_link))
     out: dict[int, list[int]] = {}
     missing = []
     for dst in dsts:
         if dst == source:
             continue
         v = rg.end_vid(dst)
-        edges = []
+        links = []
         while v != begin:
-            e = int(parent_edge[v])
+            e = parent[v]
             if e < 0:
                 missing.append(dst)
                 break
-            edges.append(e)
-            v = int(rg.edge_tail[e])
+            if link[e] != DUMMY_LINK:
+                links.append(link[e])
+            v = tail[e]
         else:
-            edges.reverse()
-            out[dst] = [link for link in rg.edge_link[edges].tolist()
-                        if link != DUMMY_LINK]
+            links.reverse()
+            out[dst] = links
     if missing:
         t = rg.topology
         raise UnroutablePairError(
@@ -119,12 +123,12 @@ def _route(rg: RoutingGraph, source: int, links: list[int]) -> Route:
 def _levels(rg: RoutingGraph, begin: int, key=None):
     """Hop levels of the routing graph from ``begin``, one level per yield.
 
-    Yields (new vertices, their parent edges, the parents' keys, open edge
-    ids, open heads); the open edges leave the frontier for vertices not
-    reached before. A new vertex's parent is its open in-edge with the least
-    (key, edge id). ``key`` maps edge ids to integer keys (all 0 when
-    omitted) and runs once per level, after the caller has handled the
-    previous yield, so it may read per-vertex state the caller keeps.
+    Yields (new vertices, their parent edges, open edge ids, open heads); the
+    open edges leave the frontier for vertices not reached before. A new
+    vertex's parent is its open in-edge with the least (key, edge id).
+    ``key`` maps edge ids to integer keys (all 0 when omitted) and runs once
+    per level, after the caller has handled the previous yield, so it may
+    read per-vertex state the caller keeps.
     """
     reached = np.zeros(rg.n_vertices, dtype=bool)
     reached[begin] = True
@@ -152,7 +156,7 @@ def _levels(rg: RoutingGraph, begin: int, key=None):
         chosen = order[np.flatnonzero(np.diff(heads_s, prepend=-1))]
         frontier = heads[chosen]
         reached[frontier] = True
-        yield frontier, eids[chosen], keys[chosen], eids, heads
+        yield frontier, eids[chosen], eids, heads
 
 
 def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
@@ -171,7 +175,7 @@ def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
     loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
     arrival = np.zeros(rg.n_vertices, dtype=np.int64)  # the source: load-free
-    for new, parents, _, _, _ in _levels(
+    for new, parents, _, _ in _levels(
             rg, rg.begin_vid(source), lambda e: arrival[rg.edge_tail[e]]):
         parent_edge[new] = parents
         arrival[new] = loads_ext[rg.edge_link[parents]]
@@ -213,7 +217,7 @@ def _bfs_count(rg: RoutingGraph, source: int):
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
     dist[begin] = 0
     counts[begin] = 1
-    for level, (new, parents, _, eids, heads) in enumerate(
+    for level, (new, parents, eids, heads) in enumerate(
             _levels(rg, begin), 1):
         parent_edge[new] = parents
         dist[new] = level
@@ -289,7 +293,7 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
 
 
 def _pair_stats(rg: RoutingGraph, source: int, nodes):
-    """Per-destination (route, unique?) data from one stage-1 counting pass.
+    """(hop levels, per-destination (route, unique?)) from one counting pass.
 
     A pair has a single minimal physical route exactly when the number of
     shortest routing-graph paths equals the number of legal encodings of the
@@ -297,7 +301,7 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
     its own to the count.
     """
     t = rg.topology
-    _, counts, parent_edge = _bfs_count(rg, source)
+    dist, counts, parent_edge = _bfs_count(rg, source)
     out = {}
     for dst, links in _chains(rg, parent_edge, source, nodes).items():
         seq, encodings = legal_encodings(t, source, _steps(t, links),
@@ -306,7 +310,7 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
         canonical = Route(source, dst, fs, body, ls, tuple(seq))
         out[dst] = (canonical,
                     int(counts[rg.end_vid(dst)]) == len(encodings))
-    return out
+    return dist, out
 
 
 def unique_route_stats(rg: RoutingGraph, nodes=None) -> tuple[int, int]:
@@ -315,7 +319,7 @@ def unique_route_stats(rg: RoutingGraph, nodes=None) -> tuple[int, int]:
     nodes = list(nodes) if nodes is not None else list(t.live_nodes)
     unique = total = 0
     for src in nodes:
-        for _, (_, is_unique) in _pair_stats(rg, src, nodes).items():
+        for _, is_unique in _pair_stats(rg, src, nodes)[1].values():
             total += 1
             unique += bool(is_unique)
     return unique, total
@@ -334,29 +338,54 @@ def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
     return pairs
 
 
-def _sssp_chains(rg: RoutingGraph, source: int, dsts,
-                 loads: np.ndarray) -> dict[int, list[int]]:
+def _level_dag(rg: RoutingGraph, level: np.ndarray, ends) -> list[tuple]:
+    """In-edges of the ancestors of ``ends`` on one source's hop-level DAG.
+
+    ``level`` holds every vertex's hop level from the source, -1 where
+    unreached. An edge lies on the DAG when its tail's level is one less
+    than its head's; unreached ends are left out. Returns (tail level, head,
+    edge id, tail, link) tuples in that order, so every tail is settled
+    before the heads it leads to.
+    """
+    rindptr, redges = rg.reverse_csr()
+    rindptr, redges, tail, link, level = (
+        memoryview(a) for a in (rindptr, redges, rg.edge_tail, rg.edge_link,
+                                level))
+    seen = {v for v in ends if level[v] > 0}
+    todo = list(seen)
+    dag = []
+    for v in todo:
+        lv = level[v] - 1
+        for e in redges[rindptr[v]:rindptr[v + 1]]:
+            u = tail[e]
+            if level[u] == lv:
+                dag.append((lv, v, e, u, link[e]))
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+    dag.sort()
+    return dag
+
+
+def _least_load_chains(rg: RoutingGraph, source: int, dag: list[tuple],
+                       dsts, load: list[int]) -> dict[int, list[int]]:
     """Least-load minimal-hop chains from one source (see ``_chains``).
 
-    A vertex's parent is its in-edge with the least (load of the path to the
-    tail plus the load of the edge's link, edge id). Every candidate tail of
-    one new vertex lies on the same hop level, so the tree is hop-minimal and
-    load only breaks ties. The search stops once every requested end vertex
-    is reached.
+    A dynamic program over ``_level_dag``'s edges: a vertex's parent is its
+    DAG in-edge with the least (load of the path to the tail plus the load
+    of the edge's link, edge id). Every DAG in-edge of a vertex leaves the
+    level just below it, so the chains are hop-minimal and load only breaks
+    ties. ``load`` is indexed by link id and reads 0 at DUMMY_LINK (-1).
     """
-    loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
-    dist = np.zeros(rg.n_vertices, dtype=np.int64)
+    cost = {rg.begin_vid(source): 0}
+    best: dict[int, int] = {}
+    for _, v, e, u, link in dag:
+        k = cost[u] + load[link]
+        if v not in best or k < cost[v]:  # ties keep the lower edge id
+            cost[v] = k
+            best[v] = e
     parent = np.full(rg.n_vertices, -1, dtype=np.int64)
-    ends = np.array([rg.end_vid(d) for d in dsts if d != source],
-                    dtype=np.int64)
-    for new, parents, keys, _, _ in _levels(
-            rg, rg.begin_vid(source),
-            lambda e: dist[rg.edge_tail[e]] + loads_ext[rg.edge_link[e]]):
-        dist[new] = keys
-        parent[new] = parents
-        ends = ends[parent[ends] < 0]
-        if not len(ends):
-            break
+    parent[list(best)] = list(best.values())
     return _chains(rg, parent, source, dsts)
 
 
@@ -364,13 +393,17 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
                loads: np.ndarray) -> dict[int, Route]:
     """Least-load minimal-hop route tree slice for a destination set.
 
-    The tree is searched level by level, so hop count decides first; among
-    the in-edges of one vertex the least loaded path wins, ties by edge id.
+    A least-load dynamic program over the source's hop-level DAG, restricted
+    to the ancestors of the destinations: hop count decides first; among the
+    in-edges of one vertex the least loaded path wins, ties by edge id.
     ``loads`` is read, not changed.
     """
-    return {dst: _route(rg, source, links)
-            for dst, links in _sssp_chains(rg, source, list(dst_nodes),
-                                           loads).items()}
+    dst_nodes = list(dst_nodes)
+    dag = _level_dag(rg, _bfs_count(rg, source)[0],
+                     [rg.end_vid(d) for d in dst_nodes if d != source])
+    chains = _least_load_chains(rg, source, dag, dst_nodes,
+                                loads.tolist() + [0])
+    return {dst: _route(rg, source, links) for dst, links in chains.items()}
 
 
 def build_rt_sssp(rg: RoutingGraph, nodes=None,
@@ -378,23 +411,27 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
     """Two-stage shortest-path routing table (unique routes, sort and group).
 
     Stage 1 fixes every pair with a single minimal route; the rest are
-    pending, grouped by (turn count, length, source). ``stats.sssp_calls``
-    counts stage 2's shortest-path trees: at least one per pending group, at
-    most one per pending pair (each call routes at least one pair), and zero
-    when stage 1 fixes every pair.
+    pending, grouped by (turn count, length, source). Stage 2 builds each
+    group's hop-level DAG from stage 1's hop levels when it reaches the
+    group, then runs the least-load dynamic program on it against the live
+    ledger, once per call, until every pair of the group is routed.
+    ``stats.sssp_calls`` counts stage 2's shortest-path trees: at least one
+    per pending group, at most one per pending pair (each call routes at
+    least one pair), and zero when stage 1 fixes every pair.
 
     ``skip_unique_stage`` keeps stage 1's measurements but routes every pair
     through stage 2, which is the instrumentation baseline for call counts.
     """
     t = rg.topology
     nodes = list(nodes) if nodes is not None else list(t.live_nodes)
-    loads = np.zeros(t.n_channels, dtype=np.int64)
+    load = [0] * (t.n_channels + 1)  # the ledger; DUMMY_LINK (-1) reads 0
     routes: dict[tuple[int, int], Route] = {}
     pending: dict[tuple[int, int, int], list[int]] = {}
+    levels: dict[int, np.ndarray] = {}
     unique_pairs = 0
     total_pairs = 0
     for src in nodes:
-        stats = _pair_stats(rg, src, nodes)
+        dist, stats = _pair_stats(rg, src, nodes)
         for dst in sorted(stats):
             canonical, is_unique = stats[dst]
             total_pairs += 1
@@ -403,18 +440,23 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
             if is_unique and not skip_unique_stage:
                 routes[(src, dst)] = canonical
                 for link in t.walk(src, canonical.steps)[1]:
-                    loads[link] += 1
+                    load[link] += 1
             else:
                 key = (turn_count(canonical), len(canonical), src)
                 pending.setdefault(key, []).append(dst)
+                if src not in levels:
+                    # the narrowest signed type that holds the deepest level
+                    levels[src] = dist.astype(
+                        np.min_scalar_type(-1 - int(dist.max())))
 
     calls = 0
     for key in sorted(pending):
         src = key[2]
         dsts = sorted(pending[key])
+        dag = _level_dag(rg, levels[src], [rg.end_vid(d) for d in dsts])
         while dsts:
             calls += 1
-            chains = _sssp_chains(rg, src, dsts, loads)
+            chains = _least_load_chains(rg, src, dag, dsts, load)
             used: set[int] = set()
             for dst in dsts:
                 links = chains[dst]
@@ -422,9 +464,10 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
                     used.update(links)
                     routes[(src, dst)] = _route(rg, src, links)
             for link in used:
-                loads[link] += 1
+                load[link] += 1
             dsts = [d for d in dsts if (src, d) not in routes]
 
+    loads = np.array(load[:-1], dtype=np.int64)
     return RoutingTable(t, routes,
                         GenerationStats("sssp", loads, sssp_calls=calls,
                                         unique_pairs=unique_pairs,

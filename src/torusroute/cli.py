@@ -259,6 +259,8 @@ def run_sweep(n: int, lo: int, hi: int, samples: int, seed: int, algos,
 
 
 def cmd_sweep(args) -> int:
+    if args.min_size < 2:
+        _exit_io(f"--min-size must be >= 2, got {args.min_size}")
     if args.min_size > args.max_size:
         _exit_io(f"--min-size {args.min_size} exceeds --max-size "
                  f"{args.max_size}")

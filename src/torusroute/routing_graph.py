@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .topology import Topology, direction_name
+from .topology import Topology
 
 DUMMY_LINK = -1  # edges into END carry no physical link
 
@@ -141,22 +141,6 @@ class RoutingGraph:
         if off < n:
             return RGVertexInfo(node, VKind.LS, direction=n + off)
         return RGVertexInfo(node, VKind.END)
-
-    def vertex_str(self, vid: int) -> str:
-        info = self.vertex_info(vid)
-        t = self.topology
-        where = t.coord_str(info.node)
-        if info.kind is VKind.BEGIN:
-            return f"{where} begin"
-        if info.kind is VKind.END:
-            return f"{where} end"
-        if info.kind is VKind.FS:
-            return f"{where} fs[{t.dir_name(info.direction)}]"
-        if info.kind is VKind.LS:
-            return f"{where} ls[{t.dir_name(info.direction)}]"
-        used = [direction_name(j if s > 0 else j + t.n, t.n)
-                for j, s in enumerate(info.vec) if s]
-        return f"{where} dirbit[{','.join(used)}]"
 
     # -- adjacency helpers ----------------------------------------------------
 
@@ -289,19 +273,3 @@ def apply_augmentation(rg: RoutingGraph,
     base = list(zip(rg.edge_tail.tolist(), rg.edge_head.tolist(),
                     rg.edge_link.tolist(), rg.edge_aug.tolist()))
     return RoutingGraph(t, base + extra, added=tuple(rg.added) + tuple(added))
-
-
-def dump_routing_graph(rg: RoutingGraph, loads: np.ndarray | None = None):
-    """Debug dump, one line per edge."""
-    t = rg.topology
-    if loads is None:
-        loads = np.zeros(t.n_channels, dtype=np.int64)
-    for e in range(rg.n_edges):
-        link = int(rg.edge_link[e])
-        if link == DUMMY_LINK:
-            link_s, w = "none", 0
-        else:
-            link_s, w = t.channel_str(t.channels[link]), int(loads[link])
-        yield (f"{rg.vertex_str(int(rg.edge_tail[e]))} -> "
-               f"{rg.vertex_str(int(rg.edge_head[e]))} "
-               f"w={w} link={link_s} aug={int(rg.edge_aug[e])}")

@@ -24,7 +24,8 @@ def pending_groups(rg):
     nodes = rg.topology.live_nodes
     return len({(turn_count(canonical), len(canonical), src)
                 for src in nodes
-                for canonical, is_unique in _pair_stats(rg, src, nodes).values()
+                for canonical, is_unique
+                in _pair_stats(rg, src, nodes)[1].values()
                 if not is_unique})
 
 

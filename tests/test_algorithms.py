@@ -1,15 +1,18 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_rt_bfs, build_rt_genetic, build_rt_sssp,
                         build_sssp, channel_loads, enumerate_minimal_routes,
-                        load_report, make_torus, turn_count,
-                        unique_route_stats)
+                        load_report, make_torus, rg_reachable_pairs,
+                        turn_count, unique_route_stats)
 from torusroute.cli import prepare, used_turn_cycle_check
-from torusroute.errors import UnroutablePairError
+from torusroute.errors import TopologyError, UnroutablePairError
 from torusroute.routes import check_table, make_route, table_to_text
 
 from conftest import pending_groups, prepared
@@ -173,6 +176,55 @@ def test_sssp_exact_routes_under_random_loads(desmos):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "40c56d3a1f7fb6018e2579d97e7cd8e62b713d70c4cb8133d177d2eda994420d")
     assert (loads == before).all()
+
+
+@st.composite
+def small_faulted_systems(draw):
+    """make_torus arguments with at most 40 nodes and 0-2 faults, a live
+    source and a ledger seed."""
+    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)
+                .filter(lambda d: math.prod(d) <= 40))
+    size = math.prod(dims)
+    faults = draw(st.lists(st.tuples(st.booleans(), st.integers(0, size - 1),
+                                     st.integers(0, 2 * len(dims) - 1)),
+                           max_size=2))
+    nodes = [u for link, u, _ in faults if not link]
+    links = [(u, d) for link, u, d in faults if link]
+    try:
+        t = make_torus(dims, nodes, links)
+    except TopologyError:  # a link a mesh axis lacks, or on a failed node
+        assume(False)
+    assume(t.live_nodes)
+    return (dims, nodes, links, draw(st.sampled_from(t.live_nodes)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(small_faulted_systems())
+@settings(max_examples=60, deadline=None)
+def test_sssp_routes_are_least_load_minimal_variants(system):
+    """Every ``build_sssp`` route has its pair's minimal hop count and the
+    least total link load among all the pair's minimal variants, which the
+    path enumerator lists without the level DAG; the ledger is unchanged."""
+    dims, nodes, links, src, seed = system
+    t = make_torus(dims, nodes, links)
+    rg = prepare(t)[0]
+    loads = np.random.default_rng(seed).integers(0, 20, size=t.n_channels)
+    before = loads.copy()
+    dsts = sorted(d for s, d in rg_reachable_pairs(rg) if s == src)
+    routes = build_sssp(rg, src, dsts, loads)
+    assert sorted(routes) == dsts
+    assert (loads == before).all()
+
+    def load_of(r):
+        return int(loads[t.walk(r.src, r.steps)[1]].sum())
+
+    for dst, r in routes.items():
+        variants, truncated = enumerate_minimal_routes(rg, src, dst,
+                                                       cap=10 ** 6)
+        assert not truncated
+        assert len(r) == len(variants[0])
+        assert r.steps in {v.steps for v in variants}
+        assert load_of(r) == min(load_of(v) for v in variants), (dst, r)
 
 
 def test_sssp_stage_comparison():

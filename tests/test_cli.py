@@ -94,6 +94,7 @@ def test_unroutable_exit_code(tmp_path, capsys):
     ["sweep", "--n", "2", "--min-size", "5", "--max-size", "3"],
     ["generate", "{topo}", "--out", "{tmp}/missing/x.table"],
     ["compare", "{topo}", "--out", "{tmp}/missing/x.csv"],
+    ["sweep", "--n", "2", "--min-size", "1", "--max-size", "2"],
 ])
 def test_bad_flag_or_unwritable_output_is_io_error(tmp_path, argv):
     topo = write_topo(tmp_path, "dims: 3 3\n")

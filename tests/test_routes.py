@@ -167,12 +167,14 @@ def test_table_line_format(mesh22):
         "(0,0) -> (1,1) : FS+Y +X | nodes: (0,0) (0,1) (1,1)\n")
 
 
-FAULTED_44 = dict(failed_links=[((0, 0), 0)])  # the (0,0)+X link
+# fault sets as hashable (keyword, value) pairs for ``prepared``
+FAULTED_44 = (("failed_links", (((0, 0), 0),)),)  # the (0,0)+X link
+NODE_442 = (("failed_nodes", ((0, 0, 1),)),)  # node (0,0,1) of 4x4x2
 
 
 @functools.lru_cache(maxsize=None)
-def _table(algo, dims, faulted=False):
-    t, rg, g, added = prepared(dims, **(FAULTED_44 if faulted else {}))
+def _table(algo, dims, faults=()):
+    t, rg, g, added = prepared(dims, **dict(faults))
     if algo == "genetic":
         return build_rt_genetic(rg, params=GeneticParams(max_generations=3))
     if algo == "sssp-stage2":  # every pair through the shortest-path trees
@@ -189,27 +191,42 @@ def test_golden_table_files():
         (data / "mesh22_sssp.table").read_text(encoding="utf-8"))
     # SHA-256 of table_to_text on inputs whose load tie-breaks matter
     digests = {
-        ("bfs", (4, 4), False): "e5281431e4fba46dbd1fd76cb5787686"
-                                "c45bdc271aeb72e1184828260698fef8",
-        ("sssp", (4, 4), False): "9763ec9798abcd85f2cb87e7a8690208"
-                                 "da9869a5d2b7af0878d3041748f0b72b",
-        ("bfs", (4, 2, 2, 2), False): "0757b3866911281fa0d5b23742d950e0"
-                                      "da1fe910b7edde336300c5c44a578d57",
-        ("sssp", (4, 2, 2, 2), False): "9e506bbdca04a66f5135e64fb557a8cb"
-                                       "26ba72b4165af9fe838a1f8530159d70",
-        ("genetic", (4, 2, 2, 2), False): "2991a8a9c0156d45afb06a00645052a9"
-                                          "9ef4535463d6f9f22abc70566cfc1093",
-        ("bfs", (4, 4), True): "b77dfd64c51010d715ff4b4a44833edd"
-                               "f8190c262ee280cc18bcf7a6d39fc18a",
-        ("sssp", (4, 4), True): "53b267ae0e00b3db2e5ef1916f576836"
-                                "176884fbb9239272b9106629d8719042",
-        ("sssp", (5, 4, 3), False): "5f4b725606dfddcb37ff6c14996b6db3"
-                                    "6f76bca1d5f9cc0ff988d41b7fa858f5",
-        ("sssp-stage2", (4, 2, 2, 2), False): (
+        ("bfs", (4, 4)): (
+            "e5281431e4fba46dbd1fd76cb5787686"
+            "c45bdc271aeb72e1184828260698fef8"),
+        ("sssp", (4, 4)): (
+            "9763ec9798abcd85f2cb87e7a8690208"
+            "da9869a5d2b7af0878d3041748f0b72b"),
+        ("bfs", (4, 2, 2, 2)): (
+            "0757b3866911281fa0d5b23742d950e0"
+            "da1fe910b7edde336300c5c44a578d57"),
+        ("sssp", (4, 2, 2, 2)): (
+            "9e506bbdca04a66f5135e64fb557a8cb"
+            "26ba72b4165af9fe838a1f8530159d70"),
+        ("genetic", (4, 2, 2, 2)): (
+            "2991a8a9c0156d45afb06a00645052a9"
+            "9ef4535463d6f9f22abc70566cfc1093"),
+        ("bfs", (4, 4), FAULTED_44): (
+            "b77dfd64c51010d715ff4b4a44833edd"
+            "f8190c262ee280cc18bcf7a6d39fc18a"),
+        ("sssp", (4, 4), FAULTED_44): (
+            "53b267ae0e00b3db2e5ef1916f576836"
+            "176884fbb9239272b9106629d8719042"),
+        ("sssp", (5, 4, 3)): (
+            "5f4b725606dfddcb37ff6c14996b6db3"
+            "6f76bca1d5f9cc0ff988d41b7fa858f5"),
+        ("sssp-stage2", (4, 2, 2, 2)): (
             "a11d433ab861883699dca8bf9c6150de"
             "c6b3bed94e2b6d66cdf1b8d457fdfa9b"),
-        ("sssp-stage2", (4, 4), True): "6d4bdd730bf3a99e04e5f6a425328c32"
-                                       "e13a7da98640fad690df18ce0c17f790",
+        ("sssp-stage2", (4, 4), FAULTED_44): (
+            "6d4bdd730bf3a99e04e5f6a425328c32"
+            "e13a7da98640fad690df18ce0c17f790"),
+        ("sssp", (4, 4, 2), NODE_442): (
+            "1b2b89b2315b949b0e18263aef7d1700"
+            "017f8f82bb2a24283afd28dac46f24e9"),
+        ("sssp-stage2", (4, 4, 2), NODE_442): (
+            "df6c6d97999436f16159047f26b6dcd7"
+            "d662331efd0b042b0febb8e5a22c71e9"),
     }
     for key, want in digests.items():
         text = table_to_text(_table(*key))
@@ -224,10 +241,11 @@ def test_table_routes_are_routing_graph_paths(dims, faulted):
     The graph is built from the rules independently of the rule function
     that picks the split, so it witnesses each encoding.
     """
-    rg = prepared(dims, **(FAULTED_44 if faulted else {}))[1]
+    faults = FAULTED_44 if faulted else ()
+    rg = prepared(dims, **dict(faults))[1]
     edges = set(zip(rg.edge_tail.tolist(), rg.edge_head.tolist()))
     for algo in ("bfs", "sssp", "genetic"):
-        for r in _table(algo, dims, faulted).routes.values():
+        for r in _table(algo, dims, faults).routes.values():
             path = route_to_rg_path(rg, r)
             assert set(zip(path, path[1:])) <= edges, (algo, r)
 

@@ -3,8 +3,7 @@ import pytest
 from torusroute import (build_routing_graph, make_torus, rg_reachable_pairs,
                         apply_augmentation, decode_rg_path, validate_route)
 from torusroute.algorithms import _bfs_count, _enumerate_rg_paths
-from torusroute.routing_graph import (DUMMY_LINK, VKind, dump_routing_graph,
-                                      vec_last_direction)
+from torusroute.routing_graph import DUMMY_LINK, VKind, vec_last_direction
 
 
 def vertex_count(n):
@@ -142,12 +141,6 @@ def test_apply_augmentation_rejects_bad_shapes(grid33):
     with pytest.raises(ValueError):
         # -X then +Y: neither first-step nor last-step expressible
         apply_augmentation(rg, [((u, 2), (t.node_id((2, 0)), 1))])
-
-
-def test_dump_format(grid33):
-    t, rg, g, added = grid33
-    line = next(iter(dump_routing_graph(rg)))
-    assert " -> " in line and "w=" in line and "link=" in line and "aug=" in line
 
 
 def test_end_edges_carry_no_link(grid33):
