@@ -63,11 +63,14 @@ def _exit_io(message: str) -> NoReturn:
 
 def _load_topology_or_exit(path: str) -> Topology:
     try:
-        return load_topology(path)
+        t = load_topology(path)
     except OSError as exc:
         _exit_io(f"cannot read {path}: {exc}")
     except (ParseError, TopologyError) as exc:
         _exit_io(f"{path}: {exc}")
+    if len(t.live_nodes) == 1:
+        _exit_io(f"{path}: one live node leaves no pair to route")
+    return t
 
 
 def _check_ceiling(t: Topology, force: bool):

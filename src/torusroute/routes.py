@@ -224,7 +224,8 @@ def validate_route(t: Topology, r: Route,
     an order-violating first or last step is legal only when its exact turn
     is registered there.
     """
-    relaxed = set(relaxed_turns)
+    relaxed = (relaxed_turns if isinstance(relaxed_turns, (set, frozenset))
+               else set(relaxed_turns))
     problems: list[str] = []
 
     # shape
@@ -288,14 +289,23 @@ def check_table(t: Topology, rt: RoutingTable,
             if s != d and (s, d) not in rt.routes:
                 report["completeness"].append(
                     f"missing pair {t.coord_str(s)}->{t.coord_str(d)}")
+    row_src, row = None, None
     for (s, d), r in sorted(rt.routes.items()):
         if (s, d) != (r.src, r.dst):
             report["validity"].append(f"route stored under wrong pair {s}->{d}")
-        want = t.distance(s, d)
-        if want is None or len(r) != want:
+        if s in t.failed_nodes or d in t.failed_nodes:
+            dead = s if s in t.failed_nodes else d
+            report["validity"].append(
+                f"{t.coord_str(s)}->{t.coord_str(d)}: endpoint "
+                f"{t.coord_str(dead)} is a failed node")
+            continue
+        if s != row_src:  # routes come sorted, so one row per source
+            row_src, row = s, t.distance_row(s)
+        want = row[d]
+        if want < 0 or len(r) != want:
             report["minimality"].append(
                 f"{t.coord_str(s)}->{t.coord_str(d)}: length {len(r)}, "
-                f"minimal {want}")
+                f"minimal {want if want >= 0 else None}")
         for msg in validate_route(t, r, relaxed):
             report["validity"].append(
                 f"{t.coord_str(s)}->{t.coord_str(d)}: {msg}")
@@ -305,14 +315,14 @@ def check_table(t: Topology, rt: RoutingTable,
 # -- table files -------------------------------------------------------------
 
 def _route_line(t: Topology, r: Route) -> str:
-    parts = []
+    names, dirs = t.coord_names, t.dir_names
+    parts = [dirs[d] for d in r.body]
     if r.fs is not None:
-        parts.append("FS" + t.dir_name(r.fs))
-    parts.extend(t.dir_name(d) for d in r.body)
+        parts.insert(0, "FS" + dirs[r.fs])
     if r.ls is not None:
-        parts.append("LS" + t.dir_name(r.ls))
-    nodes = " ".join(t.coord_str(u) for u in r.node_seq)
-    return (f"{t.coord_str(r.src)} -> {t.coord_str(r.dst)} : "
+        parts.append("LS" + dirs[r.ls])
+    nodes = " ".join([names[u] for u in r.node_seq])
+    return (f"{names[r.src]} -> {names[r.dst]} : "
             f"{' '.join(parts)} | nodes: {nodes}")
 
 
@@ -328,6 +338,9 @@ def write_table(rt: RoutingTable, path) -> None:
 
 
 def _parse_coord(token: str, t: Topology) -> int:
+    u = t.node_of_name.get(token)  # the written form
+    if u is not None:
+        return u
     token = token.strip()
     if not (token.startswith("(") and token.endswith(")")):
         raise ParseError(f"bad coordinate {token!r}")
@@ -339,6 +352,17 @@ def _parse_coord(token: str, t: Topology) -> int:
 
 
 def parse_table(text: str, t: Topology) -> RoutingTable:
+    """Routing table from its text; the written forms are looked up by name.
+
+    A token that is not exactly a name falls back to the lenient parsers,
+    which accept forms like ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X``.
+    """
+    node_of, dir_of = t.node_of_name, t.dir_of_name
+
+    def direction(token: str) -> int:
+        d = dir_of.get(token)
+        return parse_direction(token, t.n) if d is None else d
+
     routes = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -353,13 +377,20 @@ def parse_table(text: str, t: Topology) -> RoutingTable:
             fs = ls = None
             body = []
             for tok in steps_part.split():
-                if tok.startswith("FS"):
-                    fs = parse_direction(tok[2:], t.n)
+                d = dir_of.get(tok)
+                if d is not None:
+                    body.append(d)
+                elif tok.startswith("FS"):
+                    fs = direction(tok[2:])
                 elif tok.startswith("LS"):
-                    ls = parse_direction(tok[2:], t.n)
+                    ls = direction(tok[2:])
                 else:
                     body.append(parse_direction(tok, t.n))
-            seq = tuple(_parse_coord(tok, t) for tok in nodes_part.split())
+            tokens = nodes_part.split()
+            try:
+                seq = tuple(map(node_of.__getitem__, tokens))
+            except KeyError:
+                seq = tuple(_parse_coord(tok, t) for tok in tokens)
             if not seq:
                 raise ParseError("missing node sequence")
         except ParseError as exc:

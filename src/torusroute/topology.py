@@ -9,6 +9,8 @@ are represented as integers 0..2n-1 (0..n-1 positive, n..2n-1 negative).
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +42,12 @@ def parse_direction(token: str, n: int) -> int:
 class Topology:
     """Immutable torus/mesh topology with precomputed link tables.
 
+    Table text is written and read through name tables: ``dir_names[d]``
+    (``"+X"``) with its inverse ``dir_of_name``, and ``coord_names[u]``
+    (``"(x,y,z)"``, failed nodes included, built on first use) with its
+    inverse ``node_of_name``. :meth:`distance_row` gives one source's
+    distances to every node.
+
     Construct through :func:`make_torus`.
     """
 
@@ -68,6 +76,9 @@ class Topology:
         # plain-list rows: indexing them is cheaper than numpy scalar access
         self.neighbor_rows = self.neighbor_table.tolist()
         self.channel_rows = self.channel_table.tolist()
+        self.dir_names = tuple(direction_name(d, self.n)
+                               for d in range(self.ndirs))
+        self.dir_of_name = {name: d for d, name in enumerate(self.dir_names)}
         self._dist_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
@@ -114,18 +125,31 @@ class Topology:
                 raise TopologyError(f"coordinate {coords} out of range")
         return sum(c * s for c, s in zip(coords, self._strides))
 
-    def coord_str(self, u: int) -> str:
-        return "(" + ",".join(str(c) for c in self.coords(u)) + ")"
+    @cached_property
+    def _coord_array(self) -> np.ndarray:
+        """Coordinates of every node id, one row each (ids are row-major)."""
+        return np.array(list(product(*map(range, self.dims))),
+                        dtype=np.int64)
 
-    def channel_str(self, channel: tuple[int, int]) -> str:
-        u, d = channel
-        return self.coord_str(u) + direction_name(d, self.n)
+    @cached_property
+    def coord_names(self) -> tuple[str, ...]:
+        return tuple("(" + ",".join(map(str, row)) + ")"
+                     for row in self._coord_array.tolist())
+
+    @cached_property
+    def node_of_name(self) -> dict[str, int]:
+        return {name: u for u, name in enumerate(self.coord_names)}
+
+    def coord_str(self, u: int) -> str:
+        if not 0 <= u < self.num_coords:
+            raise TopologyError(f"node id {u} out of range")
+        return self.coord_names[u]
 
     def opposite(self, d: int) -> int:
         return opposite_direction(d, self.n)
 
     def dir_name(self, d: int) -> str:
-        return direction_name(d, self.n)
+        return self.dir_names[d]
 
     # -- queries -----------------------------------------------------------
 
@@ -171,6 +195,21 @@ class Topology:
         row = self._bfs_distances(a)
         dist = int(row[b])
         return dist if dist >= 0 else None
+
+    def distance_row(self, a: int) -> list[int]:
+        """Minimal hop count from live node ``a`` to every node id.
+
+        Failed and unreachable nodes read -1.
+        """
+        if a in self.failed_nodes:
+            raise TopologyError("distance between failed nodes is undefined")
+        if self.failed_nodes or self.failed_links:
+            return self._bfs_distances(a).tolist()
+        coords = self._coord_array
+        delta = np.abs(coords - coords[a])
+        # a size-2 axis has delta 0 or 1, where the ring formula agrees
+        return np.minimum(delta, np.array(self.dims) - delta).sum(
+            axis=1).tolist()
 
     def _bfs_distances(self, src: int) -> np.ndarray:
         cached = self._dist_cache.get(src)
@@ -246,17 +285,13 @@ def make_torus(dims: Sequence[int],
 
 def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:
     """Candidate farthest from ``from_``; ties go to the smallest node id."""
-    best = None
-    best_dist = -1
-    for v in sorted(candidates):
-        d = t.distance(from_, v)
-        if d is None:
-            d = -1
-        if best is None or d > best_dist:
-            best, best_dist = v, d
-    if best is None:
+    order = sorted(candidates)
+    if not order:
         raise TopologyError("most_remote requires a nonempty candidate set")
-    return best
+    if t.failed_nodes.intersection(order):
+        raise TopologyError("distance between failed nodes is undefined")
+    row = t.distance_row(from_)
+    return max(order, key=row.__getitem__)  # max keeps the first of ties
 
 
 # -- topology spec files ---------------------------------------------------

@@ -81,6 +81,32 @@ def test_bad_table_file_is_io_error(tmp_path):
     assert main(["verify", topo, str(bad)]) == 2
 
 
+def test_verify_reports_route_to_failed_node(tmp_path, capsys):
+    topo = write_topo(tmp_path, "dims: 3 3\nfail-node: 2 2\n")
+    out = tmp_path / "f.table"
+    assert main(["generate", topo, "--algo", "bfs", "--out", str(out)]) == 0
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("(0,0) -> (2,2) : +X | nodes: (0,0) (2,2)\n")
+    capsys.readouterr()
+    assert main(["verify", topo, str(out)]) == 1
+    shown = capsys.readouterr().out.splitlines()
+    i = shown.index("validity: FAIL (1)")
+    assert shown[i + 1] == "  (0,0)->(2,2): endpoint (2,2) is a failed node"
+
+
+def test_one_live_node_is_io_error(tmp_path):
+    topo = write_topo(tmp_path, "dims: 3\nfail-node: 0\nfail-node: 1\n")
+    table = tmp_path / "empty.table"
+    table.write_text("")
+    for argv in (["generate", topo], ["verify", topo, str(table)],
+                 ["compare", topo]):
+        proc = subprocess.run([sys.executable, "-m", "torusroute", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == (
+            f"error: {topo}: one live node leaves no pair to route\n"), argv
+
+
 def test_unroutable_exit_code(tmp_path, capsys):
     topo = write_topo(tmp_path, "dims: 2\nfail-link: 0 +X\n")
     assert main(["generate", topo, "--algo", "bfs"]) == 3

@@ -229,8 +229,12 @@ def test_golden_table_files():
             "d662331efd0b042b0febb8e5a22c71e9"),
     }
     for key, want in digests.items():
-        text = table_to_text(_table(*key))
+        table = _table(*key)
+        text = table_to_text(table)
         assert hashlib.sha256(text.encode()).hexdigest() == want, key
+        parsed = parse_table(text, table.topology)
+        assert parsed.routes == table.routes, key
+        assert table_to_text(parsed) == text, key
 
 
 @pytest.mark.parametrize("dims,faulted", [((4, 2, 2, 2), False),
@@ -250,12 +254,53 @@ def test_table_routes_are_routing_graph_paths(dims, faulted):
             assert set(zip(path, path[1:])) <= edges, (algo, r)
 
 
-def test_parse_table_errors(grid33):
-    t, rg, g, added = grid33
-    with pytest.raises(ParseError):
-        parse_table("(0,0) -> zebra : +X | nodes: (0,0)\n", t)
-    with pytest.raises(ParseError):
-        parse_table("(0,0) -> (1,0) : +Q | nodes: (0,0) (1,0)\n", t)
+def test_parse_table_lenient_forms():
+    """Forms beyond the written one that the parser accepts, and a failed
+    node's coordinates, which it leaves for ``check_table`` to report."""
+    t = make_torus([3, 3], failed_nodes=[(2, 2)])
+    text = ("# comment\n\n"
+            "( 0,0) -> (1,0) : +X | nodes: (0,0) (1,0)\n"
+            "(0,0) -> (+1,1) : +X +Y | nodes: (0,0) (+1,0) (1,1)\n"
+            "(01,0) -> (0,0) : \u2212X | nodes: (01,0) (0,0)\n"
+            "(0,1)  ->  (0,2)  :  +Y | nodes:  (0,1)  (0,2)\n"
+            "(1,1) -> (0,0) : \u2212X  LS\u2212Y | nodes: (1,1) (0,1) (0,0)\n"
+            "(0,0) -> (2,2) : +X | nodes: (0,0) (2,2)\n")
+    assert parse_table(text, t).routes == {
+        (0, 3): Route(0, 3, None, (0,), None, (0, 3)),
+        (0, 4): Route(0, 4, None, (0, 1), None, (0, 3, 4)),
+        (3, 0): Route(3, 0, None, (2,), None, (3, 0)),
+        (1, 2): Route(1, 2, None, (1,), None, (1, 2)),
+        (4, 0): Route(4, 0, None, (2,), 3, (4, 1, 0)),
+        (0, 8): Route(0, 8, None, (0,), None, (0, 8)),
+    }
+
+
+def test_parse_table_errors():
+    t = make_torus([3, 3], failed_nodes=[(2, 2)])
+    good = "(0,0) -> (1,0) : +X | nodes: (0,0) (1,0)\n"
+    cases = [
+        (good + "(3,0) -> (1,0) : +X | nodes: (3,0) (1,0)\n",
+         "line 2: bad coordinate '(3,0)'"),
+        ("(0,0) -> (1,0,0) : +X | nodes: (0,0) (1,0)\n",
+         "line 1: bad coordinate '(1,0,0)'"),
+        ("(0,0) -> (1,0) : +X | nodes: (-1,0) (1,0)\n",
+         "line 1: bad coordinate '(-1,0)'"),
+        ("(0,0) -> zebra : +X | nodes: (0,0)\n",
+         "line 1: bad coordinate 'zebra'"),
+        ("(0,0) -> (1,0) : +x | nodes: (0,0) (1,0)\n",
+         "line 1: bad direction '+x' for 2 dimensions"),
+        ("(0,0) -> (1,0) : FS+Q | nodes: (0,0) (1,0)\n",
+         "line 1: bad direction '+Q' for 2 dimensions"),
+        ("(0,0) -> (1,0) : +Q | nodes: (0,0) (1,0)\n",
+         "line 1: bad direction '+Q' for 2 dimensions"),
+        ("(0,0) -> (1,0) : +X\n", "line 1: missing node sequence"),
+        ("(0,0) -> (1,0) : +X | nodes:\n",
+         "line 1: bad direction '|' for 2 dimensions"),
+    ]
+    for text, want in cases:
+        with pytest.raises(ParseError) as err:
+            parse_table(text, t)
+        assert str(err.value) == want, text
 
 
 def test_check_table_classes(grid33):

@@ -1,11 +1,14 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusroute import make_torus, most_remote
 from torusroute.errors import ParseError, TopologyError
 from torusroute.topology import (direction_name, load_topology,
-                                 opposite_direction, parse_topology,
+                                 opposite_direction, parse_direction,
+                                 parse_topology,
                                  sum_pair_distances, topology_to_text)
 
 small_dims = st.lists(st.integers(2, 4), min_size=1, max_size=3)
@@ -140,6 +143,59 @@ def test_most_remote():
     assert most_remote(t, others, 0) == best
     with pytest.raises(TopologyError):
         most_remote(r8, set(), 0)
+
+
+@st.composite
+def faulted_tori(draw):
+    """A topology of at most 64 nodes with 0-3 node or link faults."""
+    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)
+                .filter(lambda d: math.prod(d) <= 64))
+    size = math.prod(dims)
+    faults = draw(st.lists(st.tuples(st.booleans(), st.integers(0, size - 1),
+                                     st.integers(0, 2 * len(dims) - 1)),
+                           max_size=3))
+    try:
+        t = make_torus(dims, [u for link, u, _ in faults if not link],
+                       [(u, d) for link, u, d in faults if link])
+    except TopologyError:  # a link a mesh axis lacks, or on a failed node
+        assume(False)
+    assume(t.live_nodes)
+    return t
+
+
+@given(faulted_tori(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_name_tables_and_distance_rows(t, data):
+    """Name tables invert, distance rows agree with ``distance`` and
+    ``most_remote`` with a scan over ``distance``."""
+    for u in range(t.num_coords):
+        name = t.coord_str(u)
+        assert name == "(" + ",".join(str(c) for c in t.coords(u)) + ")"
+        assert t.node_of_name[name] == t.node_id(t.coords(u)) == u
+    for bad in (-1, t.num_coords):
+        with pytest.raises(TopologyError):
+            t.coord_str(bad)
+    for d in range(t.ndirs):
+        name = t.dir_name(d)
+        assert t.dir_of_name[name] == parse_direction(name, t.n) == d
+    for u in t.failed_nodes:
+        with pytest.raises(TopologyError):
+            t.distance_row(u)
+
+    def dist(a, b):
+        d = t.distance(a, b)
+        return -1 if d is None else d
+
+    for a in t.live_nodes:
+        row = t.distance_row(a)
+        assert [row[b] for b in t.live_nodes] == [
+            dist(a, b) for b in t.live_nodes]
+    src = data.draw(st.sampled_from(t.live_nodes))
+    candidates = data.draw(st.sets(st.sampled_from(t.live_nodes),
+                                   min_size=1))
+    far = max(dist(src, v) for v in candidates)
+    assert most_remote(t, candidates, src) == min(
+        v for v in candidates if dist(src, v) == far)
 
 
 def test_channel_count_formula():
