@@ -123,14 +123,14 @@ def pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _report(loads: np.ndarray, gamma_perfect: float, routes, ks,
-            include_loads: bool) -> LoadReport:
+def _report(loads: np.ndarray, gamma_perfect: float, lengths: np.ndarray,
+            ks, include_loads: bool) -> LoadReport:
     return LoadReport(
         pi=int(loads.max()) if loads.size else 0,
         min_load=int(loads.min()) if loads.size else 0,
         gamma_perfect=gamma_perfect,
         sigma={k: deviation(loads, gamma_perfect, k) for k in ks},
-        max_d=max((len(r) for r in routes), default=0),
+        max_d=int(lengths.max(initial=0)),
         loads=loads if include_loads else None,
     )
 
@@ -138,7 +138,7 @@ def _report(loads: np.ndarray, gamma_perfect: float, routes, ks,
 def load_report(rt: RoutingTable, ks=(4,), include_loads=False) -> LoadReport:
     """Full-table report: loads, edge-forwarding index, deviation, diameter."""
     return _report(channel_loads(rt), perfect_channel_load(rt.topology),
-                   rt.routes.values(), ks, include_loads)
+                   rt.columns.length, ks, include_loads)
 
 
 def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
@@ -150,10 +150,20 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
     """
     t = rt.topology
     pairs = pattern_pairs(t, pattern)
-    routes = [rt.routes[p] for p in pairs]
-    ids = [c for r in routes for c in route_channels(t, r)]
-    loads = np.bincount(np.asarray(ids, dtype=np.int64),
-                        minlength=t.n_channels)
+    c = rt.columns
+    keys = c.src.astype(np.int64) * t.num_coords + c.dst  # sorted
+    want = np.array([s * t.num_coords + d for s, d in pairs], dtype=np.int64)
+    rows = np.searchsorted(keys, want)
+    found = rows < len(keys)
+    found[found] = keys[rows[found]] == want[found]
+    if not found.all():
+        raise KeyError(pairs[int(np.argmin(found))])
+    chan, live = rt.channels()
+    dead = rows[~live[rows]]
+    if dead.size:
+        route_channels(t, rt.route_at(dead[0]))  # raises IntegrityError
+    ids = chan[rows]
+    loads = np.bincount(ids[ids >= 0], minlength=t.n_channels)
     total_min = 0
     for s, d in pairs:
         dist = t.distance(s, d)
@@ -161,4 +171,5 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
             raise DisconnectedError(
                 f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
         total_min += dist
-    return _report(loads, total_min / t.n_channels, routes, ks, include_loads)
+    return _report(loads, total_min / t.n_channels, c.length[rows], ks,
+                   include_loads)

@@ -1,8 +1,21 @@
-"""Routes in first-step / body / last-step decomposed form, and routing tables."""
+"""Routes in first-step / body / last-step decomposed form, and routing tables.
+
+A :class:`RoutingTable` is read through its :class:`Columns`, one row per
+route in sorted (src, dst) order: ``src``, ``dst``, ``fs``, ``ls``, a padded
+``steps`` matrix, a padded ``nodes`` matrix and ``length``. :func:`parse_table`
+fills them straight from the text; a table built from a mapping of
+:class:`Route` objects derives them on first use.
+
+The checks flag, then explain. Array passes over the columns flag every row
+that may break a rule or cross a dead channel; only the flagged rows go, in
+pair order, through the per-route code (:func:`validate_route`,
+:func:`route_channels`), which writes every message.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -254,43 +267,288 @@ def validate_route(t: Topology, r: Route,
     return problems
 
 
-class RoutingTable:
-    """Exactly one route per ordered node pair, plus generation statistics."""
+_CHUNK = 4096  # rows or lines at a time, which bounds the Python lists
 
-    def __init__(self, topology: Topology, routes: Mapping[tuple[int, int], Route],
-                 stats=None):
+
+@dataclass(frozen=True)
+class Columns:
+    """A routing table as arrays, one row per route in sorted pair order.
+
+    ``steps`` holds every step of a route (first step, body, last step) and
+    ``nodes`` its node sequence, both padded with -1. ``fs`` and ``ls`` are
+    -1 for none, and ``length`` is the node count minus one.
+    """
+    src: np.ndarray
+    dst: np.ndarray
+    fs: np.ndarray
+    ls: np.ndarray
+    steps: np.ndarray
+    nodes: np.ndarray
+    length: np.ndarray
+
+    def take(self, rows) -> Columns:
+        return Columns(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    if width == a.shape[1]:
+        return a
+    return np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=-1)
+
+
+def _id_dtype(t: Topology):
+    """A signed type that holds every node id, direction and channel id."""
+    return np.int16 if t.num_coords * t.ndirs < 2 ** 15 else np.int32
+
+
+def _padded(flat: np.ndarray, lens: np.ndarray, width: int, dtype,
+            shift=0) -> np.ndarray:
+    """Row i holds the next ``lens[i]`` values of ``flat`` from column
+    ``shift`` (or ``shift[i]``) on; the rest is -1."""
+    col = np.arange(width)
+    start = np.asarray(shift).reshape(-1, 1)
+    out = np.full((len(lens), width), -1, dtype=dtype)
+    out[(col >= start) & (col < start + lens[:, None])] = flat
+    return out
+
+
+def _columns(t: Topology, src, dst, fs, body, ls, seq) -> Columns:
+    """Columns of routes given field by field, in their order."""
+    count, dtype = len(src), _id_dtype(t)
+    fs = np.array([-1 if d is None else d for d in fs], dtype=dtype)
+    ls = np.array([-1 if d is None else d for d in ls], dtype=dtype)
+    has_fs, has_ls = fs >= 0, ls >= 0
+    nbody = np.fromiter(map(len, body), dtype=np.intp, count=count)
+    nsteps = has_fs + nbody + has_ls
+    steps = _padded(np.fromiter(chain.from_iterable(body), dtype=dtype,
+                                count=int(nbody.sum())),
+                    nbody, int(nsteps.max(initial=1)), dtype, has_fs)
+    rows = np.arange(count)
+    steps[rows[has_fs], 0] = fs[has_fs]
+    steps[rows[has_ls], nsteps[has_ls] - 1] = ls[has_ls]
+    nseq = np.fromiter(map(len, seq), dtype=np.intp, count=count)
+    nodes = _padded(np.fromiter(chain.from_iterable(seq), dtype=dtype,
+                                count=int(nseq.sum())),
+                    nseq, int(nseq.max(initial=0)), dtype)
+    return Columns(np.array(src, dtype=dtype), np.array(dst, dtype=dtype),
+                   fs, ls, steps, nodes, (nseq - 1).astype(np.int32))
+
+
+def _concat(parts: list[Columns]) -> Columns:
+    if len(parts) == 1:
+        return parts[0]
+    out = []
+    for f in fields(Columns):
+        arrays = [getattr(p, f.name) for p in parts]
+        if arrays[0].ndim == 2:
+            width = max(a.shape[1] for a in arrays)
+            arrays = [_widen(a, width) for a in arrays]
+        out.append(np.concatenate(arrays))
+    return Columns(*out)
+
+
+def _routes_of(c: Columns) -> dict[tuple[int, int], Route]:
+    """One Route, of Python ints, per row."""
+    out = {}
+    nsteps = (c.steps >= 0).sum(axis=1)
+    for i in range(0, len(nsteps), _CHUNK):  # bounds the row lists
+        rows = slice(i, i + _CHUNK)
+        for s, d, fs, ls, steps, k, nodes, length in zip(
+                c.src[rows].tolist(), c.dst[rows].tolist(),
+                c.fs[rows].tolist(), c.ls[rows].tolist(),
+                c.steps[rows].tolist(), nsteps[rows].tolist(),
+                c.nodes[rows].tolist(), c.length[rows].tolist()):
+            out[(s, d)] = Route(s, d, None if fs < 0 else fs,
+                                tuple(steps[fs >= 0:k - (ls >= 0)]),
+                                None if ls < 0 else ls,
+                                tuple(nodes[:length + 1]))
+    return out
+
+
+class RoutingTable:
+    """Exactly one route per ordered node pair, plus generation statistics.
+
+    The table is read through its :class:`Columns`, which a table given a
+    ``routes`` mapping derives on first use. A table given ``columns`` (as
+    :func:`parse_table` makes it) builds its ``routes`` dict only when
+    something asks for it.
+    """
+
+    def __init__(self, topology: Topology,
+                 routes: Mapping[tuple[int, int], Route] | None = None,
+                 stats=None, *, columns: Columns | None = None):
         self.topology = topology
-        self.routes = dict(routes)
         self.stats = stats
-        self._link_ids = None
+        self._routes = None if routes is None else dict(routes)
+        self._columns = columns
+        self._misfiled = None  # rows whose Route names another pair
+        self._walked = None
 
     def __len__(self):
-        return len(self.routes)
+        if self._columns is None:
+            return len(self._routes)
+        return len(self._columns.src)
 
-    def link_ids(self):
-        """Channel ids crossed by every route, concatenated (cached)."""
-        if self._link_ids is None:
-            t = self.topology
-            ids = []
-            for (_, _), r in sorted(self.routes.items()):
-                ids.extend(route_channels(t, r))
-            self._link_ids = np.asarray(ids, dtype=np.int64)
-        return self._link_ids
+    @property
+    def routes(self) -> dict[tuple[int, int], Route]:
+        if self._routes is None:
+            self._routes = _routes_of(self._columns)
+        return self._routes
+
+    @property
+    def columns(self) -> Columns:
+        if self._columns is None:
+            keys = sorted(self._routes)
+            rs = [self._routes[key] for key in keys]
+            c = self._columns = _columns(
+                self.topology, [s for s, _ in keys], [d for _, d in keys],
+                [r.fs for r in rs], [r.body for r in rs], [r.ls for r in rs],
+                [r.node_seq for r in rs])
+            self._misfiled = ((c.src != [r.src for r in rs])
+                              | (c.dst != [r.dst for r in rs]))
+        return self._columns
+
+    def route_at(self, i: int) -> Route:
+        """The route in row ``i`` of the columns."""
+        c = self.columns
+        key = (int(c.src[i]), int(c.dst[i]))
+        if self._routes is not None:
+            return self._routes[key]
+        return _routes_of(c.take([i]))[key]
+
+    def _walk(self):
+        """(channel matrix, clean rows, live rows), computed once.
+
+        A clean row's node sequence is the walk of its steps over existing
+        channels from its pair's source to its pair's destination, so one
+        gather gives its channel ids. Every other row is walked from its
+        Route, and is live when that walk crosses no dead channel.
+        """
+        if self._walked is None:
+            t, c = self.topology, self.columns
+            width = max(c.steps.shape[1], c.nodes.shape[1] - 1)
+            steps, nodes = _widen(c.steps, width), _widen(c.nodes, width + 1)
+            on = steps >= 0
+            at = (np.clip(nodes[:, :-1], 0, t.num_coords - 1).astype(np.intp)
+                  * t.ndirs + np.where(on, steps, 0))  # (node, direction)
+            chan = np.where(on, t.channel_table.ravel()[at], -1).astype(
+                steps.dtype)
+            moved = (chan >= 0) & (t.neighbor_table.ravel()[at]
+                                   == nodes[:, 1:])
+            end = nodes[np.arange(len(nodes)), np.maximum(c.length, 0)]
+            clean = ((on.sum(axis=1) == c.length) & (nodes[:, 0] == c.src)
+                     & (end == c.dst) & (moved | ~on).all(axis=1))
+            if self._misfiled is not None:
+                clean &= ~self._misfiled
+            live = clean.copy()
+            for i in np.flatnonzero(~clean).tolist():
+                r = self.route_at(i)
+                walked = t.walk(r.src, r.steps)[1]
+                chan[i] = -1
+                chan[i, :len(walked)] = walked
+                live[i] = len(walked) == len(r.steps)
+            self._walked = chan, clean, live
+        return self._walked
+
+    def channels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(channel ids of every row, padded with -1; the rows whose every
+        step crosses an existing channel)."""
+        chan, _, live = self._walk()
+        return chan, live
+
+    def channel_matrix(self) -> np.ndarray:
+        """Channel ids of every row, padded with -1.
+
+        IntegrityError names the first route, in pair order, that crosses a
+        dead channel.
+        """
+        chan, live = self.channels()
+        dead = np.flatnonzero(~live)
+        if dead.size:
+            route_channels(self.topology, self.route_at(dead[0]))  # raises
+        return chan
+
+    def link_ids(self) -> np.ndarray:
+        """Channel ids crossed by every route, in pair order, concatenated."""
+        chan = self.channel_matrix()
+        return chan[chan >= 0].astype(np.int64)
+
+
+def _suspects(t: Topology, rt: RoutingTable, relaxed) -> np.ndarray:
+    """Mask of the rows that may hold a problem: every row that holds one.
+
+    Array predicates for each check of :func:`check_table`: the pair's
+    endpoints, its minimal length, the walk (shape, liveness, node sequence
+    and destination) and the rules of :func:`_violations`. A registered
+    relaxed turn is exactly a pair of consecutive channel ids.
+    """
+    c = rt.columns
+    chan, clean, _ = rt._walk()
+    n, steps, fs, ls = t.n, c.steps, c.fs, c.ls
+    failed = np.zeros(t.num_coords, dtype=bool)
+    failed[list(t.failed_nodes)] = True
+    dist = np.full((t.num_coords, t.num_coords), -1, dtype=np.int32)
+    sources = np.zeros(t.num_coords, dtype=bool)
+    sources[c.src] = True
+    for s in np.flatnonzero(sources & ~failed).tolist():
+        dist[s] = t.distance_row(s)
+    want = dist[c.src, c.dst]
+    flag = (~clean | failed[c.src] | failed[c.dst] | (want < 0)
+            | (want != c.length))
+
+    has_fs, has_ls = fs >= 0, ls >= 0
+    nsteps = (steps >= 0).sum(axis=1)
+    first, stop = has_fs.astype(np.intp), nsteps - has_ls
+    col = np.arange(steps.shape[1])
+    body = (col >= first[:, None]) & (col < stop[:, None])
+    nbody = stop - first
+    flag |= (nbody == 0) & ~(has_fs & ~has_ls)  # shape
+    flag |= has_fs & (fs >= n)
+    flag |= has_ls & (ls < n)
+    flag |= (body[:, 1:] & body[:, :-1] & (steps[:, 1:] < steps[:, :-1])
+             ).any(axis=1)
+    used = np.bitwise_or.reduce(
+        np.where(body, 1 << np.maximum(steps, 0), 0), axis=1)
+    flag |= (used & (used >> n) & ((1 << n) - 1)) != 0  # a dimension both ways
+
+    nch, cid = t.n_channels, t.channel_id
+    turns = {cid[a] * nch + cid[b] for a, b in relaxed
+             if a in cid and b in cid}
+    fs_rows = np.flatnonzero(has_fs & (nbody > 0))
+    ls_rows = np.flatnonzero(has_ls & (nbody > 0))
+    for rows, at in ((fs_rows, np.zeros(len(fs_rows), np.intp)),
+                     (ls_rows, nsteps[ls_rows] - 2)):
+        if rows.size:
+            a, b = steps[rows, at], steps[rows, at + 1]
+            odd = ~((a < b) & (b != (a + n) % (2 * n)))  # not ascending
+            turn = chan[rows, at].astype(np.int64) * nch + chan[rows, at + 1]
+            flag[rows[odd]] |= np.array(
+                [x not in turns for x in turn[odd].tolist()], dtype=bool)
+    return flag
 
 
 def check_table(t: Topology, rt: RoutingTable,
                 relaxed_turns: Iterable[CdgEdge] = ()) -> dict[str, list[str]]:
-    """Completeness, minimality and rule validity; empty lists mean pass."""
+    """Completeness, minimality and rule validity; empty lists mean pass.
+
+    Array predicates flag the rows that may hold a problem; only those go
+    through the per-route checks, in pair order, which write every message.
+    """
     relaxed = set(relaxed_turns)
     report = {"completeness": [], "minimality": [], "validity": []}
-    live = t.live_nodes
-    for s in live:
-        for d in live:
-            if s != d and (s, d) not in rt.routes:
-                report["completeness"].append(
-                    f"missing pair {t.coord_str(s)}->{t.coord_str(d)}")
+    c = rt.columns
+    names = t.coord_names
+    live = np.zeros(t.num_coords, dtype=bool)
+    live[list(t.live_nodes)] = True
+    missing = np.outer(live, live)
+    np.fill_diagonal(missing, False)
+    missing[c.src, c.dst] = False
+    for s, d in zip(*(a.tolist() for a in np.nonzero(missing))):
+        report["completeness"].append(f"missing pair {names[s]}->{names[d]}")
     row_src, row = None, None
-    for (s, d), r in sorted(rt.routes.items()):
+    for i in np.flatnonzero(_suspects(t, rt, relaxed)).tolist():
+        s, d = int(c.src[i]), int(c.dst[i])
+        r = rt.route_at(i)
         if (s, d) != (r.src, r.dst):
             report["validity"].append(f"route stored under wrong pair {s}->{d}")
         if s in t.failed_nodes or d in t.failed_nodes:
@@ -299,7 +557,7 @@ def check_table(t: Topology, rt: RoutingTable,
                 f"{t.coord_str(s)}->{t.coord_str(d)}: endpoint "
                 f"{t.coord_str(dead)} is a failed node")
             continue
-        if s != row_src:  # routes come sorted, so one row per source
+        if s != row_src:  # rows come sorted, so one row per source
             row_src, row = s, t.distance_row(s)
         want = row[d]
         if want < 0 or len(r) != want:
@@ -351,52 +609,163 @@ def _parse_coord(token: str, t: Topology) -> int:
         raise ParseError(f"bad coordinate {token!r}") from exc
 
 
-def parse_table(text: str, t: Topology) -> RoutingTable:
-    """Routing table from its text; the written forms are looked up by name.
-
-    A token that is not exactly a name falls back to the lenient parsers,
-    which accept forms like ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X``.
-    """
+def _parse_line(line: str, t: Topology):
+    """(src, dst, fs, body, ls, node_seq) of one line, or None for a blank or
+    comment line; accepts the lenient forms."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
     node_of, dir_of = t.node_of_name, t.dir_of_name
 
     def direction(token: str) -> int:
         d = dir_of.get(token)
         return parse_direction(token, t.n) if d is None else d
 
-    routes = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    head, _, nodes_part = line.partition(" | nodes: ")
+    pair_part, _, steps_part = head.partition(" : ")
+    src_s, _, dst_s = pair_part.partition(" -> ")
+    src = _parse_coord(src_s, t)
+    dst = _parse_coord(dst_s, t)
+    fs = ls = None
+    body = []
+    for tok in steps_part.split():
+        d = dir_of.get(tok)
+        if d is not None:
+            body.append(d)
+        elif tok.startswith("FS"):
+            fs = direction(tok[2:])
+        elif tok.startswith("LS"):
+            ls = direction(tok[2:])
+        else:
+            body.append(parse_direction(tok, t.n))
+    tokens = nodes_part.split()
+    try:
+        seq = tuple(map(node_of.__getitem__, tokens))
+    except KeyError:
+        seq = tuple(_parse_coord(tok, t) for tok in tokens)
+    if not seq:
+        raise ParseError("missing node sequence")
+    return src, dst, fs, tuple(body), ls, seq
+
+
+# token classes of the written form: a node, a body, first or last step, the
+# separators "->", ":", "|" and "nodes:", and the end of a line
+_NODE, _STEP, _FIRST, _LAST, _ARROW, _COLON, _BAR, _NODES, _END = range(9)
+
+
+def _token_codes(t: Topology) -> tuple[dict[str, int], int]:
+    """(code of every token of the written form, ``m``): a token of class
+    ``k`` whose value is ``v`` (a node id or a direction) has code
+    ``k * m + v``."""
+    m = max(t.num_coords, t.ndirs)
+    codes = dict(t.node_of_name)
+    for d, name in enumerate(t.dir_names):
+        codes[name] = _STEP * m + d
+        codes["FS" + name] = _FIRST * m + d
+        codes["LS" + name] = _LAST * m + d
+    for kind, sep in ((_ARROW, "->"), (_COLON, ":"), (_BAR, "|"),
+                      (_NODES, "nodes:"), (_END, "\n")):
+        codes[sep] = kind * m
+    return codes, m
+
+
+def _runs(values: np.ndarray, start: np.ndarray, lens: np.ndarray,
+          dtype) -> np.ndarray:
+    """Row i holds ``values[start[i]:start[i] + lens[i]]``, padded with -1."""
+    col = np.arange(lens.max(initial=0))
+    held = col < lens[:, None]
+    return np.where(held, values[np.where(held, start[:, None] + col, 0)],
+                    -1).astype(dtype)
+
+
+def _parse_chunk(lines: list[str], first: int, t: Topology,
+                 codes: dict[str, int], m: int):
+    """[(columns, line numbers)] of the routes on ``lines``, the first of
+    which is line ``first + 1``.
+
+    A line is read from its token codes when it is exactly the written form:
+    ``src -> dst : steps | nodes: node...``, single spaces, a first step only
+    in front and a last step only at the end. Any other line goes to the
+    lenient per-line reader.
+    """
+    toks = (" \n ".join(lines) + " \n").split(" ")
+    code = np.fromiter(map(codes.get, toks, repeat(-1)), dtype=np.int32,
+                       count=len(toks))
+    kind, value = np.divmod(code, m)  # an unknown token is of class -1
+    ends = np.flatnonzero(kind == _END)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    bars = np.flatnonzero(kind == _BAR)
+    barred, first_bar = np.unique(np.searchsorted(ends, bars),
+                                  return_index=True)
+    bar = np.full(len(lines), -1)
+    bar[barred] = bars[first_bar]
+    nsteps, nnodes = bar - starts - 4, ends - bar - 2
+    shaped = (bar >= 0) & (nsteps >= 1) & (nnodes >= 1)
+    head, tail = starts[shaped] + 4, bar[shaped] - 1
+    kind[head[kind[head] == _FIRST]] = _STEP
+    kind[tail[kind[tail] == _LAST]] = _STEP
+    want = np.zeros(len(code), dtype=np.int8)  # the class each token needs
+    want[head], want[tail + 1] = _STEP, -_STEP
+    want = np.cumsum(want, dtype=np.int8)
+    for at, k in ((starts + 1, _ARROW), (starts + 3, _COLON), (bar, _BAR),
+                  (bar + 1, _NODES), (ends, _END)):
+        want[at[shaped]] = k
+    good = shaped & np.logical_and.reduceat(kind == want, starts)
+
+    rows = np.flatnonzero(good)
+    at, nsteps, last = starts[rows], nsteps[rows], bar[rows] - 1
+    fs = np.where(code[at + 4] // m == _FIRST, value[at + 4], -1)
+    ls = np.where(code[last] // m == _LAST, value[last], -1)
+    dtype = _id_dtype(t)
+    parts = [(Columns(value[at].astype(dtype), value[at + 2].astype(dtype),
+                      fs.astype(dtype), ls.astype(dtype),
+                      _runs(value, at + 4, nsteps, dtype),
+                      _runs(value, bar[rows] + 2, nnodes[rows], dtype),
+                      (nnodes[rows] - 1).astype(np.int32)), first + 1 + rows)]
+
+    records, numbers = [], []
+    for i in np.flatnonzero(~good).tolist():
         try:
-            head, _, nodes_part = line.partition(" | nodes: ")
-            pair_part, _, steps_part = head.partition(" : ")
-            src_s, _, dst_s = pair_part.partition(" -> ")
-            src = _parse_coord(src_s, t)
-            dst = _parse_coord(dst_s, t)
-            fs = ls = None
-            body = []
-            for tok in steps_part.split():
-                d = dir_of.get(tok)
-                if d is not None:
-                    body.append(d)
-                elif tok.startswith("FS"):
-                    fs = direction(tok[2:])
-                elif tok.startswith("LS"):
-                    ls = direction(tok[2:])
-                else:
-                    body.append(parse_direction(tok, t.n))
-            tokens = nodes_part.split()
-            try:
-                seq = tuple(map(node_of.__getitem__, tokens))
-            except KeyError:
-                seq = tuple(_parse_coord(tok, t) for tok in tokens)
-            if not seq:
-                raise ParseError("missing node sequence")
+            record = _parse_line(lines[i], t)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        routes[(src, dst)] = Route(src, dst, fs, tuple(body), ls, seq)
-    return RoutingTable(t, routes)
+            raise ParseError(f"line {first + 1 + i}: {exc}") from exc
+        if record is not None:
+            records.append(record)
+            numbers.append(first + 1 + i)
+    if records:
+        parts.append((_columns(t, *zip(*records)), np.array(numbers)))
+    return parts
+
+
+def parse_table(text: str, t: Topology) -> RoutingTable:
+    """Routing table from its text, straight into columns.
+
+    Every space-separated token of a line in the written form is looked up in
+    one name-to-code table, a bounded chunk of lines at a time. Any
+    other line falls back to a per-line reader, which accepts forms like
+    ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X`` and words every ParseError. A
+    pair given twice is a ParseError that names both lines.
+    """
+    codes, m = _token_codes(t)
+    lines = text.splitlines()
+    parts = [part for i in range(0, len(lines), _CHUNK)
+             for part in _parse_chunk(lines[i:i + _CHUNK], i, t, codes, m)]
+    if not parts:
+        return RoutingTable(t, columns=_columns(t, *[()] * 6))
+    cols = _concat([p[0] for p in parts])
+    linenos = np.concatenate([p[1] for p in parts])
+    key = cols.src.astype(np.int64) * t.num_coords + cols.dst
+    if not (key[1:] > key[:-1]).all():
+        order = np.lexsort((linenos, key))
+        cols, key, linenos = cols.take(order), key[order], linenos[order]
+        again = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if again.size:
+            i = again[np.argmin(linenos[again])]
+            names = t.coord_names
+            raise ParseError(
+                f"line {linenos[i]}: pair {names[cols.src[i]]}->"
+                f"{names[cols.dst[i]]} already given on line {linenos[i - 1]}")
+    return RoutingTable(t, columns=cols)
 
 
 def load_table(path, t: Topology) -> RoutingTable:

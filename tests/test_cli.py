@@ -1,10 +1,13 @@
 import csv
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from torusroute import (RoutingTable, load_table, load_topology, make_route,
+                        table_to_text)
 from torusroute.cli import main, run_sweep
 
 
@@ -208,3 +211,72 @@ def test_console_module_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_verify_rejects_a_pair_given_twice(tmp_path, capsys):
+    topo = write_topo(tmp_path, "dims: 3 3\n")
+    out = tmp_path / "grid.table"
+    assert main(["generate", topo, "--algo", "bfs", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    valid = next(i for i, line in enumerate(lines)
+                 if line.startswith("(0,0) -> (1,1) :"))
+    lines.insert(valid, "(0,0) -> (1,1) : +Y +X | nodes: (0,0) (0,1) (1,1)")
+    twice = tmp_path / "twice.table"
+    twice.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", topo, str(twice)]) == 2
+    shown = capsys.readouterr()
+    assert shown.out == ""
+    assert shown.err == (
+        f"error: {twice}: line {valid + 2}: pair (0,0)->(1,1) already given "
+        f"on line {valid + 1}\n")
+
+
+def test_verify_reports_dead_channel_route_once(tmp_path, capsys):
+    """A route from a failed node is a validity problem, not a deadlock.
+
+    The minimality lines are the stretch that bfs leaves around the fault.
+    """
+    topo = write_topo(tmp_path, "dims: 3 3\nfail-node: 2 2\n")
+    out = tmp_path / "f.table"
+    assert main(["generate", topo, "--algo", "bfs", "--out", str(out)]) == 0
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write("(2,2) -> (0,0) : +X | nodes: (2,2) (0,0)\n")
+    capsys.readouterr()
+    assert main(["verify", topo, str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "completeness: pass\n"
+        "minimality: FAIL (4)\n"
+        "  (0,2)->(2,1): length 3, minimal 2\n"
+        "  (1,2)->(2,0): length 3, minimal 2\n"
+        "  (1,2)->(2,1): length 4, minimal 2\n"
+        "  (2,1)->(1,2): length 3, minimal 2\n"
+        "validity: FAIL (1)\n"
+        "  (2,2)->(0,0): endpoint (2,2) is a failed node\n"
+        "deadlock-freedom: pass\n")
+
+
+def test_verify_report_golden(tmp_path, capsys):
+    """verify's whole output on a 4x2x2x2 table with relaxed turns and more
+    than 20 problems of each kind, which pins the first-20 cut and the
+    counts."""
+    topo = write_topo(tmp_path, "dims: 4 2 2 2\n")
+    out = tmp_path / "d.table"
+    assert main(["generate", topo, "--algo", "sssp", "--out", str(out)]) == 0
+    table = load_table(out, load_topology(topo))
+    t = table.topology
+    routes = {}
+    for i, ((s, d), r) in enumerate(sorted(table.routes.items())):
+        if i % 40 == 1:  # a missing pair
+            continue
+        if i % 40 == 11:  # a detour of two hops along the X ring
+            r = make_route(t, s, r.fs, r.body + (0, t.n), r.ls)
+        elif i % 20 == 5 and len(set(r.body)) > 1:  # body out of order
+            r = make_route(t, s, r.fs, r.body[::-1], r.ls)
+        routes[(s, d)] = r
+    broken = tmp_path / "broken.table"
+    broken.write_text(table_to_text(RoutingTable(t, routes)))
+    capsys.readouterr()
+    assert main(["verify", topo, str(broken)]) == 1
+    golden = pathlib.Path(__file__).parent / "data" / "verify_4222.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -1,15 +1,23 @@
 import functools
 import hashlib
+import math
 import pathlib
+import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusroute import (GeneticParams, Route, RoutingTable, build_rt_bfs,
-                        build_rt_genetic, build_rt_sssp, decode_rg_path,
-                        make_route, make_torus, parse_table, table_to_text,
-                        validate_route)
-from torusroute.errors import ParseError, TopologyError
-from torusroute.routes import check_table, legal_encodings, route_to_rg_path
+                        build_rt_genetic, build_rt_sssp, channel_loads,
+                        decode_rg_path, make_route, make_torus, parse_table,
+                        table_to_text, validate_route)
+from torusroute.cli import _used_turns, prepare, used_turn_cycle_check
+from torusroute.errors import (DisconnectedError, IntegrityError, ParseError,
+                               TopologyError, UnroutablePairError)
+from torusroute.routes import (check_table, legal_encodings, route_channels,
+                               route_to_rg_path)
 
 from conftest import prepared
 
@@ -264,7 +272,8 @@ def test_parse_table_lenient_forms():
             "(01,0) -> (0,0) : \u2212X | nodes: (01,0) (0,0)\n"
             "(0,1)  ->  (0,2)  :  +Y | nodes:  (0,1)  (0,2)\n"
             "(1,1) -> (0,0) : \u2212X  LS\u2212Y | nodes: (1,1) (0,1) (0,0)\n"
-            "(0,0) -> (2,2) : +X | nodes: (0,0) (2,2)\n")
+            "(0,0) -> (2,2) : +X | nodes: (0,0) (2,2)\n"
+            "(1,0) -> (2,1) : +Y FS+X | nodes: (1,0) (2,0) (2,1)\n")
     assert parse_table(text, t).routes == {
         (0, 3): Route(0, 3, None, (0,), None, (0, 3)),
         (0, 4): Route(0, 4, None, (0, 1), None, (0, 3, 4)),
@@ -272,6 +281,7 @@ def test_parse_table_lenient_forms():
         (1, 2): Route(1, 2, None, (1,), None, (1, 2)),
         (4, 0): Route(4, 0, None, (2,), 3, (4, 1, 0)),
         (0, 8): Route(0, 8, None, (0,), None, (0, 8)),
+        (3, 7): Route(3, 7, 0, (1,), None, (3, 6, 7)),
     }
 
 
@@ -320,3 +330,245 @@ def test_check_table_classes(grid33):
     detour[(u, v)] = make_route(t, u, None, [1, 1], None)  # 2 hops, minimal 1
     report = check_table(t, RoutingTable(t, detour), added)
     assert report["minimality"]
+
+
+
+def test_parse_table_reads_written_lines_without_the_line_parser(
+        monkeypatch):
+    """Written lines never reach the per-line parser; a lenient line does,
+    alone, and both texts give the generator's routes."""
+    import torusroute.routes as routes_mod
+
+    table = _table("sssp", (4, 4, 2))
+    t = table.topology
+    text = table_to_text(table)
+    line_parser = routes_mod._parse_line
+
+    def refuse(line, t):
+        raise AssertionError(f"per-line parser called on {line!r}")
+
+    monkeypatch.setattr(routes_mod, "_parse_line", refuse)
+    assert parse_table(text, t).routes == table.routes
+
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith("(0,0,0) -> ") and " -X" in line)
+    lines[i] = lines[i].replace("(0,0,0) -> ", "( 0,0,0) -> ", 1).replace(
+        " -X", " \u2212X", 1)
+    seen = []
+
+    def record(line, t):
+        seen.append(line)
+        return line_parser(line, t)
+
+    monkeypatch.setattr(routes_mod, "_parse_line", record)
+    assert parse_table("\n".join(lines) + "\n", t).routes == table.routes
+    assert seen == [lines[i]]
+
+
+# -- per-route reference for the columnar checks ------------------------------
+
+def reference_check_table(t, routes, relaxed_turns):
+    """``check_table`` as one loop over every route."""
+    relaxed = set(relaxed_turns)
+    report = {"completeness": [], "minimality": [], "validity": []}
+    for s in t.live_nodes:
+        for d in t.live_nodes:
+            if s != d and (s, d) not in routes:
+                report["completeness"].append(
+                    f"missing pair {t.coord_str(s)}->{t.coord_str(d)}")
+    for (s, d), r in sorted(routes.items()):
+        pair = f"{t.coord_str(s)}->{t.coord_str(d)}"
+        if (s, d) != (r.src, r.dst):
+            report["validity"].append(f"route stored under wrong pair {s}->{d}")
+        if s in t.failed_nodes or d in t.failed_nodes:
+            dead = s if s in t.failed_nodes else d
+            report["validity"].append(
+                f"{pair}: endpoint {t.coord_str(dead)} is a failed node")
+            continue
+        want = t.distance(s, d)
+        if want is None or len(r) != want:
+            report["minimality"].append(
+                f"{pair}: length {len(r)}, minimal {want}")
+        for msg in validate_route(t, r, relaxed):
+            report["validity"].append(f"{pair}: {msg}")
+    return report
+
+
+def reference_link_ids(t, routes):
+    """Channel ids of every route in pair order, or the IntegrityError text."""
+    ids = []
+    try:
+        for _, r in sorted(routes.items()):
+            ids.extend(route_channels(t, r))
+    except IntegrityError as exc:
+        return str(exc)
+    return ids
+
+
+def reference_used_turns(t, routes):
+    """Consecutive channel pairs of the routes whose channels all exist."""
+    used = set()
+    for r in routes.values():
+        channels = t.walk(r.src, r.steps)[1]
+        if len(channels) == len(r.steps):
+            used.update(zip(channels, channels[1:]))
+    return sorted(used)
+
+
+def _corrupt(t, routes, kind, rnd):
+    """Apply one corruption of ``kind`` to ``routes`` in place."""
+    if not routes:
+        return
+    n = t.n
+    key = rnd.choice(sorted(routes))
+    r = routes[key]
+
+    def walked(src, fs, body, ls):
+        steps = ((() if fs is None else (fs,)) + tuple(body)
+                 + (() if ls is None else (ls,)))
+        nodes = t.walk(src, steps)[0]
+        if len(nodes) == len(steps) + 1:
+            routes.pop(key, None)
+            routes[(src, nodes[-1])] = Route(src, nodes[-1], fs, tuple(body),
+                                             ls, tuple(nodes))
+
+    if kind == "drop":
+        del routes[key]
+    elif kind == "swap" and len(r.body) >= 2:
+        body = list(r.body)
+        i, j = rnd.sample(range(len(body)), 2)
+        body[i], body[j] = body[j], body[i]
+        walked(r.src, r.fs, body, r.ls)
+    elif kind == "to_fs" and r.fs is None and len(r.body) >= 2:
+        walked(r.src, r.body[0], r.body[1:], r.ls)
+    elif kind == "to_ls" and r.ls is None and len(r.body) >= 2:
+        walked(r.src, r.fs, r.body[:-1], r.body[-1])
+    elif kind == "node":
+        seq = list(r.node_seq)
+        seq[rnd.randrange(len(seq))] = rnd.randrange(t.num_coords)
+        routes[key] = Route(r.src, r.dst, r.fs, r.body, r.ls, tuple(seq))
+    elif kind == "detour":
+        d = rnd.randrange(t.ndirs)
+        walked(r.src, r.fs, r.body + (d, t.opposite(d)), r.ls)
+    elif kind == "from_failed" and t.failed_nodes:
+        u = rnd.choice(sorted(t.failed_nodes))
+        d = rnd.randrange(t.ndirs)
+        v = rnd.choice(t.live_nodes)
+        routes[(u, v)] = Route(u, v, None, (d,), None, (u, v))
+    elif kind == "dead_link" and t.failed_links:
+        u, d = rnd.choice(sorted(t.failed_links))
+        if u not in t.failed_nodes:
+            v = t.live_nodes[rnd.randrange(len(t.live_nodes))]
+            routes[(u, v)] = Route(u, v, None, (d,), None, (u, v))
+    elif kind == "turn" and r.body:  # a first or last step off the order
+        if rnd.random() < 0.5:
+            walked(r.src, rnd.randrange(n), r.body, r.ls)
+        else:
+            walked(r.src, r.fs, r.body, rnd.randrange(n, 2 * n))
+    elif kind == "retarget":  # the steps end elsewhere than the pair says
+        v = rnd.choice(t.live_nodes)
+        if v not in (r.src, r.dst):
+            del routes[key]
+            routes[(r.src, v)] = Route(r.src, v, r.fs, r.body, r.ls,
+                                       r.node_seq)
+    elif kind == "shape" and len(r.steps) >= 2:  # no body between FS and LS
+        walked(r.src, r.steps[0], (), r.steps[-1])
+    elif kind == "empty":
+        u = rnd.choice(t.live_nodes)
+        routes[(u, u)] = Route(u, u, None, (), None, (u,))
+
+
+CORRUPTIONS = ("drop", "swap", "to_fs", "to_ls", "node", "detour",
+               "from_failed", "dead_link", "turn", "retarget", "shape",
+               "empty")
+
+
+@st.composite
+def corrupted_tables(draw):
+    """(topology, added turns, generated routes, corrupted routes)."""
+    dims = draw(st.one_of(
+        st.sampled_from([(4, 2, 2, 2), (6, 2, 2), (4, 4, 2)]),
+        st.lists(st.integers(2, 5), min_size=1, max_size=4)
+        .filter(lambda d: math.prod(d) <= 64)))
+    size = math.prod(dims)
+    faults = draw(st.lists(st.tuples(st.booleans(), st.integers(0, size - 1),
+                                     st.integers(0, 2 * len(dims) - 1)),
+                           max_size=3))
+    try:
+        t = make_torus(dims, [u for link, u, _ in faults if not link],
+                       [(u, d) for link, u, d in faults if link])
+    except TopologyError:  # a link a mesh axis lacks, or on a failed node
+        assume(False)
+    assume(len(t.live_nodes) >= 2)
+    rg, g, added = prepare(t)
+    try:
+        table = (build_rt_bfs if draw(st.booleans()) else build_rt_sssp)(rg)
+    except (UnroutablePairError, DisconnectedError):
+        assume(False)
+    routes = dict(table.routes)
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=2,
+                              max_size=10)):
+        _corrupt(t, routes, kind, rnd)
+    return t, added, table.routes, routes
+
+
+@given(corrupted_tables(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_columnar_checks_match_per_route_reference(case, lenient):
+    """check_table, channel_loads and the used turns of a corrupted table,
+    both parsed from text and built from Routes, equal the per-route loops."""
+    t, added, generated, routes = case
+    text = table_to_text(RoutingTable(t, routes))
+    if lenient:  # one line through the per-line parser
+        lines = text.splitlines()
+        lines[len(lines) // 2] = "  " + lines[len(lines) // 2]
+        text = "\n".join(lines) + "\n"
+    want_report = reference_check_table(t, routes, added)
+    want_ids = reference_link_ids(t, routes)
+    want_turns = reference_used_turns(t, routes)
+    for table in (parse_table(text, t), RoutingTable(t, routes)):
+        assert table.routes == routes
+        assert check_table(t, table, added) == want_report
+        try:
+            loads = channel_loads(table).tolist()
+        except IntegrityError as exc:
+            loads = str(exc)
+        if isinstance(want_ids, str):
+            assert loads == want_ids
+            with pytest.raises(IntegrityError) as err:
+                used_turn_cycle_check(t, table)
+            assert str(err.value) == want_ids
+        else:
+            assert loads == np.bincount(
+                np.asarray(want_ids, dtype=np.int64),
+                minlength=t.n_channels).tolist()
+        chan, live = table.channels()
+        assert _used_turns(t, chan[live]) == want_turns
+
+
+def test_check_table_misfiled_route(grid33):
+    """A Route stored under another pair is reported as the loop reports it."""
+    t, rg, g, added = grid33
+    routes = dict(build_rt_bfs(rg).routes)
+    u, v, w = t.node_id((0, 0)), t.node_id((0, 1)), t.node_id((1, 1))
+    routes[(u, v)] = routes[(u, w)]
+    report = check_table(t, RoutingTable(t, routes), added)
+    assert report == reference_check_table(t, routes, added)
+    assert f"route stored under wrong pair {u}->{v}" in report["validity"]
+
+
+def test_check_table_minimal_route_that_reuses_a_dimension():
+    """Around a dead link a minimal route in direction order can still use
+    one dimension both ways; only the sign rule catches it."""
+    t = make_torus([2, 2], failed_links=[((1, 0), 2)])  # (1,0) -X
+    u, v = t.node_id((1, 0)), t.node_id((0, 0))
+    r = make_route(t, u, None, (1, 2, 3), None)  # +Y -X -Y
+    assert len(r) == t.distance(u, v) == 3
+    routes = {(u, v): r}
+    report = check_table(t, RoutingTable(t, routes))
+    assert report == reference_check_table(t, routes, ())
+    assert report["validity"] == [
+        "(1,0)->(0,0): body step 3 (-Y) reuses dimension 2 with the "
+        "opposite sign"]
