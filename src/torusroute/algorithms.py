@@ -9,7 +9,8 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   first.
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
-  elitist truncation, scored by the deviation metric.
+  elitist truncation, scored by the deviation metric. A variant is the link
+  chain of a shortest routing-graph path, read off the edges undecoded.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
   grouped by (turn count, length, source) and served by a repeated
   least-load dynamic program over the group's hop-level DAG (the edges that
@@ -19,16 +20,18 @@ load of its link, so all routing-graph edges over one cable weigh the same.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UnroutablePairError
 from .metrics import deviation, perfect_channel_load
-from .routes import (Route, RoutingTable, decode_rg_path, legal_encodings,
-                     preferred_encoding)
+from .routes import Route, RoutingTable, legal_encodings, preferred_encoding
 from .routing_graph import DUMMY_LINK, RoutingGraph
 from .topology import most_remote
+
+VARIANT_CAP = 128  # minimal route variants kept per pair
 
 
 @dataclass
@@ -38,7 +41,6 @@ class GeneticParams:
     stagnation_limit: int = 30
     epsilon: float = 0.05
     seed: int = 0
-    variant_cap: int = 128
     max_generations: int | None = None
 
     def __post_init__(self):
@@ -66,12 +68,6 @@ def turn_count(r: Route) -> int:
 
 
 # -- shared search kernels ----------------------------------------------------
-
-def _decode(rg: RoutingGraph, verts: list[int]) -> Route:
-    """Decode a tree path, then store its least-non-standard legal encoding."""
-    raw = decode_rg_path(rg, verts)
-    return preferred_encoding(rg.topology, raw.src, raw.steps, rg.relaxed)
-
 
 def _chains(rg: RoutingGraph, parent_edge: np.ndarray, source: int,
             dsts) -> dict[int, list[int]]:
@@ -109,12 +105,12 @@ def _chains(rg: RoutingGraph, parent_edge: np.ndarray, source: int,
     return out
 
 
-def _steps(t, links: list[int]) -> tuple[int, ...]:
+def _steps(t, links: Sequence[int]) -> tuple[int, ...]:
     """Direction of every link in a chain."""
     return tuple(t.channels[link][1] for link in links)
 
 
-def _route(rg: RoutingGraph, source: int, links: list[int]) -> Route:
+def _route(rg: RoutingGraph, source: int, links: Sequence[int]) -> Route:
     """The least-non-standard legal encoding of a chain's physical steps."""
     return preferred_encoding(rg.topology, source, _steps(rg.topology, links),
                               rg.relaxed)
@@ -225,71 +221,77 @@ def _bfs_count(rg: RoutingGraph, source: int):
     return dist, counts, parent_edge
 
 
-def _enumerate_rg_paths(rg: RoutingGraph, dist: np.ndarray, begin_vid: int,
-                        end_vid: int, budget: int):
-    """All shortest begin->end vertex paths, in-edge order, capped by budget."""
-    if dist[end_vid] < 0:
-        return [], False
+def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
+               budget: int) -> tuple[list[tuple[int, ...]], bool]:
+    """(link chains, truncated) of the shortest paths into ``end``.
+
+    ``dist`` holds one source's hop levels (-1 where unreached). The walk
+    goes depth first back from ``end`` over the reverse-CSR in-edges in
+    edge-id order, onto tails one level lower, down to the begin vertex (the
+    only one at level 0). One chain per path, in the order the walk finds
+    them; truncated once ``budget`` paths are found. It does not use
+    ``_level_dag``, so it can serve as a reference for that DAG.
+    """
     rindptr, redges = rg.reverse_csr()
-    paths: list[list[int]] = []
-    truncated = False
-    stack: list[int] = [end_vid]
+    rindptr, redges, tail, link, dist = (
+        memoryview(a) for a in (rindptr, redges, rg.edge_tail, rg.edge_link,
+                                dist))
+    chains: list[tuple[int, ...]] = []
+    # frames[k]: the in-edges left to try at the vertex k hops back from
+    # ``end``; path[k]: the one of them the walk is following
+    frames = [iter(redges[rindptr[end]:rindptr[end + 1]])]
+    path: list[int] = []
+    while frames:
+        level = dist[end] - len(path) - 1  # of the top frame's tails
+        e = next((e for e in frames[-1] if dist[tail[e]] == level), None)
+        if e is None:
+            frames.pop()
+            if path:
+                path.pop()
+        elif level:
+            path.append(e)
+            u = tail[e]
+            frames.append(iter(redges[rindptr[u]:rindptr[u + 1]]))
+        else:
+            chains.append(tuple(link[x] for x in (e, *reversed(path))
+                                if link[x] != DUMMY_LINK))
+            if len(chains) >= budget:
+                return chains, True
+    return chains, False
 
-    def rec(v: int):
-        nonlocal truncated
-        if truncated:
-            return
-        if v == begin_vid:
-            paths.append(list(reversed(stack)))
-            if len(paths) >= budget:
-                truncated = True
-            return
-        dv = dist[v]
-        for idx in range(int(rindptr[v]), int(rindptr[v + 1])):
-            e = int(redges[idx])
-            u = int(rg.edge_tail[e])
-            if dist[u] == dv - 1:
-                stack.append(u)
-                rec(u)
-                stack.pop()
-                if truncated:
-                    return
 
-    rec(end_vid)
-    return paths, truncated
+def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
+                    cap: int) -> tuple[list[tuple[int, ...]], bool]:
+    """(distinct minimal link chains src->dst, truncated), at most ``cap``.
 
-
-def _dedupe_physical(rg: RoutingGraph, paths) -> list[Route]:
-    seen = set()
-    out = []
-    for p in paths:
-        r = _decode(rg, p)
-        if r.steps not in seen:
-            seen.add(r.steps)
-            out.append(r)
-    return out
+    From one source equal chains mean equal physical steps, so the paths
+    that encode one route (body vs first/last-step encodings, at most four)
+    collapse to one chain; the path budget is 4*cap. Raises
+    UnroutablePairError when ``dist`` does not reach ``dst``.
+    """
+    end = rg.end_vid(dst)
+    if dist[end] < 0:
+        raise UnroutablePairError([(rg.topology.coord_str(src),
+                                    rg.topology.coord_str(dst))])
+    chains, truncated = _rg_chains(rg, dist, end, 4 * cap)
+    distinct = list(dict.fromkeys(chains))
+    if len(distinct) > cap:
+        del distinct[cap:]
+        truncated = True
+    return distinct, truncated
 
 
 def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
-                             cap: int = 128, _dist=None):
+                             cap: int = VARIANT_CAP):
     """(variants, truncated): distinct minimal routes in deterministic order.
 
-    Distinct routing-graph paths that encode the same physical step sequence
-    (body vs first/last-step encodings) collapse to one variant. A physical
-    route has at most four encodings, so the underlying path budget is 4*cap.
+    One variant per distinct link chain of the shortest routing-graph paths
+    (``_variant_chains``), in the order the walk back from the end vertex
+    finds them, each in its least-non-standard legal encoding.
     """
-    dist = _dist if _dist is not None else _bfs_count(rg, src)[0]
-    evid = rg.end_vid(dst)
-    if dist[evid] < 0:
-        raise UnroutablePairError([(rg.topology.coord_str(src),
-                                    rg.topology.coord_str(dst))])
-    paths, truncated = _enumerate_rg_paths(rg, dist, rg.begin_vid(src), evid,
-                                           budget=4 * cap)
-    variants = _dedupe_physical(rg, paths)
-    if len(variants) > cap:
-        variants = variants[:cap]
-        truncated = True
-    return variants, truncated
+    chains, truncated = _variant_chains(rg, _bfs_count(rg, src)[0], src, dst,
+                                        cap)
+    return [_route(rg, src, c) for c in chains], truncated
 
 
 def _pair_stats(rg: RoutingGraph, source: int, nodes):
@@ -476,33 +478,26 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
 
 # -- genetic ------------------------------------------------------------------
 
-def _variant_tables(rg: RoutingGraph, nodes, cap: int):
-    """Per-pair variant lists flattened into a padded link-id matrix."""
+def _variant_tables(rg: RoutingGraph, nodes):
+    """Per-pair variant chains flattened into a padded link-id matrix."""
     t = rg.topology
     pairs = []
-    variants: list[list[Route]] = []
+    variants: list[list[tuple[int, ...]]] = []
     for src in nodes:
         dist = _bfs_count(rg, src)[0]
         for dst in nodes:
-            if dst == src:
-                continue
-            vs, _ = enumerate_minimal_routes(rg, src, dst, cap, _dist=dist)
-            if not vs:
-                raise UnroutablePairError([(t.coord_str(src),
-                                            t.coord_str(dst))])
-            pairs.append((src, dst))
-            variants.append(vs)
+            if dst != src:
+                pairs.append((src, dst))
+                variants.append(_variant_chains(rg, dist, src, dst,
+                                                VARIANT_CAP)[0])
     counts = np.array([len(v) for v in variants], dtype=np.int64)
     offsets = np.zeros(len(variants), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
-    maxlen = max(len(r) for vs in variants for r in vs)
-    links = np.full((int(counts.sum()), maxlen), t.n_channels, dtype=np.int64)
-    row = 0
-    for vs in variants:
-        for r in vs:
-            ls = t.walk(r.src, r.steps)[1]
-            links[row, :len(ls)] = ls
-            row += 1
+    rows = [c for vs in variants for c in vs]
+    links = np.full((len(rows), max(map(len, rows))), t.n_channels,
+                    dtype=np.int64)
+    for row, chain in enumerate(rows):
+        links[row, :len(chain)] = chain
     return pairs, variants, counts, offsets, links
 
 
@@ -512,8 +507,7 @@ def build_rt_genetic(rg: RoutingGraph, nodes=None,
     t = rg.topology
     params = params or GeneticParams()
     nodes = list(nodes) if nodes is not None else list(t.live_nodes)
-    pairs, variants, counts, offsets, links = _variant_tables(
-        rg, nodes, params.variant_cap)
+    pairs, variants, counts, offsets, links = _variant_tables(rg, nodes)
     gp = perfect_channel_load(t)
     n_channels = t.n_channels
     rng = np.random.default_rng(params.seed)
@@ -576,7 +570,7 @@ def build_rt_genetic(rg: RoutingGraph, nodes=None,
         else:
             stagnant += 1
 
-    routes = {pair: variants[i][int(best_genes[i])]
+    routes = {pair: _route(rg, pair[0], variants[i][best_genes[i]])
               for i, pair in enumerate(pairs)}
     stats = GenerationStats("genetic", loads_of(best_genes),
                             generations=generations,

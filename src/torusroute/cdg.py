@@ -37,7 +37,6 @@ class CDG:
         self.adj: list[list[int]] = [[] for _ in range(t.n_channels)]
         self.radj: list[list[int]] = [[] for _ in range(t.n_channels)]
         self.used_dirs: np.ndarray | None = None  # bitmask per channel
-        self.added: list[CdgEdge] = []
 
     def add_edge(self, tail: int, head: int, ring: bool):
         self.edges.append((tail, head))
@@ -142,7 +141,6 @@ def augment_cdg(g: CDG) -> tuple[CDG, list[CdgEdge]]:
                     continue
                 g.add_edge(tail_cid, head_cid, ring=False)
                 edge = ((uj, dj), (int(uk), dk))
-                g.added.append(edge)
                 added.append(edge)
                 _propagate(g, tail_cid, int(masks[head_cid]) | (1 << dj))
                 grew = True

@@ -157,7 +157,9 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
     found = rows < len(keys)
     found[found] = keys[rows[found]] == want[found]
     if not found.all():
-        raise KeyError(pairs[int(np.argmin(found))])
+        s, d = pairs[int(np.argmin(found))]
+        raise KeyError(f"no route for pattern pair "
+                       f"{t.coord_str(s)}->{t.coord_str(d)}")
     chan, live = rt.channels()
     dead = rows[~live[rows]]
     if dead.size:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import _bfs_count, _dedupe_physical, _enumerate_rg_paths
+from .algorithms import _bfs_count, _rg_chains, _steps
 from .routing_graph import RoutingGraph, apply_augmentation, build_routing_graph
 from .topology import Topology
 
@@ -132,7 +132,6 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
     report = EquivalenceReport()
     for src in t.live_nodes:
         dist, _, _ = _bfs_count(rg, src)
-        begin = rg.begin_vid(src)
         for dst in t.live_nodes:
             if dst == src:
                 continue
@@ -148,12 +147,11 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
                         f"{pair}: oracle finds length {min(map(len, routes))}"
                         " but the routing graph finds nothing")
                 continue
-            paths, truncated = _enumerate_rg_paths(rg, dist, begin, evid,
-                                                   budget=100000)
+            chains, truncated = _rg_chains(rg, dist, evid, budget=100000)
             if truncated:
                 report.mismatches.append(f"{pair}: enumeration budget hit")
                 continue
-            rg_routes = {r.steps for r in _dedupe_physical(rg, paths)}
+            rg_routes = {_steps(t, c) for c in chains}
             o_len, o_routes = min_routes(t, src, dst, rules, rg_len)
             if o_len != rg_len:
                 report.mismatches.append(

@@ -1,8 +1,13 @@
+import math
+
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from torusroute import make_torus, turn_count
 from torusroute.algorithms import _pair_stats
 from torusroute.cli import prepare
+from torusroute.errors import TopologyError
 
 _BUNDLES = {}
 
@@ -27,6 +32,27 @@ def pending_groups(rg):
                 for canonical, is_unique
                 in _pair_stats(rg, src, nodes)[1].values()
                 if not is_unique})
+
+
+@st.composite
+def small_faulted_systems(draw):
+    """make_torus arguments with at most 40 nodes and 0-2 faults, a live
+    source and a ledger seed."""
+    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)
+                .filter(lambda d: math.prod(d) <= 40))
+    size = math.prod(dims)
+    faults = draw(st.lists(st.tuples(st.booleans(), st.integers(0, size - 1),
+                                     st.integers(0, 2 * len(dims) - 1)),
+                           max_size=2))
+    nodes = [u for link, u, _ in faults if not link]
+    links = [(u, d) for link, u, d in faults if link]
+    try:
+        t = make_torus(dims, nodes, links)
+    except TopologyError:  # a link a mesh axis lacks, or on a failed node
+        assume(False)
+    assume(t.live_nodes)
+    return (dims, nodes, links, draw(st.sampled_from(t.live_nodes)),
+            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @pytest.fixture(scope="session")

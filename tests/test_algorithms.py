@@ -1,10 +1,8 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_rt_bfs, build_rt_genetic, build_rt_sssp,
@@ -12,10 +10,10 @@ from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         load_report, make_torus, rg_reachable_pairs,
                         turn_count, unique_route_stats)
 from torusroute.cli import prepare, used_turn_cycle_check
-from torusroute.errors import TopologyError, UnroutablePairError
+from torusroute.errors import UnroutablePairError
 from torusroute.routes import check_table, make_route, table_to_text
 
-from conftest import pending_groups, prepared
+from conftest import pending_groups, prepared, small_faulted_systems
 
 GENERATORS = {
     "bfs": build_rt_bfs,
@@ -74,8 +72,9 @@ def test_bfs_unroutable_names_pair():
 def test_unroutable_pairs_are_named_in_order():
     """Ring of 4 with (0)+X and (2)+X failed: (0) reaches only (3).
 
-    Every generator names both unreached destinations of source (0), and
-    ``build_bfs_routes`` adds no load before it raises.
+    Every generator but the genetic one names both unreached destinations
+    of source (0), and ``build_bfs_routes`` adds no load before it raises.
+    The genetic search stops at the first pair it cannot enumerate.
     """
     t = make_torus([4], failed_links=[((0,), 0), ((2,), 0)])
     rg, g, added = prepare(t)
@@ -90,6 +89,9 @@ def test_unroutable_pairs_are_named_in_order():
             call()
         assert err.value.pairs == [("(0)", "(1)"), ("(0)", "(2)")]
     assert not loads.any()
+    with pytest.raises(UnroutablePairError) as err:
+        build_rt_genetic(rg)
+    assert err.value.pairs == [("(0)", "(1)")]
 
 
 def test_enumerate_examples(ring4, grid33, mesh22):
@@ -127,6 +129,32 @@ def test_enumerate_deterministic(desmos):
     a = enumerate_minimal_routes(rg, 0, 23)[0]
     b = enumerate_minimal_routes(rg, 0, 23)[0]
     assert a == b
+
+
+@pytest.mark.parametrize("dims,faults,cap,want", [
+    ([4, 2, 2, 2], {}, 2,
+     "c1d03603ab5ef320cf59790b9bad76f4dd6ad8f6461efab672867e67ed0385a0"),
+    ([4, 2, 2, 2], {}, 128,
+     "9bdc6b2eccbeb845e17d59b46a9371fa151b306a12c9bf3f92a9dce0d817051a"),
+    ([4, 4, 2], {"failed_nodes": [(0, 0, 1)]}, 2,
+     "f288c1220c4e1c33e94b0003b246e26e4567014eba33337198709653ccdb3769"),
+    ([4, 4, 2], {"failed_nodes": [(0, 0, 1)]}, 128,
+     "51b5fe6928f2e0b92f6e5d6c3e13569005e13e2d3086b538ebd20fd84bdf2567"),
+], ids=["4x2x2x2-cap2", "4x2x2x2-cap128", "4x4x2-node-cap2",
+        "4x4x2-node-cap128"])
+def test_enumerate_pinned_digests(dims, faults, cap, want):
+    """SHA-256 over every pair's variant list and truncation flag, in pair
+    order: the variant order, the encodings and the cap are all pinned."""
+    t, rg, g, added = prepared(dims, **faults)
+    h = hashlib.sha256()
+    for s in t.live_nodes:
+        for d in t.live_nodes:
+            if s != d:
+                vs, truncated = enumerate_minimal_routes(rg, s, d, cap)
+                h.update(repr((s, d, truncated,
+                               [(r.fs, r.body, r.ls, r.node_seq)
+                                for r in vs])).encode())
+    assert h.hexdigest() == want
 
 
 def test_sssp_two_nodes_all_unique():
@@ -176,27 +204,6 @@ def test_sssp_exact_routes_under_random_loads(desmos):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "40c56d3a1f7fb6018e2579d97e7cd8e62b713d70c4cb8133d177d2eda994420d")
     assert (loads == before).all()
-
-
-@st.composite
-def small_faulted_systems(draw):
-    """make_torus arguments with at most 40 nodes and 0-2 faults, a live
-    source and a ledger seed."""
-    dims = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)
-                .filter(lambda d: math.prod(d) <= 40))
-    size = math.prod(dims)
-    faults = draw(st.lists(st.tuples(st.booleans(), st.integers(0, size - 1),
-                                     st.integers(0, 2 * len(dims) - 1)),
-                           max_size=2))
-    nodes = [u for link, u, _ in faults if not link]
-    links = [(u, d) for link, u, d in faults if link]
-    try:
-        t = make_torus(dims, nodes, links)
-    except TopologyError:  # a link a mesh axis lacks, or on a failed node
-        assume(False)
-    assume(t.live_nodes)
-    return (dims, nodes, links, draw(st.sampled_from(t.live_nodes)),
-            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @given(small_faulted_systems())

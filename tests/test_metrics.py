@@ -138,6 +138,14 @@ def test_pattern_referencing_failed_node():
         pattern_pairs(t, "transpose")
 
 
+def test_pattern_loads_names_a_missing_pair():
+    t = make_torus([3])
+    table = RoutingTable(t, {(0, 1): make_route(t, 0, None, [0], None)})
+    with pytest.raises(KeyError) as err:
+        pattern_loads(table, "neighbor")
+    assert err.value.args == ("no route for pattern pair (0)->(2)",)
+
+
 def test_load_integrity_failure():
     t, rg, g, added = prepared([3, 3])
     faulty = make_torus([3, 3], failed_links=[((0, 0), 0)])

@@ -214,6 +214,12 @@ def test_golden_table_files():
         ("genetic", (4, 2, 2, 2)): (
             "2991a8a9c0156d45afb06a00645052a9"
             "9ef4535463d6f9f22abc70566cfc1093"),
+        ("genetic", (6, 2, 2)): (
+            "aa50e477e5c28f51a690034ed57b9941"
+            "955ae2f000a05a9d37c2bb2ec8e1ace5"),
+        ("genetic", (4, 4, 2), NODE_442): (
+            "cfdc1bb1db774baca5d1c3b22182bd4c"
+            "79240de12de82e045f11aeda561f2806"),
         ("bfs", (4, 4), FAULTED_44): (
             "b77dfd64c51010d715ff4b4a44833edd"
             "f8190c262ee280cc18bcf7a6d39fc18a"),

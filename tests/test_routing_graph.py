@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
 
 from torusroute import (build_routing_graph, make_torus, rg_reachable_pairs,
                         apply_augmentation, decode_rg_path, validate_route)
-from torusroute.algorithms import _bfs_count, _enumerate_rg_paths
+from torusroute.algorithms import _bfs_count, _rg_chains
+from torusroute.cli import prepare
 from torusroute.routing_graph import DUMMY_LINK, VKind, vec_last_direction
+
+from conftest import small_faulted_systems
 
 
 def vertex_count(n):
@@ -82,22 +86,55 @@ def test_reachable_after_double_link_failure():
     rg = build_routing_graph(t)
     assert (0, 1) in rg_reachable_pairs(rg)
     dist, _, _ = _bfs_count(rg, 0)
-    paths, _ = _enumerate_rg_paths(rg, dist, rg.begin_vid(0), rg.end_vid(1),
-                                   budget=100)
-    routes = {decode_rg_path(rg, p).steps for p in paths}
-    assert routes == {(1, 1, 1)}  # -X -X -X
+    chains, truncated = _rg_chains(rg, dist, rg.end_vid(1), budget=100)
+    routes = {tuple(t.channels[link][1] for link in c) for c in chains}
+    assert routes == {(1, 1, 1)} and not truncated  # -X -X -X
+
+
+def _tree_path(rg, parent, src, dst):
+    """(begin->end vertex path, link ids) of one parent-tree path."""
+    verts, links = [rg.end_vid(dst)], []
+    while verts[-1] != rg.begin_vid(src):
+        e = int(parent[verts[-1]])
+        if rg.edge_link[e] != DUMMY_LINK:
+            links.append(int(rg.edge_link[e]))
+        verts.append(int(rg.edge_tail[e]))
+    return verts[::-1], links[::-1]
 
 
 def test_path_decode_samples_are_rule_valid(desmos):
     t, rg, g, added = desmos
     dist, _, parent = _bfs_count(rg, 0)
     for dst in t.live_nodes[1:]:
-        verts = [rg.end_vid(dst)]
-        while verts[-1] != rg.begin_vid(0):
-            e = int(parent[verts[-1]])
-            verts.append(int(rg.edge_tail[e]))
-        r = decode_rg_path(rg, verts[::-1])
+        r = decode_rg_path(rg, _tree_path(rg, parent, 0, dst)[0])
         assert validate_route(t, r, added) == []
+
+
+def _assert_tree_paths_decode_to_their_links(t, rg, src):
+    """Theorem 1 as the link-chain encoding uses it: on every parent-tree
+    path, the decoded steps are the directions of the links on the path's
+    edges, and those links are the channels the steps walk from ``src``."""
+    _, _, parent = _bfs_count(rg, src)
+    for dst in t.live_nodes:
+        if dst != src and parent[rg.end_vid(dst)] >= 0:
+            verts, links = _tree_path(rg, parent, src, dst)
+            steps = decode_rg_path(rg, verts).steps
+            assert steps == tuple(t.channels[link][1] for link in links)
+            assert t.walk(src, steps)[1] == links
+
+
+def test_tree_paths_decode_to_their_links(desmos):
+    t, rg, g, added = desmos
+    for src in t.live_nodes:
+        _assert_tree_paths_decode_to_their_links(t, rg, src)
+
+
+@given(small_faulted_systems())
+@settings(max_examples=40, deadline=None)
+def test_faulted_tree_paths_decode_to_their_links(system):
+    dims, nodes, links, src, _ = system
+    t = make_torus(dims, nodes, links)
+    _assert_tree_paths_decode_to_their_links(t, prepare(t)[0], src)
 
 
 def test_pruning_monotonicity():
