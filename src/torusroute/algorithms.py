@@ -155,8 +155,8 @@ def _levels(rg: RoutingGraph, begin: int, key=None):
         yield frontier, eids[chosen], eids, heads
 
 
-def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
-                     targets=None) -> dict[int, Route]:
+def build_bfs_routes(rg: RoutingGraph, source: int,
+                     loads: np.ndarray) -> dict[int, Route]:
     """Breadth-first route tree from one source, then weight bookkeeping.
 
     Lightest arrival first: a vertex's parent is its in-edge with the least
@@ -166,8 +166,6 @@ def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
     back, every chosen route adds one unit of load to each physical link it
     crosses; an unroutable pair raises before any load is added.
     """
-    if targets is None:
-        targets = rg.topology.live_nodes
     loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
     arrival = np.zeros(rg.n_vertices, dtype=np.int64)  # the source: load-free
@@ -177,23 +175,23 @@ def build_bfs_routes(rg: RoutingGraph, source: int, loads: np.ndarray,
         arrival[new] = loads_ext[rg.edge_link[parents]]
 
     routes: dict[int, Route] = {}
-    for dst, links in _chains(rg, parent_edge, source, targets).items():
+    for dst, links in _chains(rg, parent_edge, source,
+                                rg.topology.live_nodes).items():
         routes[dst] = _route(rg, source, links)
         for link in links:
             loads[link] += 1
     return routes
 
 
-def build_rt_bfs(rg: RoutingGraph, nodes=None) -> RoutingTable:
+def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     """Iterated-BFS routing table; the next source is the most remote node."""
     t = rg.topology
-    nodes = list(nodes) if nodes is not None else list(t.live_nodes)
     loads = np.zeros(t.n_channels, dtype=np.int64)
     routes = {}
-    remaining = set(nodes)
-    source = nodes[0]
+    remaining = set(t.live_nodes)
+    source = t.live_nodes[0]
     while True:
-        for dst, r in build_bfs_routes(rg, source, loads, nodes).items():
+        for dst, r in build_bfs_routes(rg, source, loads).items():
             routes[(source, dst)] = r
         remaining.discard(source)
         if not remaining:
@@ -294,7 +292,7 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     return [_route(rg, src, c) for c in chains], truncated
 
 
-def _pair_stats(rg: RoutingGraph, source: int, nodes):
+def _pair_stats(rg: RoutingGraph, source: int):
     """(hop levels, per-destination (route, unique?)) from one counting pass.
 
     A pair has a single minimal physical route exactly when the number of
@@ -305,7 +303,7 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
     t = rg.topology
     dist, counts, parent_edge = _bfs_count(rg, source)
     out = {}
-    for dst, links in _chains(rg, parent_edge, source, nodes).items():
+    for dst, links in _chains(rg, parent_edge, source, t.live_nodes).items():
         seq, encodings = legal_encodings(t, source, _steps(t, links),
                                          rg.relaxed)
         fs, body, ls = encodings[0]
@@ -315,13 +313,11 @@ def _pair_stats(rg: RoutingGraph, source: int, nodes):
     return dist, out
 
 
-def unique_route_stats(rg: RoutingGraph, nodes=None) -> tuple[int, int]:
+def unique_route_stats(rg: RoutingGraph) -> tuple[int, int]:
     """(pairs with a single minimal route, total ordered pairs)."""
-    t = rg.topology
-    nodes = list(nodes) if nodes is not None else list(t.live_nodes)
     unique = total = 0
-    for src in nodes:
-        for _, is_unique in _pair_stats(rg, src, nodes)[1].values():
+    for src in rg.topology.live_nodes:
+        for _, is_unique in _pair_stats(rg, src)[1].values():
             total += 1
             unique += bool(is_unique)
     return unique, total
@@ -408,7 +404,7 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     return {dst: _route(rg, source, links) for dst, links in chains.items()}
 
 
-def build_rt_sssp(rg: RoutingGraph, nodes=None,
+def build_rt_sssp(rg: RoutingGraph,
                   skip_unique_stage: bool = False) -> RoutingTable:
     """Two-stage shortest-path routing table (unique routes, sort and group).
 
@@ -425,15 +421,14 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
     through stage 2, which is the instrumentation baseline for call counts.
     """
     t = rg.topology
-    nodes = list(nodes) if nodes is not None else list(t.live_nodes)
     load = [0] * (t.n_channels + 1)  # the ledger; DUMMY_LINK (-1) reads 0
     routes: dict[tuple[int, int], Route] = {}
     pending: dict[tuple[int, int, int], list[int]] = {}
     levels: dict[int, np.ndarray] = {}
     unique_pairs = 0
     total_pairs = 0
-    for src in nodes:
-        dist, stats = _pair_stats(rg, src, nodes)
+    for src in t.live_nodes:
+        dist, stats = _pair_stats(rg, src)
         for dst in sorted(stats):
             canonical, is_unique = stats[dst]
             total_pairs += 1
@@ -478,13 +473,22 @@ def build_rt_sssp(rg: RoutingGraph, nodes=None,
 
 # -- genetic ------------------------------------------------------------------
 
-def _variant_tables(rg: RoutingGraph, nodes):
-    """Per-pair variant chains flattened into a padded link-id matrix."""
+def _variant_tables(rg: RoutingGraph):
+    """Per-pair variant chains flattened into a padded link-id matrix.
+
+    Raises UnroutablePairError naming every destination the first source
+    with one cannot reach, in destination order.
+    """
     t = rg.topology
+    nodes = t.live_nodes
     pairs = []
     variants: list[list[tuple[int, ...]]] = []
     for src in nodes:
         dist = _bfs_count(rg, src)[0]
+        unreached = [(t.coord_str(src), t.coord_str(dst)) for dst in nodes
+                     if dst != src and dist[rg.end_vid(dst)] < 0]
+        if unreached:
+            raise UnroutablePairError(unreached)
         for dst in nodes:
             if dst != src:
                 pairs.append((src, dst))
@@ -501,13 +505,12 @@ def _variant_tables(rg: RoutingGraph, nodes):
     return pairs, variants, counts, offsets, links
 
 
-def build_rt_genetic(rg: RoutingGraph, nodes=None,
+def build_rt_genetic(rg: RoutingGraph,
                      params: GeneticParams | None = None) -> RoutingTable:
     """Genetic search over minimal route variants, scored by deviation."""
     t = rg.topology
     params = params or GeneticParams()
-    nodes = list(nodes) if nodes is not None else list(t.live_nodes)
-    pairs, variants, counts, offsets, links = _variant_tables(rg, nodes)
+    pairs, variants, counts, offsets, links = _variant_tables(rg)
     gp = perfect_channel_load(t)
     n_channels = t.n_channels
     rng = np.random.default_rng(params.seed)

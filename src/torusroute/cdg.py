@@ -199,28 +199,40 @@ def _tarjan_sccs(n: int, adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def _find_cycle_in(g: CDG, comp: list[int]) -> list[int]:
-    """Any directed cycle inside one SCC (which is known to be cyclic)."""
-    comp_set = set(comp)
-    start = comp[0]
-    parent: dict[int, int | None] = {start: None}
-    queue = deque([start])
+def _shortest_path(g: CDG, comp_set: set[int], src: int,
+                   dst: int) -> list[int]:
+    """Fewest-edge walk src .. dst, of one edge or more, inside one SCC."""
+    parent: dict[int, int | None] = {src: None}
+    queue = deque([src])
     while queue:
         v = queue.popleft()
         for w in g.adj[v]:
-            if w not in comp_set:
-                continue
-            if w == start:
-                chain = [v]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                chain.reverse()  # start .. v
-                chain.append(start)
-                return chain
-            if w not in parent:
+            if w == dst:
+                walk = [dst]
+                while v is not None:
+                    walk.append(v)
+                    v = parent[v]
+                return walk[::-1]
+            if w in comp_set and w not in parent:
                 parent[w] = v
                 queue.append(w)
-    raise AssertionError("SCC without a cycle")
+    raise AssertionError("SCC without a path")
+
+
+def _find_cycle_in(g: CDG, comp: list[int]) -> list[int]:
+    """A direction-changing cycle inside one SCC that mixes directions.
+
+    The shortest cycle through ``comp[0]`` when it changes direction;
+    otherwise (it runs round one bubble-protected ring) the component's first
+    direction-changing edge a->b closed by a shortest path from b back to a.
+    """
+    comp_set = set(comp)
+    cycle = _shortest_path(g, comp_set, comp[0], comp[0])
+    if len({g.direction_of(c) for c in cycle}) > 1:
+        return cycle
+    a, b = next((a, b) for a in comp for b in g.adj[a]
+                if b in comp_set and g.direction_of(b) != g.direction_of(a))
+    return [a] + _shortest_path(g, comp_set, b, a)
 
 
 def assert_deadlock_free(g: CDG) -> list[Channel]:

@@ -82,13 +82,10 @@ def pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
     name = name.lower()
     if name not in PATTERNS:
         raise ValueError(f"unknown pattern {name!r}")
-    pairs: list[tuple[int, int]] = []
     if name == "alltoall":
-        for s in t.live_nodes:
-            for d in t.live_nodes:
-                if s != d:
-                    pairs.append((s, d))
-    elif name == "neighbor":
+        return [(s, d) for s in t.live_nodes for d in t.live_nodes if s != d]
+    pairs: list[tuple[int, int]] = []
+    if name == "neighbor":
         for s in t.live_nodes:
             seen = set()
             for d in range(t.ndirs):
@@ -152,7 +149,8 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
     pairs = pattern_pairs(t, pattern)
     c = rt.columns
     keys = c.src.astype(np.int64) * t.num_coords + c.dst  # sorted
-    want = np.array([s * t.num_coords + d for s, d in pairs], dtype=np.int64)
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    want = src * t.num_coords + dst
     rows = np.searchsorted(keys, want)
     found = rows < len(keys)
     found[found] = keys[rows[found]] == want[found]
@@ -166,12 +164,10 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
         route_channels(t, rt.route_at(dead[0]))  # raises IntegrityError
     ids = chan[rows]
     loads = np.bincount(ids[ids >= 0], minlength=t.n_channels)
-    total_min = 0
-    for s, d in pairs:
-        dist = t.distance(s, d)
-        if dist is None:
-            raise DisconnectedError(
-                f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
-        total_min += dist
-    return _report(loads, total_min / t.n_channels, c.length[rows], ks,
-                   include_loads)
+    dist = t.distances[src, dst]
+    if (dist < 0).any():
+        s, d = pairs[int(np.argmax(dist < 0))]
+        raise DisconnectedError(
+            f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
+    return _report(loads, int(dist.sum(dtype=np.int64)) / t.n_channels,
+                   c.length[rows], ks, include_loads)

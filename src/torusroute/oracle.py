@@ -17,6 +17,8 @@ from .topology import Topology
 
 CdgEdge = tuple[tuple[int, int], tuple[int, int]]
 
+MAX_EXTRA = 2  # hops past the diameter searched for an unrouted pair
+
 
 @dataclass(frozen=True)
 class RuleConfig:
@@ -36,14 +38,12 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
     """All rule-valid direction sequences src -> dst up to max_len hops."""
     n = t.n
     nbr = t.neighbor_table
-    dist_to_dst = [None if u in t.failed_nodes else t.distance(u, dst)
-                   for u in range(t.num_coords)]
+    dist_to_dst = t.distance_row(dst)  # links are symmetric
     relaxed = rules.relaxed_turns
     found: set[tuple[int, ...]] = set()
 
     def feasible(node: int, used: int) -> bool:
-        d = dist_to_dst[node]
-        return d is not None and used + d <= max_len
+        return 0 <= dist_to_dst[node] <= max_len - used
 
     def body(node: int, seq: list[int], vec: list[int], fs: int | None,
              fs_node: int, tail_node: int):
@@ -119,8 +119,7 @@ class EquivalenceReport:
 
 
 def oracle_equivalence(t: Topology, rules: RuleConfig,
-                       rg: RoutingGraph | None = None,
-                       max_extra: int = 2) -> EquivalenceReport:
+                       rg: RoutingGraph | None = None) -> EquivalenceReport:
     """Compare existence, minimal length and minimal route count per pair."""
     if len(t.live_nodes) > 64:
         raise ValueError("oracle equivalence is guarded to <= 64 nodes")
@@ -128,7 +127,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
         rg = build_routing_graph(t)
         if rules.relaxed_turns:
             rg = apply_augmentation(rg, sorted(rules.relaxed_turns))
-    diameter = t.diameter()
+    max_len = t.diameter() + MAX_EXTRA  # for pairs the graph cannot route
     report = EquivalenceReport()
     for src in t.live_nodes:
         dist, _, _ = _bfs_count(rg, src)
@@ -140,8 +139,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
             rg_len = int(dist[evid]) - 1 if dist[evid] >= 0 else None
             pair = f"{t.coord_str(src)}->{t.coord_str(dst)}"
             if rg_len is None:
-                routes = brute_force_routes(t, src, dst, rules,
-                                            diameter + max_extra)
+                routes = brute_force_routes(t, src, dst, rules, max_len)
                 if routes:
                     report.mismatches.append(
                         f"{pair}: oracle finds length {min(map(len, routes))}"

@@ -4,11 +4,11 @@ Dimensions of size 2 degenerate to a mesh along that axis: there is a single
 physical cable per node pair, exposed as one +dir channel and one -dir channel
 (no wraparound duplicate). Directions are ordered +X +Y +Z +K -X -Y -Z -K and
 are represented as integers 0..2n-1 (0..n-1 positive, n..2n-1 negative).
+Every hop distance is read from one table, ``Topology.distances``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
@@ -45,8 +45,10 @@ class Topology:
     Table text is written and read through name tables: ``dir_names[d]``
     (``"+X"``) with its inverse ``dir_of_name``, and ``coord_names[u]``
     (``"(x,y,z)"``, failed nodes included, built on first use) with its
-    inverse ``node_of_name``. :meth:`distance_row` gives one source's
-    distances to every node.
+    inverse ``node_of_name``. :attr:`distances` (built on first use) is the
+    single source of hop distance: :meth:`distance`, :meth:`distance_row`,
+    :meth:`diameter`, :meth:`is_connected` and :func:`sum_pair_distances`
+    read it.
 
     Construct through :func:`make_torus`.
     """
@@ -79,7 +81,6 @@ class Topology:
         self.dir_names = tuple(direction_name(d, self.n)
                                for d in range(self.ndirs))
         self.dir_of_name = {name: d for d, name in enumerate(self.dir_names)}
-        self._dist_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -126,15 +127,10 @@ class Topology:
         return sum(c * s for c, s in zip(coords, self._strides))
 
     @cached_property
-    def _coord_array(self) -> np.ndarray:
-        """Coordinates of every node id, one row each (ids are row-major)."""
-        return np.array(list(product(*map(range, self.dims))),
-                        dtype=np.int64)
-
-    @cached_property
     def coord_names(self) -> tuple[str, ...]:
+        # node ids are row-major, the order product walks the coordinates
         return tuple("(" + ",".join(map(str, row)) + ")"
-                     for row in self._coord_array.tolist())
+                     for row in product(*map(range, self.dims)))
 
     @cached_property
     def node_of_name(self) -> dict[str, int]:
@@ -181,66 +177,57 @@ class Topology:
             channels.append(c)
         return nodes, channels
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Hops between every pair of node ids (read-only, symmetric), -1
+        where either endpoint failed or no path joins them.
+
+        One breadth-first search from every live node at once: row ``v`` of
+        the frontier holds the sources that reach ``v`` at the current level.
+        Failed links are symmetric, so a node's in-neighbours are its
+        out-neighbours and each level gathers the previous one's rows once
+        per direction.
+        """
+        size = self.num_coords
+        # a missing link gathers row ``size``, which stays all False
+        nbr = np.where(self.neighbor_table < 0, size, self.neighbor_table)
+        dist = np.full((size, size), -1,
+                       dtype=np.int16 if size <= 1 << 15 else np.int32)
+        frontier = np.zeros((size + 1, size), dtype=bool)
+        frontier[self.live_nodes, self.live_nodes] = True
+        level = 0
+        while frontier.any():
+            dist[frontier[:size]] = level
+            level += 1
+            reach = frontier[nbr[:, 0]]
+            for d in range(1, self.ndirs):
+                reach |= frontier[nbr[:, d]]
+            frontier[:size] = reach & (dist < 0)
+        dist.flags.writeable = False
+        return dist
+
+    def _live(self, u: int) -> int:
+        if not 0 <= u < self.num_coords:
+            raise TopologyError(f"node id {u} out of range")
+        if u in self.failed_nodes:
+            raise TopologyError("distance between failed nodes is undefined")
+        return u
+
     def distance(self, a: int, b: int) -> int | None:
         """Minimal hop count between live nodes, None when unreachable."""
-        if a in self.failed_nodes or b in self.failed_nodes:
-            raise TopologyError("distance between failed nodes is undefined")
-        if not self.failed_nodes and not self.failed_links:
-            total = 0
-            ca, cb = self.coords(a), self.coords(b)
-            for x, y, size in zip(ca, cb, self.dims):
-                delta = abs(x - y)
-                total += delta if size == 2 else min(delta, size - delta)
-            return total
-        row = self._bfs_distances(a)
-        dist = int(row[b])
+        dist = int(self.distances[self._live(a), self._live(b)])
         return dist if dist >= 0 else None
 
     def distance_row(self, a: int) -> list[int]:
-        """Minimal hop count from live node ``a`` to every node id.
-
-        Failed and unreachable nodes read -1.
-        """
-        if a in self.failed_nodes:
-            raise TopologyError("distance between failed nodes is undefined")
-        if self.failed_nodes or self.failed_links:
-            return self._bfs_distances(a).tolist()
-        coords = self._coord_array
-        delta = np.abs(coords - coords[a])
-        # a size-2 axis has delta 0 or 1, where the ring formula agrees
-        return np.minimum(delta, np.array(self.dims) - delta).sum(
-            axis=1).tolist()
-
-    def _bfs_distances(self, src: int) -> np.ndarray:
-        cached = self._dist_cache.get(src)
-        if cached is not None:
-            return cached
-        dist = np.full(self.num_coords, -1, dtype=np.int32)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbor_table[u]:
-                if v >= 0 and dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(int(v))
-        self._dist_cache[src] = dist
-        return dist
+        """Hops from live node ``a`` to each node id; -1 where unreached."""
+        return self.distances[self._live(a)].tolist()
 
     def diameter(self) -> int:
-        best = 0
-        for u in self.live_nodes:
-            for v in self.live_nodes:
-                d = self.distance(u, v)
-                if d is not None:
-                    best = max(best, d)
-        return best
+        return int(self.distances.max(initial=0))
 
     def is_connected(self) -> bool:
-        if not self.live_nodes:
-            return False
-        row = self._bfs_distances(self.live_nodes[0])
-        return all(row[v] >= 0 for v in self.live_nodes)
+        live = len(self.live_nodes)
+        return live > 0 and np.count_nonzero(self.distances >= 0) == live ** 2
 
 
 def make_torus(dims: Sequence[int],
@@ -373,25 +360,10 @@ def load_topology(path) -> Topology:
 
 def sum_pair_distances(t: Topology) -> int:
     """Sum of minimal hop counts over all ordered live node pairs."""
-    if not t.failed_nodes and not t.failed_links:
-        total = 0
-        for j, size in enumerate(t.dims):
-            if size == 2:
-                pair_sum = 2
-            else:
-                pair_sum = sum(min(abs(a - b), size - abs(a - b))
-                               for a in range(size) for b in range(size))
-            mult = (t.num_coords // size) ** 2
-            total += pair_sum * mult
-        return total
-    total = 0
-    for u in t.live_nodes:
-        row = t._bfs_distances(u)
-        for v in t.live_nodes:
-            if v == u:
-                continue
-            if row[v] < 0:
-                raise DisconnectedError(
-                    f"nodes {t.coord_str(u)} and {t.coord_str(v)} are disconnected")
-            total += int(row[v])
-    return total
+    live = t.live_nodes
+    dist = t.distances[np.ix_(live, live)]
+    if (dist < 0).any():
+        i, j = np.argwhere(dist < 0)[0]
+        raise DisconnectedError(f"nodes {t.coord_str(live[i])} and "
+                                f"{t.coord_str(live[j])} are disconnected")
+    return int(dist.sum(dtype=np.int64))

@@ -26,11 +26,10 @@ def prepared(dims, failed_nodes=(), failed_links=()):
 def pending_groups(rg):
     """Number of (turn count, length, source) groups that ``build_rt_sssp``
     hands to stage 2: the keys of the pairs without a unique minimal route."""
-    nodes = rg.topology.live_nodes
     return len({(turn_count(canonical), len(canonical), src)
-                for src in nodes
+                for src in rg.topology.live_nodes
                 for canonical, is_unique
-                in _pair_stats(rg, src, nodes)[1].values()
+                in _pair_stats(rg, src)[1].values()
                 if not is_unique})
 
 

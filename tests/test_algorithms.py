@@ -72,9 +72,8 @@ def test_bfs_unroutable_names_pair():
 def test_unroutable_pairs_are_named_in_order():
     """Ring of 4 with (0)+X and (2)+X failed: (0) reaches only (3).
 
-    Every generator but the genetic one names both unreached destinations
-    of source (0), and ``build_bfs_routes`` adds no load before it raises.
-    The genetic search stops at the first pair it cannot enumerate.
+    Every generator names both unreached destinations of source (0), and
+    ``build_bfs_routes`` adds no load before it raises.
     """
     t = make_torus([4], failed_links=[((0,), 0), ((2,), 0)])
     rg, g, added = prepare(t)
@@ -83,15 +82,13 @@ def test_unroutable_pairs_are_named_in_order():
              lambda: build_sssp(rg, 0, [1, 2, 3], loads),
              lambda: unique_route_stats(rg),
              lambda: build_rt_sssp(rg),
-             lambda: build_rt_bfs(rg)]
+             lambda: build_rt_bfs(rg),
+             lambda: build_rt_genetic(rg)]
     for call in calls:
         with pytest.raises(UnroutablePairError) as err:
             call()
         assert err.value.pairs == [("(0)", "(1)"), ("(0)", "(2)")]
     assert not loads.any()
-    with pytest.raises(UnroutablePairError) as err:
-        build_rt_genetic(rg)
-    assert err.value.pairs == [("(0)", "(1)")]
 
 
 def test_enumerate_examples(ring4, grid33, mesh22):

@@ -3,6 +3,7 @@ import pytest
 
 from torusroute import (assert_deadlock_free, augment_cdg, build_cdg,
                         make_torus, used_direction_sets)
+from torusroute.cdg import CDG, _shortest_path, _tarjan_sccs
 from torusroute.errors import DeadlockCycleError
 
 
@@ -241,3 +242,33 @@ def test_used_set_monotone_under_augmentation():
     g, _ = augment_cdg(g)
     assert all(int(b) & int(a) == int(b)
                for a, b in zip(g.used_dirs, before))
+
+
+def test_reported_cycle_changes_direction():
+    """A hand-built component whose first channel closes a +Y ring before
+    any direction-changing cycle: the witness is the first direction change
+    closed by a shortest path back, not the ring bubble flow control
+    tolerates."""
+    t = make_torus([3, 3])
+    c = {(x, y, d): t.channel_id[(t.node_id((x, y)), d)]
+         for x in range(3) for y in range(3) for d in range(t.ndirs)}
+    g = CDG(t)
+    for x in range(3):  # the +X ring of row 0
+        g.add_edge(c[x, 0, 0], c[(x + 1) % 3, 0, 0], ring=True)
+    g.add_edge(c[1, 0, 0], c[2, 0, 1], ring=False)  # +X then +Y
+    for y in range(3):  # the +Y ring of column 2
+        g.add_edge(c[2, y, 1], c[2, (y + 1) % 3, 1], ring=True)
+    g.add_edge(c[2, 2, 1], c[2, 0, 0], ring=False)  # +Y back onto +X
+    (comp,) = [s for s in _tarjan_sccs(g.n_channels, g.adj) if len(s) > 1]
+    first = _shortest_path(g, set(comp), comp[0], comp[0])
+    assert len({g.direction_of(x) for x in first}) == 1  # a ring comes first
+    with pytest.raises(DeadlockCycleError) as err:
+        assert_deadlock_free(g)
+    cycle = err.value.cycle
+    ids = [t.channel_id[x] for x in cycle]
+    assert ids[0] == ids[-1]
+    for a, b in zip(ids, ids[1:]):
+        assert b in g.adj[a]
+    assert len({d for _, d in cycle}) == 2
+    assert ids == [c[2, 2, 1], c[2, 0, 0], c[0, 0, 0], c[1, 0, 0],
+                   c[2, 0, 1], c[2, 1, 1], c[2, 2, 1]]

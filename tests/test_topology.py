@@ -5,13 +5,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusroute import make_torus, most_remote
-from torusroute.errors import ParseError, TopologyError
+from torusroute.errors import DisconnectedError, ParseError, TopologyError
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
                                  parse_topology,
                                  sum_pair_distances, topology_to_text)
 
 small_dims = st.lists(st.integers(2, 4), min_size=1, max_size=3)
+
+
+def bfs_row(t, a):
+    """Hops from live node ``a`` to every node id, -1 where unreached: a
+    plain breadth-first search over ``Topology.neighbor``, the reference for
+    every distance query."""
+    row = [-1] * t.num_coords
+    row[a] = 0
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for d in range(t.ndirs):
+                v = t.neighbor(u, d)
+                if v is not None and row[v] < 0:
+                    row[v] = row[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return row
 
 
 def test_desmos_node_count():
@@ -111,23 +130,23 @@ def test_distance_with_faults_uses_link_graph():
 @given(small_dims, st.data())
 @settings(max_examples=30, deadline=None)
 def test_distance_formula_matches_bfs(dims, data):
-    """Closed form against an independent breadth-first search."""
+    """Pure tori against an independent breadth-first search."""
     t = make_torus(dims)
     a = data.draw(st.sampled_from(t.live_nodes))
     b = data.draw(st.sampled_from(t.live_nodes))
-    dist = {a: 0}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for d in range(t.ndirs):
-                v = t.neighbor(u, d)
-                if v is not None and v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    assert t.distance(a, b) == dist[b]
+    assert t.distance(a, b) == bfs_row(t, a)[b]
     assert t.distance(a, b) == t.distance(b, a)
+
+
+def test_out_of_range_node_ids_raise():
+    for t in (make_torus([4, 4]), make_torus([4, 4], failed_links=[(0, 0)])):
+        for bad in (-1, t.num_coords):
+            with pytest.raises(TopologyError, match="out of range"):
+                t.distance_row(bad)
+            with pytest.raises(TopologyError, match="out of range"):
+                t.distance(bad, 3)
+            with pytest.raises(TopologyError, match="out of range"):
+                t.distance(3, bad)
 
 
 def test_most_remote():
@@ -163,6 +182,55 @@ def faulted_tori(draw):
     return t
 
 
+def check_distance_queries(t):
+    """Every distance query of ``t`` against ``bfs_row``."""
+    live = t.live_nodes
+    rows = {a: bfs_row(t, a) for a in live}
+    dead = [-1] * t.num_coords
+    assert t.distances.tolist() == [rows.get(a, dead)
+                                    for a in range(t.num_coords)]
+    for a in range(t.num_coords):
+        if a in t.failed_nodes:
+            with pytest.raises(TopologyError):
+                t.distance_row(a)
+            with pytest.raises(TopologyError):
+                t.distance(a, live[0])
+            continue
+        assert t.distance_row(a) == rows[a]
+        assert [t.distance(a, b) for b in live] == [
+            None if rows[a][b] < 0 else rows[a][b] for b in live]
+    assert t.diameter() == max(max(r) for r in rows.values())
+    cut = [(a, b) for a in live for b in live if rows[a][b] < 0]
+    assert t.is_connected() == (not cut)
+    if cut:
+        a, b = cut[0]
+        with pytest.raises(DisconnectedError) as err:
+            sum_pair_distances(t)
+        assert str(err.value) == (f"nodes {t.coord_str(a)} and "
+                                  f"{t.coord_str(b)} are disconnected")
+    else:
+        assert sum_pair_distances(t) == sum(
+            rows[a][b] for a in live for b in live)
+
+
+@given(faulted_tori())
+@settings(max_examples=80, deadline=None)
+def test_distance_queries_match_bfs(t):
+    check_distance_queries(t)
+
+
+def test_distance_queries_on_disconnected_systems():
+    """A node cut off by link faults, a ring cut in two, a failed node
+    splitting a mesh."""
+    for t in (make_torus([2, 2], failed_links=[((0, 0), 0), ((0, 0), 1)]),
+              make_torus([4], failed_links=[((0,), 0), ((2,), 0)]),
+              make_torus([2, 3], failed_links=[((0, 0), 0), ((0, 1), 0),
+                                               ((0, 2), 0)]),
+              make_torus([2, 2], failed_nodes=[(0, 1), (1, 0)])):
+        assert not t.is_connected()
+        check_distance_queries(t)
+
+
 @given(faulted_tori(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_name_tables_and_distance_rows(t, data):
@@ -190,12 +258,16 @@ def test_name_tables_and_distance_rows(t, data):
         row = t.distance_row(a)
         assert [row[b] for b in t.live_nodes] == [
             dist(a, b) for b in t.live_nodes]
+        assert row == bfs_row(t, a)
     src = data.draw(st.sampled_from(t.live_nodes))
     candidates = data.draw(st.sets(st.sampled_from(t.live_nodes),
                                    min_size=1))
     far = max(dist(src, v) for v in candidates)
     assert most_remote(t, candidates, src) == min(
         v for v in candidates if dist(src, v) == far)
+    ref = bfs_row(t, src)
+    assert most_remote(t, candidates, src) == min(
+        v for v in candidates if ref[v] == max(ref[u] for u in candidates))
 
 
 def test_channel_count_formula():
@@ -209,11 +281,13 @@ def test_channel_count_formula():
 
 
 def test_distance_sum_closed_form_matches_enumeration():
+    """The pair sum against ``distance`` and against ``bfs_row``."""
     for dims in ([4], [2, 2], [4, 2], [3, 3]):
         t = make_torus(dims)
         brute = sum(t.distance(a, b) for a in t.live_nodes
                     for b in t.live_nodes if a != b)
         assert sum_pair_distances(t) == brute
+        assert brute == sum(sum(bfs_row(t, a)) for a in t.live_nodes)
 
 
 def test_topology_file_round_trip(tmp_path):
