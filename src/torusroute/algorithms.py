@@ -1,5 +1,10 @@
 """Routing-table generators over the routing graph.
 
+Every generator keeps shortest routing-graph paths as link chains (the
+channel ids along a path) to the end, and ``routes.encode_chains`` writes a
+finished table's chains straight into its columns; no generator builds a
+``Route``.
+
 Three generators share one load ledger convention: a per-channel counter that
 every chosen route increments along its physical links. An edge weighs the
 load of its link, so all routing-graph edges over one cable weigh the same.
@@ -20,14 +25,15 @@ load of its link, so all routing-graph edges over one cable weigh the same.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import UnroutablePairError
 from .metrics import deviation, perfect_channel_load
-from .routes import Route, RoutingTable, legal_encodings, preferred_encoding
+from .routes import (Route, RoutingTable, _padded, _widen, encode_chains,
+                     route_rows)
 from .routing_graph import DUMMY_LINK, RoutingGraph
 from .topology import most_remote
 
@@ -105,15 +111,24 @@ def _chains(rg: RoutingGraph, parent_edge: np.ndarray, source: int,
     return out
 
 
-def _steps(t, links: Sequence[int]) -> tuple[int, ...]:
-    """Direction of every link in a chain."""
-    return tuple(t.channels[link][1] for link in links)
+def _matrix(chains) -> np.ndarray:
+    """Link chains (a list or dict view) as matrix rows padded with -1."""
+    lens = np.array([len(c) for c in chains], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(chains), dtype=np.int32,
+                       count=int(lens.sum()))
+    return _padded(flat, lens, int(lens.max(initial=1)), np.int32)
 
 
-def _route(rg: RoutingGraph, source: int, links: Sequence[int]) -> Route:
-    """The least-non-standard legal encoding of a chain's physical steps."""
-    return preferred_encoding(rg.topology, source, _steps(rg.topology, links),
-                              rg.relaxed)
+def _stack(blocks: list[np.ndarray]) -> np.ndarray:
+    """Link-chain matrices one below the other, padded with -1."""
+    width = max(b.shape[1] for b in blocks)
+    return np.concatenate([_widen(b, width) for b in blocks])
+
+
+def _routes(rg: RoutingGraph, source: int, chains: np.ndarray) -> list[Route]:
+    """The Routes of one source's link chains, in their order."""
+    return list(route_rows(encode_chains(
+        rg.topology, np.full(len(chains), source), chains, rg.relaxed)[0]))
 
 
 def _levels(rg: RoutingGraph, begin: int, key=None):
@@ -155,15 +170,15 @@ def _levels(rg: RoutingGraph, begin: int, key=None):
         yield frontier, eids[chosen], eids, heads
 
 
-def build_bfs_routes(rg: RoutingGraph, source: int,
-                     loads: np.ndarray) -> dict[int, Route]:
-    """Breadth-first route tree from one source, then weight bookkeeping.
+def _bfs_chains(rg: RoutingGraph, source: int,
+                loads: np.ndarray) -> np.ndarray:
+    """Breadth-first tree chains from one source, then weight bookkeeping.
 
     Lightest arrival first: a vertex's parent is its in-edge with the least
     (load of the link the tail arrived over, edge id). Edge ids are
     tail-major, so this is the first claimant when each frontier is expanded
     in ascending arrival load, ties by vertex id. After the tree is read
-    back, every chosen route adds one unit of load to each physical link it
+    back, every chain adds one unit of load to each physical link it
     crosses; an unroutable pair raises before any load is added.
     """
     loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
@@ -173,34 +188,37 @@ def build_bfs_routes(rg: RoutingGraph, source: int,
             rg, rg.begin_vid(source), lambda e: arrival[rg.edge_tail[e]]):
         parent_edge[new] = parents
         arrival[new] = loads_ext[rg.edge_link[parents]]
+    chains = _matrix(_chains(rg, parent_edge, source,
+                             rg.topology.live_nodes).values())
+    loads += np.bincount(chains[chains >= 0], minlength=len(loads))
+    return chains
 
-    routes: dict[int, Route] = {}
-    for dst, links in _chains(rg, parent_edge, source,
-                                rg.topology.live_nodes).items():
-        routes[dst] = _route(rg, source, links)
-        for link in links:
-            loads[link] += 1
-    return routes
+
+def build_bfs_routes(rg: RoutingGraph, source: int,
+                     loads: np.ndarray) -> dict[int, Route]:
+    """Breadth-first routes from one source; see ``_bfs_chains``."""
+    return {r.dst: r for r in _routes(rg, source,
+                                      _bfs_chains(rg, source, loads))}
 
 
 def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     """Iterated-BFS routing table; the next source is the most remote node."""
     t = rg.topology
     loads = np.zeros(t.n_channels, dtype=np.int64)
-    routes = {}
+    chains = {}
     remaining = set(t.live_nodes)
     source = t.live_nodes[0]
     while True:
-        for dst, r in build_bfs_routes(rg, source, loads).items():
-            routes[(source, dst)] = r
+        chains[source] = _bfs_chains(rg, source, loads)
         remaining.discard(source)
         if not remaining:
             break
         source = most_remote(t, remaining, source)
-    table = RoutingTable(t, routes,
-                         GenerationStats("bfs", loads,
-                                         total_pairs=len(routes)))
-    return table
+    src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)  # pair order
+    cols = encode_chains(t, src, _stack([chains[s] for s in t.live_nodes]),
+                         rg.relaxed)[0]
+    return RoutingTable(t, columns=cols, stats=GenerationStats(
+        "bfs", loads, total_pairs=len(cols.src)))
 
 
 def _bfs_count(rg: RoutingGraph, source: int):
@@ -289,38 +307,39 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     """
     chains, truncated = _variant_chains(rg, _bfs_count(rg, src)[0], src, dst,
                                         cap)
-    return [_route(rg, src, c) for c in chains], truncated
+    return _routes(rg, src, np.array(chains)), truncated
 
 
-def _pair_stats(rg: RoutingGraph, source: int):
-    """(hop levels, per-destination (route, unique?)) from one counting pass.
+def _pair_stats(rg: RoutingGraph):
+    """(hop levels per source, columns of every pair's canonical route in
+    pair order, unique mask, their link chains padded with -1).
 
-    A pair has a single minimal physical route exactly when the number of
-    shortest routing-graph paths equals the number of legal encodings of the
-    canonical route, since any second physical route would add encodings of
-    its own to the count.
+    A pair's minimal route is unique exactly when its shortest routing-graph
+    paths are as many as the canonical chain's legal splits, since a second
+    physical route would add splits of its own.
     """
     t = rg.topology
-    dist, counts, parent_edge = _bfs_count(rg, source)
-    out = {}
-    for dst, links in _chains(rg, parent_edge, source, t.live_nodes).items():
-        seq, encodings = legal_encodings(t, source, _steps(t, links),
-                                         rg.relaxed)
-        fs, body, ls = encodings[0]
-        canonical = Route(source, dst, fs, body, ls, tuple(seq))
-        out[dst] = (canonical,
-                    int(counts[rg.end_vid(dst)]) == len(encodings))
-    return dist, out
+    levels: dict[int, np.ndarray] = {}
+    chains, paths = [], []
+    for source in t.live_nodes:
+        dist, counts, parent_edge = _bfs_count(rg, source)
+        chains.append(_matrix(_chains(rg, parent_edge, source,
+                                      t.live_nodes).values()))
+        paths.append(counts[[rg.end_vid(d) for d in t.live_nodes
+                             if d != source]])
+        # the narrowest signed type that holds the deepest level
+        levels[source] = dist.astype(np.min_scalar_type(-1 - int(dist.max())))
+    links = _stack(chains)
+    src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)
+    cols, legal = encode_chains(t, src, links, rg.relaxed)
+    unique = np.concatenate(paths) == legal.sum(axis=1)
+    return levels, cols, unique, links
 
 
 def unique_route_stats(rg: RoutingGraph) -> tuple[int, int]:
     """(pairs with a single minimal route, total ordered pairs)."""
-    unique = total = 0
-    for src in rg.topology.live_nodes:
-        for _, is_unique in _pair_stats(rg, src)[1].values():
-            total += 1
-            unique += bool(is_unique)
-    return unique, total
+    unique = _pair_stats(rg)[2]
+    return int(unique.sum()), len(unique)
 
 
 def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
@@ -401,7 +420,7 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
                      [rg.end_vid(d) for d in dst_nodes if d != source])
     chains = _least_load_chains(rg, source, dag, dst_nodes,
                                 loads.tolist() + [0])
-    return {dst: _route(rg, source, links) for dst, links in chains.items()}
+    return {r.dst: r for r in _routes(rg, source, _matrix(chains.values()))}
 
 
 def build_rt_sssp(rg: RoutingGraph,
@@ -421,88 +440,76 @@ def build_rt_sssp(rg: RoutingGraph,
     through stage 2, which is the instrumentation baseline for call counts.
     """
     t = rg.topology
-    load = [0] * (t.n_channels + 1)  # the ledger; DUMMY_LINK (-1) reads 0
-    routes: dict[tuple[int, int], Route] = {}
-    pending: dict[tuple[int, int, int], list[int]] = {}
-    levels: dict[int, np.ndarray] = {}
-    unique_pairs = 0
-    total_pairs = 0
-    for src in t.live_nodes:
-        dist, stats = _pair_stats(rg, src)
-        for dst in sorted(stats):
-            canonical, is_unique = stats[dst]
-            total_pairs += 1
-            if is_unique:
-                unique_pairs += 1
-            if is_unique and not skip_unique_stage:
-                routes[(src, dst)] = canonical
-                for link in t.walk(src, canonical.steps)[1]:
-                    load[link] += 1
-            else:
-                key = (turn_count(canonical), len(canonical), src)
-                pending.setdefault(key, []).append(dst)
-                if src not in levels:
-                    # the narrowest signed type that holds the deepest level
-                    levels[src] = dist.astype(
-                        np.min_scalar_type(-1 - int(dist.max())))
+    levels, cols, unique, links = _pair_stats(rg)
+    fixed = unique & (not skip_unique_stage)
+    fixed_links = links[fixed]
+    # the ledger; DUMMY_LINK (-1) reads the 0 at its end
+    load = np.bincount(fixed_links[fixed_links >= 0],
+                       minlength=t.n_channels + 1).tolist()
+    steps = cols.steps[~fixed]
+    turns = ((steps[:, 1:] != steps[:, :-1]) & (steps[:, 1:] >= 0)).sum(axis=1)
+    pending: dict[tuple[int, int, int], list[int]] = {}  # key -> rows
+    for row, turn, length, src in zip(
+            np.flatnonzero(~fixed).tolist(), turns.tolist(),
+            cols.length[~fixed].tolist(), cols.src[~fixed].tolist()):
+        pending.setdefault((turn, length, src), []).append(row)
 
+    dst_of = cols.dst.tolist()
     calls = 0
     for key in sorted(pending):
         src = key[2]
-        dsts = sorted(pending[key])
-        dag = _level_dag(rg, levels[src], [rg.end_vid(d) for d in dsts])
-        while dsts:
+        rows = pending[key]
+        dag = _level_dag(rg, levels[src], [rg.end_vid(dst_of[r]) for r in rows])
+        while rows:
             calls += 1
-            chains = _least_load_chains(rg, src, dag, dsts, load)
-            used: set[int] = set()
-            for dst in dsts:
-                links = chains[dst]
-                if used.isdisjoint(links):
-                    used.update(links)
-                    routes[(src, dst)] = _route(rg, src, links)
+            chains = _least_load_chains(rg, src, dag,
+                                        [dst_of[r] for r in rows], load)
+            used, routed = set(), set()
+            for row in rows:
+                chosen = chains[dst_of[row]]
+                if used.isdisjoint(chosen):
+                    used.update(chosen)
+                    links[row, :len(chosen)] = chosen  # as long as the old
+                    routed.add(row)
             for link in used:
                 load[link] += 1
-            dsts = [d for d in dsts if (src, d) not in routes]
+            rows = [r for r in rows if r not in routed]
 
-    loads = np.array(load[:-1], dtype=np.int64)
-    return RoutingTable(t, routes,
-                        GenerationStats("sssp", loads, sssp_calls=calls,
-                                        unique_pairs=unique_pairs,
-                                        total_pairs=total_pairs))
+    stats = GenerationStats("sssp", np.array(load[:-1], dtype=np.int64),
+                            sssp_calls=calls, unique_pairs=int(unique.sum()),
+                            total_pairs=len(unique))
+    return RoutingTable(t, stats=stats, columns=encode_chains(
+        t, cols.src, links, rg.relaxed)[0])
 
 
 # -- genetic ------------------------------------------------------------------
 
 def _variant_tables(rg: RoutingGraph):
-    """Per-pair variant chains flattened into a padded link-id matrix.
+    """(source, variant count and first variant row of every pair in pair
+    order, every variant's link chain padded with -1).
 
     Raises UnroutablePairError naming every destination the first source
     with one cannot reach, in destination order.
     """
     t = rg.topology
     nodes = t.live_nodes
-    pairs = []
-    variants: list[list[tuple[int, ...]]] = []
-    for src in nodes:
-        dist = _bfs_count(rg, src)[0]
-        unreached = [(t.coord_str(src), t.coord_str(dst)) for dst in nodes
-                     if dst != src and dist[rg.end_vid(dst)] < 0]
+    counts, variants = [], []
+    for source in nodes:
+        dist = _bfs_count(rg, source)[0]
+        unreached = [(t.coord_str(source), t.coord_str(dst)) for dst in nodes
+                     if dst != source and dist[rg.end_vid(dst)] < 0]
         if unreached:
             raise UnroutablePairError(unreached)
+        rows = []
         for dst in nodes:
-            if dst != src:
-                pairs.append((src, dst))
-                variants.append(_variant_chains(rg, dist, src, dst,
-                                                VARIANT_CAP)[0])
-    counts = np.array([len(v) for v in variants], dtype=np.int64)
-    offsets = np.zeros(len(variants), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    rows = [c for vs in variants for c in vs]
-    links = np.full((len(rows), max(map(len, rows))), t.n_channels,
-                    dtype=np.int64)
-    for row, chain in enumerate(rows):
-        links[row, :len(chain)] = chain
-    return pairs, variants, counts, offsets, links
+            if dst != source:
+                chains = _variant_chains(rg, dist, source, dst, VARIANT_CAP)[0]
+                counts.append(len(chains))
+                rows += chains
+        variants.append(_matrix(rows))
+    counts = np.array(counts, dtype=np.int64)
+    return (np.repeat(nodes, len(nodes) - 1), counts,
+            np.cumsum(counts) - counts, _stack(variants))
 
 
 def build_rt_genetic(rg: RoutingGraph,
@@ -510,21 +517,22 @@ def build_rt_genetic(rg: RoutingGraph,
     """Genetic search over minimal route variants, scored by deviation."""
     t = rg.topology
     params = params or GeneticParams()
-    pairs, variants, counts, offsets, links = _variant_tables(rg)
+    src, counts, offsets, links = _variant_tables(rg)
     gp = perfect_channel_load(t)
     n_channels = t.n_channels
+    counted = np.where(links < 0, n_channels, links)  # pads count last
     rng = np.random.default_rng(params.seed)
 
     def loads_of(genes: np.ndarray) -> np.ndarray:
         rows = offsets + genes
-        return np.bincount(links[rows].ravel(),
+        return np.bincount(counted[rows].ravel(),
                            minlength=n_channels + 1)[:n_channels]
 
     def fitness(genes: np.ndarray) -> float:
         return deviation(loads_of(genes), gp, 4)
 
     pop_n = params.population
-    pop = rng.integers(0, counts, size=(pop_n, len(pairs)), dtype=np.int64)
+    pop = rng.integers(0, counts, size=(pop_n, len(src)), dtype=np.int64)
     fits = np.array([fitness(g) for g in pop])
     order = np.argsort(fits, kind="stable")
     pop, fits = pop[order], fits[order]
@@ -543,7 +551,7 @@ def build_rt_genetic(rg: RoutingGraph,
         generations += 1
         half = pop_n // 2 + pop_n % 2
         parents = rng.integers(0, pop_n, size=(half, 2))
-        cuts = np.sort(rng.integers(0, len(pairs) + 1, size=(half, 2)), axis=1)
+        cuts = np.sort(rng.integers(0, len(src) + 1, size=(half, 2)), axis=1)
         kids = []
         for (a, b), (c1, c2) in zip(parents, cuts):
             k1 = pop[a].copy()
@@ -573,10 +581,8 @@ def build_rt_genetic(rg: RoutingGraph,
         else:
             stagnant += 1
 
-    routes = {pair: _route(rg, pair[0], variants[i][best_genes[i]])
-              for i, pair in enumerate(pairs)}
+    cols = encode_chains(t, src, links[offsets + best_genes], rg.relaxed)[0]
     stats = GenerationStats("genetic", loads_of(best_genes),
-                            generations=generations,
-                            total_pairs=len(pairs),
+                            generations=generations, total_pairs=len(src),
                             fitness_history=history)
-    return RoutingTable(t, routes, stats)
+    return RoutingTable(t, columns=cols, stats=stats)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import _bfs_count, _rg_chains, _steps
+from .algorithms import _bfs_count, _rg_chains
+from .errors import TopologyError
 from .routing_graph import RoutingGraph, apply_augmentation, build_routing_graph
 from .topology import Topology
 
@@ -36,6 +37,8 @@ class RuleConfig:
 def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
                        max_len: int) -> list[tuple[int, ...]]:
     """All rule-valid direction sequences src -> dst up to max_len hops."""
+    if not 0 <= src < t.num_coords:
+        raise TopologyError(f"node id {src} out of range")
     n = t.n
     nbr = t.neighbor_table
     dist_to_dst = t.distance_row(dst)  # links are symmetric
@@ -149,7 +152,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
             if truncated:
                 report.mismatches.append(f"{pair}: enumeration budget hit")
                 continue
-            rg_routes = {_steps(t, c) for c in chains}
+            rg_routes = {tuple(t.channels[x][1] for x in c) for c in chains}
             o_len, o_routes = min_routes(t, src, dst, rules, rg_len)
             if o_len != rg_len:
                 report.mismatches.append(

@@ -2,14 +2,16 @@
 
 A :class:`RoutingTable` is read through its :class:`Columns`, one row per
 route in sorted (src, dst) order: ``src``, ``dst``, ``fs``, ``ls``, a padded
-``steps`` matrix, a padded ``nodes`` matrix and ``length``. :func:`parse_table`
-fills them straight from the text; a table built from a mapping of
-:class:`Route` objects derives them on first use.
+``steps`` matrix, a padded ``nodes`` matrix and ``length``. Generated tables
+are born as columns (:func:`encode_chains`), :func:`parse_table` fills them
+from text, a table of :class:`Route` objects derives them, and
+:func:`table_to_text` writes every table from them.
 
-The checks flag, then explain. Array passes over the columns flag every row
-that may break a rule or cross a dead channel; only the flagged rows go, in
-pair order, through the per-route code (:func:`validate_route`,
-:func:`route_channels`), which writes every message.
+The rules are written twice: :func:`_violations`, the per-route reference,
+and the array kernel :func:`_rule_breaks`, which the encoder runs on every
+candidate split of a chain and the checks on each row's own split. The
+checks flag, then explain: only flagged rows go, in pair order, through
+:func:`validate_route` and :func:`route_channels`, which write the messages.
 """
 
 from __future__ import annotations
@@ -55,17 +57,11 @@ def make_route(t: Topology, src: int, fs: int | None, body: Iterable[int],
     steps = (() if fs is None else (fs,)) + body + (() if ls is None else (ls,))
     if steps and (src in t.failed_nodes or not 0 <= src < t.num_coords):
         raise TopologyError(f"node {src} does not exist")
-    seq = _live_walk(t, src, steps)
-    return Route(src, seq[-1], fs, body, ls, tuple(seq))
-
-
-def _live_walk(t: Topology, src: int, steps: tuple[int, ...]) -> list[int]:
-    """Nodes visited by ``steps`` from ``src``; ValueError at a dead step."""
     nodes, channels = t.walk(src, steps)
     if len(channels) < len(steps):
         raise ValueError(f"step {t.dir_name(steps[len(channels)])} from "
                          f"{t.coord_str(nodes[-1])} is dead")
-    return nodes
+    return Route(src, nodes[-1], fs, body, ls, tuple(nodes))
 
 
 def route_channels(t: Topology, r: Route) -> list[int]:
@@ -164,58 +160,9 @@ def _violations(t: Topology, seq, fs: int | None, body: tuple[int, ...],
                    "is not a registered relaxed turn")
 
 
-def legal_encodings(t: Topology, src: int, steps: tuple[int, ...],
-                    relaxed=frozenset(), first_only: bool = False):
-    """(node sequence, every legal (fs, body, ls) decomposition of ``steps``).
-
-    Decompositions are ordered by how many non-standard steps they spend:
-    plain body first, then first step, last step, both. Encoding-count
-    analysis relies on this list being exactly the routing-graph encodings.
-    """
-    n = t.n
-    seq = _live_walk(t, src, steps)
-    k = len(steps)
-    candidates = [(None, steps, None)]
-    if k == 1 and steps[0] < n:
-        candidates.append((steps[0], (), None))  # lone first step
-    if k >= 2 and steps[0] < n:
-        candidates.append((steps[0], steps[1:], None))
-    if k >= 2 and steps[-1] >= n:
-        candidates.append((None, steps[:-1], steps[-1]))
-    if k >= 3 and steps[0] < n and steps[-1] >= n:
-        candidates.append((steps[0], steps[1:-1], steps[-1]))
-    out = []
-    for fs, body, ls in candidates:
-        if next(_violations(t, seq, fs, body, ls, relaxed), None) is None:
-            out.append((fs, tuple(body), ls))
-            if first_only:
-                break
-    return seq, out
-
-
-def preferred_encoding(t: Topology, src: int, steps: tuple[int, ...],
-                       relaxed: Iterable[CdgEdge] = ()) -> Route:
-    """Route with the fewest non-standard steps that legally encodes ``steps``.
-
-    A plain body is preferred; a first or last step is used only when the
-    direction order or the direction-bit rule forces it. Raises ValueError
-    when no decomposition is rule-legal.
-    """
-    relaxed = relaxed if isinstance(relaxed, (set, frozenset)) else set(relaxed)
-    seq, encodings = legal_encodings(t, src, tuple(steps), relaxed,
-                                     first_only=True)
-    if not encodings:
-        raise ValueError(
-            f"steps {[t.dir_name(d) for d in steps]} admit no rule-legal "
-            "encoding")
-    fs, body, ls = encodings[0]
-    return Route(src, seq[-1], fs, body, ls, tuple(seq))
-
-
 def route_to_rg_path(rg: RoutingGraph, r: Route) -> list[int]:
     """Vertex path of a route in the routing graph (inverse of decode)."""
-    t = rg.topology
-    nodes = _live_walk(t, r.src, r.steps)
+    t, nodes = rg.topology, r.node_seq
     path = [rg.begin_vid(r.src)]
     if r.fs is not None:
         path.append(rg.fs_vid(nodes[1], r.fs))
@@ -347,9 +294,8 @@ def _concat(parts: list[Columns]) -> Columns:
     return Columns(*out)
 
 
-def _routes_of(c: Columns) -> dict[tuple[int, int], Route]:
-    """One Route, of Python ints, per row."""
-    out = {}
+def route_rows(c: Columns):
+    """One Route, of Python ints, per row, in row order."""
     nsteps = (c.steps >= 0).sum(axis=1)
     for i in range(0, len(nsteps), _CHUNK):  # bounds the row lists
         rows = slice(i, i + _CHUNK)
@@ -358,20 +304,98 @@ def _routes_of(c: Columns) -> dict[tuple[int, int], Route]:
                 c.fs[rows].tolist(), c.ls[rows].tolist(),
                 c.steps[rows].tolist(), nsteps[rows].tolist(),
                 c.nodes[rows].tolist(), c.length[rows].tolist()):
-            out[(s, d)] = Route(s, d, None if fs < 0 else fs,
-                                tuple(steps[fs >= 0:k - (ls >= 0)]),
-                                None if ls < 0 else ls,
-                                tuple(nodes[:length + 1]))
-    return out
+            yield Route(s, d, None if fs < 0 else fs,
+                        tuple(steps[fs >= 0:k - (ls >= 0)]),
+                        None if ls < 0 else ls, tuple(nodes[:length + 1]))
+
+
+def _turn_ids(t: Topology, relaxed) -> np.ndarray:
+    """Ids ``a * n_channels + b`` of the relaxed turns (a, b) that exist."""
+    nch, cid = t.n_channels, t.channel_id
+    return np.array(sorted({cid[a] * nch + cid[b] for a, b in relaxed
+                            if a in cid and b in cid}), dtype=np.int64)
+
+
+def _rule_breaks(t: Topology, steps: np.ndarray, chan: np.ndarray,
+                 first: np.ndarray, stop: np.ndarray,
+                 turns: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose split breaks a rule of :func:`_violations` or
+    the shape check of :func:`validate_route`.
+
+    Row i's body is ``steps[i, first[i]:stop[i]]`` (``steps`` padded with
+    -1); a step before it is the first step, one after it the last. ``chan``
+    holds every step's channel id, so a relaxed turn is a pair of consecutive
+    channel ids, one of ``turns`` (:func:`_turn_ids`).
+    """
+    n, nch = t.n, t.n_channels
+    rows, col = np.arange(len(steps)), np.arange(steps.shape[1])
+    has_fs, has_ls = first > 0, stop < (steps >= 0).sum(axis=1)
+    nbody = stop - first
+    bad = (nbody <= 0) & ~(has_fs & ~has_ls)  # shape
+    bad |= has_fs & (steps[rows, first - 1] >= n)  # the step before the body
+    bad |= has_ls & (steps[rows, np.minimum(stop, len(col) - 1)] < n)
+    body = (col >= first[:, None]) & (col < stop[:, None])
+    bad |= (body[:, 1:] & body[:, :-1] & (steps[:, 1:] < steps[:, :-1])
+            ).any(axis=1)
+    used = np.bitwise_or.reduce(
+        np.where(body, 1 << np.maximum(steps, 0), 0), axis=1)
+    bad |= (used & (used >> n) & ((1 << n) - 1)) != 0  # a dimension both ways
+    for has, at in ((has_fs, np.zeros_like(stop)), (has_ls, stop - 1)):
+        turn_rows = np.flatnonzero(has & (nbody > 0))
+        at = at[turn_rows]
+        a, b = steps[turn_rows, at], steps[turn_rows, at + 1]
+        odd = ~((a < b) & (b != (a + n) % (2 * n)))  # not ascending
+        turn = (chan[turn_rows, at].astype(np.int64) * nch
+                + chan[turn_rows, at + 1])
+        bad[turn_rows[odd]] |= ~np.isin(turn[odd], turns)
+    return bad
+
+
+# (first steps, last steps) of the candidate splits, in the order preferred
+_SPLITS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
+                  relaxed=frozenset()) -> tuple[Columns, np.ndarray]:
+    """(columns, legal): every link chain in its first legal split.
+
+    Row i is the chain of channel ids ``links[i]`` (padded with -1) from
+    ``src[i]``, ``_CHUNK`` rows at a time. ``legal[i, j]`` is whether split
+    ``_SPLITS[j]`` breaks no rule. A chain read off a shortest routing-graph
+    path has one (Theorem 1); a row without one is written plain.
+    """
+    turns = _turn_ids(t, relaxed)
+    owner, direction = np.array(t.channels, dtype=np.intp).reshape(-1, 2).T
+    head = t.neighbor_table[owner, direction]
+    dtype = _id_dtype(t)
+    parts, legal = [], []
+    for i in range(0, max(len(src), 1), _CHUNK):
+        chan = links[i:i + _CHUNK]
+        on = chan >= 0
+        k, rows = on.sum(axis=1), np.arange(len(chan))
+        steps = np.where(on, direction[chan], -1).astype(dtype)
+        nodes = np.column_stack([src[i:i + _CHUNK],
+                                 np.where(on, head[chan], -1)]).astype(dtype)
+        ok = np.column_stack([
+            ~_rule_breaks(t, steps, chan, np.full(len(k), f), k - l, turns)
+            for f, l in _SPLITS])
+        f, l = _SPLITS[ok.argmax(axis=1)].T
+        parts.append(Columns(
+            nodes[:, 0], nodes[rows, k],
+            np.where(f > 0, steps[:, 0], -1).astype(dtype),
+            np.where(l > 0, steps[rows, k - 1], -1).astype(dtype),
+            steps, nodes, k.astype(np.int32)))
+        legal.append(ok)
+    return _concat(parts), np.concatenate(legal)
 
 
 class RoutingTable:
     """Exactly one route per ordered node pair, plus generation statistics.
 
     The table is read through its :class:`Columns`, which a table given a
-    ``routes`` mapping derives on first use. A table given ``columns`` (as
-    :func:`parse_table` makes it) builds its ``routes`` dict only when
-    something asks for it.
+    ``routes`` mapping derives when it is made. A table given ``columns`` (as
+    the generators and :func:`parse_table` make it) builds its ``routes``
+    dict only when something asks for it.
     """
 
     def __init__(self, topology: Topology,
@@ -380,41 +404,34 @@ class RoutingTable:
         self.topology = topology
         self.stats = stats
         self._routes = None if routes is None else dict(routes)
-        self._columns = columns
         self._misfiled = None  # rows whose Route names another pair
         self._walked = None
+        if columns is None:
+            keys = sorted(self._routes)
+            rs = [self._routes[key] for key in keys]
+            columns = _columns(
+                topology, [s for s, _ in keys], [d for _, d in keys],
+                [r.fs for r in rs], [r.body for r in rs], [r.ls for r in rs],
+                [r.node_seq for r in rs])
+            self._misfiled = ((columns.src != [r.src for r in rs])
+                              | (columns.dst != [r.dst for r in rs]))
+        self.columns = columns
 
     def __len__(self):
-        if self._columns is None:
-            return len(self._routes)
-        return len(self._columns.src)
+        return len(self.columns.src)
 
     @property
     def routes(self) -> dict[tuple[int, int], Route]:
         if self._routes is None:
-            self._routes = _routes_of(self._columns)
+            self._routes = {(r.src, r.dst): r for r in route_rows(self.columns)}
         return self._routes
-
-    @property
-    def columns(self) -> Columns:
-        if self._columns is None:
-            keys = sorted(self._routes)
-            rs = [self._routes[key] for key in keys]
-            c = self._columns = _columns(
-                self.topology, [s for s, _ in keys], [d for _, d in keys],
-                [r.fs for r in rs], [r.body for r in rs], [r.ls for r in rs],
-                [r.node_seq for r in rs])
-            self._misfiled = ((c.src != [r.src for r in rs])
-                              | (c.dst != [r.dst for r in rs]))
-        return self._columns
 
     def route_at(self, i: int) -> Route:
         """The route in row ``i`` of the columns."""
         c = self.columns
-        key = (int(c.src[i]), int(c.dst[i]))
-        if self._routes is not None:
-            return self._routes[key]
-        return _routes_of(c.take([i]))[key]
+        if self._routes is None:
+            return next(route_rows(c.take([i])))
+        return self._routes[(int(c.src[i]), int(c.dst[i]))]
 
     def _walk(self):
         """(channel matrix, clean rows, live rows), computed once.
@@ -475,48 +492,14 @@ class RoutingTable:
 
 
 def _suspects(t: Topology, rt: RoutingTable, relaxed) -> np.ndarray:
-    """Mask of the rows that may hold a problem: every row that holds one.
-
-    Array predicates for each check of :func:`check_table`: the pair's
-    endpoints, its minimal length, the walk (shape, liveness, node sequence
-    and destination) and the rules of :func:`_violations`. A registered
-    relaxed turn is exactly a pair of consecutive channel ids.
-    """
+    """Mask of the rows that may hold a problem, every row that holds one:
+    endpoints, minimal length, the walk and (:func:`_rule_breaks`) rules."""
     c = rt.columns
     chan, clean, _ = rt._walk()
-    n, steps, fs, ls = t.n, c.steps, c.fs, c.ls
-    want = t.distances[c.src, c.dst]  # -1 at a failed endpoint
-    flag = ~clean | (want < 0) | (want != c.length)
-
-    has_fs, has_ls = fs >= 0, ls >= 0
-    nsteps = (steps >= 0).sum(axis=1)
-    first, stop = has_fs.astype(np.intp), nsteps - has_ls
-    col = np.arange(steps.shape[1])
-    body = (col >= first[:, None]) & (col < stop[:, None])
-    nbody = stop - first
-    flag |= (nbody == 0) & ~(has_fs & ~has_ls)  # shape
-    flag |= has_fs & (fs >= n)
-    flag |= has_ls & (ls < n)
-    flag |= (body[:, 1:] & body[:, :-1] & (steps[:, 1:] < steps[:, :-1])
-             ).any(axis=1)
-    used = np.bitwise_or.reduce(
-        np.where(body, 1 << np.maximum(steps, 0), 0), axis=1)
-    flag |= (used & (used >> n) & ((1 << n) - 1)) != 0  # a dimension both ways
-
-    nch, cid = t.n_channels, t.channel_id
-    turns = {cid[a] * nch + cid[b] for a, b in relaxed
-             if a in cid and b in cid}
-    fs_rows = np.flatnonzero(has_fs & (nbody > 0))
-    ls_rows = np.flatnonzero(has_ls & (nbody > 0))
-    for rows, at in ((fs_rows, np.zeros(len(fs_rows), np.intp)),
-                     (ls_rows, nsteps[ls_rows] - 2)):
-        if rows.size:
-            a, b = steps[rows, at], steps[rows, at + 1]
-            odd = ~((a < b) & (b != (a + n) % (2 * n)))  # not ascending
-            turn = chan[rows, at].astype(np.int64) * nch + chan[rows, at + 1]
-            flag[rows[odd]] |= np.array(
-                [x not in turns for x in turn[odd].tolist()], dtype=bool)
-    return flag
+    dist = t.distances[c.src, c.dst]  # -1 at a failed endpoint
+    return ~clean | (dist < 0) | (dist != c.length) | _rule_breaks(
+        t, c.steps, chan, (c.fs >= 0).astype(np.intp),
+        (c.steps >= 0).sum(axis=1) - (c.ls >= 0), _turn_ids(t, relaxed))
 
 
 def check_table(t: Topology, rt: RoutingTable,
@@ -561,22 +544,26 @@ def check_table(t: Topology, rt: RoutingTable,
 
 # -- table files -------------------------------------------------------------
 
-def _route_line(t: Topology, r: Route) -> str:
-    names, dirs = t.coord_names, t.dir_names
-    parts = [dirs[d] for d in r.body]
-    if r.fs is not None:
-        parts.insert(0, "FS" + dirs[r.fs])
-    if r.ls is not None:
-        parts.append("LS" + dirs[r.ls])
-    nodes = " ".join([names[u] for u in r.node_seq])
-    return (f"{names[r.src]} -> {names[r.dst]} : "
-            f"{' '.join(parts)} | nodes: {nodes}")
-
-
 def table_to_text(rt: RoutingTable) -> str:
-    t = rt.topology
-    lines = [_route_line(t, rt.routes[key]) for key in sorted(rt.routes)]
-    return "\n".join(lines) + "\n"
+    """One ``src -> dst : steps | nodes: node...`` line per row: object
+    matrices of text pieces, empty where padded, ``_CHUNK`` rows each."""
+    t, c = rt.topology, rt.columns
+    names = np.array(t.coord_names, dtype=object)
+    # a -1 pad reads the empty piece at the end of each table
+    spaced = np.array([" " + x for x in t.coord_names] + [""], dtype=object)
+    dirs = np.array([" " + kind + d for kind in ("", "FS", "LS")
+                     for d in t.dir_names] + [""], dtype=object)
+    code = c.steps.astype(np.intp)
+    nsteps = (code >= 0).sum(axis=1)
+    code[c.fs >= 0, 0] += t.ndirs
+    code[c.ls >= 0, nsteps[c.ls >= 0] - 1] += 2 * t.ndirs
+    # an empty step or node list still leaves its separating space
+    chunks = (slice(i, i + _CHUNK) for i in range(0, len(code), _CHUNK))
+    return "".join("".join(np.column_stack([
+        names[c.src[r]] + " -> " + names[c.dst[r]] + " :", dirs[code[r]],
+        np.where(nsteps[r] == 0, "  | nodes:", " | nodes:"),
+        spaced[c.nodes[r]], np.where(c.length[r] < 0, " \n", "\n")
+    ]).ravel().tolist()) for r in chunks) or "\n"
 
 
 def write_table(rt: RoutingTable, path) -> None:

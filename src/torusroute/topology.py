@@ -153,6 +153,8 @@ class Topology:
         """Node reached from u along d, or None if the link is absent."""
         if u in self.failed_nodes or not 0 <= u < self.num_coords:
             raise TopologyError(f"node {u} does not exist")
+        if not 0 <= d < self.ndirs:
+            raise TopologyError(f"direction index {d} out of range")
         v = int(self.neighbor_table[u, d])
         return v if v >= 0 else None
 
@@ -257,8 +259,6 @@ def make_torus(dims: Sequence[int],
     for ref, d in failed_links:
         u = as_node(ref)
         d = int(d)
-        if not 0 <= d < clean.ndirs:
-            raise TopologyError(f"direction index {d} out of range")
         v = clean.neighbor(u, d)
         if v is None:
             raise TopologyError(
@@ -275,6 +275,9 @@ def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:
     order = sorted(candidates)
     if not order:
         raise TopologyError("most_remote requires a nonempty candidate set")
+    for u in (order[0], order[-1]):
+        if not 0 <= u < t.num_coords:
+            raise TopologyError(f"node id {u} out of range")
     if t.failed_nodes.intersection(order):
         raise TopologyError("distance between failed nodes is undefined")
     row = t.distance_row(from_)

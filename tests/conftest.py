@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from torusroute import make_torus, turn_count
+from torusroute import RoutingTable, make_torus, turn_count
 from torusroute.algorithms import _pair_stats
 from torusroute.cli import prepare
 from torusroute.errors import TopologyError
@@ -26,11 +26,10 @@ def prepared(dims, failed_nodes=(), failed_links=()):
 def pending_groups(rg):
     """Number of (turn count, length, source) groups that ``build_rt_sssp``
     hands to stage 2: the keys of the pairs without a unique minimal route."""
-    return len({(turn_count(canonical), len(canonical), src)
-                for src in rg.topology.live_nodes
-                for canonical, is_unique
-                in _pair_stats(rg, src)[1].values()
-                if not is_unique})
+    _, canonical, unique, _ = _pair_stats(rg)
+    pending = RoutingTable(rg.topology, columns=canonical.take(~unique))
+    return len({(turn_count(r), len(r), r.src)
+                for r in pending.routes.values()})
 
 
 @st.composite

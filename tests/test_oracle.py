@@ -2,6 +2,7 @@ import pytest
 
 from torusroute import (RuleConfig, brute_force_routes, build_routing_graph,
                         make_torus, oracle_equivalence)
+from torusroute.errors import TopologyError
 from torusroute.oracle import min_routes
 from torusroute.routing_graph import RoutingGraph
 
@@ -23,6 +24,13 @@ def test_detour_routes_enumerated():
     t = make_torus([4], failed_links=[((0,), 0)])
     routes = brute_force_routes(t, 0, 1, RuleConfig.plain(), max_len=3)
     assert routes == [(1, 1, 1)]
+
+
+def test_out_of_range_source_raises():
+    t = make_torus([4, 4])
+    for bad in (-1, t.num_coords):
+        with pytest.raises(TopologyError, match="out of range"):
+            brute_force_routes(t, bad, 3, RuleConfig.plain(), 4)
 
 
 def test_relaxed_turn_gains_route():

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+from dataclasses import fields
 import math
 import pathlib
 import random
@@ -16,10 +17,10 @@ from torusroute import (GeneticParams, Route, RoutingTable, build_rt_bfs,
 from torusroute.cli import _used_turns, prepare, used_turn_cycle_check
 from torusroute.errors import (DisconnectedError, IntegrityError, ParseError,
                                TopologyError, UnroutablePairError)
-from torusroute.routes import (check_table, legal_encodings, route_channels,
-                               route_to_rg_path)
+from torusroute.routes import (_SPLITS, Columns, _violations, check_table,
+                               encode_chains, route_channels, route_to_rg_path)
 
-from conftest import prepared
+from conftest import prepared, small_faulted_systems
 
 
 def test_decode_single_body_step(grid33):
@@ -104,6 +105,36 @@ def test_validate_route_rule_messages(grid33):
     assert validate_route(t, ls_turn, [((u, 3), (w, 2))]) == []
 
 
+def encoder_splits(t, src, sequences, relaxed):
+    """The legal (fs, body, ls) splits that ``encode_chains`` finds for each
+    live step sequence from ``src``, in its order, all in one call."""
+    chains = [t.walk(src, steps)[1] for steps in sequences]
+    links = np.full((len(chains), max(map(len, chains))), -1)
+    for row, chain in enumerate(chains):
+        links[row, :len(chain)] = chain
+    legal = encode_chains(t, np.full(len(chains), src), links, relaxed)[1]
+    return [[(steps[0] if f else None, tuple(steps[f:len(steps) - l]),
+              steps[-1] if l else None)
+             for (f, l), ok in zip(_SPLITS.tolist(), row) if ok]
+            for steps, row in zip(sequences, legal.tolist())]
+
+
+def violation_free_splits(t, src, steps, relaxed):
+    """The candidate splits, plain body first, then first step, last step
+    and both, that ``_violations`` accepts one by one."""
+    n, k = t.n, len(steps)
+    seq = t.walk(src, steps)[0]
+    candidates = [(None, steps, None)]
+    if steps[0] < n:
+        candidates.append((steps[0], steps[1:], None))
+    if k >= 2 and steps[-1] >= n:
+        candidates.append((None, steps[:-1], steps[-1]))
+    if k >= 3 and steps[0] < n and steps[-1] >= n:
+        candidates.append((steps[0], steps[1:-1], steps[-1]))
+    return [c for c in candidates
+            if next(_violations(t, seq, *c, relaxed), None) is None]
+
+
 def test_legal_encodings_exact_lists(grid33):
     t = grid33[0]
     u, v = t.node_id((0, 0)), t.node_id((0, 1))
@@ -118,7 +149,45 @@ def test_legal_encodings_exact_lists(grid33):
         ((2, 0), (), []),
     ]
     for steps, relaxed, want in cases:
-        assert legal_encodings(t, u, steps, frozenset(relaxed))[1] == want
+        assert encoder_splits(t, u, [steps], frozenset(relaxed)) == [want]
+    # one call, rows of several lengths, against the same relaxed turns
+    relaxed = frozenset([((u, 1), (v, 0)), ((a, 3), (b, 2))])
+    sequences = [steps for steps, _, _ in cases]
+    assert encoder_splits(t, u, sequences, relaxed) == [
+        violation_free_splits(t, u, steps, relaxed) for steps in sequences]
+
+
+@given(small_faulted_systems(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_encoder_splits_match_violations(system, with_relaxed):
+    """On random live step sequences, and on the system's relaxed turns
+    followed by random steps, the encoder's legal splits and their order are
+    the candidate splits that ``_violations`` accepts."""
+    dims, nodes, links, src, seed = system
+    t, rg, g, added = prepared(dims, nodes, links)
+    relaxed = frozenset(added) if with_relaxed else frozenset()
+    rnd = random.Random(seed)
+
+    def walk_on(u, steps, hops):
+        u = t.walk(u, steps)[0][-1]
+        for _ in range(hops):
+            live = [d for d in range(t.ndirs) if t.neighbor(u, d) is not None]
+            if not live:
+                break
+            steps.append(rnd.choice(live))
+            u = t.neighbor(u, steps[-1])
+        return tuple(steps)
+
+    starts = [(src, [])] * 30 + [(a[0], [a[1], b[1]]) for a, b in added[:30]]
+    by_src = {}
+    for u, head in starts:
+        steps = walk_on(u, list(head), rnd.randrange(6 - len(head)))
+        if steps:
+            by_src.setdefault(u, []).append(steps)
+    for u, sequences in by_src.items():
+        assert encoder_splits(t, u, sequences, relaxed) == [
+            violation_free_splits(t, u, steps, relaxed)
+            for steps in sequences], u
 
 
 def test_validate_route_liveness():
@@ -131,8 +200,6 @@ def test_validate_route_liveness():
     assert validate_route(t, r) == ["step 2 (+X from (0,0)) uses a dead link"]
     with pytest.raises(ValueError, match=r"^step \+X from \(0,0\) is dead$"):
         make_route(t, t.node_id((2, 0)), None, [0, 0], None)
-    with pytest.raises(ValueError, match=r"^step \+X from \(0,0\) is dead$"):
-        legal_encodings(t, t.node_id((2, 0)), (0, 0))
     failed = make_torus([3, 3], failed_nodes=[(0, 0)])
     with pytest.raises(TopologyError, match="node 0 does not exist"):
         make_route(failed, 0, None, [0], None)
@@ -173,6 +240,10 @@ def test_table_line_format(mesh22):
     table = RoutingTable(t, {(u, w): r})
     assert table_to_text(table) == (
         "(0,0) -> (1,1) : FS+Y +X | nodes: (0,0) (0,1) (1,1)\n")
+    empty = Route(u, u, None, (), None, (u,))
+    assert table_to_text(RoutingTable(t, {(u, w): r, (u, u): empty})) == (
+        "(0,0) -> (0,0) :  | nodes: (0,0)\n"
+        "(0,0) -> (1,1) : FS+Y +X | nodes: (0,0) (0,1) (1,1)\n")
 
 
 # fault sets as hashable (keyword, value) pairs for ``prepared``
@@ -190,6 +261,53 @@ def _table(algo, dims, faults=()):
     return {"bfs": build_rt_bfs, "sssp": build_rt_sssp}[algo](rg)
 
 
+# SHA-256 of table_to_text on inputs whose load tie-breaks matter
+GOLDEN_DIGESTS = {
+    ("bfs", (4, 4)): (
+        "e5281431e4fba46dbd1fd76cb5787686"
+        "c45bdc271aeb72e1184828260698fef8"),
+    ("sssp", (4, 4)): (
+        "9763ec9798abcd85f2cb87e7a8690208"
+        "da9869a5d2b7af0878d3041748f0b72b"),
+    ("bfs", (4, 2, 2, 2)): (
+        "0757b3866911281fa0d5b23742d950e0"
+        "da1fe910b7edde336300c5c44a578d57"),
+    ("sssp", (4, 2, 2, 2)): (
+        "9e506bbdca04a66f5135e64fb557a8cb"
+        "26ba72b4165af9fe838a1f8530159d70"),
+    ("genetic", (4, 2, 2, 2)): (
+        "2991a8a9c0156d45afb06a00645052a9"
+        "9ef4535463d6f9f22abc70566cfc1093"),
+    ("genetic", (6, 2, 2)): (
+        "aa50e477e5c28f51a690034ed57b9941"
+        "955ae2f000a05a9d37c2bb2ec8e1ace5"),
+    ("genetic", (4, 4, 2), NODE_442): (
+        "cfdc1bb1db774baca5d1c3b22182bd4c"
+        "79240de12de82e045f11aeda561f2806"),
+    ("bfs", (4, 4), FAULTED_44): (
+        "b77dfd64c51010d715ff4b4a44833edd"
+        "f8190c262ee280cc18bcf7a6d39fc18a"),
+    ("sssp", (4, 4), FAULTED_44): (
+        "53b267ae0e00b3db2e5ef1916f576836"
+        "176884fbb9239272b9106629d8719042"),
+    ("sssp", (5, 4, 3)): (
+        "5f4b725606dfddcb37ff6c14996b6db3"
+        "6f76bca1d5f9cc0ff988d41b7fa858f5"),
+    ("sssp-stage2", (4, 2, 2, 2)): (
+        "a11d433ab861883699dca8bf9c6150de"
+        "c6b3bed94e2b6d66cdf1b8d457fdfa9b"),
+    ("sssp-stage2", (4, 4), FAULTED_44): (
+        "6d4bdd730bf3a99e04e5f6a425328c32"
+        "e13a7da98640fad690df18ce0c17f790"),
+    ("sssp", (4, 4, 2), NODE_442): (
+        "1b2b89b2315b949b0e18263aef7d1700"
+        "017f8f82bb2a24283afd28dac46f24e9"),
+    ("sssp-stage2", (4, 4, 2), NODE_442): (
+        "df6c6d97999436f16159047f26b6dcd7"
+        "d662331efd0b042b0febb8e5a22c71e9"),
+}
+
+
 def test_golden_table_files():
     """Generated tables are byte-stable against committed goldens."""
     data = pathlib.Path(__file__).parent / "data"
@@ -197,58 +315,33 @@ def test_golden_table_files():
         (data / "grid33_bfs.table").read_text(encoding="utf-8"))
     assert table_to_text(_table("sssp", (2, 2))) == (
         (data / "mesh22_sssp.table").read_text(encoding="utf-8"))
-    # SHA-256 of table_to_text on inputs whose load tie-breaks matter
-    digests = {
-        ("bfs", (4, 4)): (
-            "e5281431e4fba46dbd1fd76cb5787686"
-            "c45bdc271aeb72e1184828260698fef8"),
-        ("sssp", (4, 4)): (
-            "9763ec9798abcd85f2cb87e7a8690208"
-            "da9869a5d2b7af0878d3041748f0b72b"),
-        ("bfs", (4, 2, 2, 2)): (
-            "0757b3866911281fa0d5b23742d950e0"
-            "da1fe910b7edde336300c5c44a578d57"),
-        ("sssp", (4, 2, 2, 2)): (
-            "9e506bbdca04a66f5135e64fb557a8cb"
-            "26ba72b4165af9fe838a1f8530159d70"),
-        ("genetic", (4, 2, 2, 2)): (
-            "2991a8a9c0156d45afb06a00645052a9"
-            "9ef4535463d6f9f22abc70566cfc1093"),
-        ("genetic", (6, 2, 2)): (
-            "aa50e477e5c28f51a690034ed57b9941"
-            "955ae2f000a05a9d37c2bb2ec8e1ace5"),
-        ("genetic", (4, 4, 2), NODE_442): (
-            "cfdc1bb1db774baca5d1c3b22182bd4c"
-            "79240de12de82e045f11aeda561f2806"),
-        ("bfs", (4, 4), FAULTED_44): (
-            "b77dfd64c51010d715ff4b4a44833edd"
-            "f8190c262ee280cc18bcf7a6d39fc18a"),
-        ("sssp", (4, 4), FAULTED_44): (
-            "53b267ae0e00b3db2e5ef1916f576836"
-            "176884fbb9239272b9106629d8719042"),
-        ("sssp", (5, 4, 3)): (
-            "5f4b725606dfddcb37ff6c14996b6db3"
-            "6f76bca1d5f9cc0ff988d41b7fa858f5"),
-        ("sssp-stage2", (4, 2, 2, 2)): (
-            "a11d433ab861883699dca8bf9c6150de"
-            "c6b3bed94e2b6d66cdf1b8d457fdfa9b"),
-        ("sssp-stage2", (4, 4), FAULTED_44): (
-            "6d4bdd730bf3a99e04e5f6a425328c32"
-            "e13a7da98640fad690df18ce0c17f790"),
-        ("sssp", (4, 4, 2), NODE_442): (
-            "1b2b89b2315b949b0e18263aef7d1700"
-            "017f8f82bb2a24283afd28dac46f24e9"),
-        ("sssp-stage2", (4, 4, 2), NODE_442): (
-            "df6c6d97999436f16159047f26b6dcd7"
-            "d662331efd0b042b0febb8e5a22c71e9"),
-    }
-    for key, want in digests.items():
+    for key, want in GOLDEN_DIGESTS.items():
         table = _table(*key)
         text = table_to_text(table)
         assert hashlib.sha256(text.encode()).hexdigest() == want, key
         parsed = parse_table(text, table.topology)
         assert parsed.routes == table.routes, key
         assert table_to_text(parsed) == text, key
+
+
+@pytest.mark.parametrize("key", GOLDEN_DIGESTS, ids=repr)
+def test_generated_tables_are_born_as_columns(key):
+    """A generated table is its columns, equal field by field (values, dtype,
+    pad width) to those parsed back from its text; its Routes are built only
+    when asked for, and a table of those Routes writes the same text."""
+    table = _table.__wrapped__(*key)  # a fresh table: no test asked it yet
+    algo, dims, *faults = key
+    t, rg, g, added = prepared(dims, **dict(*faults))
+    text = table_to_text(table)
+    check_table(t, table, added)
+    channel_loads(table)
+    assert table._routes is None
+    parsed = parse_table(text, t).columns
+    for f in fields(Columns):
+        got, want = getattr(table.columns, f.name), getattr(parsed, f.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        assert (got == want).all(), f.name
+    assert table_to_text(RoutingTable(t, table.routes)) == text
 
 
 @pytest.mark.parametrize("dims,faulted", [((4, 2, 2, 2), False),

@@ -147,6 +147,11 @@ def test_out_of_range_node_ids_raise():
                 t.distance(bad, 3)
             with pytest.raises(TopologyError, match="out of range"):
                 t.distance(3, bad)
+            with pytest.raises(TopologyError, match="out of range"):
+                most_remote(t, {bad, 1}, 0)
+    for d in (-1, 4, 9):
+        with pytest.raises(TopologyError, match="direction index"):
+            make_torus([4, 4]).neighbor(0, d)
 
 
 def test_most_remote():
