@@ -20,7 +20,10 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   grouped by (turn count, length, source) and served by a repeated
   least-load dynamic program over the group's hop-level DAG (the edges that
   raise the hop level by one, into the ancestors of the group's end
-  vertices), so hop count decides first and load only breaks ties.
+  vertices), so hop count decides first and load only breaks ties. The DAG
+  is built once per group as parallel tail/head/link lists over dense local
+  vertex ids; each call runs the program over those lists and reads every
+  chain back through its parents' tails and links.
 """
 
 from __future__ import annotations
@@ -242,35 +245,31 @@ def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
     """(link chains, truncated) of the shortest paths into ``end``.
 
     ``dist`` holds one source's hop levels (-1 where unreached). The walk
-    goes depth first back from ``end`` over the reverse-CSR in-edges in
-    edge-id order, onto tails one level lower, down to the begin vertex (the
-    only one at level 0). One chain per path, in the order the walk finds
-    them; truncated once ``budget`` paths are found. It does not use
+    goes depth first back from ``end`` over the in-edges in edge-id order,
+    onto tails one level lower, down to the begin vertex (the only one at
+    level 0). One chain per path, in the order the walk finds them;
+    truncated once ``budget`` paths are found. It does not use
     ``_level_dag``, so it can serve as a reference for that DAG.
     """
-    rindptr, redges = rg.reverse_csr()
-    rindptr, redges, tail, link, dist = (
-        memoryview(a) for a in (rindptr, redges, rg.edge_tail, rg.edge_link,
-                                dist))
+    ins, dist = rg.in_edges(), memoryview(dist)
     chains: list[tuple[int, ...]] = []
     # frames[k]: the in-edges left to try at the vertex k hops back from
-    # ``end``; path[k]: the one of them the walk is following
-    frames = [iter(redges[rindptr[end]:rindptr[end + 1]])]
+    # ``end``; path[k]: the link of the one the walk is following
+    frames = [iter(ins[end])]
     path: list[int] = []
     while frames:
         level = dist[end] - len(path) - 1  # of the top frame's tails
-        e = next((e for e in frames[-1] if dist[tail[e]] == level), None)
+        e = next((e for e in frames[-1] if dist[e[0]] == level), None)
         if e is None:
             frames.pop()
             if path:
                 path.pop()
         elif level:
-            path.append(e)
-            u = tail[e]
-            frames.append(iter(redges[rindptr[u]:rindptr[u + 1]]))
+            path.append(e[1])
+            frames.append(iter(ins[e[0]]))
         else:
-            chains.append(tuple(link[x] for x in (e, *reversed(path))
-                                if link[x] != DUMMY_LINK))
+            chains.append(tuple(x for x in (e[1], *reversed(path))
+                                if x != DUMMY_LINK))
             if len(chains) >= budget:
                 return chains, True
     return chains, False
@@ -297,6 +296,16 @@ def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
     return distinct, truncated
 
 
+def _source_levels(rg: RoutingGraph, source: int) -> np.ndarray:
+    """Hop levels from ``source`` (read-only); the graph keeps the last
+    source's, so consecutive calls for one source search once."""
+    if rg._last_levels is None or rg._last_levels[0] != source:
+        dist = _bfs_count(rg, source)[0]
+        dist.flags.writeable = False
+        rg._last_levels = (source, dist)
+    return rg._last_levels[1]
+
+
 def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
                              cap: int = VARIANT_CAP):
     """(variants, truncated): distinct minimal routes in deterministic order.
@@ -305,7 +314,7 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     (``_variant_chains``), in the order the walk back from the end vertex
     finds them, each in its least-non-standard legal encoding.
     """
-    chains, truncated = _variant_chains(rg, _bfs_count(rg, src)[0], src, dst,
+    chains, truncated = _variant_chains(rg, _source_levels(rg, src), src, dst,
                                         cap)
     return _routes(rg, src, np.array(chains)), truncated
 
@@ -355,55 +364,87 @@ def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
     return pairs
 
 
-def _level_dag(rg: RoutingGraph, level: np.ndarray, ends) -> list[tuple]:
-    """In-edges of the ancestors of ``ends`` on one source's hop-level DAG.
+def _level_dag(rg: RoutingGraph, level: np.ndarray, ends):
+    """The ancestors of ``ends`` on one source's hop-level DAG, in local ids.
 
     ``level`` holds every vertex's hop level from the source, -1 where
     unreached. An edge lies on the DAG when its tail's level is one less
-    than its head's; unreached ends are left out. Returns (tail level, head,
-    edge id, tail, link) tuples in that order, so every tail is settled
-    before the heads it leads to.
+    than its head's. Returns ((tail, head, link, begin), end ids): the DAG
+    edges as parallel lists over dense local vertex ids, the begin vertex's
+    local id (-1 when no end is reached), and each end's local id in
+    ``ends`` order (-1 where unreached). The walk goes back from the ends
+    one level at a time, deepest first, and numbers vertices as it meets
+    them, so the begin vertex, alone at level 0, comes last. The edges are
+    listed level by level from the begin vertex up, so every tail is settled
+    before the heads it leads to, and each head's in-edges are adjacent in
+    edge-id order.
     """
-    rindptr, redges = rg.reverse_csr()
-    rindptr, redges, tail, link, level = (
-        memoryview(a) for a in (rindptr, redges, rg.edge_tail, rg.edge_link,
-                                level))
-    seen = {v for v in ends if level[v] > 0}
-    todo = list(seen)
-    dag = []
-    for v in todo:
-        lv = level[v] - 1
-        for e in redges[rindptr[v]:rindptr[v + 1]]:
-            u = tail[e]
-            if level[u] == lv:
-                dag.append((lv, v, e, u, link[e]))
-                if u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-    dag.sort()
-    return dag
+    ins, level = rg.in_edges(), memoryview(level)
+    local: dict[int, int] = {}  # vertex id -> local id
+    todo = [[] for _ in range(max([0, *(level[v] for v in ends)]) + 1)]
+    for v in ends:
+        if level[v] > 0 and v not in local:
+            local[v] = len(local)
+            todo[level[v]].append(v)
+    end_ids = [local.get(v, -1) for v in ends]
+    tails, heads, links = [], [], []  # one list per level, deepest first
+    for lv in range(len(todo) - 2, -1, -1):  # the tails' level
+        below = todo[lv]
+        tail, head, link = [], [], []
+        for v in todo[lv + 1]:
+            x = local[v]
+            for u, l in ins[v]:
+                if level[u] == lv:
+                    i = local.get(u)
+                    if i is None:
+                        i = local[u] = len(local)
+                        below.append(u)
+                    tail.append(i)
+                    head.append(x)
+                    link.append(l)
+        tails.append(tail)
+        heads.append(head)
+        links.append(link)
+    dag = (list(chain.from_iterable(reversed(lists)))
+           for lists in (tails, heads, links))
+    return (*dag, len(local) - 1), end_ids
 
 
-def _least_load_chains(rg: RoutingGraph, source: int, dag: list[tuple],
-                       dsts, load: list[int]) -> dict[int, list[int]]:
-    """Least-load minimal-hop chains from one source (see ``_chains``).
+def _least_load_chains(dag: tuple, ends, load: list[int]) -> list[list[int]]:
+    """Least-load minimal-hop link chains into the given ends of a DAG.
 
-    A dynamic program over ``_level_dag``'s edges: a vertex's parent is its
-    DAG in-edge with the least (load of the path to the tail plus the load
-    of the edge's link, edge id). Every DAG in-edge of a vertex leaves the
-    level just below it, so the chains are hop-minimal and load only breaks
-    ties. ``load`` is indexed by link id and reads 0 at DUMMY_LINK (-1).
+    A dynamic program over ``_level_dag``'s edges in their order: a vertex's
+    parent is its in-edge with the least (load of the path to the tail plus
+    the load of the edge's link, edge id). Every in-edge of a vertex leaves
+    the level just below it, so the chains are hop-minimal and load only
+    breaks ties. ``load`` is indexed by link id and reads 0 at DUMMY_LINK
+    (-1). Each chain is read back from its end through the parents' tails
+    and links; ``ends`` are reached END vertices, whose in-edges carry no
+    link.
     """
-    cost = {rg.begin_vid(source): 0}
-    best: dict[int, int] = {}
-    for _, v, e, u, link in dag:
-        k = cost[u] + load[link]
-        if v not in best or k < cost[v]:  # ties keep the lower edge id
-            cost[v] = k
-            best[v] = e
-    parent = np.full(rg.n_vertices, -1, dtype=np.int64)
-    parent[list(best)] = list(best.values())
-    return _chains(rg, parent, source, dsts)
+    tail, head, link, begin = dag
+    if begin < 0:  # no end reached, so none asked for
+        return []
+    cost = [1 << 62] * (begin + 1)
+    cost[begin] = 0
+    parent = [begin] * (begin + 1)  # the local id of the parent edge's tail
+    via = [0] * (begin + 1)  # and its link
+    for u, v, l in zip(tail, head, link):
+        c = cost[u] + load[l]
+        if c < cost[v]:  # ties keep the lower edge id, listed first
+            cost[v] = c
+            parent[v] = u
+            via[v] = l
+    out = []
+    for x in ends:
+        links = []
+        x = parent[x]  # past the ejection
+        while x != begin:
+            links.append(via[x])
+            x = parent[x]
+        links.reverse()
+        out.append(links)
+    return out
 
 
 def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
@@ -411,16 +452,22 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     """Least-load minimal-hop route tree slice for a destination set.
 
     A least-load dynamic program over the source's hop-level DAG, restricted
-    to the ancestors of the destinations: hop count decides first; among the
-    in-edges of one vertex the least loaded path wins, ties by edge id.
-    ``loads`` is read, not changed.
+    to the ancestors of the destinations (``_level_dag``,
+    ``_least_load_chains``): hop count decides first; among the in-edges of
+    one vertex the least loaded path wins, ties by edge id. ``loads`` is
+    read, not changed. Raises UnroutablePairError naming every unreached
+    destination, in destination order.
     """
-    dst_nodes = list(dst_nodes)
-    dag = _level_dag(rg, _bfs_count(rg, source)[0],
-                     [rg.end_vid(d) for d in dst_nodes if d != source])
-    chains = _least_load_chains(rg, source, dag, dst_nodes,
-                                loads.tolist() + [0])
-    return {r.dst: r for r in _routes(rg, source, _matrix(chains.values()))}
+    dsts = [d for d in dst_nodes if d != source]
+    dag, ends = _level_dag(rg, _bfs_count(rg, source)[0],
+                           [rg.end_vid(d) for d in dsts])
+    missing = [d for d, x in zip(dsts, ends) if x < 0]
+    if missing:
+        t = rg.topology
+        raise UnroutablePairError(
+            [(t.coord_str(source), t.coord_str(d)) for d in missing])
+    chains = _least_load_chains(dag, ends, loads.tolist() + [0])
+    return {r.dst: r for r in _routes(rg, source, _matrix(chains))}
 
 
 def build_rt_sssp(rg: RoutingGraph,
@@ -430,8 +477,11 @@ def build_rt_sssp(rg: RoutingGraph,
     Stage 1 fixes every pair with a single minimal route; the rest are
     pending, grouped by (turn count, length, source). Stage 2 builds each
     group's hop-level DAG from stage 1's hop levels when it reaches the
-    group, then runs the least-load dynamic program on it against the live
-    ledger, once per call, until every pair of the group is routed.
+    group (``_level_dag``, in local vertex ids), then runs the least-load
+    dynamic program on it against the live ledger, once per call
+    (``_least_load_chains``), until every pair of the group is routed. A
+    call routes, in pair order, each chain that shares no link with a chain
+    routed before it in the same call.
     ``stats.sssp_calls`` counts stage 2's shortest-path trees: at least one
     per pending group, at most one per pending pair (each call routes at
     least one pair), and zero when stage 1 fixes every pair.
@@ -457,23 +507,22 @@ def build_rt_sssp(rg: RoutingGraph,
     dst_of = cols.dst.tolist()
     calls = 0
     for key in sorted(pending):
-        src = key[2]
         rows = pending[key]
-        dag = _level_dag(rg, levels[src], [rg.end_vid(dst_of[r]) for r in rows])
+        dag, ends = _level_dag(rg, levels[key[2]],
+                               [rg.end_vid(dst_of[r]) for r in rows])
         while rows:
             calls += 1
-            chains = _least_load_chains(rg, src, dag,
-                                        [dst_of[r] for r in rows], load)
-            used, routed = set(), set()
-            for row in rows:
-                chosen = chains[dst_of[row]]
+            used, left = set(), []
+            for row, end, chosen in zip(rows, ends,
+                                        _least_load_chains(dag, ends, load)):
                 if used.isdisjoint(chosen):
                     used.update(chosen)
                     links[row, :len(chosen)] = chosen  # as long as the old
-                    routed.add(row)
+                else:
+                    left.append((row, end))
             for link in used:
                 load[link] += 1
-            rows = [r for r in rows if r not in routed]
+            rows, ends = [r for r, _ in left], [x for _, x in left]
 
     stats = GenerationStats("sssp", np.array(load[:-1], dtype=np.int64),
                             sssp_calls=calls, unique_pairs=int(unique.sum()),
@@ -514,10 +563,19 @@ def _variant_tables(rg: RoutingGraph):
 
 def build_rt_genetic(rg: RoutingGraph,
                      params: GeneticParams | None = None) -> RoutingTable:
-    """Genetic search over minimal route variants, scored by deviation."""
+    """Genetic search over minimal route variants, scored by deviation.
+
+    With one live node there is no pair to route and no channel to score,
+    and the table is empty.
+    """
     t = rg.topology
     params = params or GeneticParams()
     src, counts, offsets, links = _variant_tables(rg)
+    if not len(src):
+        return RoutingTable(t, columns=encode_chains(t, src, links,
+                                                     rg.relaxed)[0],
+                            stats=GenerationStats("genetic", np.zeros(
+                                t.n_channels, dtype=np.int64)))
     gp = perfect_channel_load(t)
     n_channels = t.n_channels
     counted = np.where(links < 0, n_channels, links)  # pads count last

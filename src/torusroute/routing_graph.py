@@ -103,6 +103,7 @@ class RoutingGraph:
         np.add.at(self.indptr, self.edge_tail + 1, 1)
         np.cumsum(self.indptr, out=self.indptr)
         self._rev = None
+        self._last_levels = None  # see algorithms._source_levels
 
     # -- vertex ids ----------------------------------------------------------
     # Per-node layout: begin, dirbit block, FS block, LS block, end. Standard
@@ -147,14 +148,18 @@ class RoutingGraph:
     def out_edges(self, vid: int) -> range:
         return range(int(self.indptr[vid]), int(self.indptr[vid + 1]))
 
-    def reverse_csr(self):
-        """(rindptr, redge_ids): in-edges per head vertex, cached."""
+    def in_edges(self) -> list[tuple[tuple[int, int], ...]]:
+        """Per head vertex, the (tail, link) of its in-edges in edge-id
+        order, for the pure-Python walks; cached. Tuples of ints leave the
+        garbage collector's lists at its first pass, where lists would stay
+        and make every full collection longer."""
         if self._rev is None:
             order = np.argsort(self.edge_head, kind="stable")
-            rindptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-            np.add.at(rindptr, self.edge_head + 1, 1)
-            np.cumsum(rindptr, out=rindptr)
-            self._rev = (rindptr, order.astype(np.int64))
+            bounds = np.searchsorted(self.edge_head[order],
+                                     np.arange(self.n_vertices + 1)).tolist()
+            pairs = list(zip(self.edge_tail[order].tolist(),
+                             self.edge_link[order].tolist()))
+            self._rev = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
         return self._rev
 
 def _build_edges(rg: RoutingGraph) -> list[tuple[int, int, int, bool]]:

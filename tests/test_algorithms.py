@@ -9,9 +9,12 @@ from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_sssp, channel_loads, enumerate_minimal_routes,
                         load_report, make_torus, rg_reachable_pairs,
                         turn_count, unique_route_stats)
+from torusroute import algorithms
+from torusroute.algorithms import _bfs_count, _rg_chains
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
-from torusroute.routes import check_table, make_route, table_to_text
+from torusroute.routes import (check_table, make_route, parse_table,
+                               table_to_text)
 
 from conftest import pending_groups, prepared, small_faulted_systems
 
@@ -206,29 +209,69 @@ def test_sssp_exact_routes_under_random_loads(desmos):
 @given(small_faulted_systems())
 @settings(max_examples=60, deadline=None)
 def test_sssp_routes_are_least_load_minimal_variants(system):
-    """Every ``build_sssp`` route has its pair's minimal hop count and the
-    least total link load among all the pair's minimal variants, which the
-    path enumerator lists without the level DAG; the ledger is unchanged."""
+    """Differential test of stage 2 against ``_rg_chains``, which walks every
+    shortest path back from the end vertex, in-edges in edge-id order,
+    without the level DAG. For every reachable destination, and again for a
+    random half of them (a DAG over fewer ends), every ``build_sssp`` chain
+    has its pair's minimal hop count and the least summed load over all the
+    pair's minimal link chains, and it is the first such chain of the walk:
+    the DP keeps, per vertex, the least (path load, edge id). The ledger is
+    unchanged."""
     dims, nodes, links, src, seed = system
     t = make_torus(dims, nodes, links)
     rg = prepare(t)[0]
-    loads = np.random.default_rng(seed).integers(0, 20, size=t.n_channels)
+    rng = np.random.default_rng(seed)
+    loads = rng.integers(0, 4, size=t.n_channels)  # small loads: many ties
     before = loads.copy()
-    dsts = sorted(d for s, d in rg_reachable_pairs(rg) if s == src)
-    routes = build_sssp(rg, src, dsts, loads)
-    assert sorted(routes) == dsts
-    assert (loads == before).all()
+    dist = _bfs_count(rg, src)[0]
+    every = sorted(d for s, d in rg_reachable_pairs(rg) if s == src)
+    for dsts in (every, [d for d in every if rng.random() < 0.5]):
+        routes = build_sssp(rg, src, dsts, loads)
+        assert sorted(routes) == dsts
+        assert (loads == before).all()
+        for dst, r in routes.items():
+            end = rg.end_vid(dst)
+            chains, truncated = _rg_chains(rg, dist, end, 10 ** 6)
+            assert not truncated
+            chosen = tuple(t.walk(src, r.steps)[1])
+            assert len(chosen) == dist[end] - 1  # the ejection adds no hop
+            costs = [int(loads[list(c)].sum()) for c in chains]
+            assert chosen == chains[costs.index(min(costs))], (dst, r)
 
-    def load_of(r):
-        return int(loads[t.walk(r.src, r.steps)[1]].sum())
 
-    for dst, r in routes.items():
-        variants, truncated = enumerate_minimal_routes(rg, src, dst,
-                                                       cap=10 ** 6)
-        assert not truncated
-        assert len(r) == len(variants[0])
-        assert r.steps in {v.steps for v in variants}
-        assert load_of(r) == min(load_of(v) for v in variants), (dst, r)
+@pytest.mark.parametrize("algo", sorted(GENERATORS))
+def test_one_live_node_gives_empty_table(algo):
+    """A system with one live node has no pair: every generator returns an
+    empty table that passes the table checks."""
+    t, rg, g, added = prepared([2], failed_nodes=[1])
+    table = GENERATORS[algo](rg)
+    assert len(table) == 0 and table.stats.total_pairs == 0
+    assert check_table(t, table, added) == {
+        "completeness": [], "minimality": [], "validity": []}
+    assert len(parse_table(table_to_text(table), t)) == 0
+
+
+def test_enumerate_searches_once_per_source(desmos, monkeypatch):
+    """Consecutive calls for one source share one hop-level search, and give
+    the variants that a fresh search gives."""
+    t, rg, g, added = desmos
+    searched = []
+    real = algorithms._bfs_count
+    monkeypatch.setattr(algorithms, "_bfs_count",
+                        lambda rg, s: searched.append(s) or real(rg, s))
+    src, other = 5, 6
+    enumerate_minimal_routes(rg, other, src)
+    searched.clear()
+    cached = [enumerate_minimal_routes(rg, src, d) for d in t.live_nodes
+              if d != src]
+    assert searched == [src]
+    fresh = []
+    for d in t.live_nodes:
+        if d != src:
+            enumerate_minimal_routes(rg, other, src)  # evicts ``src``
+            fresh.append(enumerate_minimal_routes(rg, src, d))
+    assert searched == [src] + [other, src] * (len(t.live_nodes) - 1)
+    assert cached == fresh
 
 
 def test_sssp_stage_comparison():

@@ -344,6 +344,20 @@ def test_generated_tables_are_born_as_columns(key):
     assert table_to_text(RoutingTable(t, table.routes)) == text
 
 
+@pytest.mark.parametrize("dims,calls,want", [
+    ((5, 4, 3), 474, GOLDEN_DIGESTS[("sssp", (5, 4, 3))]),
+    ((6, 6, 6), 9590, "0f115aab977731fe36431d0ae3cd5b34"
+                      "285febdc890c2524bc69df0df37bfc51"),
+], ids=["5x4x3", "6x6x6"])
+def test_large_sssp_tables_pinned(dims, calls, want):
+    """The two largest tables the suite builds: the SHA-256 of the sssp table
+    and stage 2's call count, so that a change to the least-load dynamic
+    program shows on up to 9,590 calls."""
+    table = _table("sssp", dims)
+    assert table.stats.sssp_calls == calls
+    assert hashlib.sha256(table_to_text(table).encode()).hexdigest() == want
+
+
 @pytest.mark.parametrize("dims,faulted", [((4, 2, 2, 2), False),
                                           ((4, 4), True)])
 def test_table_routes_are_routing_graph_paths(dims, faulted):
