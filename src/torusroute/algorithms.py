@@ -296,16 +296,6 @@ def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
     return distinct, truncated
 
 
-def _source_levels(rg: RoutingGraph, source: int) -> np.ndarray:
-    """Hop levels from ``source`` (read-only); the graph keeps the last
-    source's, so consecutive calls for one source search once."""
-    if rg._last_levels is None or rg._last_levels[0] != source:
-        dist = _bfs_count(rg, source)[0]
-        dist.flags.writeable = False
-        rg._last_levels = (source, dist)
-    return rg._last_levels[1]
-
-
 def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
                              cap: int = VARIANT_CAP):
     """(variants, truncated): distinct minimal routes in deterministic order.
@@ -314,7 +304,7 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     (``_variant_chains``), in the order the walk back from the end vertex
     finds them, each in its least-non-standard legal encoding.
     """
-    chains, truncated = _variant_chains(rg, _source_levels(rg, src), src, dst,
+    chains, truncated = _variant_chains(rg, _bfs_count(rg, src)[0], src, dst,
                                         cap)
     return _routes(rg, src, np.array(chains)), truncated
 
@@ -571,6 +561,8 @@ def build_rt_genetic(rg: RoutingGraph,
     t = rg.topology
     params = params or GeneticParams()
     src, counts, offsets, links = _variant_tables(rg)
+    # no pair means no channel: perfect_channel_load would divide by zero
+    # and deviation rejects an empty load vector, so nothing can be scored
     if not len(src):
         return RoutingTable(t, columns=encode_chains(t, src, links,
                                                      rg.relaxed)[0],

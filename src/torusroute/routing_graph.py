@@ -103,7 +103,6 @@ class RoutingGraph:
         np.add.at(self.indptr, self.edge_tail + 1, 1)
         np.cumsum(self.indptr, out=self.indptr)
         self._rev = None
-        self._last_levels = None  # see algorithms._source_levels
 
     # -- vertex ids ----------------------------------------------------------
     # Per-node layout: begin, dirbit block, FS block, LS block, end. Standard

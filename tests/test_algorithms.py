@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_sssp, channel_loads, enumerate_minimal_routes,
                         load_report, make_torus, rg_reachable_pairs,
                         turn_count, unique_route_stats)
-from torusroute import algorithms
 from torusroute.algorithms import _bfs_count, _rg_chains
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
@@ -212,8 +212,9 @@ def test_sssp_routes_are_least_load_minimal_variants(system):
     """Differential test of stage 2 against ``_rg_chains``, which walks every
     shortest path back from the end vertex, in-edges in edge-id order,
     without the level DAG. For every reachable destination, and again for a
-    random half of them (a DAG over fewer ends), every ``build_sssp`` chain
-    has its pair's minimal hop count and the least summed load over all the
+    random half of them (a DAG over fewer ends), each under a ledger of
+    small loads (many ties) and one of spread loads, every ``build_sssp``
+    chain has its pair's minimal hop count and the least summed load over all the
     pair's minimal link chains, and it is the first such chain of the walk:
     the DP keeps, per vertex, the least (path load, edge id). The ledger is
     unchanged."""
@@ -221,20 +222,22 @@ def test_sssp_routes_are_least_load_minimal_variants(system):
     t = make_torus(dims, nodes, links)
     rg = prepare(t)[0]
     rng = np.random.default_rng(seed)
-    loads = rng.integers(0, 4, size=t.n_channels)  # small loads: many ties
-    before = loads.copy()
     dist = _bfs_count(rg, src)[0]
     every = sorted(d for s, d in rg_reachable_pairs(rg) if s == src)
-    for dsts in (every, [d for d in every if rng.random() < 0.5]):
+    walks = {d: _rg_chains(rg, dist, rg.end_vid(d), 10 ** 6) for d in every}
+    assert not any(truncated for _, truncated in walks.values())
+    for high, dsts in itertools.product(
+            (4, 20), (every, [d for d in every if rng.random() < 0.5])):
+        loads = rng.integers(0, high, size=t.n_channels)
+        before = loads.copy()
         routes = build_sssp(rg, src, dsts, loads)
         assert sorted(routes) == dsts
         assert (loads == before).all()
         for dst, r in routes.items():
-            end = rg.end_vid(dst)
-            chains, truncated = _rg_chains(rg, dist, end, 10 ** 6)
-            assert not truncated
+            chains = walks[dst][0]
             chosen = tuple(t.walk(src, r.steps)[1])
-            assert len(chosen) == dist[end] - 1  # the ejection adds no hop
+            # the ejection adds no hop
+            assert len(chosen) == dist[rg.end_vid(dst)] - 1
             costs = [int(loads[list(c)].sum()) for c in chains]
             assert chosen == chains[costs.index(min(costs))], (dst, r)
 
@@ -249,29 +252,6 @@ def test_one_live_node_gives_empty_table(algo):
     assert check_table(t, table, added) == {
         "completeness": [], "minimality": [], "validity": []}
     assert len(parse_table(table_to_text(table), t)) == 0
-
-
-def test_enumerate_searches_once_per_source(desmos, monkeypatch):
-    """Consecutive calls for one source share one hop-level search, and give
-    the variants that a fresh search gives."""
-    t, rg, g, added = desmos
-    searched = []
-    real = algorithms._bfs_count
-    monkeypatch.setattr(algorithms, "_bfs_count",
-                        lambda rg, s: searched.append(s) or real(rg, s))
-    src, other = 5, 6
-    enumerate_minimal_routes(rg, other, src)
-    searched.clear()
-    cached = [enumerate_minimal_routes(rg, src, d) for d in t.live_nodes
-              if d != src]
-    assert searched == [src]
-    fresh = []
-    for d in t.live_nodes:
-        if d != src:
-            enumerate_minimal_routes(rg, other, src)  # evicts ``src``
-            fresh.append(enumerate_minimal_routes(rg, src, d))
-    assert searched == [src] + [other, src] * (len(t.live_nodes) - 1)
-    assert cached == fresh
 
 
 def test_sssp_stage_comparison():
