@@ -20,10 +20,16 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   grouped by (turn count, length, source) and served by a repeated
   least-load dynamic program over the group's hop-level DAG (the edges that
   raise the hop level by one, into the ancestors of the group's end
-  vertices), so hop count decides first and load only breaks ties. The DAG
-  is built once per group as parallel tail/head/link lists over dense local
-  vertex ids; each call runs the program over those lists and reads every
-  chain back through its parents' tails and links.
+  vertices), so hop count decides first and load only breaks ties. Stage 1
+  needs no ledger, so one level search serves a batch of sources and one
+  array walk reads every pair's canonical chain off the batch's parent
+  trees. The DAG is built once per group as parallel tail/head/link lists
+  over dense local vertex ids; each call runs the program over those lists
+  and reads every chain back through its parents' tails and links.
+
+Every hop-level search runs on one kernel, ``_levels``, over one or more
+begin vertices at once, and every breadth-first parent tree is read back by
+one array walk, ``_tree_chains``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import UnroutablePairError
+from .errors import TopologyError, UnroutablePairError
 from .metrics import deviation, perfect_channel_load
 from .routes import (Route, RoutingTable, _padded, _widen, encode_chains,
                      route_rows)
@@ -78,40 +84,16 @@ def turn_count(r: Route) -> int:
 
 # -- shared search kernels ----------------------------------------------------
 
-def _chains(rg: RoutingGraph, parent_edge: np.ndarray, source: int,
-            dsts) -> dict[int, list[int]]:
-    """Physical link ids of the tree path to every destination but ``source``.
+# (rows x n_vertices) cells of one source-batched level search: bounds the
+# flat per-vertex arrays of a batch, whatever the topology's size
+_BATCH_CELLS = 1 << 17
 
-    Raises UnroutablePairError naming every destination whose end vertex the
-    parent tree does not reach, in destination order.
-    """
-    begin = rg.begin_vid(source)
-    # memoryviews index to Python ints without copying the arrays
-    parent, tail, link = (memoryview(a) for a in (parent_edge, rg.edge_tail,
-                                                  rg.edge_link))
-    out: dict[int, list[int]] = {}
-    missing = []
-    for dst in dsts:
-        if dst == source:
-            continue
-        v = rg.end_vid(dst)
-        links = []
-        while v != begin:
-            e = parent[v]
-            if e < 0:
-                missing.append(dst)
-                break
-            if link[e] != DUMMY_LINK:
-                links.append(link[e])
-            v = tail[e]
-        else:
-            links.reverse()
-            out[dst] = links
-    if missing:
-        t = rg.topology
-        raise UnroutablePairError(
-            [(t.coord_str(source), t.coord_str(d)) for d in missing])
-    return out
+
+def _check_nodes(t, nodes) -> None:
+    """Raise TopologyError on the first node id outside the topology."""
+    for u in nodes:
+        if not 0 <= u < t.num_coords:
+            raise TopologyError(f"node id {u} out of range")
 
 
 def _matrix(chains) -> np.ndarray:
@@ -134,43 +116,134 @@ def _routes(rg: RoutingGraph, source: int, chains: np.ndarray) -> list[Route]:
         rg.topology, np.full(len(chains), source), chains, rg.relaxed)[0]))
 
 
-def _levels(rg: RoutingGraph, begin: int, key=None):
-    """Hop levels of the routing graph from ``begin``, one level per yield.
+def _levels(rg: RoutingGraph, begins, key=None):
+    """Hop levels of the routing graph from each of ``begins`` at once, one
+    level per yield.
 
-    Yields (new vertices, their parent edges, open edge ids, open heads); the
-    open edges leave the frontier for vertices not reached before. A new
-    vertex's parent is its open in-edge with the least (key, edge id).
-    ``key`` maps edge ids to integer keys (all 0 when omitted) and runs once
-    per level, after the caller has handled the previous yield, so it may
-    read per-vertex state the caller keeps.
+    Row r searches from ``begins[r]``, and its vertex v has the flat id
+    ``r * n_vertices + v``, so rows never meet and with one begin flat ids
+    are vertex ids. Yields (new flat ids, their parent edges, open edge ids,
+    open flat heads); the open edges leave the frontier for vertices their
+    row has not reached before. A new vertex's parent is its open in-edge
+    with the least (key, edge id). ``key`` maps edge ids to integer keys
+    (all 0 when omitted) and runs once per level, after the caller has
+    handled the previous yield, so it may read per-vertex state the caller
+    keeps.
     """
-    reached = np.zeros(rg.n_vertices, dtype=bool)
-    reached[begin] = True
-    frontier = np.array([begin], dtype=np.int64)
+    nv = rg.n_vertices
+    rows = len(begins)
+    frontier = np.asarray(begins, dtype=np.int64) + nv * np.arange(rows)
+    reached = np.zeros(rows * nv, dtype=bool)
+    reached[frontier] = True
     while len(frontier):
-        starts = rg.indptr[frontier]
-        counts = rg.indptr[frontier + 1] - starts
+        verts = frontier % nv if rows > 1 else frontier
+        starts = rg.indptr[verts]
+        counts = rg.indptr[verts + 1] - starts
         eids = np.arange(int(counts.sum()), dtype=np.int64)
         eids += np.repeat(starts - (np.cumsum(counts) - counts), counts)
         heads = rg.edge_head[eids].astype(np.int64)
+        if rows > 1:  # into the tail's row
+            heads += np.repeat(frontier - verts, counts)
         open_m = ~reached[heads]
         eids, heads = eids[open_m], heads[open_m]
         if not len(eids):
             return
-        keys = (np.zeros(len(eids), dtype=np.int64) if key is None
-                else key(eids))
-        # the frontier ascends and edge ids are tail-major, so eids ascend
-        # and a stable sort by (head, key) leaves ties in edge-id order
-        span = int(keys.max()) + 1
-        if (int(heads.max()) + 1) * span < 2 ** 62:
-            order = np.argsort(heads * span + keys, kind="stable")
+        # the frontier ascends and edge ids are tail-major, so each row's
+        # eids ascend and a stable sort by (head, key) leaves ties in
+        # edge-id order; flat heads of different rows never tie
+        if key is None:
+            order = np.argsort(heads, kind="stable")
         else:
-            order = np.lexsort((keys, heads))
+            keys = key(eids)
+            span = int(keys.max()) + 1
+            if (int(heads.max()) + 1) * span < 2 ** 62:
+                order = np.argsort(heads * span + keys, kind="stable")
+            else:
+                order = np.lexsort((keys, heads))
         heads_s = heads[order]
-        chosen = order[np.flatnonzero(np.diff(heads_s, prepend=-1))]
+        first = np.empty(len(order), dtype=bool)  # of each head's run
+        first[0] = True
+        np.not_equal(heads_s[1:], heads_s[:-1], out=first[1:])
+        chosen = order[first]
         frontier = heads[chosen]
         reached[frontier] = True
         yield frontier, eids[chosen], eids, heads
+
+
+def _bfs_count(rg: RoutingGraph, sources):
+    """(hop levels, shortest-path counts, least-edge-id parent edges) from
+    each of ``sources`` in one level search, one row of ``n_vertices`` per
+    source. Levels and parents read -1 where unreached, and the begin
+    vertex has no parent edge."""
+    shape = (len(sources), rg.n_vertices)
+    dist = np.full(shape, -1, dtype=np.int32)
+    counts = np.zeros(shape, dtype=np.int64)
+    parent_edge = np.full(shape, -1, dtype=np.int64)
+    begins = rg.begin_vid(np.asarray(sources, dtype=np.int64))
+    at_begin = (np.arange(len(begins)), begins)
+    dist[at_begin] = 0
+    counts[at_begin] = 1
+    flat_dist, flat_counts, flat_parent = (
+        a.reshape(-1) for a in (dist, counts, parent_edge))
+    for level, (new, parents, eids, heads) in enumerate(
+            _levels(rg, begins), 1):
+        flat_parent[new] = parents
+        flat_dist[new] = level
+        # each open edge's flat tail: its head's row, its own tail vertex
+        tails = heads - rg.edge_head[eids] + rg.edge_tail[eids]
+        np.add.at(flat_counts, heads, flat_counts[tails])
+    return dist, counts, parent_edge
+
+
+def _source_batches(rg: RoutingGraph, sources):
+    """Consecutive slices of ``sources`` whose level searches hold at most
+    ``_BATCH_CELLS`` cells each (one source at the least)."""
+    step = max(1, _BATCH_CELLS // rg.n_vertices)
+    return [sources[i:i + step] for i in range(0, len(sources), step)]
+
+
+def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
+                 depth: int) -> np.ndarray:
+    """Link chains of the parent-tree paths from each source to every other
+    live node, in pair order, padded with -1.
+
+    Row r of ``parent_edge`` holds the tree from ``sources[r]`` (flat, as
+    ``_levels`` numbers vertices); no tree path has more than ``depth``
+    edges. Every pair walks back from its end vertex at once, one gather of
+    parent edge, link and tail per hop, filling its row from the right. A
+    walk that has reached its begin vertex reads the sentinel edge -1: its
+    link is the DUMMY_LINK appended to the links, and its tail, vertex 0 of
+    the row, is a BEGIN vertex that no edge enters, so the walk stays there.
+    The DUMMY_LINKs are then dropped and the rows left-aligned. Raises
+    UnroutablePairError naming every destination that the first source with
+    one cannot reach, in destination order.
+    """
+    t = rg.topology
+    sources = np.asarray(sources, dtype=np.int64)
+    nodes = np.array(t.live_nodes, dtype=np.int64)
+    src = np.repeat(sources, len(nodes))
+    dst = np.tile(nodes, len(sources))
+    row_base = np.repeat(np.arange(len(sources)) * rg.n_vertices, len(nodes))
+    pair = dst != src
+    src, dst, row_base = src[pair], dst[pair], row_base[pair]
+    parent = parent_edge.reshape(-1)
+    cur = row_base + rg.end_vid(dst)
+    unreached = parent[cur] < 0
+    if unreached.any():
+        first = src[np.argmax(unreached)]
+        raise UnroutablePairError(
+            [(t.coord_str(first), t.coord_str(d))
+             for d in dst[unreached & (src == first)].tolist()])
+    link = np.append(rg.edge_link, DUMMY_LINK)
+    tail = np.append(rg.edge_tail, 0)
+    hops = np.empty((len(cur), depth), dtype=np.int32)
+    for col in range(depth - 1, -1, -1):
+        e = parent[cur]
+        hops[:, col] = link[e]
+        cur = row_base + tail[e]
+    kept = hops != DUMMY_LINK
+    lens = kept.sum(axis=1)
+    return _padded(hops[kept], lens, int(lens.max(initial=1)), np.int32)
 
 
 def _bfs_chains(rg: RoutingGraph, source: int,
@@ -187,12 +260,13 @@ def _bfs_chains(rg: RoutingGraph, source: int,
     loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
     parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
     arrival = np.zeros(rg.n_vertices, dtype=np.int64)  # the source: load-free
-    for new, parents, _, _ in _levels(
-            rg, rg.begin_vid(source), lambda e: arrival[rg.edge_tail[e]]):
+    depth = 0
+    for depth, (new, parents, _, _) in enumerate(_levels(
+            rg, [rg.begin_vid(source)], lambda e: arrival[rg.edge_tail[e]]),
+            1):
         parent_edge[new] = parents
         arrival[new] = loads_ext[rg.edge_link[parents]]
-    chains = _matrix(_chains(rg, parent_edge, source,
-                             rg.topology.live_nodes).values())
+    chains = _tree_chains(rg, [source], parent_edge, depth)
     loads += np.bincount(chains[chains >= 0], minlength=len(loads))
     return chains
 
@@ -200,6 +274,7 @@ def _bfs_chains(rg: RoutingGraph, source: int,
 def build_bfs_routes(rg: RoutingGraph, source: int,
                      loads: np.ndarray) -> dict[int, Route]:
     """Breadth-first routes from one source; see ``_bfs_chains``."""
+    _check_nodes(rg.topology, [source])
     return {r.dst: r for r in _routes(rg, source,
                                       _bfs_chains(rg, source, loads))}
 
@@ -222,22 +297,6 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
                          rg.relaxed)[0]
     return RoutingTable(t, columns=cols, stats=GenerationStats(
         "bfs", loads, total_pairs=len(cols.src)))
-
-
-def _bfs_count(rg: RoutingGraph, source: int):
-    """Hop distances, shortest-path counts and a deterministic parent tree."""
-    begin = rg.begin_vid(source)
-    dist = np.full(rg.n_vertices, -1, dtype=np.int32)
-    counts = np.zeros(rg.n_vertices, dtype=np.int64)
-    parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
-    dist[begin] = 0
-    counts[begin] = 1
-    for level, (new, parents, eids, heads) in enumerate(
-            _levels(rg, begin), 1):
-        parent_edge[new] = parents
-        dist[new] = level
-        np.add.at(counts, heads, counts[rg.edge_tail[eids]])
-    return dist, counts, parent_edge
 
 
 def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
@@ -304,8 +363,13 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     (``_variant_chains``), in the order the walk back from the end vertex
     finds them, each in its least-non-standard legal encoding.
     """
-    chains, truncated = _variant_chains(rg, _bfs_count(rg, src)[0], src, dst,
-                                        cap)
+    _check_nodes(rg.topology, (src, dst))
+    if src == dst:
+        raise ValueError(f"dst must differ from src, both are {src}")
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    chains, truncated = _variant_chains(rg, _bfs_count(rg, [src])[0][0], src,
+                                        dst, cap)
     return _routes(rg, src, np.array(chains)), truncated
 
 
@@ -313,23 +377,28 @@ def _pair_stats(rg: RoutingGraph):
     """(hop levels per source, columns of every pair's canonical route in
     pair order, unique mask, their link chains padded with -1).
 
-    A pair's minimal route is unique exactly when its shortest routing-graph
-    paths are as many as the canonical chain's legal splits, since a second
-    physical route would add splits of its own.
+    One level search serves a batch of sources (``_source_batches``), and
+    one array walk reads every pair's canonical chain off the batch's
+    least-edge-id parent trees (``_tree_chains``). A pair's minimal route is
+    unique exactly when its shortest routing-graph paths are as many as the
+    canonical chain's legal splits, since a second physical route would add
+    splits of its own.
     """
     t = rg.topology
+    nodes = np.array(t.live_nodes, dtype=np.int64)
+    ends = rg.end_vid(nodes)
     levels: dict[int, np.ndarray] = {}
     chains, paths = [], []
-    for source in t.live_nodes:
-        dist, counts, parent_edge = _bfs_count(rg, source)
-        chains.append(_matrix(_chains(rg, parent_edge, source,
-                                      t.live_nodes).values()))
-        paths.append(counts[[rg.end_vid(d) for d in t.live_nodes
-                             if d != source]])
+    for part in _source_batches(rg, nodes):
+        dist, counts, parent_edge = _bfs_count(rg, part)
+        deepest = int(dist.max(initial=0))
+        chains.append(_tree_chains(rg, part, parent_edge, deepest))
+        paths.append(counts[:, ends][nodes != part[:, None]])
         # the narrowest signed type that holds the deepest level
-        levels[source] = dist.astype(np.min_scalar_type(-1 - int(dist.max())))
+        narrow = np.min_scalar_type(-1 - deepest)
+        levels.update(zip(part.tolist(), dist.astype(narrow)))
     links = _stack(chains)
-    src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)
+    src = np.repeat(nodes, len(nodes) - 1)
     cols, legal = encode_chains(t, src, links, rg.relaxed)
     unique = np.concatenate(paths) == legal.sum(axis=1)
     return levels, cols, unique, links
@@ -344,13 +413,13 @@ def unique_route_stats(rg: RoutingGraph) -> tuple[int, int]:
 def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
     """Ordered node pairs (i, j), i != j, with a begin->end path."""
     t = rg.topology
+    nodes = np.array(t.live_nodes, dtype=np.int64)
     pairs = set()
-    ends = np.array([rg.end_vid(v) for v in t.live_nodes], dtype=np.int64)
-    for src in t.live_nodes:
-        dist = _bfs_count(rg, src)[0]
-        for v, evid in zip(t.live_nodes, ends):
-            if v != src and dist[evid] >= 0:
-                pairs.add((src, v))
+    for part in _source_batches(rg, nodes):
+        reached = _bfs_count(rg, part)[0][:, rg.end_vid(nodes)] >= 0
+        reached &= nodes != part[:, None]
+        rows, cols = np.nonzero(reached)
+        pairs.update(zip(part[rows].tolist(), nodes[cols].tolist()))
     return pairs
 
 
@@ -449,7 +518,8 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     destination, in destination order.
     """
     dsts = [d for d in dst_nodes if d != source]
-    dag, ends = _level_dag(rg, _bfs_count(rg, source)[0],
+    _check_nodes(rg.topology, [source, *dsts])
+    dag, ends = _level_dag(rg, _bfs_count(rg, [source])[0][0],
                            [rg.end_vid(d) for d in dsts])
     missing = [d for d, x in zip(dsts, ends) if x < 0]
     if missing:
@@ -465,7 +535,9 @@ def build_rt_sssp(rg: RoutingGraph,
     """Two-stage shortest-path routing table (unique routes, sort and group).
 
     Stage 1 fixes every pair with a single minimal route; the rest are
-    pending, grouped by (turn count, length, source). Stage 2 builds each
+    pending, grouped by (turn count, length, source). It runs no ledger, so
+    its searches go in batches of sources (``_pair_stats``): one level
+    search and one array read-back per batch. Stage 2 builds each
     group's hop-level DAG from stage 1's hop levels when it reaches the
     group (``_level_dag``, in local vertex ids), then runs the least-load
     dynamic program on it against the live ledger, once per call
@@ -533,19 +605,21 @@ def _variant_tables(rg: RoutingGraph):
     t = rg.topology
     nodes = t.live_nodes
     counts, variants = [], []
-    for source in nodes:
-        dist = _bfs_count(rg, source)[0]
-        unreached = [(t.coord_str(source), t.coord_str(dst)) for dst in nodes
-                     if dst != source and dist[rg.end_vid(dst)] < 0]
-        if unreached:
-            raise UnroutablePairError(unreached)
-        rows = []
-        for dst in nodes:
-            if dst != source:
-                chains = _variant_chains(rg, dist, source, dst, VARIANT_CAP)[0]
-                counts.append(len(chains))
-                rows += chains
-        variants.append(_matrix(rows))
+    for part in _source_batches(rg, nodes):
+        for source, dist in zip(part, _bfs_count(rg, part)[0]):
+            unreached = [(t.coord_str(source), t.coord_str(dst))
+                         for dst in nodes
+                         if dst != source and dist[rg.end_vid(dst)] < 0]
+            if unreached:
+                raise UnroutablePairError(unreached)
+            rows = []
+            for dst in nodes:
+                if dst != source:
+                    chains = _variant_chains(rg, dist, source, dst,
+                                             VARIANT_CAP)[0]
+                    counts.append(len(chains))
+                    rows += chains
+            variants.append(_matrix(rows))
     counts = np.array(counts, dtype=np.int64)
     return (np.repeat(nodes, len(nodes) - 1), counts,
             np.cumsum(counts) - counts, _stack(variants))

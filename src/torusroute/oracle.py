@@ -133,7 +133,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
     max_len = t.diameter() + MAX_EXTRA  # for pairs the graph cannot route
     report = EquivalenceReport()
     for src in t.live_nodes:
-        dist, _, _ = _bfs_count(rg, src)
+        dist = _bfs_count(rg, [src])[0][0]
         for dst in t.live_nodes:
             if dst == src:
                 continue

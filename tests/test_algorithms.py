@@ -1,20 +1,24 @@
 import hashlib
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_rt_bfs, build_rt_genetic, build_rt_sssp,
                         build_sssp, channel_loads, enumerate_minimal_routes,
                         load_report, make_torus, rg_reachable_pairs,
                         turn_count, unique_route_stats)
-from torusroute.algorithms import _bfs_count, _rg_chains
+from torusroute import algorithms
+from torusroute.algorithms import _bfs_count, _pair_stats, _rg_chains
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.routes import (check_table, make_route, parse_table,
                                table_to_text)
+from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
 
@@ -124,6 +128,15 @@ def test_enumerate_cap_truncates(desmos):
     assert cut[0] == full[0]  # deterministic prefix
 
 
+def test_enumerate_rejects_bad_arguments(ring4):
+    t, rg, g, added = ring4
+    with pytest.raises(ValueError, match="dst must differ from src"):
+        enumerate_minimal_routes(rg, 1, 1)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            enumerate_minimal_routes(rg, 0, 2, cap=cap)
+
+
 def test_enumerate_deterministic(desmos):
     t, rg, g, added = desmos
     a = enumerate_minimal_routes(rg, 0, 23)[0]
@@ -222,7 +235,7 @@ def test_sssp_routes_are_least_load_minimal_variants(system):
     t = make_torus(dims, nodes, links)
     rg = prepare(t)[0]
     rng = np.random.default_rng(seed)
-    dist = _bfs_count(rg, src)[0]
+    dist = _bfs_count(rg, [src])[0][0]
     every = sorted(d for s, d in rg_reachable_pairs(rg) if s == src)
     walks = {d: _rg_chains(rg, dist, rg.end_vid(d), 10 ** 6) for d in every}
     assert not any(truncated for _, truncated in walks.values())
@@ -240,6 +253,111 @@ def test_sssp_routes_are_least_load_minimal_variants(system):
             assert len(chosen) == dist[rg.end_vid(dst)] - 1
             costs = [int(loads[list(c)].sum()) for c in chains]
             assert chosen == chains[costs.index(min(costs))], (dst, r)
+
+
+def _plain_bfs(rg, source):
+    """(hop levels, shortest-path counts, least-edge-id parent edges) from
+    one source's begin vertex: a deque breadth-first search over the CSR
+    lists, then one pass over the edges in id order for the parents."""
+    indptr, head = rg.indptr.tolist(), rg.edge_head.tolist()
+    dist, counts = [-1] * rg.n_vertices, [0] * rg.n_vertices
+    begin = rg.begin_vid(source)
+    dist[begin], counts[begin] = 0, 1
+    queue = deque([begin])
+    while queue:  # level order: a vertex's count is final when it leaves
+        u = queue.popleft()
+        for e in range(indptr[u], indptr[u + 1]):
+            v = head[e]
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                counts[v] += counts[u]
+    parent = [-1] * rg.n_vertices
+    for e, (u, v) in enumerate(zip(rg.edge_tail.tolist(), head)):
+        if parent[v] < 0 and dist[u] >= 0 and dist[v] == dist[u] + 1:
+            parent[v] = e
+    return dist, counts, parent
+
+
+def _plain_chains(rg, source, parent):
+    """{destination: link chain of its parent-tree path} for every live
+    destination the tree reaches, walked one vertex at a time."""
+    out = {}
+    for dst in rg.topology.live_nodes:
+        v, links = rg.end_vid(dst), []
+        if dst == source or parent[v] < 0:
+            continue
+        while v != rg.begin_vid(source):
+            e = parent[v]
+            if rg.edge_link[e] != DUMMY_LINK:
+                links.append(int(rg.edge_link[e]))
+            v = int(rg.edge_tail[e])
+        out[dst] = links[::-1]
+    return out
+
+
+@given(small_faulted_systems(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_batched_level_search_matches_plain_bfs(system, rows):
+    """Differential test of stage 1's source-batched level search and array
+    read-back against a plain BFS per source: hop levels, path counts,
+    least-edge-id parents (one batch of every source, and one source
+    alone), and ``_pair_stats``' levels and padded canonical chains with
+    batches of ``rows`` sources. Where a pair is unreached, ``_pair_stats``
+    names the first source with one and all its unreached destinations."""
+    dims, nodes, links, src, _ = system
+    t = make_torus(dims, nodes, links)
+    rg = prepare(t)[0]
+    live = t.live_nodes
+    # finished read-back walks park on vertex 0, which no edge may enter
+    assert not (rg.edge_head == 0).any()
+    ref = [_plain_bfs(rg, s) for s in live]
+    for sources, want in ((live, ref), ([src], [ref[live.index(src)]])):
+        dist, counts, parent = _bfs_count(rg, sources)
+        assert dist.tolist() == [r[0] for r in want]
+        assert counts.tolist() == [r[1] for r in want]
+        assert parent.tolist() == [r[2] for r in want]
+    chains = [_plain_chains(rg, s, r[2]) for s, r in zip(live, ref)]
+    unreached = [[(t.coord_str(s), t.coord_str(d)) for d in live
+                  if d != s and d not in c] for s, c in zip(live, chains)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_BATCH_CELLS", rows * rg.n_vertices)
+        assert len(algorithms._source_batches(rg, live)) == -(-len(live)
+                                                               // rows)
+        if any(unreached):
+            with pytest.raises(UnroutablePairError) as err:
+                _pair_stats(rg)
+            assert err.value.pairs == next(u for u in unreached if u)
+            return
+        levels, _, _, links = _pair_stats(rg)
+    assert [levels[s].tolist() for s in live] == [r[0] for r in ref]
+    flat = [c[d] for c in chains for d in sorted(c)]
+    want = np.full((len(flat), max([1, *map(len, flat)])), -1)
+    for row, c in zip(want, flat):
+        row[:len(c)] = c
+    assert links.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("dims,faults,want", [
+    ([5], {"failed_nodes": [1, 3]}, [("(0)", "(2)")]),
+    ([3, 3], {"failed_nodes": [0], "failed_links": [(6, 1)]},
+     [("(2,0)", "(0,1)"), ("(2,0)", "(0,2)")]),
+], ids=["disconnected", "rule-unroutable"])
+@pytest.mark.parametrize("rows", [1, 2, 9])
+def test_stage1_names_first_unroutable_source(dims, faults, want, rows,
+                                              monkeypatch):
+    """Ring of 5 without (1) and (3): (0) cannot reach (2). 3x3 without
+    (0,0) and (2,0)+Y: every pair from the first five live sources routes,
+    but (2,0) has no rule-legal route to (0,1) or (0,2). Whatever the batch
+    size, stage 1 names exactly the first source with an unreached pair,
+    with every destination it misses, in order."""
+    t = make_torus(dims, **faults)
+    rg = prepare(t)[0]
+    monkeypatch.setattr(algorithms, "_BATCH_CELLS", rows * rg.n_vertices)
+    with pytest.raises(UnroutablePairError) as err:
+        build_rt_sssp(rg)
+    assert err.value.pairs == want
 
 
 @pytest.mark.parametrize("algo", sorted(GENERATORS))

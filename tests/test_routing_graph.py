@@ -85,7 +85,7 @@ def test_reachable_after_double_link_failure():
     t = make_torus([4], failed_links=[((0,), 0)])
     rg = build_routing_graph(t)
     assert (0, 1) in rg_reachable_pairs(rg)
-    dist, _, _ = _bfs_count(rg, 0)
+    dist = _bfs_count(rg, [0])[0][0]
     chains, truncated = _rg_chains(rg, dist, rg.end_vid(1), budget=100)
     routes = {tuple(t.channels[link][1] for link in c) for c in chains}
     assert routes == {(1, 1, 1)} and not truncated  # -X -X -X
@@ -104,7 +104,7 @@ def _tree_path(rg, parent, src, dst):
 
 def test_path_decode_samples_are_rule_valid(desmos):
     t, rg, g, added = desmos
-    dist, _, parent = _bfs_count(rg, 0)
+    parent = _bfs_count(rg, [0])[2][0]
     for dst in t.live_nodes[1:]:
         r = decode_rg_path(rg, _tree_path(rg, parent, 0, dst)[0])
         assert validate_route(t, r, added) == []
@@ -114,7 +114,7 @@ def _assert_tree_paths_decode_to_their_links(t, rg, src):
     """Theorem 1 as the link-chain encoding uses it: on every parent-tree
     path, the decoded steps are the directions of the links on the path's
     edges, and those links are the channels the steps walk from ``src``."""
-    _, _, parent = _bfs_count(rg, src)
+    parent = _bfs_count(rg, [src])[2][0]
     for dst in t.live_nodes:
         if dst != src and parent[rg.end_vid(dst)] >= 0:
             verts, links = _tree_path(rg, parent, src, dst)

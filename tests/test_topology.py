@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusroute import make_torus, most_remote
+from torusroute import (build_bfs_routes, build_routing_graph, build_sssp,
+                        enumerate_minimal_routes, make_torus, most_remote)
 from torusroute.errors import DisconnectedError, ParseError, TopologyError
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
@@ -140,6 +142,8 @@ def test_distance_formula_matches_bfs(dims, data):
 
 def test_out_of_range_node_ids_raise():
     for t in (make_torus([4, 4]), make_torus([4, 4], failed_links=[(0, 0)])):
+        rg = build_routing_graph(t)
+        loads = np.zeros(t.n_channels, dtype=np.int64)
         for bad in (-1, t.num_coords):
             with pytest.raises(TopologyError, match="out of range"):
                 t.distance_row(bad)
@@ -149,6 +153,20 @@ def test_out_of_range_node_ids_raise():
                 t.distance(3, bad)
             with pytest.raises(TopologyError, match="out of range"):
                 most_remote(t, {bad, 1}, 0)
+            # checked at entry: a negative source never meets its begin
+            # vertex in the tree read-back, and a negative destination
+            # would index the last node's end vertex
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                build_bfs_routes(rg, bad, loads)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                build_sssp(rg, bad, [1, 2], loads)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                build_sssp(rg, 0, [1, bad], loads)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                enumerate_minimal_routes(rg, bad, 3)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                enumerate_minimal_routes(rg, 0, bad)
+        assert not loads.any()
     for d in (-1, 4, 9):
         with pytest.raises(TopologyError, match="direction index"):
             make_torus([4, 4]).neighbor(0, d)
