@@ -39,9 +39,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import TopologyError, UnroutablePairError
+from .errors import UnroutablePairError
 from .metrics import deviation, perfect_channel_load
-from .routes import (Route, RoutingTable, _padded, _widen, encode_chains,
+from .routes import (Route, RoutingTable, _padded, _stack, encode_chains,
                      route_rows)
 from .routing_graph import DUMMY_LINK, RoutingGraph
 from .topology import most_remote
@@ -89,25 +89,12 @@ def turn_count(r: Route) -> int:
 _BATCH_CELLS = 1 << 17
 
 
-def _check_nodes(t, nodes) -> None:
-    """Raise TopologyError on the first node id outside the topology."""
-    for u in nodes:
-        if not 0 <= u < t.num_coords:
-            raise TopologyError(f"node id {u} out of range")
-
-
 def _matrix(chains) -> np.ndarray:
     """Link chains (a list or dict view) as matrix rows padded with -1."""
     lens = np.array([len(c) for c in chains], dtype=np.intp)
     flat = np.fromiter(chain.from_iterable(chains), dtype=np.int32,
                        count=int(lens.sum()))
     return _padded(flat, lens, int(lens.max(initial=1)), np.int32)
-
-
-def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """Link-chain matrices one below the other, padded with -1."""
-    width = max(b.shape[1] for b in blocks)
-    return np.concatenate([_widen(b, width) for b in blocks])
 
 
 def _routes(rg: RoutingGraph, source: int, chains: np.ndarray) -> list[Route]:
@@ -274,7 +261,7 @@ def _bfs_chains(rg: RoutingGraph, source: int,
 def build_bfs_routes(rg: RoutingGraph, source: int,
                      loads: np.ndarray) -> dict[int, Route]:
     """Breadth-first routes from one source; see ``_bfs_chains``."""
-    _check_nodes(rg.topology, [source])
+    rg.topology.check_nodes([source])
     return {r.dst: r for r in _routes(rg, source,
                                       _bfs_chains(rg, source, loads))}
 
@@ -363,7 +350,7 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     (``_variant_chains``), in the order the walk back from the end vertex
     finds them, each in its least-non-standard legal encoding.
     """
-    _check_nodes(rg.topology, (src, dst))
+    rg.topology.check_nodes((src, dst))
     if src == dst:
         raise ValueError(f"dst must differ from src, both are {src}")
     if cap < 1:
@@ -518,7 +505,7 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     destination, in destination order.
     """
     dsts = [d for d in dst_nodes if d != source]
-    _check_nodes(rg.topology, [source, *dsts])
+    rg.topology.check_nodes([source, *dsts])
     dag, ends = _level_dag(rg, _bfs_count(rg, [source])[0][0],
                            [rg.end_vid(d) for d in dsts])
     missing = [d for d, x in zip(dsts, ends) if x < 0]
@@ -635,8 +622,8 @@ def build_rt_genetic(rg: RoutingGraph,
     t = rg.topology
     params = params or GeneticParams()
     src, counts, offsets, links = _variant_tables(rg)
-    # no pair means no channel: perfect_channel_load would divide by zero
-    # and deviation rejects an empty load vector, so nothing can be scored
+    # no pair means no channel: deviation rejects an empty load vector, so
+    # nothing can be scored
     if not len(src):
         return RoutingTable(t, columns=encode_chains(t, src, links,
                                                      rg.relaxed)[0],

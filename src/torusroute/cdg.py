@@ -114,38 +114,34 @@ def _propagate(g: CDG, start: int, mask: int):
 def augment_cdg(g: CDG) -> tuple[CDG, list[CdgEdge]]:
     """Add every order-violating turn that Theorem-2 style analysis allows.
 
-    Candidates are scanned in ascending (node id, D_j, D_k) order and must be
-    realizable as a first positive step (D_j positive) or a last negative
-    step (D_k negative). After each addition the head's used direction set is
-    propagated backward; the scan repeats until a full pass adds nothing.
+    Candidates are scanned once, in ascending (node id, D_j, D_k) order, and
+    must be realizable as a first positive step (D_j positive) or a last
+    negative step (D_k negative). After each addition the head's used
+    direction set is propagated backward. One scan suffices: the sets only
+    grow and an added turn stays in the graph, so a second scan would skip
+    every candidate again.
     """
     t = g.topology
     if g.used_dirs is None:
         used_direction_sets(g)
     masks = g.used_dirs
     added: list[CdgEdge] = []
-    while True:
-        grew = False
-        for tail_cid, (uj, dj) in enumerate(t.channels):
-            uk = t.neighbor_table[uj, dj]
-            for dk in range(dj):
-                if dj >= t.n and dk < t.n:
-                    continue  # not expressible as a first or last step
-                head = t.channel_table[uk, dk]
-                if head < 0:
-                    continue
-                head_cid = int(head)
-                if masks[head_cid] >> dj & 1:
-                    continue
-                if g.has_edge(tail_cid, head_cid):
-                    continue
-                g.add_edge(tail_cid, head_cid, ring=False)
-                edge = ((uj, dj), (int(uk), dk))
-                added.append(edge)
-                _propagate(g, tail_cid, int(masks[head_cid]) | (1 << dj))
-                grew = True
-        if not grew:
-            break
+    for tail_cid, (uj, dj) in enumerate(t.channels):
+        uk = t.neighbor_table[uj, dj]
+        for dk in range(dj):
+            if dj >= t.n and dk < t.n:
+                continue  # not expressible as a first or last step
+            head = t.channel_table[uk, dk]
+            if head < 0:
+                continue
+            head_cid = int(head)
+            if masks[head_cid] >> dj & 1:
+                continue
+            if g.has_edge(tail_cid, head_cid):
+                continue
+            g.add_edge(tail_cid, head_cid, ring=False)
+            added.append(((uj, dj), (int(uk), dk)))
+            _propagate(g, tail_cid, int(masks[head_cid]) | (1 << dj))
     return g, added
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedError, TopologyError
-from .routes import RoutingTable, route_channels
+from .routes import RoutingTable
 from .topology import Topology, sum_pair_distances
 
 PATTERNS = ("transpose", "neighbor", "tornado", "alltoall")
@@ -40,8 +40,8 @@ class LoadReport:
 
 def channel_loads(rt: RoutingTable) -> np.ndarray:
     """Number of table routes crossing each directed channel."""
-    t = rt.topology
-    return np.bincount(rt.link_ids(), minlength=t.n_channels)
+    chan = rt.channel_matrix()
+    return np.bincount(chan[chan >= 0], minlength=rt.topology.n_channels)
 
 
 def deviation(loads: np.ndarray, gamma_perfect: float, k: int = 4) -> float:
@@ -58,7 +58,12 @@ def perfect_channel_load(t: Topology) -> float:
     """Total minimal route length over all ordered pairs, per channel."""
     if not t.is_connected():
         raise DisconnectedError("perfect channel load needs a connected system")
-    return sum_pair_distances(t) / t.n_channels
+    return _per_channel(sum_pair_distances(t), t)
+
+
+def _per_channel(total: int, t: Topology) -> float:
+    """``total`` spread over the channels; 0.0 on a system with none."""
+    return total / t.n_channels if t.n_channels else 0.0
 
 
 # -- traffic patterns ---------------------------------------------------------
@@ -126,7 +131,8 @@ def _report(loads: np.ndarray, gamma_perfect: float, lengths: np.ndarray,
         pi=int(loads.max()) if loads.size else 0,
         min_load=int(loads.min()) if loads.size else 0,
         gamma_perfect=gamma_perfect,
-        sigma={k: deviation(loads, gamma_perfect, k) for k in ks},
+        sigma={k: deviation(loads, gamma_perfect, k) if loads.size else 0.0
+               for k in ks},
         max_d=int(lengths.max(initial=0)),
         loads=loads if include_loads else None,
     )
@@ -158,16 +164,12 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
         s, d = pairs[int(np.argmin(found))]
         raise KeyError(f"no route for pattern pair "
                        f"{t.coord_str(s)}->{t.coord_str(d)}")
-    chan, live = rt.channels()
-    dead = rows[~live[rows]]
-    if dead.size:
-        route_channels(t, rt.route_at(dead[0]))  # raises IntegrityError
-    ids = chan[rows]
+    ids = rt.channel_matrix(rows)
     loads = np.bincount(ids[ids >= 0], minlength=t.n_channels)
     dist = t.distances[src, dst]
     if (dist < 0).any():
         s, d = pairs[int(np.argmax(dist < 0))]
         raise DisconnectedError(
             f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
-    return _report(loads, int(dist.sum(dtype=np.int64)) / t.n_channels,
+    return _report(loads, _per_channel(int(dist.sum(dtype=np.int64)), t),
                    c.length[rows], ks, include_loads)

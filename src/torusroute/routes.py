@@ -1,11 +1,13 @@
 """Routes in first-step / body / last-step decomposed form, and routing tables.
 
-A :class:`RoutingTable` is read through its :class:`Columns`, one row per
-route in sorted (src, dst) order: ``src``, ``dst``, ``fs``, ``ls``, a padded
-``steps`` matrix, a padded ``nodes`` matrix and ``length``. Generated tables
-are born as columns (:func:`encode_chains`), :func:`parse_table` fills them
-from text, a table of :class:`Route` objects derives them, and
-:func:`table_to_text` writes every table from them.
+A :class:`RoutingTable` holds one form, its :class:`Columns`: one row per
+route in sorted (src, dst) order, with ``src``, ``dst``, ``fs``, ``ls``, a
+padded ``steps`` matrix, a padded ``nodes`` matrix and ``length``. The
+generators encode their link chains into columns (:func:`encode_chains`),
+:func:`parse_table` fills them from text, a mapping of :class:`Route` objects
+is written into them, each route under its key's pair, and
+:func:`table_to_text` writes every table from them. A :class:`Route` is a
+row read back (:func:`route_rows`).
 
 The rules are written twice: :func:`_violations`, the per-route reference,
 and the array kernel :func:`_rule_breaks`, which the encoder runs on every
@@ -243,6 +245,12 @@ def _widen(a: np.ndarray, width: int) -> np.ndarray:
     return np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=-1)
 
 
+def _stack(blocks: list[np.ndarray]) -> np.ndarray:
+    """Matrices one below the other, each padded with -1 to the widest."""
+    width = max(b.shape[1] for b in blocks)
+    return np.concatenate([_widen(b, width) for b in blocks])
+
+
 def _id_dtype(t: Topology):
     """A signed type that holds every node id, direction and channel id."""
     return np.int16 if t.num_coords * t.ndirs < 2 ** 15 else np.int32
@@ -287,10 +295,8 @@ def _concat(parts: list[Columns]) -> Columns:
     out = []
     for f in fields(Columns):
         arrays = [getattr(p, f.name) for p in parts]
-        if arrays[0].ndim == 2:
-            width = max(a.shape[1] for a in arrays)
-            arrays = [_widen(a, width) for a in arrays]
-        out.append(np.concatenate(arrays))
+        out.append(_stack(arrays) if arrays[0].ndim == 2
+                   else np.concatenate(arrays))
     return Columns(*out)
 
 
@@ -392,10 +398,11 @@ def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
 class RoutingTable:
     """Exactly one route per ordered node pair, plus generation statistics.
 
-    The table is read through its :class:`Columns`, which a table given a
-    ``routes`` mapping derives when it is made. A table given ``columns`` (as
-    the generators and :func:`parse_table` make it) builds its ``routes``
-    dict only when something asks for it.
+    The table holds only its :class:`Columns`. A ``routes`` mapping is
+    written into columns, each route under its key's pair, and not kept, so
+    a table reports alike whether it was built from a mapping, generated or
+    parsed from its own text. Its ``routes`` view is read back from the
+    columns when something asks for it.
     """
 
     def __init__(self, topology: Topology,
@@ -403,18 +410,16 @@ class RoutingTable:
                  stats=None, *, columns: Columns | None = None):
         self.topology = topology
         self.stats = stats
-        self._routes = None if routes is None else dict(routes)
-        self._misfiled = None  # rows whose Route names another pair
+        self._routes = None
         self._walked = None
         if columns is None:
-            keys = sorted(self._routes)
-            rs = [self._routes[key] for key in keys]
+            keys = sorted(routes)
+            topology.check_nodes(chain.from_iterable(keys))
+            rs = [routes[key] for key in keys]
             columns = _columns(
                 topology, [s for s, _ in keys], [d for _, d in keys],
                 [r.fs for r in rs], [r.body for r in rs], [r.ls for r in rs],
                 [r.node_seq for r in rs])
-            self._misfiled = ((columns.src != [r.src for r in rs])
-                              | (columns.dst != [r.dst for r in rs]))
         self.columns = columns
 
     def __len__(self):
@@ -428,42 +433,36 @@ class RoutingTable:
 
     def route_at(self, i: int) -> Route:
         """The route in row ``i`` of the columns."""
-        c = self.columns
-        if self._routes is None:
-            return next(route_rows(c.take([i])))
-        return self._routes[(int(c.src[i]), int(c.dst[i]))]
+        return next(route_rows(self.columns.take([i])))
 
     def _walk(self):
         """(channel matrix, clean rows, live rows), computed once.
 
-        A clean row's node sequence is the walk of its steps over existing
-        channels from its pair's source to its pair's destination, so one
-        gather gives its channel ids. Every other row is walked from its
-        Route, and is live when that walk crosses no dead channel.
+        Every row is walked from its source along its steps, one step column
+        at a time for all rows at once. A row is live while each step crosses
+        an existing channel, and clean when it is live and its node sequence
+        is that walk, ending at its destination.
         """
         if self._walked is None:
             t, c = self.topology, self.columns
-            width = max(c.steps.shape[1], c.nodes.shape[1] - 1)
-            steps, nodes = _widen(c.steps, width), _widen(c.nodes, width + 1)
-            on = steps >= 0
-            at = (np.clip(nodes[:, :-1], 0, t.num_coords - 1).astype(np.intp)
-                  * t.ndirs + np.where(on, steps, 0))  # (node, direction)
-            chan = np.where(on, t.channel_table.ravel()[at], -1).astype(
-                steps.dtype)
-            moved = (chan >= 0) & (t.neighbor_table.ravel()[at]
-                                   == nodes[:, 1:])
-            end = nodes[np.arange(len(nodes)), np.maximum(c.length, 0)]
-            clean = ((on.sum(axis=1) == c.length) & (nodes[:, 0] == c.src)
-                     & (end == c.dst) & (moved | ~on).all(axis=1))
-            if self._misfiled is not None:
-                clean &= ~self._misfiled
-            live = clean.copy()
-            for i in np.flatnonzero(~clean).tolist():
-                r = self.route_at(i)
-                walked = t.walk(r.src, r.steps)[1]
-                chan[i] = -1
-                chan[i, :len(walked)] = walked
-                live[i] = len(walked) == len(r.steps)
+            channel = t.channel_table.ravel()
+            neighbor = t.neighbor_table.ravel()
+            nodes = _widen(c.nodes,
+                           max(c.nodes.shape[1], c.steps.shape[1] + 1))
+            chan = np.full(c.steps.shape, -1, dtype=c.steps.dtype)
+            at = c.src.astype(np.intp)
+            live = np.ones(len(at), dtype=bool)
+            clean = nodes[:, 0] == at
+            for j, step in enumerate(c.steps.T):
+                on = live & (step >= 0)
+                flat = at * t.ndirs + np.where(on, step, 0)  # (node, dir)
+                chan[:, j] = np.where(on, channel[flat], -1)
+                moved = chan[:, j] >= 0
+                live &= moved | ~on
+                at = np.where(moved, neighbor[flat], at)
+                clean &= nodes[:, j + 1] == np.where(moved, at, -1)
+            clean &= (live & (at == c.dst)
+                      & ((c.steps >= 0).sum(axis=1) == c.length))
             self._walked = chan, clean, live
         return self._walked
 
@@ -473,22 +472,17 @@ class RoutingTable:
         chan, _, live = self._walk()
         return chan, live
 
-    def channel_matrix(self) -> np.ndarray:
-        """Channel ids of every row, padded with -1.
+    def channel_matrix(self, rows=slice(None)) -> np.ndarray:
+        """Channel ids of the given rows, padded with -1.
 
-        IntegrityError names the first route, in pair order, that crosses a
+        IntegrityError names the first route among ``rows`` that crosses a
         dead channel.
         """
         chan, live = self.channels()
-        dead = np.flatnonzero(~live)
+        dead = np.arange(len(live))[rows][~live[rows]]
         if dead.size:
             route_channels(self.topology, self.route_at(dead[0]))  # raises
-        return chan
-
-    def link_ids(self) -> np.ndarray:
-        """Channel ids crossed by every route, in pair order, concatenated."""
-        chan = self.channel_matrix()
-        return chan[chan >= 0].astype(np.int64)
+        return chan[rows]
 
 
 def _suspects(t: Topology, rt: RoutingTable, relaxed) -> np.ndarray:
@@ -523,8 +517,6 @@ def check_table(t: Topology, rt: RoutingTable,
     for i in np.flatnonzero(_suspects(t, rt, relaxed)).tolist():
         s, d = int(c.src[i]), int(c.dst[i])
         r = rt.route_at(i)
-        if (s, d) != (r.src, r.dst):
-            report["validity"].append(f"route stored under wrong pair {s}->{d}")
         if s in t.failed_nodes or d in t.failed_nodes:
             dead = s if s in t.failed_nodes else d
             report["validity"].append(

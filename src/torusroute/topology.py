@@ -136,6 +136,12 @@ class Topology:
     def node_of_name(self) -> dict[str, int]:
         return {name: u for u, name in enumerate(self.coord_names)}
 
+    def check_nodes(self, nodes: Iterable[int]) -> None:
+        """Raise TopologyError on the first node id outside the topology."""
+        for u in nodes:
+            if not 0 <= u < self.num_coords:
+                raise TopologyError(f"node id {u} out of range")
+
     def coord_str(self, u: int) -> str:
         if not 0 <= u < self.num_coords:
             raise TopologyError(f"node id {u} out of range")

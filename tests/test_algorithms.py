@@ -16,6 +16,7 @@ from torusroute import algorithms
 from torusroute.algorithms import _bfs_count, _pair_stats, _rg_chains
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
+from torusroute.metrics import PATTERNS, LoadReport, pattern_loads
 from torusroute.routes import (check_table, make_route, parse_table,
                                table_to_text)
 from torusroute.routing_graph import DUMMY_LINK
@@ -363,13 +364,18 @@ def test_stage1_names_first_unroutable_source(dims, faults, want, rows,
 @pytest.mark.parametrize("algo", sorted(GENERATORS))
 def test_one_live_node_gives_empty_table(algo):
     """A system with one live node has no pair: every generator returns an
-    empty table that passes the table checks."""
+    empty table that passes the table checks and reports zero loads."""
     t, rg, g, added = prepared([2], failed_nodes=[1])
     table = GENERATORS[algo](rg)
     assert len(table) == 0 and table.stats.total_pairs == 0
     assert check_table(t, table, added) == {
         "completeness": [], "minimality": [], "validity": []}
     assert len(parse_table(table_to_text(table), t)) == 0
+    zero = LoadReport(pi=0, min_load=0, gamma_perfect=0.0, sigma={4: 0.0},
+                      max_d=0)
+    assert load_report(table) == zero
+    for pattern in PATTERNS:
+        assert pattern_loads(table, pattern) == zero
 
 
 def test_sssp_stage_comparison():

@@ -158,6 +158,9 @@ def test_load_integrity_failure():
     full = RoutingTable(faulty, build_rt_bfs(rg).routes)
     with pytest.raises(IntegrityError, match=dead):
         pattern_loads(full, "tornado")
+    # a dead route outside the pattern is not the pattern's error: the pair
+    # of the failed link is no neighbor pair of the faulty system
+    assert pattern_loads(full, "neighbor").pi == 1
 
 
 @pytest.mark.parametrize("dims", [[3, 3], [4, 2], [2, 2, 3]])

@@ -489,8 +489,15 @@ def test_parse_table_reads_written_lines_without_the_line_parser(
 
 # -- per-route reference for the columnar checks ------------------------------
 
+def as_written(routes):
+    """Each route as a table writes it: under its key's pair, whatever pair
+    the Route itself names."""
+    return {(s, d): Route(s, d, r.fs, r.body, r.ls, r.node_seq)
+            for (s, d), r in routes.items()}
+
+
 def reference_check_table(t, routes, relaxed_turns):
-    """``check_table`` as one loop over every route."""
+    """``check_table`` as one loop over every route, as written."""
     relaxed = set(relaxed_turns)
     report = {"completeness": [], "minimality": [], "validity": []}
     for s in t.live_nodes:
@@ -498,10 +505,8 @@ def reference_check_table(t, routes, relaxed_turns):
             if s != d and (s, d) not in routes:
                 report["completeness"].append(
                     f"missing pair {t.coord_str(s)}->{t.coord_str(d)}")
-    for (s, d), r in sorted(routes.items()):
+    for (s, d), r in sorted(as_written(routes).items()):
         pair = f"{t.coord_str(s)}->{t.coord_str(d)}"
-        if (s, d) != (r.src, r.dst):
-            report["validity"].append(f"route stored under wrong pair {s}->{d}")
         if s in t.failed_nodes or d in t.failed_nodes:
             dead = s if s in t.failed_nodes else d
             report["validity"].append(
@@ -517,10 +522,11 @@ def reference_check_table(t, routes, relaxed_turns):
 
 
 def reference_link_ids(t, routes):
-    """Channel ids of every route in pair order, or the IntegrityError text."""
+    """Channel ids of every route in pair order, as written, or the
+    IntegrityError text."""
     ids = []
     try:
-        for _, r in sorted(routes.items()):
+        for _, r in sorted(as_written(routes).items()):
             ids.extend(route_channels(t, r))
     except IntegrityError as exc:
         return str(exc)
@@ -528,9 +534,10 @@ def reference_link_ids(t, routes):
 
 
 def reference_used_turns(t, routes):
-    """Consecutive channel pairs of the routes whose channels all exist."""
+    """Consecutive channel pairs of the routes, as written, whose channels
+    all exist."""
     used = set()
-    for r in routes.values():
+    for r in as_written(routes).values():
         channels = t.walk(r.src, r.steps)[1]
         if len(channels) == len(r.steps):
             used.update(zip(channels, channels[1:]))
@@ -598,11 +605,15 @@ def _corrupt(t, routes, kind, rnd):
     elif kind == "empty":
         u = rnd.choice(t.live_nodes)
         routes[(u, u)] = Route(u, u, None, (), None, (u,))
+    elif kind == "misfile":  # the route stored under another live pair
+        pair = tuple(rnd.sample(t.live_nodes, 2))
+        if pair != key:
+            routes[pair] = r
 
 
 CORRUPTIONS = ("drop", "swap", "to_fs", "to_ls", "node", "detour",
                "from_failed", "dead_link", "turn", "retarget", "shape",
-               "empty")
+               "empty", "misfile")
 
 
 @st.composite
@@ -638,8 +649,9 @@ def corrupted_tables(draw):
 @given(corrupted_tables(), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_columnar_checks_match_per_route_reference(case, lenient):
-    """check_table, channel_loads and the used turns of a corrupted table,
-    both parsed from text and built from Routes, equal the per-route loops."""
+    """check_table, channel_loads, the channels and the used turns of a
+    corrupted table, both parsed from text and built from Routes, equal the
+    per-route loops and each other."""
     t, added, generated, routes = case
     text = table_to_text(RoutingTable(t, routes))
     if lenient:  # one line through the per-line parser
@@ -649,8 +661,9 @@ def test_columnar_checks_match_per_route_reference(case, lenient):
     want_report = reference_check_table(t, routes, added)
     want_ids = reference_link_ids(t, routes)
     want_turns = reference_used_turns(t, routes)
+    walks = []
     for table in (parse_table(text, t), RoutingTable(t, routes)):
-        assert table.routes == routes
+        assert table.routes == as_written(routes)
         assert check_table(t, table, added) == want_report
         try:
             loads = channel_loads(table).tolist()
@@ -667,17 +680,27 @@ def test_columnar_checks_match_per_route_reference(case, lenient):
                 minlength=t.n_channels).tolist()
         chan, live = table.channels()
         assert _used_turns(t, chan[live]) == want_turns
+        walks.append((chan.tolist(), live.tolist()))
+    assert walks[0] == walks[1]
 
 
 def test_check_table_misfiled_route(grid33):
-    """A Route stored under another pair is reported as the loop reports it."""
+    """A Route stored under another pair is reported as its written text
+    is: the route of (0,0)->(1,1) under (0,0)->(0,1) is too long and ends
+    elsewhere."""
     t, rg, g, added = grid33
     routes = dict(build_rt_bfs(rg).routes)
     u, v, w = t.node_id((0, 0)), t.node_id((0, 1)), t.node_id((1, 1))
     routes[(u, v)] = routes[(u, w)]
-    report = check_table(t, RoutingTable(t, routes), added)
+    table = RoutingTable(t, routes)
+    report = check_table(t, table, added)
+    assert report == check_table(t, parse_table(table_to_text(table), t),
+                                 added)
     assert report == reference_check_table(t, routes, added)
-    assert f"route stored under wrong pair {u}->{v}" in report["validity"]
+    assert report == {
+        "completeness": [],
+        "minimality": ["(0,0)->(0,1): length 2, minimal 1"],
+        "validity": ["(0,0)->(0,1): route does not end at dst"]}
 
 
 def test_check_table_minimal_route_that_reuses_a_dimension():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusroute import (build_bfs_routes, build_routing_graph, build_sssp,
-                        enumerate_minimal_routes, make_torus, most_remote)
+from torusroute import (RoutingTable, build_bfs_routes, build_routing_graph,
+                        build_sssp, enumerate_minimal_routes, make_route,
+                        make_torus, most_remote)
 from torusroute.errors import DisconnectedError, ParseError, TopologyError
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
@@ -166,6 +167,12 @@ def test_out_of_range_node_ids_raise():
                 enumerate_minimal_routes(rg, bad, 3)
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 enumerate_minimal_routes(rg, 0, bad)
+            # a key of a route mapping, before it can index a pair
+            route = make_route(t, 0, None, [1], None)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                RoutingTable(t, {(bad, 0): route})
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                RoutingTable(t, {(0, 4): route, (0, bad): route})
         assert not loads.any()
     for d in (-1, 4, 9):
         with pytest.raises(TopologyError, match="direction index"):
