@@ -76,12 +76,6 @@ class GenerationStats:
     fitness_history: list[float] = field(default_factory=list)
 
 
-def turn_count(r: Route) -> int:
-    """Adjacent step pairs with differing directions; FS/LS transitions count."""
-    steps = r.steps
-    return sum(1 for a, b in zip(steps, steps[1:]) if a != b)
-
-
 # -- shared search kernels ----------------------------------------------------
 
 # (rows x n_vertices) cells of one source-batched level search: bounds the
@@ -395,19 +389,6 @@ def unique_route_stats(rg: RoutingGraph) -> tuple[int, int]:
     """(pairs with a single minimal route, total ordered pairs)."""
     unique = _pair_stats(rg)[2]
     return int(unique.sum()), len(unique)
-
-
-def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
-    """Ordered node pairs (i, j), i != j, with a begin->end path."""
-    t = rg.topology
-    nodes = np.array(t.live_nodes, dtype=np.int64)
-    pairs = set()
-    for part in _source_batches(rg, nodes):
-        reached = _bfs_count(rg, part)[0][:, rg.end_vid(nodes)] >= 0
-        reached &= nodes != part[:, None]
-        rows, cols = np.nonzero(reached)
-        pairs.update(zip(part[rows].tolist(), nodes[cols].tolist()))
-    return pairs
 
 
 def _level_dag(rg: RoutingGraph, level: np.ndarray, ends):

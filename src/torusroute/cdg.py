@@ -3,9 +3,10 @@
 Vertices are the directed channels (node, direction) of a topology. Baseline
 edges are the consecutive-channel holds that order-preserving routes can
 create: [(v, D_i), (u, D_j)] with u = v + D_i, D_i <= D_j and D_j not the
-opposite of D_i. Same-direction edges are flagged ``ring``: cycles confined
-to one ring are tolerated by bubble flow control, so the deadlock criterion
-is that every strongly connected component is direction-homogeneous.
+opposite of D_i. An edge whose two channels share a direction stays on one
+ring, and cycles confined to one ring are tolerated by bubble flow control,
+so the deadlock criterion is that every strongly connected component is
+direction-homogeneous.
 
 Order-violating turns are added one by one while they provably cannot close
 a cycle: a candidate [(u_j, D_j), (u_k, D_k)] with D_j > D_k is safe while
@@ -33,14 +34,12 @@ class CDG:
         self.channels = t.channels
         self.n_channels = t.n_channels
         self.edges: list[tuple[int, int]] = []   # (tail cid, head cid)
-        self.ring: list[bool] = []
         self.adj: list[list[int]] = [[] for _ in range(t.n_channels)]
         self.radj: list[list[int]] = [[] for _ in range(t.n_channels)]
         self.used_dirs: np.ndarray | None = None  # bitmask per channel
 
-    def add_edge(self, tail: int, head: int, ring: bool):
+    def add_edge(self, tail: int, head: int):
         self.edges.append((tail, head))
-        self.ring.append(ring)
         self.adj[tail].append(head)
         self.radj[head].append(tail)
 
@@ -69,7 +68,7 @@ def build_cdg(t: Topology) -> CDG:
                 continue
             head = t.channel_table[v, dj]
             if head >= 0:
-                g.add_edge(cid, int(head), ring=(dj == di))
+                g.add_edge(cid, int(head))
     return g
 
 
@@ -139,7 +138,7 @@ def augment_cdg(g: CDG) -> tuple[CDG, list[CdgEdge]]:
                 continue
             if g.has_edge(tail_cid, head_cid):
                 continue
-            g.add_edge(tail_cid, head_cid, ring=False)
+            g.add_edge(tail_cid, head_cid)
             added.append(((uj, dj), (int(uk), dk)))
             _propagate(g, tail_cid, int(masks[head_cid]) | (1 << dj))
     return g, added

@@ -146,7 +146,7 @@ def _used_turns(t, channels: np.ndarray) -> list[tuple[int, int]]:
 def _turn_cycle_check(t, channels: np.ndarray):
     sub = CDG(t)
     for ci, cj in _used_turns(t, channels):
-        sub.add_edge(ci, cj, ring=(t.channels[ci][1] == t.channels[cj][1]))
+        sub.add_edge(ci, cj)
     return assert_deadlock_free(sub)
 
 

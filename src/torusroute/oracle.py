@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algorithms import _bfs_count, _rg_chains
-from .errors import TopologyError
 from .routing_graph import RoutingGraph, apply_augmentation, build_routing_graph
 from .topology import Topology
 
@@ -37,8 +36,7 @@ class RuleConfig:
 def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
                        max_len: int) -> list[tuple[int, ...]]:
     """All rule-valid direction sequences src -> dst up to max_len hops."""
-    if not 0 <= src < t.num_coords:
-        raise TopologyError(f"node id {src} out of range")
+    t.check_nodes((src,))
     n = t.n
     nbr = t.neighbor_table
     dist_to_dst = t.distance_row(dst)  # links are symmetric

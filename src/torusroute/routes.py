@@ -25,7 +25,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import IntegrityError, ParseError, TopologyError
-from .routing_graph import RoutingGraph, VKind, vec_last_direction, vec_to_code
 from .topology import Topology, parse_direction
 
 CdgEdge = tuple[tuple[int, int], tuple[int, int]]
@@ -78,46 +77,6 @@ def route_channels(t: Topology, r: Route) -> list[int]:
     return channels
 
 
-def decode_rg_path(rg: RoutingGraph, path: list[int]) -> Route:
-    """Route encoded by a begin -> ... -> end vertex path.
-
-    The step into a DIRBIT vertex always equals the greatest direction of its
-    sign vector, so directions are read off the vertex kinds alone.
-    """
-    t = rg.topology
-    infos = [rg.vertex_info(v) for v in path]
-    kinds = [i.kind for i in infos]
-    if (len(kinds) < 2 or kinds[0] is not VKind.BEGIN
-            or kinds[-1] is not VKind.END):
-        raise ValueError("path must run begin -> ... -> end")
-    fs = None
-    ls = None
-    body: list[int] = []
-    seq = [infos[0].node]
-    state = VKind.BEGIN
-    for info in infos[1:-1]:
-        if info.kind is VKind.FS:
-            if state is not VKind.BEGIN:
-                raise ValueError("first-step vertex not directly after begin")
-            fs = info.direction
-        elif info.kind is VKind.DIRBIT:
-            if state not in (VKind.BEGIN, VKind.FS, VKind.DIRBIT):
-                raise ValueError("body vertex after a last step")
-            body.append(vec_last_direction(info.vec, t.n))
-        elif info.kind is VKind.LS:
-            if state is not VKind.DIRBIT:
-                raise ValueError("last-step vertex without a route body")
-            ls = info.direction
-        else:
-            raise ValueError(f"unexpected {info.kind.name} vertex inside path")
-        state = info.kind
-        seq.append(info.node)
-    if infos[-1].node != seq[-1]:
-        raise ValueError("end vertex is not at the final node")
-    return Route(infos[0].node, infos[-1].node, fs, tuple(body), ls,
-                 tuple(seq))
-
-
 def _violations(t: Topology, seq, fs: int | None, body: tuple[int, ...],
                 ls: int | None, relaxed):
     """Rule violations, lazily, of one (fs, body, ls) split of a route.
@@ -160,22 +119,6 @@ def _violations(t: Topology, seq, fs: int | None, body: tuple[int, ...],
                 and ((seq[-3], last), (seq[-2], ls)) not in relaxed):
             yield (f"last-step turn {t.dir_name(last)}->{t.dir_name(ls)} "
                    "is not a registered relaxed turn")
-
-
-def route_to_rg_path(rg: RoutingGraph, r: Route) -> list[int]:
-    """Vertex path of a route in the routing graph (inverse of decode)."""
-    t, nodes = rg.topology, r.node_seq
-    path = [rg.begin_vid(r.src)]
-    if r.fs is not None:
-        path.append(rg.fs_vid(nodes[1], r.fs))
-    vec = [0] * t.n
-    for node, d in zip(nodes[1 + (r.fs is not None):], r.body):
-        vec[d % t.n] = 1 if d < t.n else -1
-        path.append(rg.dirbit_vid(node, vec_to_code(vec)))
-    if r.ls is not None:
-        path.append(rg.ls_vid(nodes[-1], r.ls))
-    path.append(rg.end_vid(nodes[-1]))
-    return path
 
 
 def validate_route(t: Topology, r: Route,
@@ -527,7 +470,8 @@ def check_table(t: Topology, rt: RoutingTable,
         if len(r) != want:
             report["minimality"].append(
                 f"{t.coord_str(s)}->{t.coord_str(d)}: length {len(r)}, "
-                f"minimal {want}")
+                + ("but no path joins the pair" if want is None
+                   else f"minimal {want}"))
         for msg in validate_route(t, r, relaxed):
             report["validity"].append(
                 f"{t.coord_str(s)}->{t.coord_str(d)}: {msg}")

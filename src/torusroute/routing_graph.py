@@ -15,8 +15,6 @@ dependency graph analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,14 +22,6 @@ import numpy as np
 from .topology import Topology
 
 DUMMY_LINK = -1  # edges into END carry no physical link
-
-
-class VKind(IntEnum):
-    BEGIN = 0
-    FS = 1
-    DIRBIT = 2
-    LS = 3
-    END = 4
 
 
 def dirbit_codes(n: int) -> list[int]:
@@ -61,14 +51,6 @@ def vec_last_direction(vec: Sequence[int], n: int) -> int:
         elif s == -1:
             last = max(last, j + n)
     return last
-
-
-@dataclass(frozen=True)
-class RGVertexInfo:
-    node: int
-    kind: VKind
-    direction: int | None = None        # FS / LS
-    vec: tuple[int, ...] | None = None  # DIRBIT
 
 
 class RoutingGraph:
@@ -125,27 +107,7 @@ class RoutingGraph:
     def end_vid(self, node: int) -> int:
         return (node + 1) * self.block - 1
 
-    def vertex_info(self, vid: int) -> RGVertexInfo:
-        n = self.topology.n
-        node, off = divmod(vid, self.block)
-        if off == 0:
-            return RGVertexInfo(node, VKind.BEGIN)
-        off -= 1
-        if off < len(self.codes):
-            return RGVertexInfo(node, VKind.DIRBIT,
-                                vec=code_to_vec(self.codes[off], n))
-        off -= len(self.codes)
-        if off < n:
-            return RGVertexInfo(node, VKind.FS, direction=off)
-        off -= n
-        if off < n:
-            return RGVertexInfo(node, VKind.LS, direction=n + off)
-        return RGVertexInfo(node, VKind.END)
-
     # -- adjacency helpers ----------------------------------------------------
-
-    def out_edges(self, vid: int) -> range:
-        return range(int(self.indptr[vid]), int(self.indptr[vid + 1]))
 
     def in_edges(self) -> list[tuple[tuple[int, int], ...]]:
         """Per head vertex, the (tail, link) of its in-edges in edge-id

@@ -110,8 +110,7 @@ class Topology:
     # -- coordinates -------------------------------------------------------
 
     def coords(self, u: int) -> tuple[int, ...]:
-        if not 0 <= u < self.num_coords:
-            raise TopologyError(f"node id {u} out of range")
+        self.check_nodes((u,))
         out = []
         for s in self._strides:
             out.append(u // s)
@@ -143,8 +142,7 @@ class Topology:
                 raise TopologyError(f"node id {u} out of range")
 
     def coord_str(self, u: int) -> str:
-        if not 0 <= u < self.num_coords:
-            raise TopologyError(f"node id {u} out of range")
+        self.check_nodes((u,))
         return self.coord_names[u]
 
     def opposite(self, d: int) -> int:
@@ -215,8 +213,7 @@ class Topology:
         return dist
 
     def _live(self, u: int) -> int:
-        if not 0 <= u < self.num_coords:
-            raise TopologyError(f"node id {u} out of range")
+        self.check_nodes((u,))
         if u in self.failed_nodes:
             raise TopologyError("distance between failed nodes is undefined")
         return u
@@ -281,9 +278,7 @@ def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:
     order = sorted(candidates)
     if not order:
         raise TopologyError("most_remote requires a nonempty candidate set")
-    for u in (order[0], order[-1]):
-        if not 0 <= u < t.num_coords:
-            raise TopologyError(f"node id {u} out of range")
+    t.check_nodes((order[0], order[-1]))
     if t.failed_nodes.intersection(order):
         raise TopologyError("distance between failed nodes is undefined")
     row = t.distance_row(from_)

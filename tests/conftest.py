@@ -4,10 +4,12 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from torusroute import RoutingTable, make_torus, turn_count
+from torusroute import RoutingTable, make_torus
 from torusroute.algorithms import _pair_stats
 from torusroute.cli import prepare
 from torusroute.errors import TopologyError
+
+from witnesses import turn_count
 
 _BUNDLES = {}
 

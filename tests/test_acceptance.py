@@ -212,7 +212,7 @@ def test_criterion_3_deadlock_freedom(sweep_results):
             probe = build_cdg(t)
             used_direction_sets(probe)
             probe, added = augment_cdg(probe)
-            probe.add_edge(tail_cid, int(head), ring=False)
+            probe.add_edge(tail_cid, int(head))
             injected += 1
             try:
                 assert_deadlock_free(probe)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_rt_bfs, build_rt_genetic, build_rt_sssp,
                         build_sssp, channel_loads, enumerate_minimal_routes,
-                        load_report, make_torus, rg_reachable_pairs,
-                        turn_count, unique_route_stats)
+                        load_report, make_torus, unique_route_stats)
 from torusroute import algorithms
 from torusroute.algorithms import _bfs_count, _pair_stats, _rg_chains
 from torusroute.cli import prepare, used_turn_cycle_check
@@ -22,6 +21,7 @@ from torusroute.routes import (check_table, make_route, parse_table,
 from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
+from witnesses import rg_reachable_pairs, turn_count
 
 GENERATORS = {
     "bfs": build_rt_bfs,

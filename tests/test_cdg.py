@@ -7,12 +7,10 @@ from torusroute.cdg import CDG, _shortest_path, _tarjan_sccs
 from torusroute.errors import DeadlockCycleError
 
 
-def nx_graph(g, include_ring=True):
+def nx_graph(g):
     G = nx.DiGraph()
     G.add_nodes_from(range(g.n_channels))
-    for (a, b), ring in zip(g.edges, g.ring):
-        if include_ring or not ring:
-            G.add_edge(a, b)
+    G.add_edges_from(g.edges)
     return G
 
 
@@ -29,7 +27,8 @@ def test_ring_cdg_structure():
     t = make_torus([3])
     g = build_cdg(t)
     assert g.n_channels == 6
-    assert all(g.ring)  # only same-direction edges in one dimension
+    # only same-direction edges in one dimension
+    assert all(g.direction_of(a) == g.direction_of(b) for a, b in g.edges)
     G = nx_graph(g)
     cycles = list(nx.simple_cycles(G))
     assert sorted(len(c) for c in cycles) == [3, 3]
@@ -174,8 +173,8 @@ def test_certificate_on_baseline_and_augmented():
         assert independent_ok(g)
         # the certificate is a genuine topological key for direction changes
         position = {c: i for i, c in enumerate(order)}
-        for (a, b), ring in zip(g.edges, g.ring):
-            if not ring:
+        for a, b in g.edges:
+            if g.direction_of(a) != g.direction_of(b):
                 assert position[g.channels[a]] < position[g.channels[b]]
 
 
@@ -190,7 +189,7 @@ def test_injected_violation_is_caught():
     tail = t.channel_id[(u, 1)]   # (1,0)+Y
     head = t.channel_id[(v, 0)]   # (1,1)+X
     assert 1 in g.used_set((v, 0))
-    g.add_edge(tail, head, ring=False)
+    g.add_edge(tail, head)
     with pytest.raises(DeadlockCycleError) as err:
         assert_deadlock_free(g)
     cycle = err.value.cycle
@@ -229,7 +228,7 @@ def test_exhaustive_injection_sweep():
             probe = build_cdg(t)
             used_direction_sets(probe)
             probe, _ = augment_cdg(probe)
-            probe.add_edge(tail_cid, int(head), ring=False)
+            probe.add_edge(tail_cid, int(head))
             with pytest.raises(DeadlockCycleError):
                 assert_deadlock_free(probe)
     assert tested > 0
@@ -254,11 +253,11 @@ def test_reported_cycle_changes_direction():
          for x in range(3) for y in range(3) for d in range(t.ndirs)}
     g = CDG(t)
     for x in range(3):  # the +X ring of row 0
-        g.add_edge(c[x, 0, 0], c[(x + 1) % 3, 0, 0], ring=True)
-    g.add_edge(c[1, 0, 0], c[2, 0, 1], ring=False)  # +X then +Y
+        g.add_edge(c[x, 0, 0], c[(x + 1) % 3, 0, 0])
+    g.add_edge(c[1, 0, 0], c[2, 0, 1])  # +X then +Y
     for y in range(3):  # the +Y ring of column 2
-        g.add_edge(c[2, y, 1], c[2, (y + 1) % 3, 1], ring=True)
-    g.add_edge(c[2, 2, 1], c[2, 0, 0], ring=False)  # +Y back onto +X
+        g.add_edge(c[2, y, 1], c[2, (y + 1) % 3, 1])
+    g.add_edge(c[2, 2, 1], c[2, 0, 0])  # +Y back onto +X
     (comp,) = [s for s in _tarjan_sccs(g.n_channels, g.adj) if len(s) > 1]
     first = _shortest_path(g, set(comp), comp[0], comp[0])
     assert len({g.direction_of(x) for x in first}) == 1  # a ring comes first

@@ -256,6 +256,22 @@ def test_verify_reports_dead_channel_route_once(tmp_path, capsys):
         "deadlock-freedom: pass\n")
 
 
+def test_verify_reports_route_between_cut_off_nodes(tmp_path, capsys):
+    """With both X cables (0)<->(1) and (2)<->(3) failed, no path joins (0)
+    and (2): the minimality line says so in place of a minimal length."""
+    topo = write_topo(tmp_path, "dims: 4\nfail-link: 0 +X\nfail-link: 2 +X\n")
+    table = tmp_path / "cut.table"
+    table.write_text("(0) -> (2) : +X +X | nodes: (0) (1) (2)\n")
+    capsys.readouterr()
+    assert main(["verify", topo, str(table)]) == 1
+    shown = capsys.readouterr().out.splitlines()
+    i = shown.index("minimality: FAIL (1)")
+    assert shown[i + 1:i + 4] == [
+        "  (0)->(2): length 2, but no path joins the pair",
+        "validity: FAIL (1)",
+        "  (0)->(2): step 1 (+X from (0)) uses a dead link"]
+
+
 def test_verify_report_golden(tmp_path, capsys):
     """verify's whole output on a 4x2x2x2 table with relaxed turns and more
     than 20 problems of each kind, which pins the first-20 cut and the

@@ -6,6 +6,8 @@ from torusroute.errors import TopologyError
 from torusroute.oracle import min_routes
 from torusroute.routing_graph import RoutingGraph
 
+from witnesses import vertex_info
+
 
 def test_two_node_single_route():
     t = make_torus([2])
@@ -65,8 +67,8 @@ def test_mutation_detected(grid33):
     """Deleting a rule family from the routing graph must surface."""
     t, rg, g, added = grid33
     keep = [i for i in range(rg.n_edges)
-            if rg.vertex_info(int(rg.edge_tail[i])).kind.name != "BEGIN"
-            or rg.vertex_info(int(rg.edge_head[i])).kind.name != "DIRBIT"]
+            if vertex_info(rg, int(rg.edge_tail[i])).kind.name != "BEGIN"
+            or vertex_info(rg, int(rg.edge_head[i])).kind.name != "DIRBIT"]
     hacked = RoutingGraph(t, [
         (int(rg.edge_tail[i]), int(rg.edge_head[i]), int(rg.edge_link[i]),
          bool(rg.edge_aug[i])) for i in keep])

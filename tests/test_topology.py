@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusroute import (RoutingTable, build_bfs_routes, build_routing_graph,
-                        build_sssp, enumerate_minimal_routes, make_route,
-                        make_torus, most_remote)
+from torusroute import (RoutingTable, RuleConfig, brute_force_routes,
+                        build_bfs_routes, build_routing_graph, build_sssp,
+                        enumerate_minimal_routes, make_route, make_torus,
+                        most_remote)
 from torusroute.errors import DisconnectedError, ParseError, TopologyError
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
@@ -154,6 +155,12 @@ def test_out_of_range_node_ids_raise():
                 t.distance(3, bad)
             with pytest.raises(TopologyError, match="out of range"):
                 most_remote(t, {bad, 1}, 0)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                t.coords(bad)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                t.coord_str(bad)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                brute_force_routes(t, 3, bad, RuleConfig.plain(), 4)
             # checked at entry: a negative source never meets its begin
             # vertex in the tree read-back, and a negative destination
             # would index the last node's end vertex

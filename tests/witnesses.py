@@ -1,0 +1,134 @@
+"""Independent witnesses of Theorem 1 (routing-graph paths are exactly the
+rule-legal routes), and per-route references that only the tests use.
+
+The library keeps shortest routing-graph paths as link chains and never
+decodes a vertex path; these helpers read the vertex layout of
+:class:`~torusroute.routing_graph.RoutingGraph` back into vertex kinds, so
+that the tests can check an emitted route against the graph, and the graph
+against the rules, without the library's encoder.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import IntEnum
+
+import numpy as np
+
+from torusroute.algorithms import _bfs_count, _source_batches
+from torusroute.routes import Route
+from torusroute.routing_graph import (RoutingGraph, code_to_vec,
+                                      vec_last_direction, vec_to_code)
+
+
+class VKind(IntEnum):
+    BEGIN = 0
+    FS = 1
+    DIRBIT = 2
+    LS = 3
+    END = 4
+
+
+@dataclass(frozen=True)
+class RGVertexInfo:
+    node: int
+    kind: VKind
+    direction: int | None = None        # FS / LS
+    vec: tuple[int, ...] | None = None  # DIRBIT
+
+
+def vertex_info(rg: RoutingGraph, vid: int) -> RGVertexInfo:
+    """Node and kind of a vertex id, read off the per-node block layout."""
+    n = rg.topology.n
+    node, off = divmod(vid, rg.block)
+    if off == 0:
+        return RGVertexInfo(node, VKind.BEGIN)
+    off -= 1
+    if off < len(rg.codes):
+        return RGVertexInfo(node, VKind.DIRBIT,
+                            vec=code_to_vec(rg.codes[off], n))
+    off -= len(rg.codes)
+    if off < n:
+        return RGVertexInfo(node, VKind.FS, direction=off)
+    off -= n
+    if off < n:
+        return RGVertexInfo(node, VKind.LS, direction=n + off)
+    return RGVertexInfo(node, VKind.END)
+
+
+def decode_rg_path(rg: RoutingGraph, path: list[int]) -> Route:
+    """Route encoded by a begin -> ... -> end vertex path.
+
+    The step into a DIRBIT vertex always equals the greatest direction of its
+    sign vector, so directions are read off the vertex kinds alone.
+    """
+    t = rg.topology
+    infos = [vertex_info(rg, v) for v in path]
+    kinds = [i.kind for i in infos]
+    if (len(kinds) < 2 or kinds[0] is not VKind.BEGIN
+            or kinds[-1] is not VKind.END):
+        raise ValueError("path must run begin -> ... -> end")
+    fs = None
+    ls = None
+    body: list[int] = []
+    seq = [infos[0].node]
+    state = VKind.BEGIN
+    for info in infos[1:-1]:
+        if info.kind is VKind.FS:
+            if state is not VKind.BEGIN:
+                raise ValueError("first-step vertex not directly after begin")
+            fs = info.direction
+        elif info.kind is VKind.DIRBIT:
+            if state not in (VKind.BEGIN, VKind.FS, VKind.DIRBIT):
+                raise ValueError("body vertex after a last step")
+            body.append(vec_last_direction(info.vec, t.n))
+        elif info.kind is VKind.LS:
+            if state is not VKind.DIRBIT:
+                raise ValueError("last-step vertex without a route body")
+            ls = info.direction
+        else:
+            raise ValueError(f"unexpected {info.kind.name} vertex inside path")
+        state = info.kind
+        seq.append(info.node)
+    if infos[-1].node != seq[-1]:
+        raise ValueError("end vertex is not at the final node")
+    return Route(infos[0].node, infos[-1].node, fs, tuple(body), ls,
+                 tuple(seq))
+
+
+def route_to_rg_path(rg: RoutingGraph, r: Route) -> list[int]:
+    """Vertex path of a route in the routing graph (inverse of decode)."""
+    t, nodes = rg.topology, r.node_seq
+    path = [rg.begin_vid(r.src)]
+    if r.fs is not None:
+        path.append(rg.fs_vid(nodes[1], r.fs))
+    vec = [0] * t.n
+    for node, d in zip(nodes[1 + (r.fs is not None):], r.body):
+        vec[d % t.n] = 1 if d < t.n else -1
+        path.append(rg.dirbit_vid(node, vec_to_code(vec)))
+    if r.ls is not None:
+        path.append(rg.ls_vid(nodes[-1], r.ls))
+    path.append(rg.end_vid(nodes[-1]))
+    return path
+
+
+def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
+    """Ordered node pairs (i, j), i != j, with a begin->end path."""
+    t = rg.topology
+    nodes = np.array(t.live_nodes, dtype=np.int64)
+    pairs = set()
+    for part in _source_batches(rg, nodes):
+        reached = _bfs_count(rg, part)[0][:, rg.end_vid(nodes)] >= 0
+        reached &= nodes != part[:, None]
+        rows, cols = np.nonzero(reached)
+        pairs.update(zip(part[rows].tolist(), nodes[cols].tolist()))
+    return pairs
+
+
+def turn_count(r: Route) -> int:
+    """Adjacent step pairs with differing directions; FS/LS transitions count.
+
+    The per-route reference for the (turn count, length, source) groups of
+    ``build_rt_sssp``, which counts turns in arrays."""
+    steps = r.steps
+    return sum(1 for a, b in zip(steps, steps[1:]) if a != b)
