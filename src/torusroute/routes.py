@@ -56,9 +56,9 @@ def make_route(t: Topology, src: int, fs: int | None, body: Iterable[int],
     """Build a Route by walking the steps from src (no rule checking)."""
     body = tuple(body)
     steps = (() if fs is None else (fs,)) + body + (() if ls is None else (ls,))
-    if steps and (src in t.failed_nodes or not 0 <= src < t.num_coords):
+    if steps and src in t.failed_nodes:
         raise TopologyError(f"node {src} does not exist")
-    nodes, channels = t.walk(src, steps)
+    nodes, channels = t.walk(src, steps)  # checks that src is a node id
     if len(channels) < len(steps):
         raise ValueError(f"step {t.dir_name(steps[len(channels)])} from "
                          f"{t.coord_str(nodes[-1])} is dead")

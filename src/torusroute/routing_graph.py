@@ -7,7 +7,10 @@ vector (arrived via an order- and direction-bit-compliant step list), LS(d)
 for each negative direction (arrived via a non-standard last step d), and END
 (ejection). Per node that is 3^n + 2n + 1 vertices.
 
-Baseline edges keep the global direction order and never step into the
+The rules fix a block's edges from the dimension count alone: one template,
+:func:`_block_edges`, lists them as (tail, direction, head) offsets, and the
+topology only wires it, by the neighbour each direction reaches from a live
+node. Baseline edges keep the global direction order and never step into the
 immediate opposite of the previous direction; order-violating first/last-step
 turns enter only through :func:`apply_augmentation`, fed by the channel
 dependency graph analysis.
@@ -22,16 +25,6 @@ import numpy as np
 from .topology import Topology
 
 DUMMY_LINK = -1  # edges into END carry no physical link
-
-
-def dirbit_codes(n: int) -> list[int]:
-    """Dense ternary codes of all nonzero sign vectors, ascending."""
-    zero = (3 ** n - 1) // 2
-    return [c for c in range(3 ** n) if c != zero]
-
-
-def vec_to_code(vec: Sequence[int]) -> int:
-    return sum((s + 1) * 3 ** j for j, s in enumerate(vec))
 
 
 def code_to_vec(code: int, n: int) -> tuple[int, ...]:
@@ -57,33 +50,42 @@ class RoutingGraph:
     """CSR adjacency over the per-node vertex blocks of a topology."""
 
     def __init__(self, topology: Topology, edges=None, added=()):
-        """``edges`` defaults to the topology's baseline edges."""
-        t = topology
-        self.topology = t
+        """``edges`` holds rows (tail, head, link, aug), as an array or a
+        list of 4-tuples, in any order; it defaults to the topology's
+        baseline edges. Edge ids follow the tail, ties keep the row order."""
+        self.topology = t = topology
         n = t.n
         self.block = 3 ** n + 2 * n + 1
         self.n_vertices = t.num_coords * self.block
-        self.codes = dirbit_codes(n)
+        # a sign vector's DIRBIT code is sum (s_j + 1) * 3^j, so taking
+        # direction d (sign s in dimension j = d % n) in a dimension of zero
+        # sign adds code_step[d] = s * 3^j to the code
+        zero = (3 ** n - 1) // 2
+        self.codes = [c for c in range(3 ** n) if c != zero]
         self._code_offset = {c: i for i, c in enumerate(self.codes)}
-        # DIRBIT code of the sign vector holding only direction d
-        self.single_codes = [
-            vec_to_code([(1 if d < n else -1) if j == d % n else 0
-                         for j in range(n)])
-            for d in range(2 * n)]
+        self.code_step = [3 ** (d % n) if d < n else -3 ** (d % n)
+                          for d in range(2 * n)]
+        # code of the sign vector holding only direction d
+        self.single_codes = [zero + step for step in self.code_step]
+        # per code, its last direction: the template and the last-step
+        # turns of apply_augmentation both read it
+        self.code_last = [vec_last_direction(code_to_vec(c, n), n)
+                          for c in self.codes]
         self.added = tuple(added)
         self.relaxed = frozenset(self.added)
         if edges is None:
             edges = _build_edges(self)
 
-        order = sorted(range(len(edges)), key=lambda i: edges[i][0])
-        self.edge_tail = np.array([edges[i][0] for i in order], dtype=np.int32)
-        self.edge_head = np.array([edges[i][1] for i in order], dtype=np.int32)
-        self.edge_link = np.array([edges[i][2] for i in order], dtype=np.int32)
-        self.edge_aug = np.array([edges[i][3] for i in order], dtype=bool)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 4)
+        edges = edges[np.argsort(edges[:, 0], kind="stable")]
+        self.edge_tail = edges[:, 0].astype(np.int32)
+        self.edge_head = edges[:, 1].astype(np.int32)
+        self.edge_link = edges[:, 2].astype(np.int32)
+        self.edge_aug = edges[:, 3].astype(bool)
         self.n_edges = len(edges)
         self.indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.add.at(self.indptr, self.edge_tail + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
+        np.cumsum(np.bincount(self.edge_tail, minlength=self.n_vertices),
+                  out=self.indptr[1:])
         self._rev = None
 
     # -- vertex ids ----------------------------------------------------------
@@ -123,72 +125,60 @@ class RoutingGraph:
             self._rev = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
         return self._rev
 
-def _build_edges(rg: RoutingGraph) -> list[tuple[int, int, int, bool]]:
-    t = rg.topology
-    n = t.n
-    nbr = t.neighbor_rows
-    chan = t.channel_rows
-    begin, dirbit, fs, ls, end = (rg.begin_vid, rg.dirbit_vid, rg.fs_vid,
-                                  rg.ls_vid, rg.end_vid)
+
+def _block_edges(rg: RoutingGraph) -> np.ndarray:
+    """One node's baseline edges as rows (tail offset, direction or -1 for
+    ejection, head offset), in tail-offset order: BEGIN, DIRBIT codes
+    ascending, FS, LS. The offsets are the vertex ids at node 0."""
+    n = rg.topology.n
     single = rg.single_codes
-    lasts = {c: vec_last_direction(code_to_vec(c, n), n) for c in rg.codes}
+    end = rg.end_vid(0)
+    rows: list[tuple[int, int, int]] = []
 
-    edges: list[tuple[int, int, int, bool]] = []
-    for u in t.live_nodes:
-        # BEGIN: single-direction steps, positive non-standard first steps, eject
-        for d in range(2 * n):
-            v = nbr[u][d]
-            if v >= 0:
-                edges.append((begin(u), dirbit(v, single[d]), chan[u][d], False))
-        for d in range(n):
-            v = nbr[u][d]
-            if v >= 0:
-                edges.append((begin(u), fs(v, d), chan[u][d], False))
-        edges.append((begin(u), end(u), DUMMY_LINK, False))
+    # BEGIN: single-direction steps, positive non-standard first steps, eject
+    begin = rg.begin_vid(0)
+    rows += [(begin, d, rg.dirbit_vid(0, single[d])) for d in range(2 * n)]
+    rows += [(begin, d, rg.fs_vid(0, d)) for d in range(n)]
+    rows.append((begin, -1, end))
 
-        # FS vertices: continue with a strictly later, non-opposite direction
-        for l in range(n):
-            opp = l + n
-            for k in range(l + 1, 2 * n):
-                if k == opp:
-                    continue
-                v = nbr[u][k]
-                if v >= 0:
-                    edges.append((fs(u, l), dirbit(v, single[k]), chan[u][k],
-                                  False))
-            edges.append((fs(u, l), end(u), DUMMY_LINK, False))
+    # DIRBIT vertices: repeat the last direction, or take a later one in an
+    # unused dimension (direction-bit rule), or leave by a negative last step
+    for c, last in zip(rg.codes, rg.code_last):
+        vec = code_to_vec(c, n)
+        src = rg.dirbit_vid(0, c)
+        rows.append((src, last, src))
+        rows += [(src, k, rg.dirbit_vid(0, c + rg.code_step[k]))
+                 for k in range(last + 1, 2 * n) if vec[k % n] == 0]
+        opp_last = (last + n) % (2 * n)
+        rows += [(src, k, rg.ls_vid(0, k))
+                 for k in range(max(n, last + 1), 2 * n) if k != opp_last]
+        rows.append((src, -1, end))
 
-        # DIRBIT vertices
-        for c in rg.codes:
-            vec = code_to_vec(c, n)
-            last = lasts[c]
-            src = dirbit(u, c)
-            for k in range(last, 2 * n):
-                if k != last and vec[k % n] != 0:
-                    continue  # direction-bit rule: dimension already used
-                v = nbr[u][k]
-                if v < 0:
-                    continue
-                if k == last:
-                    nc = c
-                else:
-                    nvec = list(vec)
-                    nvec[k % n] = 1 if k < n else -1
-                    nc = vec_to_code(nvec)
-                edges.append((src, dirbit(v, nc), chan[u][k], False))
-            opp_last = (last + n) % (2 * n)
-            for k in range(max(n, last + 1), 2 * n):
-                if k == opp_last:
-                    continue
-                v = nbr[u][k]
-                if v >= 0:
-                    edges.append((src, ls(v, k), chan[u][k], False))
-            edges.append((src, end(u), DUMMY_LINK, False))
+    # FS vertices: continue with a strictly later, non-opposite direction
+    for l in range(n):
+        src = rg.fs_vid(0, l)
+        rows += [(src, k, rg.dirbit_vid(0, single[k]))
+                 for k in range(l + 1, 2 * n) if k != l + n]
+        rows.append((src, -1, end))
 
-        # LS vertices only eject
-        for k in range(n, 2 * n):
-            edges.append((ls(u, k), end(u), DUMMY_LINK, False))
-    return edges
+    # LS vertices only eject
+    rows += [(rg.ls_vid(0, k), -1, end) for k in range(n, 2 * n)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _build_edges(rg: RoutingGraph) -> np.ndarray:
+    """Baseline edge rows (tail, head, link, aug) in tail order: the block
+    template at every live node, without the steps whose link is absent."""
+    t = rg.topology
+    tail, k, head = _block_edges(rg).T
+    live = np.array(t.live_nodes, dtype=np.int64)[:, None]
+    eject = k < 0  # an ejection row indexes the last direction, then drops it
+    head_node = np.where(eject, live, t.neighbor_table[live, k])
+    link = np.where(eject, DUMMY_LINK, t.channel_table[live, k])
+    keep = head_node >= 0
+    return np.stack([(live * rg.block + tail)[keep],
+                     (head_node * rg.block + head)[keep], link[keep],
+                     np.zeros(np.count_nonzero(keep), dtype=np.int64)], axis=1)
 
 
 def build_routing_graph(t: Topology) -> RoutingGraph:
@@ -207,7 +197,6 @@ def apply_augmentation(rg: RoutingGraph,
     last-step turn DIRBIT(last=D_i)@u_j -> LS(D_j). Anything else is rejected.
     """
     t = rg.topology
-    n = t.n
     added = list(added)
     extra: list[tuple[int, int, int, bool]] = []
     for edge in added:
@@ -224,18 +213,18 @@ def apply_augmentation(rg: RoutingGraph,
         if len(channels) < 2:
             raise ValueError(f"augmentation edge {desc} head channel is dead")
         uk, link = nodes[2], channels[1]
-        if di < n:  # usable as a first positive step
+        if di < t.n:  # usable as a first positive step
             extra.append((rg.fs_vid(uj, di),
                           rg.dirbit_vid(uk, rg.single_codes[dj]), link, True))
-        elif dj >= n:  # usable as a last negative step
-            for c in rg.codes:
-                if vec_last_direction(code_to_vec(c, n), n) == di:
-                    extra.append((rg.dirbit_vid(uj, c), rg.ls_vid(uk, dj),
-                                  link, True))
+        elif dj >= t.n:  # usable as a last negative step
+            extra += [(rg.dirbit_vid(uj, c), rg.ls_vid(uk, dj), link, True)
+                      for c, last in zip(rg.codes, rg.code_last) if last == di]
         else:
             raise ValueError(f"augmentation edge {desc} matches neither a "
                              "first-step nor a last-step shape")
 
-    base = list(zip(rg.edge_tail.tolist(), rg.edge_head.tolist(),
-                    rg.edge_link.tolist(), rg.edge_aug.tolist()))
-    return RoutingGraph(t, base + extra, added=tuple(rg.added) + tuple(added))
+    base = np.stack([rg.edge_tail, rg.edge_head, rg.edge_link, rg.edge_aug],
+                    axis=1)
+    extra = np.array(extra, dtype=np.int64).reshape(-1, 4)
+    return RoutingGraph(t, np.concatenate([base, extra]),
+                        added=tuple(rg.added) + tuple(added))

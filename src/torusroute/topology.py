@@ -155,7 +155,8 @@ class Topology:
 
     def neighbor(self, u: int, d: int) -> int | None:
         """Node reached from u along d, or None if the link is absent."""
-        if u in self.failed_nodes or not 0 <= u < self.num_coords:
+        self.check_nodes((u,))
+        if u in self.failed_nodes:
             raise TopologyError(f"node {u} does not exist")
         if not 0 <= d < self.ndirs:
             raise TopologyError(f"direction index {d} out of range")
@@ -168,8 +169,10 @@ class Topology:
 
         The walk stops at the first dead link and returns the prefix it
         walked, so it failed exactly when fewer channels than steps come
-        back. A failed source has no live link and walks no step.
+        back. A failed source has no live link and walks no step; a source
+        outside the topology raises TopologyError.
         """
+        self.check_nodes((src,))
         nbr, chan = self.neighbor_rows, self.channel_rows
         node = src
         nodes = [src]

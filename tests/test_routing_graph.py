@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -171,6 +174,26 @@ def test_apply_augmentation_adds_fs_edge():
     assert vec_last_direction(info.vec, t.n) == 0
 
 
+def test_apply_augmentation_adds_ls_edges():
+    """A last-step turn leaves every DIRBIT vertex whose last direction is
+    the turn's first one: on 3x3, the three sign vectors with -Y set."""
+    t = make_torus([3, 3])
+    rg = build_routing_graph(t)
+    minus_x, minus_y = 2, 3
+    u = t.node_id((1, 2))
+    v = t.node_id((1, 1))
+    w = t.node_id((0, 1))
+    rg2 = apply_augmentation(rg, [((u, minus_y), (v, minus_x))])
+    assert rg2.n_edges == rg.n_edges + 3
+    new = np.flatnonzero(rg2.edge_aug)
+    assert len(new) == 3
+    tails = [vertex_info(rg2, int(rg2.edge_tail[e])) for e in new]
+    assert all(i.node == v and i.kind is VKind.DIRBIT for i in tails)
+    assert sorted(i.vec for i in tails) == [(-1, -1), (0, -1), (1, -1)]
+    assert all(rg2.edge_head[new] == rg2.ls_vid(w, minus_x))
+    assert all(rg2.edge_link[new] == t.channel_id[(v, minus_x)])
+
+
 def test_apply_augmentation_rejects_bad_shapes(grid33):
     t, rg0, g, added = grid33
     rg = build_routing_graph(t)
@@ -191,3 +214,67 @@ def test_end_edges_carry_no_link(grid33):
             assert rg.edge_link[e] == DUMMY_LINK
         else:
             assert rg.edge_link[e] != DUMMY_LINK
+
+
+# SHA-256 of the bytes of edge_tail, edge_head, edge_link, edge_aug and
+# indptr, of the baseline graph and of the graph cli.prepare wires the
+# relaxed turns into: every generator breaks ties on edge ids, so the edge
+# order is pinned, not only the edge set. Key: (dims, failed nodes, failed
+# links); value: (added turns, baseline digest, augmented digest or None
+# where no turn is added).
+EDGE_ORDER_DIGESTS = {
+    ((5,), (), ()): (0,
+        ("dbd084d8edf6ebf852046337660c380d"
+         "4bbd472ef943b48579f8831cbf552a25"),
+        None),
+    ((2, 2), (), ()): (2,
+        ("464dada32a2fe71e2e658ceea978c912"
+         "3523c0c24e54a599b6ba030d4afb9ed1"),
+        ("e180d560bdd8e95b27561df55dc8111f"
+         "c5d01a1c0b391c5cbfcc4115334d84b5")),
+    ((3, 3), (), (((0, 0), 0),)): (0,
+        ("bb5c3a9e0e485dfe78c564868686e195"
+         "638d10e9234e6c574e80cea2bf3ee327"),
+        None),
+    ((4, 4, 2), ((0, 0, 1),), ()): (58,
+        ("864f5582d5b9bf0855c03d7659969d07"
+         "cfbbfdb607cfdb69a3f0e0ae096be391"),
+        ("acf7c4c74ae9582a7a5bf28967ab3faa"
+         "6924334aba42ceba531a88834ddcb50f")),
+    ((3, 3, 3, 3), (), ()): (0,
+        ("e38877420e83999de41b1a3abed41b07"
+         "be9c408630b923bf31a2327b4ee7d2f7"),
+        None),
+    ((4, 2, 2, 2), (), ()): (144,
+        ("95d51fedfcebc4517f585e8f87d130c4"
+         "c75af0b63efdd890af57b3559f722650"),
+        ("2b47e25db4a094883d278fc4dbb67fb0"
+         "96cf9ba77248bc82662b4804101fd1cf")),
+    ((2, 5, 3), (18,), ()): (1,
+        ("23480f0e6b1cdc8526c46542107c4950"
+         "bf4f1e3d239e347da81eb05c713b7966"),
+        ("f93443520b42332715ba32e85b72312d"
+         "dc0c96bba962d42fdb309a063bd56e9c")),
+}
+
+
+def _edge_order_digest(rg):
+    arrays = (rg.edge_tail, rg.edge_head, rg.edge_link, rg.edge_aug,
+              rg.indptr)
+    assert [a.dtype.str for a in arrays] == ["<i4", "<i4", "<i4", "|b1",
+                                             "<i8"]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", EDGE_ORDER_DIGESTS, ids=repr)
+def test_edge_order_pinned(key):
+    dims, nodes, links = key
+    n_added, base, augmented = EDGE_ORDER_DIGESTS[key]
+    t = make_torus(dims, nodes, links)
+    assert _edge_order_digest(build_routing_graph(t)) == base
+    rg, g, added = prepare(t)
+    assert len(added) == n_added
+    assert _edge_order_digest(rg) == (augmented or base)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusroute import (RoutingTable, RuleConfig, brute_force_routes,
+from torusroute import (Route, RoutingTable, RuleConfig, brute_force_routes,
                         build_bfs_routes, build_routing_graph, build_sssp,
                         enumerate_minimal_routes, make_route, make_torus,
-                        most_remote)
+                        most_remote, validate_route)
 from torusroute.errors import DisconnectedError, ParseError, TopologyError
+from torusroute.routes import route_channels
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
                                  parse_topology,
@@ -174,6 +175,18 @@ def test_out_of_range_node_ids_raise():
                 enumerate_minimal_routes(rg, bad, 3)
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 enumerate_minimal_routes(rg, 0, bad)
+            # a source row -1 would wrap to the last node's links
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                t.walk(bad, [0])
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                t.neighbor(bad, 0)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                make_route(t, bad, None, [0], None)
+            stray = Route(bad, 14, None, (0,), None, (15, 14))
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                route_channels(t, stray)
+            with pytest.raises(TopologyError, match=f"node id {bad} out"):
+                validate_route(t, stray)
             # a key of a route mapping, before it can index a pair
             route = make_route(t, 0, None, [1], None)
             with pytest.raises(TopologyError, match=f"node id {bad} out"):

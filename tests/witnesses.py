@@ -18,7 +18,7 @@ import numpy as np
 from torusroute.algorithms import _bfs_count, _source_batches
 from torusroute.routes import Route
 from torusroute.routing_graph import (RoutingGraph, code_to_vec,
-                                      vec_last_direction, vec_to_code)
+                                      vec_last_direction)
 
 
 class VKind(IntEnum):
@@ -105,7 +105,8 @@ def route_to_rg_path(rg: RoutingGraph, r: Route) -> list[int]:
     vec = [0] * t.n
     for node, d in zip(nodes[1 + (r.fs is not None):], r.body):
         vec[d % t.n] = 1 if d < t.n else -1
-        path.append(rg.dirbit_vid(node, vec_to_code(vec)))
+        code = sum((s + 1) * 3 ** j for j, s in enumerate(vec))
+        path.append(rg.dirbit_vid(node, code))
     if r.ls is not None:
         path.append(rg.ls_vid(nodes[-1], r.ls))
     path.append(rg.end_vid(nodes[-1]))
