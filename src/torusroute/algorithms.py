@@ -11,7 +11,10 @@ load of its link, so all routing-graph edges over one cable weigh the same.
 
 * ``build_rt_bfs``: iterated breadth-first trees, sources ordered by a
   most-remote heuristic, each level's frontier expanded lightest arrival
-  first.
+  first. Every in-edge of a vertex crosses the same link, so the arrival
+  load that orders a frontier is known from the ledger before the search:
+  hop levels come from one level search per batch of sources, and each
+  source's tree is picked in one array pass over the edges.
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric. A variant is the link
@@ -28,8 +31,9 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   and reads every chain back through its parents' tails and links.
 
 Every hop-level search runs on one kernel, ``_levels``, over one or more
-begin vertices at once, and every breadth-first parent tree is read back by
-one array walk, ``_tree_chains``.
+begin vertices at once; ``_hop_levels`` keeps only its levels and
+``_bfs_count`` adds path counts and least-edge-id parents. Every
+breadth-first parent tree is read back by one array walk, ``_tree_chains``.
 """
 
 from __future__ import annotations
@@ -97,19 +101,16 @@ def _routes(rg: RoutingGraph, source: int, chains: np.ndarray) -> list[Route]:
         rg.topology, np.full(len(chains), source), chains, rg.relaxed)[0]))
 
 
-def _levels(rg: RoutingGraph, begins, key=None):
+def _levels(rg: RoutingGraph, begins):
     """Hop levels of the routing graph from each of ``begins`` at once, one
     level per yield.
 
     Row r searches from ``begins[r]``, and its vertex v has the flat id
     ``r * n_vertices + v``, so rows never meet and with one begin flat ids
-    are vertex ids. Yields (new flat ids, their parent edges, open edge ids,
-    open flat heads); the open edges leave the frontier for vertices their
-    row has not reached before. A new vertex's parent is its open in-edge
-    with the least (key, edge id). ``key`` maps edge ids to integer keys
-    (all 0 when omitted) and runs once per level, after the caller has
-    handled the previous yield, so it may read per-vertex state the caller
-    keeps.
+    are vertex ids. Yields (new flat ids ascending, open edge ids, open flat
+    heads); the open edges leave the frontier for vertices their row has not
+    reached before, so they are the in-edges of the new vertices from the
+    level below.
     """
     nv = rg.n_vertices
     rows = len(begins)
@@ -129,26 +130,23 @@ def _levels(rg: RoutingGraph, begins, key=None):
         eids, heads = eids[open_m], heads[open_m]
         if not len(eids):
             return
-        # the frontier ascends and edge ids are tail-major, so each row's
-        # eids ascend and a stable sort by (head, key) leaves ties in
-        # edge-id order; flat heads of different rows never tie
-        if key is None:
-            order = np.argsort(heads, kind="stable")
-        else:
-            keys = key(eids)
-            span = int(keys.max()) + 1
-            if (int(heads.max()) + 1) * span < 2 ** 62:
-                order = np.argsort(heads * span + keys, kind="stable")
-            else:
-                order = np.lexsort((keys, heads))
-        heads_s = heads[order]
-        first = np.empty(len(order), dtype=bool)  # of each head's run
-        first[0] = True
-        np.not_equal(heads_s[1:], heads_s[:-1], out=first[1:])
-        chosen = order[first]
-        frontier = heads[chosen]
+        new = np.zeros_like(reached)
+        new[heads] = True
+        frontier = np.flatnonzero(new)
         reached[frontier] = True
-        yield frontier, eids[chosen], eids, heads
+        yield frontier, eids, heads
+
+
+def _hop_levels(rg: RoutingGraph, sources) -> np.ndarray:
+    """Hop levels from each of ``sources`` in one level search, one row of
+    ``n_vertices`` per source, -1 where unreached."""
+    begins = rg.begin_vid(np.asarray(sources, dtype=np.int64))
+    dist = np.full((len(begins), rg.n_vertices), -1, dtype=np.int32)
+    dist[np.arange(len(begins)), begins] = 0
+    flat = dist.reshape(-1)
+    for level, (new, _, _) in enumerate(_levels(rg, begins), 1):
+        flat[new] = level
+    return dist
 
 
 def _bfs_count(rg: RoutingGraph, sources):
@@ -159,20 +157,20 @@ def _bfs_count(rg: RoutingGraph, sources):
     shape = (len(sources), rg.n_vertices)
     dist = np.full(shape, -1, dtype=np.int32)
     counts = np.zeros(shape, dtype=np.int64)
-    parent_edge = np.full(shape, -1, dtype=np.int64)
+    parent_edge = np.full(shape, rg.n_edges, dtype=np.int64)  # none yet
     begins = rg.begin_vid(np.asarray(sources, dtype=np.int64))
     at_begin = (np.arange(len(begins)), begins)
     dist[at_begin] = 0
     counts[at_begin] = 1
     flat_dist, flat_counts, flat_parent = (
         a.reshape(-1) for a in (dist, counts, parent_edge))
-    for level, (new, parents, eids, heads) in enumerate(
-            _levels(rg, begins), 1):
-        flat_parent[new] = parents
+    for level, (new, eids, heads) in enumerate(_levels(rg, begins), 1):
         flat_dist[new] = level
         # each open edge's flat tail: its head's row, its own tail vertex
         tails = heads - rg.edge_head[eids] + rg.edge_tail[eids]
         np.add.at(flat_counts, heads, flat_counts[tails])
+        np.minimum.at(flat_parent, heads, eids)
+    parent_edge[parent_edge == rg.n_edges] = -1
     return dist, counts, parent_edge
 
 
@@ -227,27 +225,41 @@ def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
     return _padded(hops[kept], lens, int(lens.max(initial=1)), np.int32)
 
 
-def _bfs_chains(rg: RoutingGraph, source: int,
+def _lightest_parents(rg: RoutingGraph, level: np.ndarray,
+                      loads: np.ndarray) -> np.ndarray:
+    """Per vertex, its in-edge from the hop level below with the least
+    (load of the link its tail was entered by, edge id); -1 where none.
+
+    ``level`` holds one source's hop levels (-1 where unreached). Every
+    in-edge of a vertex crosses one link (``RoutingGraph.in_link``), so the
+    key of an edge is known from the ledger alone, before any search. The
+    begin vertex, which no edge enters, reads DUMMY_LINK, whose load is 0.
+    """
+    tail, head, arrival = rg.wide_edges
+    e = np.flatnonzero(level[tail] + 1 == level[head])
+    key = np.append(loads, 0).astype(np.int64)[arrival[e]]
+    # the least (key, edge id) as the least key * n_edges + edge id
+    none = np.iinfo(np.int64).max
+    best = np.full(rg.n_vertices, none)
+    np.minimum.at(best, head[e], key * rg.n_edges + e)
+    return np.where(best < none, best % rg.n_edges, -1)
+
+
+def _bfs_chains(rg: RoutingGraph, source: int, level: np.ndarray,
                 loads: np.ndarray) -> np.ndarray:
     """Breadth-first tree chains from one source, then weight bookkeeping.
 
-    Lightest arrival first: a vertex's parent is its in-edge with the least
-    (load of the link the tail arrived over, edge id). Edge ids are
-    tail-major, so this is the first claimant when each frontier is expanded
-    in ascending arrival load, ties by vertex id. After the tree is read
-    back, every chain adds one unit of load to each physical link it
+    Lightest arrival first: a vertex's parent is its in-edge from the level
+    below with the least (load of the link the tail arrived over, edge id),
+    picked in one array pass (``_lightest_parents``). Edge ids are
+    tail-major, so this is the first claimant when each frontier is
+    expanded in ascending arrival load, ties by vertex id. ``level`` holds
+    the source's hop levels, which no ledger changes. After the tree is
+    read back, every chain adds one unit of load to each physical link it
     crosses; an unroutable pair raises before any load is added.
     """
-    loads_ext = np.append(loads, 0)  # DUMMY_LINK (-1) reads the 0
-    parent_edge = np.full(rg.n_vertices, -1, dtype=np.int64)
-    arrival = np.zeros(rg.n_vertices, dtype=np.int64)  # the source: load-free
-    depth = 0
-    for depth, (new, parents, _, _) in enumerate(_levels(
-            rg, [rg.begin_vid(source)], lambda e: arrival[rg.edge_tail[e]]),
-            1):
-        parent_edge[new] = parents
-        arrival[new] = loads_ext[rg.edge_link[parents]]
-    chains = _tree_chains(rg, [source], parent_edge, depth)
+    chains = _tree_chains(rg, [source], _lightest_parents(rg, level, loads),
+                          int(level.max()))
     loads += np.bincount(chains[chains >= 0], minlength=len(loads))
     return chains
 
@@ -256,23 +268,35 @@ def build_bfs_routes(rg: RoutingGraph, source: int,
                      loads: np.ndarray) -> dict[int, Route]:
     """Breadth-first routes from one source; see ``_bfs_chains``."""
     rg.topology.check_nodes([source])
-    return {r.dst: r for r in _routes(rg, source,
-                                      _bfs_chains(rg, source, loads))}
+    return {r.dst: r for r in _routes(rg, source, _bfs_chains(
+        rg, source, _hop_levels(rg, [source])[0], loads))}
+
+
+def _most_remote_order(t) -> list[int]:
+    """The live nodes in ``build_rt_bfs``'s source order: the first live
+    node, then each time the remaining node most remote from the last."""
+    order = [t.live_nodes[0]]
+    remaining = set(t.live_nodes[1:])
+    while remaining:
+        order.append(most_remote(t, remaining, order[-1]))
+        remaining.discard(order[-1])
+    return order
 
 
 def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
-    """Iterated-BFS routing table; the next source is the most remote node."""
+    """Iterated-BFS routing table; the next source is the most remote node.
+
+    Neither the source order nor the hop levels depend on the ledger, so one
+    level search serves a batch of sources in that order
+    (``_source_batches``); each source's tree is then picked against the
+    ledger its predecessors left (``_bfs_chains``).
+    """
     t = rg.topology
     loads = np.zeros(t.n_channels, dtype=np.int64)
     chains = {}
-    remaining = set(t.live_nodes)
-    source = t.live_nodes[0]
-    while True:
-        chains[source] = _bfs_chains(rg, source, loads)
-        remaining.discard(source)
-        if not remaining:
-            break
-        source = most_remote(t, remaining, source)
+    for part in _source_batches(rg, _most_remote_order(t)):
+        for source, level in zip(part, _hop_levels(rg, part)):
+            chains[source] = _bfs_chains(rg, source, level, loads)
     src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)  # pair order
     cols = encode_chains(t, src, _stack([chains[s] for s in t.live_nodes]),
                          rg.relaxed)[0]
@@ -349,7 +373,7 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
         raise ValueError(f"dst must differ from src, both are {src}")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    chains, truncated = _variant_chains(rg, _bfs_count(rg, [src])[0][0], src,
+    chains, truncated = _variant_chains(rg, _hop_levels(rg, [src])[0], src,
                                         dst, cap)
     return _routes(rg, src, np.array(chains)), truncated
 
@@ -487,7 +511,7 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     """
     dsts = [d for d in dst_nodes if d != source]
     rg.topology.check_nodes([source, *dsts])
-    dag, ends = _level_dag(rg, _bfs_count(rg, [source])[0][0],
+    dag, ends = _level_dag(rg, _hop_levels(rg, [source])[0],
                            [rg.end_vid(d) for d in dsts])
     missing = [d for d, x in zip(dsts, ends) if x < 0]
     if missing:
@@ -574,7 +598,7 @@ def _variant_tables(rg: RoutingGraph):
     nodes = t.live_nodes
     counts, variants = [], []
     for part in _source_batches(rg, nodes):
-        for source, dist in zip(part, _bfs_count(rg, part)[0]):
+        for source, dist in zip(part, _hop_levels(rg, part)):
             unreached = [(t.coord_str(source), t.coord_str(dst))
                          for dst in nodes
                          if dst != source and dist[rg.end_vid(dst)] < 0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import _bfs_count, _rg_chains
+from .algorithms import _hop_levels, _rg_chains
 from .routing_graph import RoutingGraph, apply_augmentation, build_routing_graph
 from .topology import Topology
 
@@ -131,7 +131,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
     max_len = t.diameter() + MAX_EXTRA  # for pairs the graph cannot route
     report = EquivalenceReport()
     for src in t.live_nodes:
-        dist = _bfs_count(rg, [src])[0][0]
+        dist = _hop_levels(rg, [src])[0]
         for dst in t.live_nodes:
             if dst == src:
                 continue

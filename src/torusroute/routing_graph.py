@@ -18,6 +18,7 @@ dependency graph analysis.
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +47,23 @@ def vec_last_direction(vec: Sequence[int], n: int) -> int:
     return last
 
 
+@lru_cache(maxsize=None)
+def _last_directions(n: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """(per DIRBIT code ascending, its last direction; per direction d, the
+    block offsets of the DIRBIT vertices whose last direction is d, codes
+    ascending), shared read-only by every graph of n dimensions. The
+    template reads the first, and the last-step turns of
+    :func:`apply_augmentation` leave the vertices of the second."""
+    zero = (3 ** n - 1) // 2
+    last = tuple(vec_last_direction(code_to_vec(c, n), n)
+                 for c in range(3 ** n) if c != zero)
+    by_last = tuple(1 + np.flatnonzero(np.array(last) == d)
+                    for d in range(2 * n))
+    for offsets in by_last:
+        offsets.flags.writeable = False
+    return last, by_last
+
+
 class RoutingGraph:
     """CSR adjacency over the per-node vertex blocks of a topology."""
 
@@ -67,10 +85,7 @@ class RoutingGraph:
                           for d in range(2 * n)]
         # code of the sign vector holding only direction d
         self.single_codes = [zero + step for step in self.code_step]
-        # per code, its last direction: the template and the last-step
-        # turns of apply_augmentation both read it
-        self.code_last = [vec_last_direction(code_to_vec(c, n), n)
-                          for c in self.codes]
+        self.code_last, self.dirbit_by_last = _last_directions(n)
         self.added = tuple(added)
         self.relaxed = frozenset(self.added)
         if edges is None:
@@ -86,6 +101,13 @@ class RoutingGraph:
         self.indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_tail, minlength=self.n_vertices),
                   out=self.indptr[1:])
+        # every in-edge of a vertex crosses one link: a DIRBIT, FS or LS
+        # vertex is entered by one direction only (a DIRBIT code's last, an
+        # FS or LS vertex's own), from the one node whose step that way
+        # reaches it, and END over DUMMY_LINK; BEGIN, entered by no edge,
+        # reads DUMMY_LINK too
+        self.in_link = np.full(self.n_vertices, DUMMY_LINK, dtype=np.int32)
+        self.in_link[self.edge_head] = self.edge_link
         self._rev = None
 
     # -- vertex ids ----------------------------------------------------------
@@ -110,6 +132,15 @@ class RoutingGraph:
         return (node + 1) * self.block - 1
 
     # -- adjacency helpers ----------------------------------------------------
+
+    @cached_property
+    def wide_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tail, head, the link the tail is entered by) of every edge as
+        intp arrays, cached: NumPy gathers with intp indices without first
+        casting them."""
+        tail, head = (a.astype(np.intp) for a in (self.edge_tail,
+                                                  self.edge_head))
+        return tail, head, self.in_link[tail].astype(np.intp)
 
     def in_edges(self) -> list[tuple[tuple[int, int], ...]]:
         """Per head vertex, the (tail, link) of its in-edges in edge-id
@@ -198,33 +229,40 @@ def apply_augmentation(rg: RoutingGraph,
     """
     t = rg.topology
     added = list(added)
-    extra: list[tuple[int, int, int, bool]] = []
+
+    def reject(edge, why: str) -> ValueError:
+        (ui, di), (uj, dj) = edge
+        return ValueError(f"augmentation edge [({t.coord_str(ui)},"
+                          f"{t.dir_name(di)}),({t.coord_str(uj)},"
+                          f"{t.dir_name(dj)})] {why}")
+
+    tails, heads, links = [], [], []  # per turn: its tails, head and link
     for edge in added:
         (ui, di), (uj, dj) = edge
-        desc = (f"[({t.coord_str(ui)},{t.dir_name(di)}),"
-                f"({t.coord_str(uj)},{t.dir_name(dj)})]")
         if di <= dj:
-            raise ValueError(f"augmentation edge {desc} does not violate the "
-                             "direction order")
+            raise reject(edge, "does not violate the direction order")
         nodes, channels = t.walk(ui, (di, dj))
         if len(nodes) < 2 or nodes[1] != uj:
-            raise ValueError(f"augmentation edge {desc} endpoints are not "
-                             "linked by its direction")
+            raise reject(edge, "endpoints are not linked by its direction")
         if len(channels) < 2:
-            raise ValueError(f"augmentation edge {desc} head channel is dead")
-        uk, link = nodes[2], channels[1]
+            raise reject(edge, "head channel is dead")
+        uk = nodes[2]
         if di < t.n:  # usable as a first positive step
-            extra.append((rg.fs_vid(uj, di),
-                          rg.dirbit_vid(uk, rg.single_codes[dj]), link, True))
+            tails.append([rg.fs_vid(uj, di)])
+            heads.append(rg.dirbit_vid(uk, rg.single_codes[dj]))
         elif dj >= t.n:  # usable as a last negative step
-            extra += [(rg.dirbit_vid(uj, c), rg.ls_vid(uk, dj), link, True)
-                      for c, last in zip(rg.codes, rg.code_last) if last == di]
+            tails.append(uj * rg.block + rg.dirbit_by_last[di])
+            heads.append(rg.ls_vid(uk, dj))
         else:
-            raise ValueError(f"augmentation edge {desc} matches neither a "
-                             "first-step nor a last-step shape")
+            raise reject(edge, "matches neither a first-step nor a "
+                               "last-step shape")
+        links.append(channels[1])
 
+    counts = [len(x) for x in tails]
+    extra = np.stack([np.concatenate([[], *tails]), np.repeat(heads, counts),
+                      np.repeat(links, counts), np.ones(sum(counts))],
+                     axis=1).astype(np.int64)
     base = np.stack([rg.edge_tail, rg.edge_head, rg.edge_link, rg.edge_aug],
                     axis=1)
-    extra = np.array(extra, dtype=np.int64).reshape(-1, 4)
     return RoutingGraph(t, np.concatenate([base, extra]),
                         added=tuple(rg.added) + tuple(added))

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_rt_bfs, build_rt_genetic, build_rt_sssp,
                         build_sssp, channel_loads, enumerate_minimal_routes,
-                        load_report, make_torus, unique_route_stats)
+                        load_report, make_torus, most_remote,
+                        unique_route_stats)
 from torusroute import algorithms
-from torusroute.algorithms import _bfs_count, _pair_stats, _rg_chains
+from torusroute.algorithms import (_bfs_count, _hop_levels, _pair_stats,
+                                   _rg_chains)
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.metrics import PATTERNS, LoadReport, pattern_loads
@@ -236,7 +238,7 @@ def test_sssp_routes_are_least_load_minimal_variants(system):
     t = make_torus(dims, nodes, links)
     rg = prepare(t)[0]
     rng = np.random.default_rng(seed)
-    dist = _bfs_count(rg, [src])[0][0]
+    dist = _hop_levels(rg, [src])[0]
     every = sorted(d for s, d in rg_reachable_pairs(rg) if s == src)
     walks = {d: _rg_chains(rg, dist, rg.end_vid(d), 10 ** 6) for d in every}
     assert not any(truncated for _, truncated in walks.values())
@@ -317,6 +319,7 @@ def test_batched_level_search_matches_plain_bfs(system, rows):
     for sources, want in ((live, ref), ([src], [ref[live.index(src)]])):
         dist, counts, parent = _bfs_count(rg, sources)
         assert dist.tolist() == [r[0] for r in want]
+        assert _hop_levels(rg, sources).tolist() == dist.tolist()
         assert counts.tolist() == [r[1] for r in want]
         assert parent.tolist() == [r[2] for r in want]
     chains = [_plain_chains(rg, s, r[2]) for s, r in zip(live, ref)]
@@ -338,6 +341,98 @@ def test_batched_level_search_matches_plain_bfs(system, rows):
     for row, c in zip(want, flat):
         row[:len(c)] = c
     assert links.tolist() == want.tolist()
+
+
+def _lightest_arrival_bfs(rg, source, loads):
+    """{destination: link chain} of one source's lightest-arrival tree, the
+    ledger updated: a level-by-level search whose frontier is expanded in
+    ascending (arrival load, vertex id), where a vertex's arrival is the
+    load of its own parent edge's link and the first claimant of a vertex
+    is its parent. Raises UnroutablePairError naming every unreached
+    destination, in order, before any load is added."""
+    t = rg.topology
+    indptr, tail = rg.indptr.tolist(), rg.edge_tail.tolist()
+    head, link = rg.edge_head.tolist(), rg.edge_link.tolist()
+    parent, arrival = {}, {rg.begin_vid(source): 0}
+    frontier = [rg.begin_vid(source)]
+    while frontier:
+        nxt = []
+        for u in sorted(frontier, key=lambda v: (arrival[v], v)):
+            for e in range(indptr[u], indptr[u + 1]):
+                v = head[e]
+                if v not in arrival:
+                    parent[v] = e
+                    arrival[v] = 0 if link[e] == DUMMY_LINK else loads[link[e]]
+                    nxt.append(v)
+        frontier = nxt
+    missing = [(t.coord_str(source), t.coord_str(d)) for d in t.live_nodes
+               if d != source and rg.end_vid(d) not in parent]
+    if missing:
+        raise UnroutablePairError(missing)
+    chains = {}
+    for dst in t.live_nodes:
+        v, links = rg.end_vid(dst), []
+        while dst != source and v != rg.begin_vid(source):
+            links.append(link[parent[v]])
+            v = tail[parent[v]]
+        if dst != source:
+            chains[dst] = [x for x in reversed(links) if x != DUMMY_LINK]
+    for chain in chains.values():
+        for x in chain:
+            loads[x] += 1
+    return chains
+
+
+@given(small_faulted_systems(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_bfs_matches_level_by_level_reference(system, rows):
+    """Differential test of the one-pass parent pick of ``build_bfs_routes``
+    and ``build_rt_bfs`` (keyed by each tail's ``in_link``, levels searched
+    a batch of ``rows`` sources at a time) against
+    ``_lightest_arrival_bfs``, under a random ledger of few distinct loads
+    (many ties) and from a zero ledger over the most-remote source order:
+    the same chains, the same ledger, and on an unroutable system the same
+    UnroutablePairError with no load added."""
+    dims, nodes, links, src, seed = system
+    t = make_torus(dims, nodes, links)
+    rg = prepare(t)[0]
+    loads = np.random.default_rng(seed).integers(0, 4, t.n_channels)
+    want_loads = loads.copy()
+    try:
+        want = _lightest_arrival_bfs(rg, src, want_loads)
+    except UnroutablePairError as err:
+        with pytest.raises(UnroutablePairError) as got:
+            build_bfs_routes(rg, src, loads)
+        assert got.value.pairs == err.pairs
+        assert (loads == want_loads).all()
+    else:
+        routes = build_bfs_routes(rg, src, loads)
+        assert {d: t.walk(src, r.steps)[1] for d, r in routes.items()} == want
+        assert (loads == want_loads).all()
+
+    ledger = np.zeros(t.n_channels, dtype=np.int64)
+    want, order = {}, [t.live_nodes[0]]
+    try:
+        while True:
+            chains = _lightest_arrival_bfs(rg, order[-1], ledger)
+            want.update({(order[-1], d): c for d, c in chains.items()})
+            left = set(t.live_nodes) - set(order)
+            if not left:
+                break
+            order.append(most_remote(t, left, order[-1]))
+    except UnroutablePairError as err:
+        want = err
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_BATCH_CELLS", rows * rg.n_vertices)
+        if isinstance(want, UnroutablePairError):
+            with pytest.raises(UnroutablePairError) as got:
+                build_rt_bfs(rg)
+            assert got.value.pairs == want.pairs
+            return
+        table = build_rt_bfs(rg)
+    assert {p: t.walk(p[0], r.steps)[1]
+            for p, r in table.routes.items()} == want
+    assert (table.stats.link_increments == ledger).all()
 
 
 @pytest.mark.parametrize("dims,faults,want", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from torusroute import (apply_augmentation, build_routing_graph, make_torus,
                         validate_route)
-from torusroute.algorithms import _bfs_count, _rg_chains
+from torusroute.algorithms import _bfs_count, _hop_levels, _rg_chains
 from torusroute.cli import prepare
 from torusroute.routing_graph import DUMMY_LINK, vec_last_direction
 
@@ -90,7 +90,7 @@ def test_reachable_after_double_link_failure():
     t = make_torus([4], failed_links=[((0,), 0)])
     rg = build_routing_graph(t)
     assert (0, 1) in rg_reachable_pairs(rg)
-    dist = _bfs_count(rg, [0])[0][0]
+    dist = _hop_levels(rg, [0])[0]
     chains, truncated = _rg_chains(rg, dist, rg.end_vid(1), budget=100)
     routes = {tuple(t.channels[link][1] for link in c) for c in chains}
     assert routes == {(1, 1, 1)} and not truncated  # -X -X -X
@@ -198,12 +198,26 @@ def test_apply_augmentation_rejects_bad_shapes(grid33):
     t, rg0, g, added = grid33
     rg = build_routing_graph(t)
     u = t.node_id((0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^augmentation edge "
+                       r"\[\(\(0,0\),\+X\),\(\(1,0\),\+Y\)\] does not "
+                       r"violate the direction order$"):
         # ascending pair is not an order violation
         apply_augmentation(rg, [((u, 0), (t.node_id((1, 0)), 1))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^augmentation edge "
+                       r"\[\(\(0,0\),-X\),\(\(2,0\),\+Y\)\] matches neither "
+                       r"a first-step nor a last-step shape$"):
         # -X then +Y: neither first-step nor last-step expressible
         apply_augmentation(rg, [((u, 2), (t.node_id((2, 0)), 1))])
+    with pytest.raises(ValueError, match=r"^augmentation edge "
+                       r"\[\(\(0,0\),\+Y\),\(\(0,0\),\+X\)\] endpoints are "
+                       r"not linked by its direction$"):
+        apply_augmentation(rg, [((u, 1), (u, 0))])
+    cut = make_torus([3, 3], failed_links=[((1, 1), 0)])
+    with pytest.raises(ValueError, match=r"^augmentation edge "
+                       r"\[\(\(1,0\),\+Y\),\(\(1,1\),\+X\)\] head channel "
+                       r"is dead$"):
+        apply_augmentation(build_routing_graph(cut), [
+            ((cut.node_id((1, 0)), 1), (cut.node_id((1, 1)), 0))])
 
 
 def test_end_edges_carry_no_link(grid33):
@@ -214,6 +228,31 @@ def test_end_edges_carry_no_link(grid33):
             assert rg.edge_link[e] == DUMMY_LINK
         else:
             assert rg.edge_link[e] != DUMMY_LINK
+
+
+def _assert_one_link_per_head(rg):
+    """Every in-edge of a vertex crosses the vertex's ``in_link``, and a
+    vertex that no edge enters reads DUMMY_LINK."""
+    assert (rg.edge_link == rg.in_link[rg.edge_head]).all()
+    entered = np.zeros(rg.n_vertices, dtype=bool)
+    entered[rg.edge_head] = True
+    assert (rg.in_link[~entered] == DUMMY_LINK).all()
+
+
+@pytest.mark.parametrize("dims", [[4, 2, 2, 2], [6, 2, 2], [4, 4, 2]])
+def test_mesh_bases_have_one_link_per_head(dims):
+    t = make_torus(dims)
+    _assert_one_link_per_head(build_routing_graph(t))
+    _assert_one_link_per_head(prepare(t)[0])
+
+
+@given(small_faulted_systems())
+@settings(max_examples=60, deadline=None)
+def test_faulted_systems_have_one_link_per_head(system):
+    dims, nodes, links, _, _ = system
+    t = make_torus(dims, nodes, links)
+    _assert_one_link_per_head(build_routing_graph(t))
+    _assert_one_link_per_head(prepare(t)[0])
 
 
 # SHA-256 of the bytes of edge_tail, edge_head, edge_link, edge_aug and

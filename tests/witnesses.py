@@ -15,7 +15,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from torusroute.algorithms import _bfs_count, _source_batches
+from torusroute.algorithms import _hop_levels, _source_batches
 from torusroute.routes import Route
 from torusroute.routing_graph import (RoutingGraph, code_to_vec,
                                       vec_last_direction)
@@ -119,7 +119,7 @@ def rg_reachable_pairs(rg: RoutingGraph) -> set[tuple[int, int]]:
     nodes = np.array(t.live_nodes, dtype=np.int64)
     pairs = set()
     for part in _source_batches(rg, nodes):
-        reached = _bfs_count(rg, part)[0][:, rg.end_vid(nodes)] >= 0
+        reached = _hop_levels(rg, part)[:, rg.end_vid(nodes)] >= 0
         reached &= nodes != part[:, None]
         rows, cols = np.nonzero(reached)
         pairs.update(zip(part[rows].tolist(), nodes[cols].tolist()))
