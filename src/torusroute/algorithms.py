@@ -18,7 +18,10 @@ load of its link, so all routing-graph edges over one cable weigh the same.
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric. A variant is the link
-  chain of a shortest routing-graph path, read off the edges undecoded.
+  chain of a shortest routing-graph path, read off the edges undecoded. Each
+  individual keeps its channel loads as a row that moves with it; a kid's
+  row is its first parent's, corrected over the genes where they differ, so
+  a generation is bred with array masks and scored in one pass.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
   grouped by (turn count, length, source) and served by a repeated
   least-load dynamic program over the group's hop-level DAG (the edges that
@@ -67,6 +70,9 @@ class GeneticParams:
             raise ValueError("population must be >= 2")
         if not 0.0 <= self.mutation <= 1.0:
             raise ValueError("mutation probability must be in [0, 1]")
+        # a negative epsilon would never let the search stagnate
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError("epsilon must be in [0, 1)")
 
 
 @dataclass
@@ -190,12 +196,12 @@ def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
     ``_levels`` numbers vertices); no tree path has more than ``depth``
     edges. Every pair walks back from its end vertex at once, one gather of
     parent edge, link and tail per hop, filling its row from the right. A
-    walk that has reached its begin vertex reads the sentinel edge -1: its
-    link is the DUMMY_LINK appended to the links, and its tail, vertex 0 of
-    the row, is a BEGIN vertex that no edge enters, so the walk stays there.
-    The DUMMY_LINKs are then dropped and the rows left-aligned. Raises
-    UnroutablePairError naming every destination that the first source with
-    one cannot reach, in destination order.
+    walk that has reached its begin vertex reads the sentinel edge -1, whose
+    link and tail ``RoutingGraph.walk_edges`` holds: DUMMY_LINK, and vertex
+    0 of the row, so the walk stays there. The DUMMY_LINKs are then dropped
+    and the rows left-aligned. Raises UnroutablePairError naming every
+    destination that the first source with one cannot reach, in destination
+    order.
     """
     t = rg.topology
     sources = np.asarray(sources, dtype=np.int64)
@@ -213,8 +219,7 @@ def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
         raise UnroutablePairError(
             [(t.coord_str(first), t.coord_str(d))
              for d in dst[unreached & (src == first)].tolist()])
-    link = np.append(rg.edge_link, DUMMY_LINK)
-    tail = np.append(rg.edge_tail, 0)
+    link, tail = rg.walk_edges
     hops = np.empty((len(cur), depth), dtype=np.int32)
     for col in range(depth - 1, -1, -1):
         e = parent[cur]
@@ -233,11 +238,12 @@ def _lightest_parents(rg: RoutingGraph, level: np.ndarray,
     ``level`` holds one source's hop levels (-1 where unreached). Every
     in-edge of a vertex crosses one link (``RoutingGraph.in_link``), so the
     key of an edge is known from the ledger alone, before any search. The
-    begin vertex, which no edge enters, reads DUMMY_LINK, whose load is 0.
+    begin vertex, which no edge enters, reads DUMMY_LINK (-1), so the ledger
+    ends with one more entry, a 0.
     """
     tail, head, arrival = rg.wide_edges
     e = np.flatnonzero(level[tail] + 1 == level[head])
-    key = np.append(loads, 0).astype(np.int64)[arrival[e]]
+    key = loads[arrival[e]].astype(np.int64)
     # the least (key, edge id) as the least key * n_edges + edge id
     none = np.iinfo(np.int64).max
     best = np.full(rg.n_vertices, none)
@@ -254,9 +260,10 @@ def _bfs_chains(rg: RoutingGraph, source: int, level: np.ndarray,
     picked in one array pass (``_lightest_parents``). Edge ids are
     tail-major, so this is the first claimant when each frontier is
     expanded in ascending arrival load, ties by vertex id. ``level`` holds
-    the source's hop levels, which no ledger changes. After the tree is
-    read back, every chain adds one unit of load to each physical link it
-    crosses; an unroutable pair raises before any load is added.
+    the source's hop levels, which no ledger changes; ``loads`` ends with
+    the 0 that DUMMY_LINK reads. After the tree is read back, every chain
+    adds one unit of load to each physical link it crosses; an unroutable
+    pair raises before any load is added.
     """
     chains = _tree_chains(rg, [source], _lightest_parents(rg, level, loads),
                           int(level.max()))
@@ -268,8 +275,10 @@ def build_bfs_routes(rg: RoutingGraph, source: int,
                      loads: np.ndarray) -> dict[int, Route]:
     """Breadth-first routes from one source; see ``_bfs_chains``."""
     rg.topology.check_nodes([source])
-    return {r.dst: r for r in _routes(rg, source, _bfs_chains(
-        rg, source, _hop_levels(rg, [source])[0], loads))}
+    ledger = np.append(loads, 0)
+    chains = _bfs_chains(rg, source, _hop_levels(rg, [source])[0], ledger)
+    loads[:] = ledger[:-1]
+    return {r.dst: r for r in _routes(rg, source, chains)}
 
 
 def _most_remote_order(t) -> list[int]:
@@ -292,7 +301,7 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     ledger its predecessors left (``_bfs_chains``).
     """
     t = rg.topology
-    loads = np.zeros(t.n_channels, dtype=np.int64)
+    loads = np.zeros(t.n_channels + 1, dtype=np.int64)  # DUMMY_LINK's 0 last
     chains = {}
     for part in _source_batches(rg, _most_remote_order(t)):
         for source, level in zip(part, _hop_levels(rg, part)):
@@ -301,7 +310,7 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     cols = encode_chains(t, src, _stack([chains[s] for s in t.live_nodes]),
                          rg.relaxed)[0]
     return RoutingTable(t, columns=cols, stats=GenerationStats(
-        "bfs", loads, total_pairs=len(cols.src)))
+        "bfs", loads[:-1], total_pairs=len(cols.src)))
 
 
 def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
@@ -621,84 +630,75 @@ def build_rt_genetic(rg: RoutingGraph,
                      params: GeneticParams | None = None) -> RoutingTable:
     """Genetic search over minimal route variants, scored by deviation.
 
-    With one live node there is no pair to route and no channel to score,
-    and the table is empty.
+    Selection keeps the best individual first, and it is the result. With
+    one live node there is no pair to route and no channel to score, and
+    the table is empty.
     """
     t = rg.topology
     params = params or GeneticParams()
     src, counts, offsets, links = _variant_tables(rg)
-    # no pair means no channel: deviation rejects an empty load vector, so
-    # nothing can be scored
     if not len(src):
         return RoutingTable(t, columns=encode_chains(t, src, links,
                                                      rg.relaxed)[0],
                             stats=GenerationStats("genetic", np.zeros(
                                 t.n_channels, dtype=np.int64)))
     gp = perfect_channel_load(t)
-    n_channels = t.n_channels
-    counted = np.where(links < 0, n_channels, links)  # pads count last
+    width = t.n_channels + 1  # pads count in the last column
+    counted = np.where(links < 0, t.n_channels, links)
     rng = np.random.default_rng(params.seed)
 
-    def loads_of(genes: np.ndarray) -> np.ndarray:
-        rows = offsets + genes
-        return np.bincount(counted[rows].ravel(),
-                           minlength=n_channels + 1)[:n_channels]
-
-    def fitness(genes: np.ndarray) -> float:
-        return deviation(loads_of(genes), gp, 4)
-
     pop_n = params.population
-    pop = rng.integers(0, counts, size=(pop_n, len(src)), dtype=np.int64)
-    fits = np.array([fitness(g) for g in pop])
+    # genes fit in uint8: a pair has at most VARIANT_CAP (128) variants
+    pop = rng.integers(0, counts, size=(pop_n, len(src)),
+                       dtype=np.int64).astype(np.uint8)
+    loads = np.array([np.bincount(counted[offsets + g].ravel(),
+                                  minlength=width) for g in pop])
+    fits = deviation(loads[:, :-1], gp, 4)
     order = np.argsort(fits, kind="stable")
-    pop, fits = pop[order], fits[order]
-    best_fit = float(fits[0])
-    best_genes = pop[0].copy()
-    history = [best_fit]
+    pop, loads, fits = pop[order], loads[order], fits[order]
+    history = [float(fits[0])]
     # the stagnation bar re-anchors only on significant improvements, so
     # steady slow progress keeps the search alive
-    anchor = best_fit
-    stagnant = 0
-    generations = 0
-    while stagnant < params.stagnation_limit:
-        if (params.max_generations is not None
-                and generations >= params.max_generations):
-            break
+    anchor, stagnant, generations = history[0], 0, 0
+    most = (float("inf") if params.max_generations is None
+            else params.max_generations)
+    half = pop_n // 2 + pop_n % 2
+    locus = np.arange(len(src))
+    while stagnant < params.stagnation_limit and generations < most:
         generations += 1
-        half = pop_n // 2 + pop_n % 2
         parents = rng.integers(0, pop_n, size=(half, 2))
         cuts = np.sort(rng.integers(0, len(src) + 1, size=(half, 2)), axis=1)
-        kids = []
-        for (a, b), (c1, c2) in zip(parents, cuts):
-            k1 = pop[a].copy()
-            k1[c1:c2] = pop[b][c1:c2]
-            k2 = pop[b].copy()
-            k2[c1:c2] = pop[a][c1:c2]
-            kids.extend((k1, k2))
-        kids = np.array(kids[:pop_n])
+        # pair i breeds kid 2i from its parents in order and kid 2i + 1 from
+        # them swapped, each taking the other parent's genes between the
+        # cuts; an odd population drops the last kid
+        first = parents.reshape(-1)[:pop_n]
+        other = parents[:, ::-1].reshape(-1)[:pop_n]
+        lo, hi = (np.repeat(c, 2)[:pop_n, None] for c in cuts.T)
+        base = pop[first]
+        kids = np.where((lo <= locus) & (locus < hi), pop[other], base)
         mask = rng.random(kids.shape) < params.mutation
         redraw = rng.integers(0, counts, size=kids.shape, dtype=np.int64)
         kids[mask] = redraw[mask]
-        kid_fits = np.array([fitness(g) for g in kids])
+        # each kid's loads: its first-named parent's, plus the variants it
+        # takes and minus those it drops where their genes differ
+        kid, pair = np.nonzero(kids != base)
+        taken, dropped = (np.bincount(
+            (kid[:, None] * width + counted[offsets[pair] + g[kid, pair]])
+            .ravel(), minlength=pop_n * width) for g in (kids, base))
+        kid_loads = loads[first] + (taken - dropped).reshape(pop_n, width)
+        kid_fits = deviation(kid_loads[:, :-1], gp, 4)
 
-        pool = np.vstack([pop, kids])
-        pool_fits = np.concatenate([fits, kid_fits])
-        order = np.argsort(pool_fits, kind="stable")[:pop_n]
-        pop, fits = pool[order], pool_fits[order]
+        order = np.argsort(np.concatenate([fits, kid_fits]),
+                           kind="stable")[:pop_n]
+        pop, loads, fits = (np.concatenate(both)[order] for both in (
+            (pop, kids), (loads, kid_loads), (fits, kid_fits)))
+        history.append(float(fits[0]))
+        stagnant += 1
+        if history[-1] < anchor * (1.0 - params.epsilon):
+            anchor, stagnant = history[-1], 0
 
-        gen_best = float(fits[0])
-        history.append(gen_best)
-        if gen_best < best_fit:
-            best_fit = gen_best
-            best_genes = pop[0].copy()
-        if gen_best < anchor * (1.0 - params.epsilon):
-            anchor = gen_best
-            stagnant = 0
-        else:
-            stagnant += 1
-
-    cols = encode_chains(t, src, links[offsets + best_genes], rg.relaxed)[0]
-    stats = GenerationStats("genetic", loads_of(best_genes),
+    cols = encode_chains(t, src, links[offsets + pop[0]], rg.relaxed)[0]
+    stats = GenerationStats("genetic", loads[0, :-1],
                             generations=generations, total_pairs=len(src),
                             fitness_history=history)
     return RoutingTable(t, columns=cols, stats=stats)

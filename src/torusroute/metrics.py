@@ -44,14 +44,23 @@ def channel_loads(rt: RoutingTable) -> np.ndarray:
     return np.bincount(chan[chan >= 0], minlength=rt.topology.n_channels)
 
 
-def deviation(loads: np.ndarray, gamma_perfect: float, k: int = 4) -> float:
-    """k-th-power mean deviation of channel loads from the perfect load."""
+def deviation(loads: np.ndarray, gamma_perfect: float,
+              k: int = 4) -> float | np.ndarray:
+    """k-th-power mean deviation of channel loads from the perfect load.
+
+    A float for one load vector; for a matrix, an array of one deviation
+    per row, each bitwise equal to the float of that row alone.
+    """
     loads = np.asarray(loads, dtype=np.float64)
     if loads.size == 0:
         raise ValueError("deviation over an empty channel set")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(np.mean(np.abs(gamma_perfect - loads) ** k) ** (1.0 / k))
+    means = np.mean(np.abs(gamma_perfect - loads) ** k, axis=-1)
+    if loads.ndim == 1:
+        return float(means ** (1.0 / k))
+    # the root one scalar at a time: an array power may round differently
+    return np.array([m ** (1.0 / k) for m in means])
 
 
 def perfect_channel_load(t: Topology) -> float:

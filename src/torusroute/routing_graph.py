@@ -142,6 +142,14 @@ class RoutingGraph:
                                                   self.edge_head))
         return tail, head, self.in_link[tail].astype(np.intp)
 
+    @cached_property
+    def walk_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(link, tail) of every edge, cached, each with one more entry that
+        edge -1 reads: DUMMY_LINK, and vertex 0, a BEGIN vertex that no edge
+        enters, so a walk back that reaches a begin vertex stays there."""
+        return (np.append(self.edge_link, DUMMY_LINK),
+                np.append(self.edge_tail, 0))
+
     def in_edges(self) -> list[tuple[tuple[int, int], ...]]:
         """Per head vertex, the (tail, link) of its in-edges in edge-id
         order, for the pure-Python walks; cached. Tuples of ints leave the

@@ -14,12 +14,13 @@ from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         unique_route_stats)
 from torusroute import algorithms
 from torusroute.algorithms import (_bfs_count, _hop_levels, _pair_stats,
-                                   _rg_chains)
+                                   _rg_chains, _variant_tables)
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
-from torusroute.metrics import PATTERNS, LoadReport, pattern_loads
-from torusroute.routes import (check_table, make_route, parse_table,
-                               table_to_text)
+from torusroute.metrics import (PATTERNS, LoadReport, deviation,
+                               pattern_loads, perfect_channel_load)
+from torusroute.routes import (check_table, encode_chains, make_route,
+                               parse_table, table_to_text)
 from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
@@ -528,6 +529,110 @@ def test_genetic_params_validation():
         GeneticParams(population=1)
     with pytest.raises(ValueError):
         GeneticParams(mutation=1.5)
+    # a negative epsilon never lets the search stagnate
+    for epsilon in (-0.5, -1e-9, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\)"):
+            GeneticParams(epsilon=epsilon)
+    GeneticParams(epsilon=0.0)
+    GeneticParams(epsilon=0.99)
+
+
+def _per_individual_genetic(rg, params):
+    """(table text, fitness history, generations, link increments) of the
+    genetic search written one individual at a time: a per-pair crossover
+    loop, and each individual's loads counted from scratch and scored by
+    its own ``deviation`` call. The same draws in the same order as
+    ``build_rt_genetic``, with int64 genes."""
+    t = rg.topology
+    src, counts, offsets, links = _variant_tables(rg)
+    gp = perfect_channel_load(t)
+    n_channels = t.n_channels
+    counted = np.where(links < 0, n_channels, links)
+    rng = np.random.default_rng(params.seed)
+
+    def loads_of(genes):
+        return np.bincount(counted[offsets + genes].ravel(),
+                           minlength=n_channels + 1)[:n_channels]
+
+    def fitness(genes):
+        return deviation(loads_of(genes), gp, 4)
+
+    pop_n = params.population
+    pop = rng.integers(0, counts, size=(pop_n, len(src)), dtype=np.int64)
+    fits = np.array([fitness(g) for g in pop])
+    order = np.argsort(fits, kind="stable")
+    pop, fits = pop[order], fits[order]
+    best_fit = float(fits[0])
+    best_genes = pop[0].copy()
+    history = [best_fit]
+    anchor = best_fit
+    stagnant = generations = 0
+    while stagnant < params.stagnation_limit:
+        if (params.max_generations is not None
+                and generations >= params.max_generations):
+            break
+        generations += 1
+        half = pop_n // 2 + pop_n % 2
+        parents = rng.integers(0, pop_n, size=(half, 2))
+        cuts = np.sort(rng.integers(0, len(src) + 1, size=(half, 2)), axis=1)
+        kids = []
+        for (a, b), (c1, c2) in zip(parents, cuts):
+            k1 = pop[a].copy()
+            k1[c1:c2] = pop[b][c1:c2]
+            k2 = pop[b].copy()
+            k2[c1:c2] = pop[a][c1:c2]
+            kids.extend((k1, k2))
+        kids = np.array(kids[:pop_n])
+        mask = rng.random(kids.shape) < params.mutation
+        redraw = rng.integers(0, counts, size=kids.shape, dtype=np.int64)
+        kids[mask] = redraw[mask]
+        kid_fits = np.array([fitness(g) for g in kids])
+        pool = np.vstack([pop, kids])
+        pool_fits = np.concatenate([fits, kid_fits])
+        order = np.argsort(pool_fits, kind="stable")[:pop_n]
+        pop, fits = pool[order], pool_fits[order]
+        gen_best = float(fits[0])
+        history.append(gen_best)
+        if gen_best < best_fit:
+            best_fit = gen_best
+            best_genes = pop[0].copy()
+        if gen_best < anchor * (1.0 - params.epsilon):
+            anchor = gen_best
+            stagnant = 0
+        else:
+            stagnant += 1
+    cols = encode_chains(t, src, links[offsets + best_genes], rg.relaxed)[0]
+    return (table_to_text(RoutingTable(t, columns=cols)), history,
+            generations, loads_of(best_genes))
+
+
+@pytest.mark.parametrize("dims,faults,kwargs", [
+    ((4, 2, 2, 2), {}, dict(seed=3, population=10)),
+    ((6, 2, 2), {}, dict(seed=1, population=8)),
+    ((4, 4, 2), {}, dict(seed=2, population=6)),
+    ((6, 2, 2), {}, dict(seed=2, population=3)),
+    ((4, 2, 2, 2), {}, dict(seed=4, population=5)),
+    ((4, 2, 2, 2), {}, dict(seed=5, population=8, mutation=0.0)),
+    ((6, 2, 2), {}, dict(seed=4, population=8, mutation=1.0)),
+    ((3,), {}, dict(seed=0, population=4, stagnation_limit=2)),
+    ((4, 4, 2), {"failed_nodes": ((0, 0, 1),)}, dict(seed=0, population=7)),
+], ids=repr)
+def test_genetic_matches_per_individual_reference(dims, faults, kwargs):
+    """Differential test of the one-pass generation scoring of
+    ``build_rt_genetic`` (kid loads kept as corrections of a parent's row)
+    against ``_per_individual_genetic``: the same table, fitness history
+    (bitwise), generation count and link increments, over odd and tiny
+    populations, mutation 0 and 1, the one-variant space of a 3-ring and a
+    faulted system."""
+    t, rg, g, added = prepared(dims, **faults)
+    params = GeneticParams(**kwargs)
+    table = build_rt_genetic(rg, params=params)
+    text, history, generations, loads = _per_individual_genetic(rg, params)
+    assert table_to_text(table) == text
+    assert table.stats.fitness_history == history
+    assert table.stats.generations == generations
+    assert table.stats.link_increments.dtype == loads.dtype
+    assert table.stats.link_increments.tolist() == loads.tolist()
 
 
 @pytest.mark.parametrize("dims", [[3, 3], [2, 2], [4, 2], [2, 2, 3]])

@@ -82,6 +82,23 @@ def test_deviation_properties(loads, k, rnd):
     assert deviation(loads, gp, k) == pytest.approx(deviation(shuffled, gp, k))
 
 
+@pytest.mark.parametrize("rows,channels", [(1, 1), (3, 7), (100, 16),
+                                           (101, 129), (7, 1000)])
+def test_deviation_rows_equal_single_calls(rows, channels):
+    """A matrix of loads gets one deviation per row, each bitwise equal to
+    the call on that row alone (the genetic search sorts on them, so one
+    ulp could reorder it), whether the rows are contiguous or a view that
+    leaves out the last column."""
+    rng = np.random.default_rng(rows * channels)
+    wide = rng.integers(0, 300, size=(rows, channels + 1))
+    gp = float(rng.random() * 200)
+    for loads in (wide[:, :-1], np.ascontiguousarray(wide[:, :-1])):
+        for k in (1, 2, 3, 4):
+            got = deviation(loads, gp, k)
+            assert got.shape == (rows,) and got.dtype == np.float64
+            assert got.tolist() == [deviation(row, gp, k) for row in loads]
+
+
 def test_perfect_channel_load_examples():
     assert perfect_channel_load(make_torus([2])) == 1.0
     assert perfect_channel_load(make_torus([4])) == 2.0

@@ -370,6 +370,20 @@ def test_large_sssp_table_pinned():
         "285febdc890c2524bc69df0df37bfc51")
 
 
+def test_full_genetic_run_pinned():
+    """One default-parameter genetic search on 6x2x2, run until it
+    stagnates (no generation cap): the SHA-256 of its table, its generation
+    count and its final fitness, so that a change to the stagnation rule or
+    a late reordering of the population shows."""
+    table = build_rt_genetic(prepared((6, 2, 2))[1],
+                             params=GeneticParams(seed=1))
+    assert table.stats.generations == 123
+    assert table.stats.fitness_history[-1] == 4.900219352484096
+    assert hashlib.sha256(table_to_text(table).encode()).hexdigest() == (
+        "0514ec1fd3a734e340e126dae6887b43"
+        "d95df4079b70550dc3a41553b8fecc5e")
+
+
 @pytest.mark.parametrize("dims,faulted", [((4, 2, 2, 2), False),
                                           ((4, 4), True)])
 def test_table_routes_are_routing_graph_paths(dims, faulted):
