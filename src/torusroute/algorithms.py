@@ -73,6 +73,11 @@ class GeneticParams:
         # a negative epsilon would never let the search stagnate
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
+        # a limit below 1 would stop the search before its first generation
+        if self.stagnation_limit < 1:
+            raise ValueError("stagnation limit must be >= 1")
+        if self.max_generations is not None and self.max_generations < 0:
+            raise ValueError("max generations must be >= 0")
 
 
 @dataclass

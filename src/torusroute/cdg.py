@@ -9,14 +9,20 @@ so the deadlock criterion is that every strongly connected component is
 direction-homogeneous.
 
 Order-violating turns are added one by one while they provably cannot close
-a cycle: a candidate [(u_j, D_j), (u_k, D_k)] with D_j > D_k is safe while
-D_j is absent from the used direction set B(u_k, D_k), the set of directions
-reachable from that channel.
+a cycle: a candidate [(u_j, D_j), (u_k, D_k)] with D_j > D_k, usable as a
+first positive step or a last negative step, is safe while D_j is absent
+from the used direction set B(u_k, D_k), the set of directions reachable
+from that channel.
+
+Both turn rules depend on the dimension count alone: one template per rule,
+:func:`_template`, marks the directions a turn out of each direction may
+take, and :func:`_turns` wires it at every channel in one array pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,14 +34,16 @@ CdgEdge = tuple[Channel, Channel]
 
 
 class CDG:
-    def __init__(self, topology: Topology):
-        t = topology
-        self.topology = t
+    def __init__(self, topology: Topology, tail=(), head=()):
+        """``tail`` and ``head`` hold the channel ids of the edges, in the
+        order ``edges``, ``adj`` and ``radj`` keep them."""
+        self.topology = t = topology
         self.channels = t.channels
         self.n_channels = t.n_channels
-        self.edges: list[tuple[int, int]] = []   # (tail cid, head cid)
-        self.adj: list[list[int]] = [[] for _ in range(t.n_channels)]
-        self.radj: list[list[int]] = [[] for _ in range(t.n_channels)]
+        tail, head = (np.asarray(a, dtype=np.int64) for a in (tail, head))
+        self.edges = list(zip(tail.tolist(), head.tolist()))  # (tail, head)
+        self.adj: list[list[int]] = _split(tail, head, t.n_channels)
+        self.radj: list[list[int]] = _split(head, tail, t.n_channels)
         self.used_dirs: np.ndarray | None = None  # bitmask per channel
 
     def add_edge(self, tail: int, head: int):
@@ -57,90 +65,90 @@ class CDG:
                          if mask >> d & 1)
 
 
+def _split(key: np.ndarray, value: np.ndarray, n: int) -> list[list[int]]:
+    """Per key 0..n-1, the values of its rows in row order."""
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(n + 1)).tolist()
+    values = value[order].tolist()
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@lru_cache(maxsize=None)
+def _template(n: int, kind: str) -> np.ndarray:
+    """Read-only (2n x 2n) mask of the turns a -> b of ``kind``: a
+    ``"baseline"`` turn keeps the direction order and makes no U-turn, a
+    ``"candidate"`` breaks it as a first positive or a last negative step."""
+    a, b = np.indices((2 * n, 2 * n))
+    mask = {"baseline": (a <= b) & (b != (a + n) % (2 * n)),
+            "candidate": (b < a) & ((a < n) | (b >= n))}[kind]
+    mask.flags.writeable = False
+    return mask
+
+
+def _turns(t: Topology, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, head) channel ids of every turn of ``kind`` whose channels
+    exist, ordered by tail, then by head direction."""
+    node, d = np.nonzero(t.channel_table >= 0)  # the channels in id order
+    heads = t.channel_table[t.neighbor_table[node, d]]
+    tail, k = np.nonzero(_template(t.n, kind)[d] & (heads >= 0))
+    return tail, heads[tail, k]
+
+
 def build_cdg(t: Topology) -> CDG:
     """Baseline dependency graph of the order-preserving turns."""
-    g = CDG(t)
-    for cid, (u, di) in enumerate(t.channels):
-        v = t.neighbor_table[u, di]
-        opp = t.opposite(di)
-        for dj in range(di, t.ndirs):
-            if dj == opp:
-                continue
-            head = t.channel_table[v, dj]
-            if head >= 0:
-                g.add_edge(cid, int(head))
-    return g
+    return CDG(t, *_turns(t, "baseline"))
 
 
-def used_direction_sets(g: CDG) -> np.ndarray:
-    """Bitmask of reachable-channel directions per channel (self included)."""
-    t = g.topology
-    masks = np.zeros(g.n_channels, dtype=np.uint32)
-    for cid in range(g.n_channels):
-        masks[cid] = 1 << g.direction_of(cid)
-    # monotone dataflow to the fixed point B(v) = bit(D_v) | U B(heads)
-    queue = deque(range(g.n_channels))
-    queued = [True] * g.n_channels
+def _fold(radj: list[list[int]], masks: list[int], queue: deque,
+          queued: list[bool]):
+    """Grow ``masks`` to the least fixed point where B(p) contains B(w) for
+    every edge p -> w, from the channels in ``queue`` (FIFO), which
+    ``queued`` flags; every flag is False again on return."""
     while queue:
         w = queue.popleft()
         queued[w] = False
-        m = int(masks[w])
-        for p in g.radj[w]:
-            new = m & ~int(masks[p])
+        m = masks[w]
+        for p in radj[w]:
+            new = m & ~masks[p]
             if new:
                 masks[p] |= new
                 if not queued[p]:
                     queued[p] = True
                     queue.append(p)
-    g.used_dirs = masks
-    return masks
 
 
-def _propagate(g: CDG, start: int, mask: int):
-    """Fold ``mask`` into B over every channel with a path to ``start``."""
-    masks = g.used_dirs
-    stack = [(start, mask)]
-    while stack:
-        w, m = stack.pop()
-        new = m & ~int(masks[w])
-        if not new:
-            continue
-        masks[w] |= new
-        for p in g.radj[w]:
-            stack.append((p, new))
+def used_direction_sets(g: CDG) -> np.ndarray:
+    """Bitmask of reachable-channel directions per channel (self included)."""
+    masks = [1 << d for _, d in g.channels]
+    _fold(g.radj, masks, deque(range(g.n_channels)), [True] * g.n_channels)
+    g.used_dirs = np.array(masks, dtype=np.uint32)
+    return g.used_dirs
 
 
 def augment_cdg(g: CDG) -> tuple[CDG, list[CdgEdge]]:
     """Add every order-violating turn that Theorem-2 style analysis allows.
 
-    Candidates are scanned once, in ascending (node id, D_j, D_k) order, and
-    must be realizable as a first positive step (D_j positive) or a last
-    negative step (D_k negative). After each addition the head's used
-    direction set is propagated backward. One scan suffices: the sets only
-    grow and an added turn stays in the graph, so a second scan would skip
-    every candidate again.
+    Candidates are scanned once, in ascending (node id, D_j, D_k) order.
+    After each addition the tail's used direction set takes in the head's,
+    and that is folded backward. One scan suffices: the sets only grow and
+    an added turn stays in the graph, so a second scan would skip every
+    candidate again.
     """
-    t = g.topology
     if g.used_dirs is None:
         used_direction_sets(g)
-    masks = g.used_dirs
+    masks = g.used_dirs.tolist()
+    queued = [False] * g.n_channels
     added: list[CdgEdge] = []
-    for tail_cid, (uj, dj) in enumerate(t.channels):
-        uk = t.neighbor_table[uj, dj]
-        for dk in range(dj):
-            if dj >= t.n and dk < t.n:
-                continue  # not expressible as a first or last step
-            head = t.channel_table[uk, dk]
-            if head < 0:
-                continue
-            head_cid = int(head)
-            if masks[head_cid] >> dj & 1:
-                continue
-            if g.has_edge(tail_cid, head_cid):
-                continue
-            g.add_edge(tail_cid, head_cid)
-            added.append(((uj, dj), (int(uk), dk)))
-            _propagate(g, tail_cid, int(masks[head_cid]) | (1 << dj))
+    for tail, head in zip(*(a.tolist() for a in _turns(g.topology,
+                                                        "candidate"))):
+        if masks[head] >> g.direction_of(tail) & 1 or g.has_edge(tail, head):
+            continue
+        g.add_edge(tail, head)
+        added.append((g.channels[tail], g.channels[head]))
+        masks[tail] |= masks[head]
+        queued[tail] = True
+        _fold(g.radj, masks, deque((tail,)), queued)
+    g.used_dirs[:] = masks
     return g, added
 
 
@@ -239,12 +247,8 @@ def assert_deadlock_free(g: CDG) -> list[Channel]:
     """
     sccs = _tarjan_sccs(g.n_channels, g.adj)
     for comp in sccs:
-        dirs = {g.direction_of(c) for c in comp}
-        if len(dirs) > 1:
+        if len({g.direction_of(c) for c in comp}) > 1:
             cycle = _find_cycle_in(g, comp)
             raise DeadlockCycleError([g.channels[c] for c in cycle])
-    order: list[Channel] = []
-    for comp in reversed(sccs):  # reverse topological over the condensation
-        for c in sorted(comp):
-            order.append(g.channels[c])
-    return order
+    # reverse topological over the condensation
+    return [g.channels[c] for comp in reversed(sccs) for c in sorted(comp)]

@@ -16,8 +16,7 @@ import numpy as np
 
 from .algorithms import (GeneticParams, build_rt_bfs, build_rt_genetic,
                          build_rt_sssp, unique_route_stats)
-from .cdg import (CDG, assert_deadlock_free, augment_cdg, build_cdg,
-                  used_direction_sets)
+from .cdg import CDG, assert_deadlock_free, augment_cdg, build_cdg
 from .errors import (DeadlockCycleError, DisconnectedError, ParseError,
                      TopologyError, UnroutablePairError)
 from .metrics import PATTERNS, load_report, pattern_loads, pattern_pairs
@@ -36,9 +35,7 @@ DEFAULT_NODE_CEILING = 512
 
 def prepare(t: Topology):
     """(augmented routing graph, augmented dependency graph, added turns)."""
-    g = build_cdg(t)
-    used_direction_sets(g)
-    g, added = augment_cdg(g)
+    g, added = augment_cdg(build_cdg(t))  # works out the used sets first
     rg = build_routing_graph(t)
     if added:
         rg = apply_augmentation(rg, added)
@@ -132,22 +129,19 @@ def used_turn_cycle_check(t, table):
     return _turn_cycle_check(t, table.channel_matrix())
 
 
-def _used_turns(t, channels: np.ndarray) -> list[tuple[int, int]]:
-    """Sorted distinct (channel, next channel) pairs of ``channels``, one
-    route per row padded with -1."""
+def _used_turns(t, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(channel, next channel) id arrays of the distinct consecutive pairs
+    of ``channels``, one route per row padded with -1, sorted."""
     nch = t.n_channels
     tail, head = channels[:, :-1], channels[:, 1:]
     held = head >= 0
     used = np.sort(tail[held].astype(np.int64) * nch + head[held])
     used = used[np.diff(used, prepend=-1) != 0]  # np.unique imports numpy.ma
-    return list(zip(*(a.tolist() for a in np.divmod(used, nch))))
+    return np.divmod(used, nch)
 
 
 def _turn_cycle_check(t, channels: np.ndarray):
-    sub = CDG(t)
-    for ci, cj in _used_turns(t, channels):
-        sub.add_edge(ci, cj)
-    return assert_deadlock_free(sub)
+    return assert_deadlock_free(CDG(t, *_used_turns(t, channels)))
 
 
 def cmd_verify(args) -> int:

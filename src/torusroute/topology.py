@@ -66,15 +66,14 @@ class Topology:
         self.neighbor_table = self._build_neighbor_table()
         self.live_nodes = tuple(
             u for u in range(self.num_coords) if u not in failed_nodes)
+        # the live links, node by node (a failed node has none)
+        node, d = np.nonzero(self.neighbor_table >= 0)
         self.channels: tuple[tuple[int, int], ...] = tuple(
-            (u, d) for u in self.live_nodes for d in range(self.ndirs)
-            if self.neighbor_table[u, d] >= 0)
+            zip(node.tolist(), d.tolist()))
         self.channel_id = {c: i for i, c in enumerate(self.channels)}
         self.n_channels = len(self.channels)
-        self.channel_table = np.full((self.num_coords, self.ndirs), -1,
-                                     dtype=np.int32)
-        for i, (u, d) in enumerate(self.channels):
-            self.channel_table[u, d] = i
+        self.channel_table = np.full(self.neighbor_table.shape, -1, np.int32)
+        self.channel_table[node, d] = np.arange(self.n_channels)
         # plain-list rows: indexing them is cheaper than numpy scalar access
         self.neighbor_rows = self.neighbor_table.tolist()
         self.channel_rows = self.channel_table.tolist()
@@ -85,26 +84,20 @@ class Topology:
     # -- construction ------------------------------------------------------
 
     def _build_neighbor_table(self) -> np.ndarray:
-        n = self.n
-        table = np.full((self.num_coords, self.ndirs), -1, dtype=np.int32)
-        for u in range(self.num_coords):
-            if u in self.failed_nodes:
-                continue
-            cu = self.coords(u)
-            for d in range(self.ndirs):
-                j = d % n
-                step = 1 if d < n else -1
-                size = self.dims[j]
-                if size == 2:  # mesh axis: no wraparound
-                    nj = cu[j] + step
-                    if not 0 <= nj < size:
-                        continue
-                else:
-                    nj = (cu[j] + step) % size
-                v = u + (nj - cu[j]) * self._strides[j]
-                if v in self.failed_nodes or (u, d) in self.failed_links:
-                    continue
-                table[u, d] = v
+        """Node reached from each node along each direction, or -1: a mesh
+        axis does not wrap, and a failed node or a failed link has no link."""
+        n, size = self.n, self.num_coords
+        dims, eye = np.array(self.dims), np.eye(n, dtype=np.int64)
+        # per (node, direction, axis), the coordinates one step on
+        moved = (np.indices(self.dims).reshape(n, size).T[:, None]
+                 + np.concatenate([eye, -eye]))
+        table = ((moved % dims) @ self._strides).astype(np.int32)
+        table[((dims == 2) & ((moved < 0) | (moved >= dims))).any(axis=2)] = -1
+        failed = np.zeros(size + 1, dtype=bool)  # index -1 stays False
+        failed[list(self.failed_nodes)] = True
+        table[failed[table] | failed[:size, None]] = -1
+        if self.failed_links:
+            table[tuple(np.array(list(self.failed_links)).T)] = -1
         return table
 
     # -- coordinates -------------------------------------------------------

@@ -537,6 +537,18 @@ def test_genetic_params_validation():
     GeneticParams(epsilon=0.99)
 
 
+def test_genetic_params_reject_limits_that_skip_the_search():
+    """A stagnation limit below 1 or a negative generation cap would end
+    the search before its first generation."""
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match=r"stagnation limit must be >= 1"):
+            GeneticParams(stagnation_limit=limit)
+    for most in (-1, -2):
+        with pytest.raises(ValueError, match=r"max generations must be >= 0"):
+            GeneticParams(max_generations=most)
+    GeneticParams(stagnation_limit=1, max_generations=0)
+
+
 def _per_individual_genetic(rg, params):
     """(table text, fitness history, generations, link increments) of the
     genetic search written one individual at a time: a per-pair crossover

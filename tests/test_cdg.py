@@ -1,9 +1,11 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
 from torusroute import (assert_deadlock_free, augment_cdg, build_cdg,
                         make_torus, used_direction_sets)
-from torusroute.cdg import CDG, _shortest_path, _tarjan_sccs
+from torusroute.cdg import CDG, _shortest_path, _tarjan_sccs, _turns
 from torusroute.errors import DeadlockCycleError
 
 
@@ -12,6 +14,33 @@ def nx_graph(g):
     G.add_nodes_from(range(g.n_channels))
     G.add_edges_from(g.edges)
     return G
+
+
+def plain_turns(t, kind):
+    """(tail, head) channel ids of every turn of ``kind`` whose channels
+    exist, written per channel from the turn rules, in ascending (tail
+    channel, head direction) order. ``"baseline"``: D_i <= D_j and D_j not
+    the opposite of D_i. ``"candidate"``: D_j < D_i, usable as a first
+    positive step (D_i positive) or a last negative step (D_j negative)."""
+    n = t.n
+    rules = {"baseline": lambda di, dj: di <= dj and dj != t.opposite(di),
+             "candidate": lambda di, dj: dj < di and (di < n or dj >= n)}
+    rule = rules[kind]
+    turns = []
+    for tail, (u, di) in enumerate(t.channels):
+        v = t.neighbor(u, di)
+        for dj in range(t.ndirs):
+            head = t.channel_id.get((v, dj))
+            if rule(di, dj) and head is not None:
+                turns.append((tail, head))
+    return turns
+
+
+def unadded_candidates(t, added):
+    """The candidate turns of ``t`` outside ``added``, as (tail, head)."""
+    added = set(added)
+    return [(tail, head) for tail, head in plain_turns(t, "candidate")
+            if (t.channels[tail], t.channels[head]) not in added]
 
 
 def independent_ok(g):
@@ -56,16 +85,92 @@ def test_used_direction_sets_examples():
     assert g.used_set((t.node_id((0, 0)), 3)) == {3}  # -Y is the final direction
 
 
-@pytest.mark.parametrize("dims", [[3], [2, 2], [3, 3], [2, 3], [2, 2, 2]])
-def test_used_sets_match_transitive_closure(dims):
-    t = make_torus(dims)
+CLOSURE_SYSTEMS = [([3], ()), ([2, 2], ()), ([3, 3], ()), ([2, 3], ()),
+                   ([2, 2, 2], ()), ([4, 2, 2, 2], ()), ([6, 2, 2], ()),
+                   ([4, 4, 2], ()), ([4, 4, 2], [(0, 0, 1)])]
+
+
+@pytest.mark.parametrize("dims, failed", CLOSURE_SYSTEMS,
+                         ids=[f"dims{i}" for i in range(len(CLOSURE_SYSTEMS))])
+def test_used_sets_match_transitive_closure(dims, failed):
+    """B of every channel is the set of directions it reaches, on the
+    baseline graph and again once augmentation has added its turns."""
+    t = make_torus(dims, failed)
+
+    def check(g):
+        G = nx_graph(g)
+        for cid, chan in enumerate(t.channels):
+            reach = nx.descendants(G, cid) | {cid}
+            expect = {g.direction_of(c) for c in reach}
+            assert g.used_set(chan) == expect
+
     g = build_cdg(t)
     used_direction_sets(g)
-    G = nx_graph(g)
-    for cid, chan in enumerate(t.channels):
-        reach = nx.descendants(G, cid) | {cid}
-        expect = {g.direction_of(c) for c in reach}
-        assert g.used_set(chan) == expect
+    check(g)
+    check(augment_cdg(g)[0])
+
+
+@pytest.mark.parametrize("kind", ["baseline", "candidate"])
+@pytest.mark.parametrize("key", [([3, 3], (), [((0, 0), 0)]),
+                                 ([4, 4, 2], [(0, 0, 1)], []),
+                                 ([2, 5, 3], [18], [((1, 1, 1), 4)]),
+                                 ([4, 2, 2, 2], [], [])], ids=repr)
+def test_turns_match_plain_rules(key, kind):
+    t = make_torus(*key)
+    tail, head = _turns(t, kind)
+    assert list(zip(tail.tolist(), head.tolist())) == plain_turns(t, kind)
+
+
+# SHA-256 of the dependency graph's edges, adjacency and reverse-adjacency
+# orders and used direction sets, after used_direction_sets on the baseline
+# graph and again after augment_cdg, with its added turns: the adjacency
+# order decides which deadlock witness a cycle check reports. Key: (dims,
+# failed nodes, failed links); value: (added turns, baseline digest,
+# augmented digest).
+CDG_DIGESTS = {
+    ((5,), (), ()): (0,
+        "2389017506065978a1df836c318c38c0d4751b5ec19f28bb74723452db0c1ec5",
+        "d98c83a3f702f11f70a70a2895fbf76a905a73c6295e41fcc1237fd9705dd721"),
+    ((2, 2), (), ()): (2,
+        "715036b8f1ecfd3974d517e5e6e6ba2cdf59eb480785361558aa708d7aee03cc",
+        "afcda9565a60ca6d54b39990d098713ec423c64f47b23bd3549d797e9d245c32"),
+    ((3, 3), (), (((0, 0), 0),)): (0,
+        "dcbc268f5777e52d1112833ff3f2e075c5259ac01ca6d821201e82b056c2c773",
+        "c0305aa9f11938c575f73f8a1cc28285e84848f25149d7ec5b3dd955491fcd6d"),
+    ((4, 4, 2), ((0, 0, 1),), ()): (58,
+        "1d939e28d55cac98f163abddcde6296774b7e559562512a3d5a4d476138c113b",
+        "a791f980a8aaf785ba244de871bb01d74daa7811f1e92234262f3a8cb9b71982"),
+    ((3, 3, 3, 3), (), ()): (0,
+        "ffb1f9ccf0293883989c22255fbba53df0da3cd31c274909b3d1f4b7ec7b556b",
+        "2f131ac0fb0d78b8ac447956b71030e60d4340b4a98b27184db7186349cbc74b"),
+    ((4, 2, 2, 2), (), ()): (144,
+        "8c2a53a89c10b08206a4c733121d80f84963a121041aa3636faa705d41bbb5fb",
+        "10c0cbbb388e6b93ebd4fa6cec16d0712c0af06232fef448ee7b1828df769449"),
+    ((2, 5, 3), (18,), ()): (1,
+        "61b177a32845bda99d21141d44cc7300089a2325d43a7d5e4a607a3c3b8a4c0c",
+        "baae25ec344a50184a5fae2c11b0dcee5afbe7ff1e71a5b8c94b23419e7a41fa"),
+    ((6, 6, 6), (), ()): (0,
+        "61db66dfe1df7461977c1597a29bf4583f93a4bc06e034ecfdfc9b3545d282ce",
+        "8133780872f79554b3a5a5942a468e95339bfd64c83bbeb1605520f6f9548dd3"),
+}
+
+
+def _cdg_digest(g, *extra):
+    h = hashlib.sha256()
+    for part in (g.edges, g.adj, g.radj, g.used_dirs.tolist(), *extra):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", CDG_DIGESTS, ids=repr)
+def test_cdg_pinned(key):
+    n_added, base, augmented = CDG_DIGESTS[key]
+    g = build_cdg(make_torus(*key))
+    used_direction_sets(g)
+    assert _cdg_digest(g) == base
+    g, added = augment_cdg(g)
+    assert len(added) == n_added
+    assert _cdg_digest(g, added) == augmented
 
 
 def test_augment_ring_and_fixed_point():
@@ -82,24 +187,17 @@ def _classify_blocked_candidates(t):
     g = build_cdg(t)
     used_direction_sets(g)
     g, added = augment_cdg(g)
-    added_set = set(added)
     cyclic = safe = 0
-    for tail_cid, (uj, dj) in enumerate(t.channels):
-        uk = int(t.neighbor_table[uj, dj])
-        for dk in range(dj):
-            if dj >= t.n and dk < t.n:
-                continue
-            head = int(t.channel_table[uk, dk])
-            if head < 0 or ((uj, dj), (uk, dk)) in added_set:
-                continue
-            assert dj in g.used_set(t.channels[head])  # why it stayed blocked
-            trial = nx_graph(g)
-            trial.add_edge(tail_cid, head)
-            if any(len({g.direction_of(c) for c in comp}) > 1
-                   for comp in nx.strongly_connected_components(trial)):
-                cyclic += 1
-            else:
-                safe += 1
+    for tail_cid, head in unadded_candidates(t, added):
+        # why it stayed blocked
+        assert g.direction_of(tail_cid) in g.used_set(t.channels[head])
+        trial = nx_graph(g)
+        trial.add_edge(tail_cid, head)
+        if any(len({g.direction_of(c) for c in comp}) > 1
+               for comp in nx.strongly_connected_components(trial)):
+            cyclic += 1
+        else:
+            safe += 1
     return cyclic, safe
 
 
@@ -147,18 +245,8 @@ def test_theorem_completeness_at_fixed_point(dims):
     g = build_cdg(t)
     used_direction_sets(g)
     g, added = augment_cdg(g)
-    added_set = set(added)
-    for tail_cid, (uj, dj) in enumerate(t.channels):
-        uk = int(t.neighbor_table[uj, dj])
-        for dk in range(dj):
-            if dj >= t.n and dk < t.n:
-                continue
-            head = int(t.channel_table[uk, dk])
-            if head < 0:
-                continue
-            if ((uj, dj), (uk, dk)) in added_set:
-                continue
-            assert dj in g.used_set(t.channels[head])
+    for tail_cid, head in unadded_candidates(t, added):
+        assert g.direction_of(tail_cid) in g.used_set(t.channels[head])
 
 
 def test_certificate_on_baseline_and_augmented():
@@ -208,29 +296,21 @@ def test_exhaustive_injection_sweep():
     g = build_cdg(t)
     used_direction_sets(g)
     g, added = augment_cdg(g)
-    added_set = set(added)
     tested = 0
-    for tail_cid, (uj, dj) in enumerate(t.channels):
-        uk = int(t.neighbor_table[uj, dj])
-        for dk in range(dj):
-            if dj >= t.n and dk < t.n:
-                continue
-            head = int(t.channel_table[uk, dk])
-            if head < 0 or ((uj, dj), (uk, dk)) in added_set:
-                continue
-            trial = nx_graph(g)
-            trial.add_edge(tail_cid, int(head))
-            cyclic = any(len({g.direction_of(c) for c in comp}) > 1
-                         for comp in nx.strongly_connected_components(trial))
-            if not cyclic:
-                continue
-            tested += 1
-            probe = build_cdg(t)
-            used_direction_sets(probe)
-            probe, _ = augment_cdg(probe)
-            probe.add_edge(tail_cid, int(head))
-            with pytest.raises(DeadlockCycleError):
-                assert_deadlock_free(probe)
+    for tail_cid, head in unadded_candidates(t, added):
+        trial = nx_graph(g)
+        trial.add_edge(tail_cid, head)
+        cyclic = any(len({g.direction_of(c) for c in comp}) > 1
+                     for comp in nx.strongly_connected_components(trial))
+        if not cyclic:
+            continue
+        tested += 1
+        probe = build_cdg(t)
+        used_direction_sets(probe)
+        probe, _ = augment_cdg(probe)
+        probe.add_edge(tail_cid, head)
+        with pytest.raises(DeadlockCycleError):
+            assert_deadlock_free(probe)
     assert tested > 0
 
 

@@ -126,6 +126,8 @@ def test_unroutable_exit_code(tmp_path, capsys):
     ["sweep", "--n", "2", "--min-size", "1", "--max-size", "2"],
     ["generate", "{topo}", "--algo", "genetic", "--epsilon", "-0.5"],
     ["compare", "{topo}", "--epsilon", "1"],
+    ["generate", "{topo}", "--algo", "genetic", "--stagnation", "-3"],
+    ["compare", "{topo}", "--stagnation", "0"],
 ])
 def test_bad_flag_or_unwritable_output_is_io_error(tmp_path, argv):
     topo = write_topo(tmp_path, "dims: 3 3\n")

@@ -720,7 +720,8 @@ def test_columnar_checks_match_per_route_reference(case, lenient):
                 np.asarray(want_ids, dtype=np.int64),
                 minlength=t.n_channels).tolist()
         chan, live = table.channels()
-        assert _used_turns(t, chan[live]) == want_turns
+        assert list(zip(*(a.tolist() for a in _used_turns(
+            t, chan[live])))) == want_turns
         walks.append((chan.tolist(), live.tolist()))
     assert walks[0] == walks[1]
 

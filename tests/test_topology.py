@@ -232,6 +232,44 @@ def faulted_tori(draw):
     return t
 
 
+def reference_links(t):
+    """(neighbour table, channels, channel table) as nested lists, worked
+    out node by node from coordinates: a mesh axis (size 2) does not wrap,
+    a failed node has no link and a failed link is dead both ways."""
+    table = [[-1] * t.ndirs for _ in range(t.num_coords)]
+    channels = []
+    for u in range(t.num_coords):
+        cu = t.coords(u)
+        for d in range(t.ndirs):
+            j, step = d % t.n, (1 if d < t.n else -1)
+            c = cu[j] + step
+            if t.dims[j] == 2 and not 0 <= c < 2:
+                continue
+            cv = cu[:j] + (c % t.dims[j],) + cu[j + 1:]
+            v = t.node_id(cv)
+            back = d + t.n if d < t.n else d - t.n
+            if ({u, v} & t.failed_nodes or (u, d) in t.failed_links
+                    or (v, back) in t.failed_links):
+                continue
+            table[u][d] = v
+            channels.append((u, d))
+    channel_table = [[-1] * t.ndirs for _ in range(t.num_coords)]
+    for i, (u, d) in enumerate(channels):
+        channel_table[u][d] = i
+    return table, channels, channel_table
+
+
+@given(faulted_tori())
+@settings(max_examples=80, deadline=None)
+def test_link_tables_match_coordinate_reference(t):
+    table, channels, channel_table = reference_links(t)
+    assert t.neighbor_table.tolist() == table
+    assert list(t.channels) == channels
+    assert t.channel_table.tolist() == channel_table
+    assert t.neighbor_table.dtype == t.channel_table.dtype == np.int32
+    assert t.channel_id == {c: i for i, c in enumerate(channels)}
+
+
 def check_distance_queries(t):
     """Every distance query of ``t`` against ``bfs_row``."""
     live = t.live_nodes
