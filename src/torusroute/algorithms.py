@@ -23,20 +23,23 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   row is its first parent's, corrected over the genes where they differ, so
   a generation is bred with array masks and scored in one pass.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
-  grouped by (turn count, length, source) and served by a repeated
-  least-load dynamic program over the group's hop-level DAG (the edges that
-  raise the hop level by one, into the ancestors of the group's end
-  vertices), so hop count decides first and load only breaks ties. Stage 1
-  needs no ledger, so one level search serves a batch of sources and one
-  array walk reads every pair's canonical chain off the batch's parent
-  trees. The DAG is built once per group as parallel tail/head/link lists
-  over dense local vertex ids; each call runs the program over those lists
-  and reads every chain back through its parents' tails and links.
+  grouped by (turn count, length, source) and served by repeated calls that
+  give each pair the first of its shortest routing-graph paths with the
+  least summed load, so hop count decides first and load only breaks ties.
+  Stage 1 needs no ledger, so one level search serves a batch of sources
+  and one array walk reads every pair's canonical chain off the batch's
+  parent trees. Stage 2 needs no search of its own: a pending pair has few
+  shortest paths, and one array walk back from the end vertices over stage
+  1's hop levels, ``_path_chains``, lists them all as link chains before
+  the first call; each call only sums their loads.
 
 Every hop-level search runs on one kernel, ``_levels``, over one or more
 begin vertices at once; ``_hop_levels`` keeps only its levels and
 ``_bfs_count`` adds path counts and least-edge-id parents. Every
-breadth-first parent tree is read back by one array walk, ``_tree_chains``.
+breadth-first parent tree is read back by one array walk, ``_tree_chains``,
+and the shortest paths that ``build_sssp`` and stage 2 choose from are
+listed by another, ``_path_chains``. The depth-first ``_rg_chains`` lists
+the capped variants of the genetic search and the oracle.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ class GenerationStats:
 # (rows x n_vertices) cells of one source-batched level search: bounds the
 # flat per-vertex arrays of a batch, whatever the topology's size
 _BATCH_CELLS = 1 << 17
+# pairs per batch of ``_path_chains``: bounds the walk's per-path arrays
+_PATH_BATCH = 2048
 
 
 def _matrix(chains) -> np.ndarray:
@@ -326,8 +331,8 @@ def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
     goes depth first back from ``end`` over the in-edges in edge-id order,
     onto tails one level lower, down to the begin vertex (the only one at
     level 0). One chain per path, in the order the walk finds them;
-    truncated once ``budget`` paths are found. It does not use
-    ``_level_dag``, so it can serve as a reference for that DAG.
+    truncated once ``budget`` paths are found. It shares no code with the
+    array walk ``_path_chains``, so it can serve as a reference for it.
     """
     ins, dist = rg.in_edges(), memoryview(dist)
     chains: list[tuple[int, ...]] = []
@@ -393,8 +398,9 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
 
 
 def _pair_stats(rg: RoutingGraph):
-    """(hop levels per source, columns of every pair's canonical route in
-    pair order, unique mask, their link chains padded with -1).
+    """(hop levels, one row per node id, -1 where unreached or the node
+    failed; columns of every pair's canonical route in pair order; unique
+    mask; their link chains padded with -1).
 
     One level search serves a batch of sources (``_source_batches``), and
     one array walk reads every pair's canonical chain off the batch's
@@ -406,16 +412,16 @@ def _pair_stats(rg: RoutingGraph):
     t = rg.topology
     nodes = np.array(t.live_nodes, dtype=np.int64)
     ends = rg.end_vid(nodes)
-    levels: dict[int, np.ndarray] = {}
+    levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int8)
     chains, paths = [], []
     for part in _source_batches(rg, nodes):
         dist, counts, parent_edge = _bfs_count(rg, part)
         deepest = int(dist.max(initial=0))
         chains.append(_tree_chains(rg, part, parent_edge, deepest))
         paths.append(counts[:, ends][nodes != part[:, None]])
-        # the narrowest signed type that holds the deepest level
-        narrow = np.min_scalar_type(-1 - deepest)
-        levels.update(zip(part.tolist(), dist.astype(narrow)))
+        if deepest > np.iinfo(levels.dtype).max:
+            levels = levels.astype(np.min_scalar_type(-1 - deepest))
+        levels[part] = dist
     links = _stack(chains)
     src = np.repeat(nodes, len(nodes) - 1)
     cols, legal = encode_chains(t, src, links, rg.relaxed)
@@ -429,111 +435,92 @@ def unique_route_stats(rg: RoutingGraph) -> tuple[int, int]:
     return int(unique.sum()), len(unique)
 
 
-def _level_dag(rg: RoutingGraph, level: np.ndarray, ends):
-    """The ancestors of ``ends`` on one source's hop-level DAG, in local ids.
+def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
+                 ends) -> tuple[np.ndarray, np.ndarray]:
+    """(link chains padded with -1, pair of each chain) of every shortest
+    routing-graph path of each pair, pair by pair, each pair's in the order
+    ``_rg_chains`` finds them.
 
-    ``level`` holds every vertex's hop level from the source, -1 where
-    unreached. An edge lies on the DAG when its tail's level is one less
-    than its head's. Returns ((tail, head, link, begin), end ids): the DAG
-    edges as parallel lists over dense local vertex ids, the begin vertex's
-    local id (-1 when no end is reached), and each end's local id in
-    ``ends`` order (-1 where unreached). The walk goes back from the ends
-    one level at a time, deepest first, and numbers vertices as it meets
-    them, so the begin vertex, alone at level 0, comes last. The edges are
-    listed level by level from the begin vertex up, so every tail is settled
-    before the heads it leads to, and each head's in-edges are adjacent in
-    edge-id order.
+    Pair i runs from the source whose hop levels are row ``rows[i]`` of
+    ``levels`` to its reached end vertex ``ends[i]``. The walk goes back
+    from every end at once, ``_PATH_BATCH`` pairs at a time, one gather per
+    level: each walk branches over its vertex's in-edges in edge-id order
+    (``RoutingGraph.back_edges``) onto the tails one level lower, so the
+    paths of a pair come out in depth-first order. A walk that has reached
+    its begin vertex stays there over DUMMY_LINK until the batch's deepest
+    is done; the DUMMY_LINKs, the ejection's among them, are then dropped and
+    the rows left-aligned, as in ``_tree_chains``.
     """
-    ins, level = rg.in_edges(), memoryview(level)
-    local: dict[int, int] = {}  # vertex id -> local id
-    todo = [[] for _ in range(max([0, *(level[v] for v in ends)]) + 1)]
-    for v in ends:
-        if level[v] > 0 and v not in local:
-            local[v] = len(local)
-            todo[level[v]].append(v)
-    end_ids = [local.get(v, -1) for v in ends]
-    tails, heads, links = [], [], []  # one list per level, deepest first
-    for lv in range(len(todo) - 2, -1, -1):  # the tails' level
-        below = todo[lv]
-        tail, head, link = [], [], []
-        for v in todo[lv + 1]:
-            x = local[v]
-            for u, l in ins[v]:
-                if level[u] == lv:
-                    i = local.get(u)
-                    if i is None:
-                        i = local[u] = len(local)
-                        below.append(u)
-                    tail.append(i)
-                    head.append(x)
-                    link.append(l)
-        tails.append(tail)
-        heads.append(head)
-        links.append(link)
-    dag = (list(chain.from_iterable(reversed(lists)))
-           for lists in (tails, heads, links))
-    return (*dag, len(local) - 1), end_ids
+    nv = rg.n_vertices
+    indptr, tail, link = rg.back_edges
+    flat = levels.reshape(-1)
+    chains, pair = [np.full((0, 1), -1, dtype=np.int32)], [np.zeros(0, int)]
+    for i in range(0, len(ends), _PATH_BATCH):
+        base = np.asarray(rows[i:i + _PATH_BATCH], dtype=np.intp) * nv
+        cur = np.asarray(ends[i:i + _PATH_BATCH], dtype=np.intp)
+        want = flat[base + cur].astype(np.intp)
+        depth = int(want.max())
+        steps = []  # per level: the walk each new walk branched from, link
+        for _ in range(depth):
+            want = np.maximum(want - 1, 0)  # the tails' level; BEGIN stays
+            starts = indptr[cur]
+            n = indptr[cur + 1] - starts
+            parent = np.repeat(np.arange(len(cur)), n)
+            e = np.arange(len(parent)) + np.repeat(starts - (np.cumsum(n) - n),
+                                                   n)
+            tails, base = tail[e], base[parent]
+            keep = flat[base + tails] == want[parent]
+            parent = parent[keep]
+            steps.append((parent, link[e[keep]]))
+            cur, base, want = tails[keep], base[keep], want[parent]
+        hops = np.empty((len(cur), depth), dtype=np.int32)
+        walk = np.arange(len(cur))
+        for col, (parent, links) in enumerate(reversed(steps)):
+            hops[:, col] = links[walk]
+            walk = parent[walk]
+        kept = hops != DUMMY_LINK
+        lens = kept.sum(axis=1)
+        chains.append(_padded(hops[kept], lens, int(lens.max(initial=1)),
+                              np.int32))
+        pair.append(walk + i)
+    return _stack(chains), np.concatenate(pair)
 
 
-def _least_load_chains(dag: tuple, ends, load: list[int]) -> list[list[int]]:
-    """Least-load minimal-hop link chains into the given ends of a DAG.
+def _lightest(chains: np.ndarray, owner: np.ndarray, first: np.ndarray,
+              load: np.ndarray) -> np.ndarray:
+    """Per pair, the row of its first chain with the least summed load.
 
-    A dynamic program over ``_level_dag``'s edges in their order: a vertex's
-    parent is its in-edge with the least (load of the path to the tail plus
-    the load of the edge's link, edge id). Every in-edge of a vertex leaves
-    the level just below it, so the chains are hop-minimal and load only
-    breaks ties. ``load`` is indexed by link id and reads 0 at DUMMY_LINK
-    (-1). Each chain is read back from its end through the parents' tails
-    and links; ``ends`` are reached END vertices, whose in-edges carry no
-    link.
+    The rows of ``chains`` (padded with -1, which reads the 0 at the end of
+    ``load``) go pair by pair, ``owner`` naming the pair of each, and
+    ``first`` holds the first row of every pair.
     """
-    tail, head, link, begin = dag
-    if begin < 0:  # no end reached, so none asked for
-        return []
-    cost = [1 << 62] * (begin + 1)
-    cost[begin] = 0
-    parent = [begin] * (begin + 1)  # the local id of the parent edge's tail
-    via = [0] * (begin + 1)  # and its link
-    for u, v, l in zip(tail, head, link):
-        c = cost[u] + load[l]
-        if c < cost[v]:  # ties keep the lower edge id, listed first
-            cost[v] = c
-            parent[v] = u
-            via[v] = l
-    out = []
-    for x in ends:
-        links = []
-        x = parent[x]  # past the ejection
-        while x != begin:
-            links.append(via[x])
-            x = parent[x]
-        links.reverse()
-        out.append(links)
-    return out
+    return np.lexsort((load[chains].sum(axis=1), owner))[first]
 
 
 def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
                loads: np.ndarray) -> dict[int, Route]:
     """Least-load minimal-hop route tree slice for a destination set.
 
-    A least-load dynamic program over the source's hop-level DAG, restricted
-    to the ancestors of the destinations (``_level_dag``,
-    ``_least_load_chains``): hop count decides first; among the in-edges of
-    one vertex the least loaded path wins, ties by edge id. ``loads`` is
-    read, not changed. Raises UnroutablePairError naming every unreached
-    destination, in destination order.
+    Hop count decides first: each destination takes the first of its
+    shortest routing-graph paths (``_path_chains``, in ``_rg_chains``'
+    order) whose links carry the least summed load. ``loads`` is read, not
+    changed. Raises UnroutablePairError naming every unreached destination,
+    in destination order.
     """
     dsts = [d for d in dst_nodes if d != source]
     rg.topology.check_nodes([source, *dsts])
-    dag, ends = _level_dag(rg, _hop_levels(rg, [source])[0],
-                           [rg.end_vid(d) for d in dsts])
-    missing = [d for d, x in zip(dsts, ends) if x < 0]
-    if missing:
+    level = _hop_levels(rg, [source])
+    ends = rg.end_vid(np.array(dsts, dtype=np.int64))
+    missing = level[0, ends] < 0
+    if missing.any():
         t = rg.topology
         raise UnroutablePairError(
-            [(t.coord_str(source), t.coord_str(d)) for d in missing])
-    chains = _least_load_chains(dag, ends, loads.tolist() + [0])
-    return {r.dst: r for r in _routes(rg, source, _matrix(chains))}
+            [(t.coord_str(source), t.coord_str(d))
+             for d in np.array(dsts)[missing].tolist()])
+    chains, owner = _path_chains(rg, level, np.zeros(len(dsts), int), ends)
+    first = np.searchsorted(owner, np.arange(len(dsts)))
+    chains = chains[_lightest(chains, owner, first, np.append(loads, 0))]
+    return {r.dst: r for r in _routes(rg, source, chains)}
 
 
 def build_rt_sssp(rg: RoutingGraph,
@@ -543,13 +530,15 @@ def build_rt_sssp(rg: RoutingGraph,
     Stage 1 fixes every pair with a single minimal route; the rest are
     pending, grouped by (turn count, length, source). It runs no ledger, so
     its searches go in batches of sources (``_pair_stats``): one level
-    search and one array read-back per batch. Stage 2 builds each
-    group's hop-level DAG from stage 1's hop levels when it reaches the
-    group (``_level_dag``, in local vertex ids), then runs the least-load
-    dynamic program on it against the live ledger, once per call
-    (``_least_load_chains``), until every pair of the group is routed. A
-    call routes, in pair order, each chain that shares no link with a chain
-    routed before it in the same call.
+    search and one array read-back per batch. Stage 2 lists every pending
+    pair's shortest routing-graph paths as link chains, in group order, from
+    stage 1's hop levels (``_path_chains``). Each call then gives every
+    remaining pair of a group the first of its chains with the least summed
+    load on the live ledger and routes, in pair order, each chain that
+    shares no link with a chain routed before it in the same call; calls
+    repeat until every pair of the group is routed. A pair keeps the row of
+    its chosen chain, and the chains are written into the table in one
+    gather at the end.
     ``stats.sssp_calls`` counts stage 2's shortest-path trees: at least one
     per pending group, at most one per pending pair (each call routes at
     least one pair), and zero when stage 1 fixes every pair.
@@ -563,36 +552,43 @@ def build_rt_sssp(rg: RoutingGraph,
     fixed_links = links[fixed]
     # the ledger; DUMMY_LINK (-1) reads the 0 at its end
     load = np.bincount(fixed_links[fixed_links >= 0],
-                       minlength=t.n_channels + 1).tolist()
+                       minlength=t.n_channels + 1)
     steps = cols.steps[~fixed]
     turns = ((steps[:, 1:] != steps[:, :-1]) & (steps[:, 1:] >= 0)).sum(axis=1)
-    pending: dict[tuple[int, int, int], list[int]] = {}  # key -> rows
-    for row, turn, length, src in zip(
-            np.flatnonzero(~fixed).tolist(), turns.tolist(),
-            cols.length[~fixed].tolist(), cols.src[~fixed].tolist()):
-        pending.setdefault((turn, length, src), []).append(row)
+    rows = np.flatnonzero(~fixed)
+    length, src = cols.length[rows], cols.src[rows]
+    # the pending rows in group order: by (turn count, length, source), row
+    order = np.lexsort((src, length, turns))
+    rows, length, src, turns = (a[order] for a in (rows, length, src, turns))
+    chains, owner = _path_chains(rg, levels, src,
+                                 rg.end_vid(cols.dst[rows].astype(np.int64)))
+    first = np.searchsorted(owner, np.arange(len(rows) + 1))
+    keys = np.stack([turns, length, src])
+    new = np.flatnonzero((np.diff(keys, prepend=-1) != 0).any(axis=0))
 
-    dst_of = cols.dst.tolist()
+    pick = [0] * len(rows)  # each pending pair's chain, a row of ``chains``
     calls = 0
-    for key in sorted(pending):
-        rows = pending[key]
-        dag, ends = _level_dag(rg, levels[key[2]],
-                               [rg.end_vid(dst_of[r]) for r in rows])
-        while rows:
+    for lo, hi in zip(new.tolist(), new[1:].tolist() + [len(rows)]):
+        at, to = int(first[lo]), int(first[hi])
+        group, heads = chains[at:to, :length[lo]], first[lo:hi] - at
+        cands = group.tolist()
+        todo = range(hi - lo)
+        while todo:
             calls += 1
+            best = _lightest(group, owner[at:to], heads, load).tolist()
             used, left = set(), []
-            for row, end, chosen in zip(rows, ends,
-                                        _least_load_chains(dag, ends, load)):
+            for j in todo:
+                chosen = cands[best[j]]
                 if used.isdisjoint(chosen):
                     used.update(chosen)
-                    links[row, :len(chosen)] = chosen  # as long as the old
+                    pick[lo + j] = at + best[j]
                 else:
-                    left.append((row, end))
-            for link in used:
-                load[link] += 1
-            rows, ends = [r for r, _ in left], [x for _, x in left]
+                    left.append(j)
+            load[list(used)] += 1
+            todo = left
+    links[rows, :chains.shape[1]] = chains[pick]
 
-    stats = GenerationStats("sssp", np.array(load[:-1], dtype=np.int64),
+    stats = GenerationStats("sssp", load[:-1],
                             sssp_calls=calls, unique_pairs=int(unique.sum()),
                             total_pairs=len(unique))
     return RoutingTable(t, stats=stats, columns=encode_chains(

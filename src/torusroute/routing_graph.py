@@ -150,17 +150,32 @@ class RoutingGraph:
         return (np.append(self.edge_link, DUMMY_LINK),
                 np.append(self.edge_tail, 0))
 
+    @cached_property
+    def back_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, tail, link) of every vertex's in-edges in edge-id order,
+        cached, as CSR rows over head vertices. A BEGIN vertex, which no edge
+        enters, reads one in-edge from itself over DUMMY_LINK, so a walk back
+        that reaches a begin vertex stays there."""
+        begins = np.arange(0, self.n_vertices, self.block, dtype=np.int32)
+        head = np.concatenate([self.edge_head, begins])
+        order = np.argsort(head, kind="stable")
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.intp)
+        np.cumsum(np.bincount(head, minlength=self.n_vertices),
+                  out=indptr[1:])
+        tail = np.concatenate([self.edge_tail, begins])[order]
+        link = np.append(self.edge_link,
+                         np.full(len(begins), DUMMY_LINK, np.int32))[order]
+        return indptr, tail.astype(np.intp), link
+
     def in_edges(self) -> list[tuple[tuple[int, int], ...]]:
-        """Per head vertex, the (tail, link) of its in-edges in edge-id
-        order, for the pure-Python walks; cached. Tuples of ints leave the
+        """Per head vertex, the (tail, link) of its ``back_edges`` as
+        tuples, for the pure-Python walks; cached. Tuples of ints leave the
         garbage collector's lists at its first pass, where lists would stay
         and make every full collection longer."""
         if self._rev is None:
-            order = np.argsort(self.edge_head, kind="stable")
-            bounds = np.searchsorted(self.edge_head[order],
-                                     np.arange(self.n_vertices + 1)).tolist()
-            pairs = list(zip(self.edge_tail[order].tolist(),
-                             self.edge_link[order].tolist()))
+            indptr, tail, link = self.back_edges
+            bounds = indptr.tolist()
+            pairs = list(zip(tail.tolist(), link.tolist()))
             self._rev = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
         return self._rev
 

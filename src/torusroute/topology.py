@@ -9,6 +9,7 @@ Every hop distance is read from one table, ``Topology.distances``.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
@@ -104,19 +105,10 @@ class Topology:
 
     def coords(self, u: int) -> tuple[int, ...]:
         self.check_nodes((u,))
-        out = []
-        for s in self._strides:
-            out.append(u // s)
-            u %= s
-        return tuple(out)
+        return _coords(self.dims, u)
 
     def node_id(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.n:
-            raise TopologyError(f"expected {self.n} coordinates, got {coords}")
-        for c, d in zip(coords, self.dims):
-            if not 0 <= c < d:
-                raise TopologyError(f"coordinate {coords} out of range")
-        return sum(c * s for c, s in zip(coords, self._strides))
+        return _node_id(self.dims, coords)
 
     @cached_property
     def coord_names(self) -> tuple[str, ...]:
@@ -231,6 +223,42 @@ class Topology:
         return live > 0 and np.count_nonzero(self.distances >= 0) == live ** 2
 
 
+def _coords(dims: Sequence[int], u: int) -> tuple[int, ...]:
+    """Coordinates of node id ``u``; ids are row-major."""
+    out = []
+    for d in reversed(dims):
+        out.append(u % d)
+        u //= d
+    return tuple(reversed(out))
+
+
+def _node_id(dims: Sequence[int], coords: Sequence[int]) -> int:
+    """Row-major node id of ``coords``; TopologyError when out of range."""
+    if len(coords) != len(dims):
+        raise TopologyError(f"expected {len(dims)} coordinates, got {coords}")
+    u = 0
+    for c, d in zip(coords, dims):
+        if not 0 <= c < d:
+            raise TopologyError(f"coordinate {coords} out of range")
+        u = u * d + c
+    return u
+
+
+def _unfaulted_neighbor(dims: Sequence[int], u: int, d: int) -> int | None:
+    """Node reached from ``u`` along ``d`` when nothing has failed, or None
+    past the end of a mesh axis (size 2), which does not wrap."""
+    n = len(dims)
+    if not 0 <= d < 2 * n:
+        raise TopologyError(f"direction index {d} out of range")
+    c = list(_coords(dims, u))
+    j = d % n
+    c[j] += 1 if d < n else -1
+    if dims[j] == 2 and not 0 <= c[j] < 2:
+        return None
+    c[j] %= dims[j]
+    return _node_id(dims, c)
+
+
 def make_torus(dims: Sequence[int],
                failed_nodes: Iterable[int | Sequence[int]] = (),
                failed_links: Iterable[tuple[int | Sequence[int], int]] = ()
@@ -242,13 +270,13 @@ def make_torus(dims: Sequence[int],
     if any(d < 2 for d in dims):
         raise TopologyError(f"every dimension size must be >= 2, got {dims}")
 
-    clean = Topology(dims, frozenset(), frozenset())
+    n, size = len(dims), math.prod(dims)
 
     def as_node(ref) -> int:
         if isinstance(ref, (tuple, list)):
-            return clean.node_id(ref)
+            return _node_id(dims, ref)
         u = int(ref)
-        if not 0 <= u < clean.num_coords:
+        if not 0 <= u < size:
             raise TopologyError(f"failed node {ref} out of range")
         return u
 
@@ -258,13 +286,13 @@ def make_torus(dims: Sequence[int],
     for ref, d in failed_links:
         u = as_node(ref)
         d = int(d)
-        v = clean.neighbor(u, d)
+        v = _unfaulted_neighbor(dims, u, d)
         if v is None:
-            raise TopologyError(
-                f"failed link ({clean.coord_str(u)},{clean.dir_name(d)}) "
-                "does not exist")
+            name = "(" + ",".join(map(str, _coords(dims, u))) + ")"
+            raise TopologyError(f"failed link ({name},{direction_name(d, n)})"
+                                " does not exist")
         links.add((u, d))
-        links.add((v, clean.opposite(d)))
+        links.add((v, opposite_direction(d, n)))
 
     return Topology(dims, nodes, frozenset(links))
 
@@ -340,12 +368,11 @@ def topology_to_text(t: Topology) -> str:
     lines = ["dims: " + " ".join(str(d) for d in t.dims)]
     for u in sorted(t.failed_nodes):
         lines.append("fail-node: " + " ".join(str(c) for c in t.coords(u)))
-    probe = Topology(t.dims, frozenset(), frozenset())
     skip = set()
     for (u, d) in sorted(t.failed_links):
         if (u, d) in skip:
             continue
-        v = probe.neighbor(u, d)
+        v = _unfaulted_neighbor(t.dims, u, d)
         if v is not None:
             skip.add((v, t.opposite(d)))  # emit each cable once
         lines.append("fail-link: " + " ".join(str(c) for c in t.coords(u))

@@ -13,8 +13,9 @@ from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         load_report, make_torus, most_remote,
                         unique_route_stats)
 from torusroute import algorithms
-from torusroute.algorithms import (_bfs_count, _hop_levels, _pair_stats,
-                                   _rg_chains, _variant_tables)
+from torusroute.algorithms import (_bfs_count, _hop_levels, _lightest,
+                                   _pair_stats, _path_chains, _rg_chains,
+                                   _variant_tables)
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.metrics import (PATTERNS, LoadReport, deviation,
@@ -226,14 +227,13 @@ def test_sssp_exact_routes_under_random_loads(desmos):
 @given(small_faulted_systems())
 @settings(max_examples=60, deadline=None)
 def test_sssp_routes_are_least_load_minimal_variants(system):
-    """Differential test of stage 2 against ``_rg_chains``, which walks every
-    shortest path back from the end vertex, in-edges in edge-id order,
-    without the level DAG. For every reachable destination, and again for a
-    random half of them (a DAG over fewer ends), each under a ledger of
-    small loads (many ties) and one of spread loads, every ``build_sssp``
-    chain has its pair's minimal hop count and the least summed load over all the
-    pair's minimal link chains, and it is the first such chain of the walk:
-    the DP keeps, per vertex, the least (path load, edge id). The ledger is
+    """Differential test of ``build_sssp`` against ``_rg_chains``, which
+    walks every shortest path back from the end vertex depth first, in-edges
+    in edge-id order. For every reachable destination, and again for a
+    random half of them, each under a ledger of small loads (many ties) and
+    one of spread loads, every ``build_sssp`` chain has its pair's minimal
+    hop count and the least summed load over all the pair's minimal link
+    chains, and it is the first such chain of the walk. The ledger is
     unchanged."""
     dims, nodes, links, src, seed = system
     t = make_torus(dims, nodes, links)
@@ -257,6 +257,57 @@ def test_sssp_routes_are_least_load_minimal_variants(system):
             assert len(chosen) == dist[rg.end_vid(dst)] - 1
             costs = [int(loads[list(c)].sum()) for c in chains]
             assert chosen == chains[costs.index(min(costs))], (dst, r)
+
+
+@given(small_faulted_systems(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_path_chains_match_depth_first_walk(system, batch):
+    """Differential test of stage 2's array walk against ``_rg_chains``.
+
+    Every reachable pair of every source, in a shuffled order (so a batch
+    mixes sources and depths), walked ``batch`` pairs at a time: each pair
+    gets the chains of the depth-first walk, in its order, padded with -1
+    on the right, and as many as stage 1 counts shortest paths. Under a
+    ledger of few distinct loads (many ties), ``_lightest`` gives each pair
+    the first of its chains with the least summed load."""
+    dims, nodes, links, _, seed = system
+    t = make_torus(dims, nodes, links)
+    rg = prepare(t)[0]
+    live = t.live_nodes
+    dist, counts, _ = _bfs_count(rg, live)
+    pairs = [(i, rg.end_vid(d)) for i, s in enumerate(live) for d in live
+             if d != s and dist[i, rg.end_vid(d)] >= 0]
+    rng = np.random.default_rng(seed)
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    rows, ends = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_PATH_BATCH", batch)
+        chains, owner = _path_chains(rg, dist, rows, ends)
+    assert (np.diff(owner) >= 0).all()
+    want = [_rg_chains(rg, dist[i], end, 10 ** 6)[0] for i, end in pairs]
+    width = chains.shape[1]
+    assert [chains[owner == k].tolist() for k in range(len(pairs))] == [
+        [list(c) + [-1] * (width - len(c)) for c in w] for w in want]
+    assert [len(w) for w in want] == counts[rows, ends].tolist()
+
+    load = np.append(rng.integers(0, 3, t.n_channels), 0)
+    first = np.searchsorted(owner, np.arange(len(pairs)))
+    best = _lightest(chains, owner, first, load)
+    for k, w in enumerate(want):
+        costs = [int(load[list(c)].sum()) for c in w]
+        assert best[k] - first[k] == costs.index(min(costs))
+
+
+def test_table_generators_leave_in_edge_tuples_unbuilt():
+    """``build_rt_bfs`` and ``build_rt_sssp`` read in-edges only as arrays:
+    neither fills the per-vertex tuple cache of ``RoutingGraph.in_edges``,
+    which only the depth-first ``_rg_chains`` needs."""
+    for dims in ([4, 4], [2, 2], [4, 2, 2]):
+        rg = prepare(make_torus(dims))[0]
+        build_rt_bfs(rg)
+        table = build_rt_sssp(rg)
+        assert table.stats.sssp_calls > 0
+        assert rg._rev is None
 
 
 def _plain_bfs(rg, source):

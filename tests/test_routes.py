@@ -362,7 +362,7 @@ def test_generated_tables_are_born_as_columns(key):
 def test_large_sssp_table_pinned():
     """The largest table the suite builds: the SHA-256 of the 6x6x6 sssp
     table and stage 2's call count, so that a change to the least-load
-    dynamic program shows on 9,590 calls."""
+    choice shows on 9,590 calls."""
     table = _table("sssp", (6, 6, 6))
     assert table.stats.sssp_calls == 9590
     assert hashlib.sha256(table_to_text(table).encode()).hexdigest() == (
