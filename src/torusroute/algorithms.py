@@ -28,10 +28,12 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   least summed load, so hop count decides first and load only breaks ties.
   Stage 1 needs no ledger, so one level search serves a batch of sources
   and one array walk reads every pair's canonical chain off the batch's
-  parent trees. Stage 2 needs no search of its own: a pending pair has few
+  parent trees; its encoding is already the final one of every pair it
+  fixes. Stage 2 needs no search of its own: a pending pair has few
   shortest paths, and one array walk back from the end vertices over stage
   1's hop levels, ``_path_chains``, lists them all as link chains before
-  the first call; each call only sums their loads.
+  the first call; each call only sums their loads. Only the pending pairs'
+  chosen chains are encoded again, into stage 1's columns.
 
 Every hop-level search runs on one kernel, ``_levels``, over one or more
 begin vertices at once; ``_hop_levels`` keeps only its levels and
@@ -51,8 +53,8 @@ import numpy as np
 
 from .errors import UnroutablePairError
 from .metrics import deviation, perfect_channel_load
-from .routes import (Route, RoutingTable, _padded, _stack, encode_chains,
-                     route_rows)
+from .routes import (Route, RoutingTable, _id_dtype, _padded, _stack,
+                     encode_chains, route_rows)
 from .routing_graph import DUMMY_LINK, RoutingGraph
 from .topology import most_remote
 
@@ -294,7 +296,7 @@ def build_bfs_routes(rg: RoutingGraph, source: int,
 def _most_remote_order(t) -> list[int]:
     """The live nodes in ``build_rt_bfs``'s source order: the first live
     node, then each time the remaining node most remote from the last."""
-    order = [t.live_nodes[0]]
+    order = list(t.live_nodes[:1])
     remaining = set(t.live_nodes[1:])
     while remaining:
         order.append(most_remote(t, remaining, order[-1]))
@@ -413,7 +415,7 @@ def _pair_stats(rg: RoutingGraph):
     nodes = np.array(t.live_nodes, dtype=np.int64)
     ends = rg.end_vid(nodes)
     levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int8)
-    chains, paths = [], []
+    chains, paths = [], [np.zeros(0, np.int64)]
     for part in _source_batches(rg, nodes):
         dist, counts, parent_edge = _bfs_count(rg, part)
         deepest = int(dist.max(initial=0))
@@ -439,7 +441,8 @@ def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
                  ends) -> tuple[np.ndarray, np.ndarray]:
     """(link chains padded with -1, pair of each chain) of every shortest
     routing-graph path of each pair, pair by pair, each pair's in the order
-    ``_rg_chains`` finds them.
+    ``_rg_chains`` finds them. Link ids come in the table's id type
+    (``routes._id_dtype``) and pair ids as int32.
 
     Pair i runs from the source whose hop levels are row ``rows[i]`` of
     ``levels`` to its reached end vertex ``ends[i]``. The walk goes back
@@ -454,7 +457,8 @@ def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
     nv = rg.n_vertices
     indptr, tail, link = rg.back_edges
     flat = levels.reshape(-1)
-    chains, pair = [np.full((0, 1), -1, dtype=np.int32)], [np.zeros(0, int)]
+    dtype = _id_dtype(rg.topology)
+    chains, pair = [np.full((0, 1), -1, dtype=dtype)], [np.zeros(0, np.int32)]
     for i in range(0, len(ends), _PATH_BATCH):
         base = np.asarray(rows[i:i + _PATH_BATCH], dtype=np.intp) * nv
         cur = np.asarray(ends[i:i + _PATH_BATCH], dtype=np.intp)
@@ -473,7 +477,7 @@ def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
             parent = parent[keep]
             steps.append((parent, link[e[keep]]))
             cur, base, want = tails[keep], base[keep], want[parent]
-        hops = np.empty((len(cur), depth), dtype=np.int32)
+        hops = np.empty((len(cur), depth), dtype=dtype)
         walk = np.arange(len(cur))
         for col, (parent, links) in enumerate(reversed(steps)):
             hops[:, col] = links[walk]
@@ -481,8 +485,8 @@ def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
         kept = hops != DUMMY_LINK
         lens = kept.sum(axis=1)
         chains.append(_padded(hops[kept], lens, int(lens.max(initial=1)),
-                              np.int32))
-        pair.append(walk + i)
+                              dtype))
+        pair.append((walk + i).astype(np.int32))
     return _stack(chains), np.concatenate(pair)
 
 
@@ -537,8 +541,9 @@ def build_rt_sssp(rg: RoutingGraph,
     load on the live ledger and routes, in pair order, each chain that
     shares no link with a chain routed before it in the same call; calls
     repeat until every pair of the group is routed. A pair keeps the row of
-    its chosen chain, and the chains are written into the table in one
-    gather at the end.
+    its chosen chain. Stage 1's columns already hold the final encoding of
+    every fixed pair, so at the end only the pending pairs' chosen chains
+    are encoded, in one call, and written over their rows.
     ``stats.sssp_calls`` counts stage 2's shortest-path trees: at least one
     per pending group, at most one per pending pair (each call routes at
     least one pair), and zero when stage 1 fixes every pair.
@@ -586,13 +591,12 @@ def build_rt_sssp(rg: RoutingGraph,
                     left.append(j)
             load[list(used)] += 1
             todo = left
-    links[rows, :chains.shape[1]] = chains[pick]
+    cols.put(rows, encode_chains(t, src, chains[pick], rg.relaxed)[0])
 
     stats = GenerationStats("sssp", load[:-1],
                             sssp_calls=calls, unique_pairs=int(unique.sum()),
                             total_pairs=len(unique))
-    return RoutingTable(t, stats=stats, columns=encode_chains(
-        t, cols.src, links, rg.relaxed)[0])
+    return RoutingTable(t, stats=stats, columns=cols)
 
 
 # -- genetic ------------------------------------------------------------------

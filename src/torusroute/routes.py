@@ -10,10 +10,12 @@ is written into them, each route under its key's pair, and
 row read back (:func:`route_rows`).
 
 The rules are written twice: :func:`_violations`, the per-route reference,
-and the array kernel :func:`_rule_breaks`, which the encoder runs on every
-candidate split of a chain and the checks on each row's own split. The
-checks flag, then explain: only flagged rows go, in pair order, through
-:func:`validate_route` and :func:`route_channels`, which write the messages.
+and the array kernel :func:`_split_breaks`, which judges every row in all
+four first/last-step splits at once from facts it works out once per row.
+The encoder takes each chain's first legal split from it, and the checks
+read each row's own split. The checks flag, then explain: only flagged rows
+go, in pair order, through :func:`validate_route` and
+:func:`route_channels`, which write the messages.
 """
 
 from __future__ import annotations
@@ -181,6 +183,13 @@ class Columns:
     def take(self, rows) -> Columns:
         return Columns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
+    def put(self, rows, part: Columns) -> None:
+        """Write the rows of ``part``, whose matrices may be narrower, over
+        ``rows``, in place."""
+        for f in fields(self):
+            into, new = getattr(self, f.name), getattr(part, f.name)
+            into[rows] = new if new.ndim == 1 else _widen(new, into.shape[1])
+
 
 def _widen(a: np.ndarray, width: int) -> np.ndarray:
     if width == a.shape[1]:
@@ -189,7 +198,10 @@ def _widen(a: np.ndarray, width: int) -> np.ndarray:
 
 
 def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """Matrices one below the other, each padded with -1 to the widest."""
+    """Matrices one below the other, each padded with -1 to the widest; no
+    matrix at all stacks to an empty one of width 1."""
+    if not blocks:
+        return np.full((0, 1), -1, dtype=np.int32)
     width = max(b.shape[1] for b in blocks)
     return np.concatenate([_widen(b, width) for b in blocks])
 
@@ -265,43 +277,64 @@ def _turn_ids(t: Topology, relaxed) -> np.ndarray:
                             if a in cid and b in cid}), dtype=np.int64)
 
 
-def _rule_breaks(t: Topology, steps: np.ndarray, chan: np.ndarray,
-                 first: np.ndarray, stop: np.ndarray,
-                 turns: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose split breaks a rule of :func:`_violations` or
-    the shape check of :func:`validate_route`.
+# (first steps, last steps) of the candidate splits, in the order preferred;
+# split j takes ``j % 2`` first steps and ``j // 2`` last steps
+_SPLITS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
 
-    Row i's body is ``steps[i, first[i]:stop[i]]`` (``steps`` padded with
-    -1); a step before it is the first step, one after it the last. ``chan``
-    holds every step's channel id, so a relaxed turn is a pair of consecutive
-    channel ids, one of ``turns`` (:func:`_turn_ids`).
+
+def _split_breaks(t: Topology, steps: np.ndarray, chan: np.ndarray,
+                  turns: np.ndarray) -> np.ndarray:
+    """Rows x 4 mask: whether row i, split as ``_SPLITS[j]``, breaks a rule
+    of :func:`_violations` or the shape check of :func:`validate_route`.
+
+    Row i's steps are ``steps[i]``, padded with -1. ``chan`` holds every
+    step's channel id (-1 for none), so a relaxed turn is a pair of
+    consecutive channel ids, one of ``turns`` (:func:`_turn_ids`). The four
+    splits differ only at the two ends, so each row's facts are worked out
+    once, a step column at a time: its step count, its descents (and whether
+    one sits at either end), the direction bits of its interior and of its
+    two end steps, and the verdicts of its first and last turn. Each split's
+    verdict is then a 1-D combination of them.
     """
     n, nch = t.n, t.n_channels
-    rows, col = np.arange(len(steps)), np.arange(steps.shape[1])
-    has_fs, has_ls = first > 0, stop < (steps >= 0).sum(axis=1)
-    nbody = stop - first
-    bad = (nbody <= 0) & ~(has_fs & ~has_ls)  # shape
-    bad |= has_fs & (steps[rows, first - 1] >= n)  # the step before the body
-    bad |= has_ls & (steps[rows, np.minimum(stop, len(col) - 1)] < n)
-    body = (col >= first[:, None]) & (col < stop[:, None])
-    bad |= (body[:, 1:] & body[:, :-1] & (steps[:, 1:] < steps[:, :-1])
-            ).any(axis=1)
-    used = np.bitwise_or.reduce(
-        np.where(body, 1 << np.maximum(steps, 0), 0), axis=1)
-    bad |= (used & (used >> n) & ((1 << n) - 1)) != 0  # a dimension both ways
-    for has, at in ((has_fs, np.zeros_like(stop)), (has_ls, stop - 1)):
-        turn_rows = np.flatnonzero(has & (nbody > 0))
-        at = at[turn_rows]
-        a, b = steps[turn_rows, at], steps[turn_rows, at + 1]
-        odd = ~((a < b) & (b != (a + n) % (2 * n)))  # not ascending
-        turn = (chan[turn_rows, at].astype(np.int64) * nch
-                + chan[turn_rows, at + 1])
-        bad[turn_rows[odd]] |= ~np.isin(turn[odd], turns)
-    return bad
+    # a row per step column, at least one; blanked below
+    by_col = _widen(steps, max(steps.shape[1], 1)).T.copy()
+    k = (by_col >= 0).sum(axis=0)
+    rows = np.arange(len(k))
+    # the steps into and out of the first turn and the last turn
+    first, second = by_col[0], by_col[min(1, len(by_col) - 1)]
+    before, last = by_col[np.maximum(k - 2, 0), rows], by_col[k - 1, rows]
+    a, b = np.stack([first, before]), np.stack([second, last])
+    # a turn ascends without a U-turn, or else it is registered
+    turn_bad = (k >= 2) & ~((a < b) & (b != (a + n) % (2 * n)))
+    if len(turns) and turn_bad.any():
+        which, r = np.nonzero(turn_bad)
+        at = np.where(which == 0, 0, k[r] - 2)
+        ca, cb = chan[r, at].astype(np.int64), chan[r, at + 1]
+        turn_bad[which, r] = ~((ca >= 0) & (cb >= 0)
+                               & np.isin(ca * nch + cb, turns))
+    first_bad = (first >= n) | turn_bad[0]  # the first step is positive
+    last_bad = (last < n) | turn_bad[1]  # the last step is negative
+    down = ((by_col[1:] < by_col[:-1]) & (by_col[1:] >= 0)).sum(axis=0)
+    down_first, down_last = (k >= 2) & (b < a)
+    # direction bits, 0 for the padding -1; the interior's once the last
+    # step is blanked out of the columns after the first
+    bit = np.append(np.int64(1) << np.arange(2 * n), 0)
+    first_bit, last_bit = bit[first], bit[last]
+    by_col[k - 1, rows] = -1
+    inner = np.zeros(len(k), dtype=np.int64)
+    for column in by_col[1:]:
+        inner |= bit[column]
 
+    def mixed(used):  # a dimension used both ways
+        return (used & (used >> n) & ((1 << n) - 1)) != 0
 
-# (first steps, last steps) of the candidate splits, in the order preferred
-_SPLITS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return np.column_stack([
+        (k < 1) | (down > 0) | mixed(inner | first_bit | last_bit),
+        first_bad | (down - down_first > 0) | mixed(inner | last_bit),
+        (k < 2) | last_bad | (down - down_last > 0) | mixed(inner | first_bit),
+        (k < 3) | first_bad | last_bad
+        | (down - down_first - down_last > 0) | mixed(inner)])
 
 
 def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
@@ -309,9 +342,10 @@ def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
     """(columns, legal): every link chain in its first legal split.
 
     Row i is the chain of channel ids ``links[i]`` (padded with -1) from
-    ``src[i]``, ``_CHUNK`` rows at a time. ``legal[i, j]`` is whether split
-    ``_SPLITS[j]`` breaks no rule. A chain read off a shortest routing-graph
-    path has one (Theorem 1); a row without one is written plain.
+    ``src[i]``, ``_CHUNK`` rows at a time, each chunk judged in one pass of
+    :func:`_split_breaks`. ``legal[i, j]`` is whether split ``_SPLITS[j]``
+    breaks no rule. A chain read off a shortest routing-graph path has one
+    (Theorem 1); a row without one is written plain.
     """
     turns = _turn_ids(t, relaxed)
     owner, direction = np.array(t.channels, dtype=np.intp).reshape(-1, 2).T
@@ -325,9 +359,7 @@ def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
         steps = np.where(on, direction[chan], -1).astype(dtype)
         nodes = np.column_stack([src[i:i + _CHUNK],
                                  np.where(on, head[chan], -1)]).astype(dtype)
-        ok = np.column_stack([
-            ~_rule_breaks(t, steps, chan, np.full(len(k), f), k - l, turns)
-            for f, l in _SPLITS])
+        ok = ~_split_breaks(t, steps, chan, turns)
         f, l = _SPLITS[ok.argmax(axis=1)].T
         parts.append(Columns(
             nodes[:, 0], nodes[rows, k],
@@ -430,13 +462,16 @@ class RoutingTable:
 
 def _suspects(t: Topology, rt: RoutingTable, relaxed) -> np.ndarray:
     """Mask of the rows that may hold a problem, every row that holds one:
-    endpoints, minimal length, the walk and (:func:`_rule_breaks`) rules."""
+    endpoints, minimal length, the walk and the rules, which one pass of
+    :func:`_split_breaks` judges in all four splits; each row reads the
+    verdict of its own split, ``(fs >= 0) + 2 * (ls >= 0)``."""
     c = rt.columns
     chan, clean, _ = rt._walk()
     dist = t.distances[c.src, c.dst]  # -1 at a failed endpoint
-    return ~clean | (dist < 0) | (dist != c.length) | _rule_breaks(
-        t, c.steps, chan, (c.fs >= 0).astype(np.intp),
-        (c.steps >= 0).sum(axis=1) - (c.ls >= 0), _turn_ids(t, relaxed))
+    split = (c.fs >= 0) + 2 * (c.ls >= 0)
+    breaks = _split_breaks(t, c.steps, chan, _turn_ids(t, relaxed))
+    return (~clean | (dist < 0) | (dist != c.length)
+            | breaks[np.arange(len(split)), split])
 
 
 def check_table(t: Topology, rt: RoutingTable,

@@ -85,7 +85,7 @@ def sweep_results():
                 loads = channel_loads(table)
                 if not (table.stats.link_increments == loads).all():
                     reconciled = False
-                if loads.sum() != sum(len(r) for r in table.routes.values()):
+                if loads.sum() != table.columns.length.sum():
                     reconciled = False
 
             rows.append({

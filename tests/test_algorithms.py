@@ -525,6 +525,22 @@ def test_one_live_node_gives_empty_table(algo):
         assert pattern_loads(table, pattern) == zero
 
 
+def test_no_live_node_gives_empty_table():
+    """A system whose every node failed has no pair either: every generator
+    returns an empty table that passes the table checks, and the unique-route
+    statistics read (0, 0)."""
+    t, rg, g, added = prepared([2], failed_nodes=[0, 1])
+    assert t.live_nodes == ()
+    for algo in sorted(GENERATORS):
+        table = GENERATORS[algo](rg)
+        assert len(table) == 0 and table.stats.total_pairs == 0, algo
+        assert not table.stats.link_increments.any(), algo
+        assert check_table(t, table, added) == {
+            "completeness": [], "minimality": [], "validity": []}, algo
+        assert len(parse_table(table_to_text(table), t)) == 0, algo
+    assert unique_route_stats(rg) == (0, 0)
+
+
 def test_sssp_stage_comparison():
     residual = {}
     for dims in ([3, 3], [2, 2], [4, 2], [2, 2, 2]):

@@ -17,6 +17,7 @@ from torusroute import (GeneticParams, Route, RoutingTable, build_rt_bfs,
                         build_rt_genetic, build_rt_sssp, channel_loads,
                         make_route, make_torus, parse_table, table_to_text,
                         validate_route)
+from torusroute.algorithms import _pair_stats
 from torusroute.cli import _used_turns, prepare, used_turn_cycle_check
 from torusroute.errors import (DisconnectedError, IntegrityError, ParseError,
                                TopologyError, UnroutablePairError)
@@ -192,6 +193,99 @@ def test_encoder_splits_match_violations(system, with_relaxed):
         assert encoder_splits(t, u, sequences, relaxed) == [
             violation_free_splits(t, u, steps, relaxed)
             for steps in sequences], u
+
+
+def reference_split_breaks(t, clean, src, steps, relaxed):
+    """Per split of ``_SPLITS``, whether the shape check of
+    ``validate_route`` or ``_violations`` rejects the route that walks
+    ``steps`` from ``src``. Its node sequence is walked on ``clean``, ``t``
+    without its faults; a relaxed turn counts only where ``t``'s walk crosses
+    both of its channels, since no channel is known past a dead step."""
+    seq = clean.walk(src, steps)[0]
+    nodes, channels = t.walk(src, steps)
+    crossed = set(zip(nodes, steps[:len(channels)]))
+    live = {(a, b) for a, b in relaxed if a in crossed and b in crossed}
+    out = []
+    for f, l in _SPLITS.tolist():
+        fs, ls = steps[0] if f else None, steps[-1] if l else None
+        body = tuple(steps[f:len(steps) - l])
+        out.append(not (body or (f and not l)) or next(
+            _violations(clean, seq, fs, body, ls, live), None) is not None)
+    return out
+
+
+def kernel_split_breaks(t, rows, relaxed, width):
+    """``_split_breaks`` on the (src, steps) rows, padded to ``width``, with
+    the channel ids that ``RoutingTable._walk`` writes: -1 from the first
+    dead step on. The kernel leaves both matrices as they were."""
+    steps = np.full((len(rows), width), -1, dtype=np.int16)
+    chan = np.full_like(steps, -1)
+    for i, (src, s) in enumerate(rows):
+        steps[i, :len(s)] = s
+        walked = t.walk(src, s)[1]
+        chan[i, :len(walked)] = walked
+    given = steps.copy(), chan.copy()
+    breaks = torusroute.routes._split_breaks(
+        t, steps, chan, torusroute.routes._turn_ids(t, relaxed))
+    assert (steps == given[0]).all() and (chan == given[1]).all()
+    return breaks.tolist()
+
+
+def test_split_kernel_edge_cases():
+    """Every split's verdict of the one-pass rule kernel, row by row, against
+    ``_violations`` on hand-built step matrices: a chunk of one-hop chains
+    one column wide, a lone first step, two steps that could be both first
+    and last step, rows padded wider than their length, registered relaxed
+    turns at both ends, and channels of -1 past a dead link."""
+    ring = make_torus([3])
+    rows = [(u, (d,)) for u in ring.live_nodes for d in range(ring.ndirs)]
+    assert kernel_split_breaks(ring, rows, (), 1) == [
+        reference_split_breaks(ring, ring, u, s, ()) for u, s in rows]
+    assert kernel_split_breaks(ring, rows[:2], (), 1) == [
+        [False, False, True, True], [False, True, True, True]]
+
+    clean = make_torus([5, 5])
+    at = clean.node_id
+    # +Y +X +X -Y -X from (0,0): both end turns break the direction order
+    both = (1, 0, 0, 3, 2)
+    relaxed = {((at((0, 0)), 1), (at((0, 1)), 0)),
+               ((at((2, 1)), 3), (at((2, 0)), 2))}
+    sequences = [(0,), (2,), (0, 3), (1, 2), (3, 0), (0, 2), (1, 0),
+                 (0, 1, 0), (3, 1), (0, 3, 2), both, (0, 0, 1, 1)]
+    for t, failed in ((clean, ()), (make_torus([5, 5], failed_links=[
+            ((0, 0), 0)]), (at((0, 0)), 0))):
+        rows = [(u, s) for u in (at((0, 0)), at((4, 0)), at((0, 4)))
+                for s in sequences]
+        turns = set(relaxed)
+        if failed:  # turns into the dead link, and (a, b) with b * n + a
+            # equal to the id a * n + (-1) of a turn onto the dead step
+            nch = t.n_channels
+            turns |= {((at((0, 4)), 1), failed), (failed, (at((1, 0)), 1))}
+            for u, s in rows:
+                c = t.walk(u, s)[1]
+                if 0 < len(c) < len(s):
+                    turns.add((t.channels[c[-1] - 1], t.channels[nch - 1]))
+        want = [reference_split_breaks(t, clean, u, s, turns)
+                for u, s in rows]
+        assert kernel_split_breaks(t, rows, turns, 7) == want
+        assert want[sequences.index(both)] == [True, True, True, False]
+    assert want[sequences.index((1, 0))] == [True, False, True, True]
+
+
+def test_encoding_across_chunks_matches_row_by_row():
+    """``_CHUNK + 1`` rows encode in one call exactly as each row alone."""
+    t, rg, g, added = prepared([4, 2, 2, 2])
+    _, cols, _, links = _pair_stats(rg)
+    pick = np.random.default_rng(3).integers(0, len(links),
+                                             torusroute.routes._CHUNK + 1)
+    src, links = cols.src[pick], links[pick]
+    whole, legal = encode_chains(t, src, links, rg.relaxed)
+    rows = [encode_chains(t, src[i:i + 1], links[i:i + 1], rg.relaxed)
+            for i in range(len(pick))]
+    for f in fields(Columns):
+        assert (getattr(whole, f.name) == np.concatenate(
+            [getattr(r[0], f.name) for r in rows])).all(), f.name
+    assert (legal == np.concatenate([r[1] for r in rows])).all()
 
 
 def test_validate_route_liveness():
