@@ -257,8 +257,10 @@ def test_split_kernel_edge_cases():
         rows = [(u, s) for u in (at((0, 0)), at((4, 0)), at((0, 4)))
                 for s in sequences]
         turns = set(relaxed)
-        if failed:  # turns into the dead link, and (a, b) with b * n + a
-            # equal to the id a * n + (-1) of a turn onto the dead step
+        if failed:
+            # turns over the dead link, and for a row whose walk stops after
+            # channel c the turn (c - 1, n_channels - 1): its id equals
+            # c * n_channels + (-1), that of the turn from c onto the -1
             nch = t.n_channels
             turns |= {((at((0, 4)), 1), failed), (failed, (at((1, 0)), 1))}
             for u, s in rows:
