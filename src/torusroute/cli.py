@@ -64,8 +64,9 @@ def _load_topology_or_exit(path: str) -> Topology:
         _exit_io(f"cannot read {path}: {exc}")
     except (ParseError, TopologyError) as exc:
         _exit_io(f"{path}: {exc}")
-    if len(t.live_nodes) == 1:
-        _exit_io(f"{path}: one live node leaves no pair to route")
+    if len(t.live_nodes) < 2:
+        live = "one live node" if t.live_nodes else "no live node"
+        _exit_io(f"{path}: {live} leaves no pair to route")
     return t
 
 

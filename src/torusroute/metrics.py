@@ -64,8 +64,9 @@ def deviation(loads: np.ndarray, gamma_perfect: float,
 
 
 def perfect_channel_load(t: Topology) -> float:
-    """Total minimal route length over all ordered pairs, per channel."""
-    if not t.is_connected():
+    """Total minimal route length over all ordered pairs, per channel; 0.0
+    on a system with fewer than two live nodes, which has no pair."""
+    if len(t.live_nodes) > 1 and not t.is_connected():
         raise DisconnectedError("perfect channel load needs a connected system")
     return _per_channel(sum_pair_distances(t), t)
 

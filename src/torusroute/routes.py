@@ -9,6 +9,15 @@ is written into them, each route under its key's pair, and
 :func:`table_to_text` writes every table from them. A :class:`Route` is a
 row read back (:func:`route_rows`).
 
+Text is read back a chunk of lines at a time, as bytes: each chunk is
+encoded to UTF-8 once and cut into tokens at its 0x20 bytes, and every token
+is looked up in one pass of array operations (:class:`_Vocabulary`). A token
+of up to 16 bytes is keyed on its first and last 8-byte words; the key picks
+one candidate name, direction or separator in a table built once per
+topology, and the token takes the candidate's code only when its length and
+both words are the candidate's. A line in the written form is read from the
+codes; any other line goes to the per-line reader, :func:`_parse_line`.
+
 The rules are written twice: :func:`_violations`, the per-route reference,
 and the array kernel :func:`_split_breaks`, which judges every row in all
 four first/last-step splits at once from facts it works out once per row.
@@ -21,13 +30,14 @@ go, in pair order, through :func:`validate_route` and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Mapping
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import IntegrityError, ParseError, TopologyError
-from .topology import Topology, parse_direction
+from .topology import Topology, parse_direction, read_text
 
 CdgEdge = tuple[tuple[int, int], tuple[int, int]]
 
@@ -616,6 +626,126 @@ def _token_codes(t: Topology) -> tuple[dict[str, int], int]:
     return codes, m
 
 
+# a token of at most 16 bytes is spelled by its length and its first and last
+# little-endian 8-byte words; a longer one is looked up by name
+_KEYED = 16
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                dtype=np.uint64)
+_TRIES = 256  # displacements tried per bucket before it is left to the dict
+
+
+def _token_keys(buf: bytes):
+    """(start, length, first word, last word, key) of every token of
+    ``buf`` between 0x20 bytes.
+
+    The tokens are ``str.split(" ")``'s: UTF-8 puts no 0x20 byte inside a
+    character. The first word holds a token's first bytes, at most 8, with
+    zeros above a shorter token; the last word is its last 8 bytes, or 0 if
+    it has at most 8. With its length they spell a token of up to 16 bytes
+    exactly. ``key`` mixes the two words only: tokens that differ in
+    trailing NUL bytes alone share it, and only their lengths tell them
+    apart.
+    """
+    bounds = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0x20)
+    bounds = np.concatenate(([-1], bounds, [len(buf)]))
+    start, end = bounds[:-1] + 1, bounds[1:]
+    size = end - start
+    # the 8-byte word at every byte offset, read past the end as zeros
+    words = np.ndarray(len(buf) + 1, dtype="<u8", buffer=buf + bytes(8),
+                       strides=(1,))
+    first = words[start] & _LOW[np.minimum(size, 8)]
+    last = np.zeros_like(first)
+    longer = np.flatnonzero(size > 8)
+    last[longer] = words[end[longer] - 8]
+    return start, size, first, last, first * _MIX[0] ^ last * _MIX[1]
+
+
+@dataclass(frozen=True)
+class _Vocabulary:
+    """The token codes of one topology's written form, looked up by bytes.
+
+    A token's key picks one slot in two steps (hash and displace): its top
+    bits pick a bucket, and the key xor the bucket's displacement, mixed,
+    picks the slot. A slot holds one token of up to 16 bytes, its length,
+    two words and code, or length -1 when free; there are at most four
+    slots per token, so the arrays are linear in the vocabulary. The slot's
+    token is only a candidate: a token takes its code when its length and
+    both words are the slot's.
+    """
+    codes: dict[str, int]  # every token, as :func:`_token_codes` gives them
+    m: int
+    bits: int  # 2 ** bits buckets and twice as many slots
+    displace: np.ndarray  # per bucket
+    spilled: np.ndarray  # per bucket, whether its tokens go to the dict
+    size: np.ndarray  # per slot
+    first: np.ndarray
+    last: np.ndarray
+    code: np.ndarray
+
+    @classmethod
+    def of(cls, t: Topology) -> _Vocabulary:
+        """The lookup of ``t``, built once per topology."""
+        built = _VOCABULARIES.get(t)
+        if built is None:
+            built = _VOCABULARIES[t] = cls._build(*_token_codes(t))
+        return built
+
+    @classmethod
+    def _build(cls, codes: dict[str, int], m: int) -> _Vocabulary:
+        words = [w for w in codes if len(w.encode()) <= _KEYED]
+        _, size, first, last, key = _token_keys(" ".join(words).encode())
+        keys = key.tolist()
+        bits = len(words).bit_length()
+        buckets: dict[int, list[int]] = {}  # token numbers by bucket
+        for i, x in enumerate(keys):
+            buckets.setdefault(x >> 64 - bits, []).append(i)
+        displace = np.zeros(1 << bits, dtype=np.uint64)
+        spilled = np.zeros(1 << bits, dtype=bool)
+        held = [-1] * (2 << bits)  # token number per slot
+        mix, whole = int(_MIX[2]), (1 << 64) - 1
+        # the largest buckets first, while the most slots are free
+        for b, group in sorted(buckets.items(), key=lambda kv: -len(kv[1])):
+            for d in range(_TRIES):
+                at = [((keys[i] ^ d) * mix & whole) >> 63 - bits
+                      for i in group]
+                if len(set(at)) == len(at) and all(held[s] < 0 for s in at):
+                    displace[b] = d
+                    for s, i in zip(at, group):
+                        held[s] = i
+                    break
+            else:  # never seen: alike keys, or no room
+                spilled[b] = True
+        held = np.array(held)
+        free = held < 0
+        code = np.array([codes[w] for w in words], dtype=np.int32)[held]
+        return cls(codes, m, bits, displace, spilled,
+                   np.where(free, -1, size[held]), first[held], last[held],
+                   np.where(free, -1, code))
+
+    def lookup(self, buf: bytes) -> np.ndarray:
+        """Code of every token of ``buf`` (UTF-8, cut at 0x20 bytes), -1 for
+        a token not in the vocabulary: ``codes.get`` on each."""
+        start, size, first, last, key = _token_keys(buf)
+        bucket = key >> np.uint64(64 - self.bits)
+        at = (((key ^ self.displace[bucket]) * _MIX[2])
+              >> np.uint64(63 - self.bits))
+        hit = ((self.size[at] == size) & (self.first[at] == first)
+               & (self.last[at] == last))
+        code = np.where(hit, self.code[at], np.int32(-1))
+        ask = size > _KEYED
+        if self.spilled.any():
+            ask |= self.spilled[bucket]
+        for i in np.flatnonzero(ask).tolist():
+            token = buf[start[i]:start[i] + size[i]]
+            code[i] = self.codes.get(token.decode("utf-8", "surrogatepass"),
+                                     -1)
+        return code
+
+
+_VOCABULARIES: WeakKeyDictionary[Topology, _Vocabulary] = WeakKeyDictionary()
+
+
 def _runs(values: np.ndarray, start: np.ndarray, lens: np.ndarray,
           dtype) -> np.ndarray:
     """Row i holds ``values[start[i]:start[i] + lens[i]]``, padded with -1."""
@@ -626,7 +756,7 @@ def _runs(values: np.ndarray, start: np.ndarray, lens: np.ndarray,
 
 
 def _parse_chunk(lines: list[str], first: int, t: Topology,
-                 codes: dict[str, int], m: int):
+                 vocabulary: _Vocabulary):
     """[(columns, line numbers)] of the routes on ``lines``, the first of
     which is line ``first + 1``.
 
@@ -635,9 +765,10 @@ def _parse_chunk(lines: list[str], first: int, t: Topology,
     in front and a last step only at the end. Any other line goes to the
     lenient per-line reader.
     """
-    toks = (" \n ".join(lines) + " \n").split(" ")
-    code = np.fromiter(map(codes.get, toks, repeat(-1)), dtype=np.int32,
-                       count=len(toks))
+    # a lone surrogate passes through, to the per-line reader's ParseError
+    code = vocabulary.lookup(
+        (" \n ".join(lines) + " \n").encode("utf-8", "surrogatepass"))
+    m = vocabulary.m
     kind, value = np.divmod(code, m)  # an unknown token is of class -1
     ends = np.flatnonzero(kind == _END)
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -687,16 +818,20 @@ def _parse_chunk(lines: list[str], first: int, t: Topology,
 def parse_table(text: str, t: Topology) -> RoutingTable:
     """Routing table from its text, straight into columns.
 
-    Every space-separated token of a line in the written form is looked up in
-    one name-to-code table, a bounded chunk of lines at a time. Any
-    other line falls back to a per-line reader, which accepts forms like
+    A bounded chunk of lines at a time is encoded to UTF-8 and cut at its
+    0x20 bytes, which gives ``str.split(" ")``'s tokens, and each token is
+    matched on its bytes against the names of the written form: its length
+    and first and last 8-byte words must equal those of the one candidate
+    its key picks (:class:`_Vocabulary`); a token longer than 16 bytes is
+    looked up by name. A line in the written form is read from the codes.
+    Any other line falls back to a per-line reader, which accepts forms like
     ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X`` and words every ParseError. A
     pair given twice is a ParseError that names both lines.
     """
-    codes, m = _token_codes(t)
+    vocabulary = _Vocabulary.of(t)
     lines = text.splitlines()
     parts = [part for i in range(0, len(lines), _CHUNK)
-             for part in _parse_chunk(lines[i:i + _CHUNK], i, t, codes, m)]
+             for part in _parse_chunk(lines[i:i + _CHUNK], i, t, vocabulary)]
     if not parts:
         return RoutingTable(t, columns=_columns(t, *[()] * 6))
     cols = _concat([p[0] for p in parts])
@@ -716,5 +851,4 @@ def parse_table(text: str, t: Topology) -> RoutingTable:
 
 
 def load_table(path, t: Topology) -> RoutingTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read(), t)
+    return parse_table(read_text(path), t)

@@ -380,9 +380,20 @@ def topology_to_text(t: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """A file's text; ParseError names the byte offset of the first byte
+    that is not UTF-8. Line ends are left as they are: every reader splits
+    lines with ``str.splitlines``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 at byte {exc.start}") from exc
+
+
 def load_topology(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read())
+    return parse_topology(read_text(path))
 
 
 def sum_pair_distances(t: Topology) -> int:

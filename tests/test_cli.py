@@ -84,6 +84,25 @@ def test_bad_table_file_is_io_error(tmp_path):
     assert main(["verify", topo, str(bad)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["topology", "table"])
+def test_undecodable_file_is_io_error(tmp_path, kind):
+    """A topology or table file that is not UTF-8 is a parse error, exit 2,
+    whose one line names the offset of the first byte that is not."""
+    good = (pathlib.Path(__file__).parent / "data"
+            / "grid33_bfs.table").read_bytes()
+    topo, table = tmp_path / "t.topo", tmp_path / "t.table"
+    topo.write_bytes(b"dims: 3 3\n" + (b"# \xff\n" if kind == "topology"
+                                       else b""))
+    table.write_bytes(good + (b"\xff\xfe bad\n" if kind == "table" else b""))
+    bad, at = (topo, 12) if kind == "topology" else (table, len(good))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusroute", "verify", str(topo), str(table)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}: invalid UTF-8 at byte {at}\n"
+
+
 def test_verify_reports_route_to_failed_node(tmp_path, capsys):
     topo = write_topo(tmp_path, "dims: 3 3\nfail-node: 2 2\n")
     out = tmp_path / "f.table"
@@ -98,16 +117,20 @@ def test_verify_reports_route_to_failed_node(tmp_path, capsys):
 
 
 def test_one_live_node_is_io_error(tmp_path):
-    topo = write_topo(tmp_path, "dims: 3\nfail-node: 0\nfail-node: 1\n")
+    """One live node, or none, leaves no pair: every command refuses it."""
     table = tmp_path / "empty.table"
     table.write_text("")
-    for argv in (["generate", topo], ["verify", topo, str(table)],
-                 ["compare", topo]):
-        proc = subprocess.run([sys.executable, "-m", "torusroute", *argv],
-                              capture_output=True, text=True)
-        assert proc.returncode == 2, argv
-        assert proc.stderr == (
-            f"error: {topo}: one live node leaves no pair to route\n"), argv
+    for failed, live in (("0 1", "one live node"), ("0 1 2", "no live node")):
+        topo = write_topo(tmp_path, "dims: 3\n" + "".join(
+            f"fail-node: {u}\n" for u in failed.split()))
+        for argv in (["generate", topo], ["verify", topo, str(table)],
+                     ["compare", topo]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "torusroute", *argv],
+                capture_output=True, text=True)
+            assert proc.returncode == 2, argv
+            assert proc.stderr == (
+                f"error: {topo}: {live} leaves no pair to route\n"), argv
 
 
 def test_unroutable_exit_code(tmp_path, capsys):

@@ -116,6 +116,25 @@ def test_perfect_channel_load_disconnected():
         perfect_channel_load(t)
 
 
+def test_load_report_without_live_node_is_zero():
+    """A system whose every node failed has no pair: its empty table reports
+    zero loads, as one with a single live node does, and a perfect load of
+    0.0; a disconnected system with live nodes still raises."""
+    from torusroute.errors import DisconnectedError
+    from torusroute.metrics import LoadReport
+    t, rg, g, added = prepared([2], failed_nodes=[0, 1])
+    assert perfect_channel_load(t) == 0.0
+    zero = LoadReport(pi=0, min_load=0, gamma_perfect=0.0, sigma={4: 0.0},
+                      max_d=0)
+    for build in (build_rt_bfs, build_rt_sssp):
+        table = build(rg)
+        assert load_report(table) == zero
+        assert pattern_loads(table, "alltoall") == zero
+    with pytest.raises(DisconnectedError):
+        perfect_channel_load(make_torus([2, 2], failed_nodes=[(0, 1),
+                                                             (1, 0)]))
+
+
 def test_alltoall_equals_full_table(grid33):
     t, rg, g, added = grid33
     table = build_rt_bfs(rg)

@@ -361,6 +361,14 @@ def _table(algo, dims, faults=()):
     return {"bfs": build_rt_bfs, "sssp": build_rt_sssp}[algo](rg)
 
 
+def assert_same_columns(got, want):
+    """Two tables' columns agree in every field: values, dtype and width."""
+    for f in fields(Columns):
+        a, b = getattr(got.columns, f.name), getattr(want.columns, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert (a == b).all(), f.name
+
+
 # SHA-256 of table_to_text on inputs whose load tie-breaks matter
 GOLDEN_DIGESTS = {
     ("bfs", (4, 4)): (
@@ -447,11 +455,7 @@ def test_generated_tables_are_born_as_columns(key):
     check_table(t, table, added)
     channel_loads(table)
     assert table._routes is None
-    parsed = parse_table(text, t).columns
-    for f in fields(Columns):
-        got, want = getattr(table.columns, f.name), getattr(parsed, f.name)
-        assert got.dtype == want.dtype and got.shape == want.shape, f.name
-        assert (got == want).all(), f.name
+    assert_same_columns(table, parse_table(text, t))
     assert table_to_text(RoutingTable(t, table.routes)) == text
 
 
@@ -538,6 +542,8 @@ def test_parse_table_lenient_forms():
         (0, 8): Route(0, 8, None, (0,), None, (0, 8)),
         (3, 7): Route(3, 7, 0, (1,), None, (3, 6, 7)),
     }
+    assert_same_columns(parse_table(text.replace("\n", "\r\n"), t),
+                        parse_table(text, t))
 
 
 def test_parse_table_errors():
@@ -561,6 +567,15 @@ def test_parse_table_errors():
         ("(0,0) -> (1,0) : +X\n", "line 1: missing node sequence"),
         ("(0,0) -> (1,0) : +X | nodes:\n",
          "line 1: bad direction '|' for 2 dimensions"),
+        # a lone surrogate reaches the per-line reader, not the encoder
+        (good + "(0,1) -> (1,1) : +X | nodes: (0,1) (1,1)\ud800\n",
+         "line 2: bad coordinate '(1,1)\\ud800'"),
+        ("(0,0) -> (1,\ud800) : +X | nodes: (0,0) (1,0)\n",
+         "line 1: bad coordinate '(1,\\ud800)'"),
+        # CRLF line ends number the lines alike
+        (good.replace("\n", "\r\n")
+         + "(3,0) -> (1,0) : +X | nodes: (3,0) (1,0)\r\n",
+         "line 2: bad coordinate '(3,0)'"),
     ]
     for text, want in cases:
         with pytest.raises(ParseError) as err:
@@ -588,13 +603,17 @@ def test_check_table_classes(grid33):
 
 
 
+@pytest.mark.parametrize("algo,dims", [("sssp", (4, 4, 2)),
+                                       ("bfs", (11, 11, 2))],
+                         ids=["sssp-4x4x2", "bfs-11x11x2"])
 def test_parse_table_reads_written_lines_without_the_line_parser(
-        monkeypatch):
+        monkeypatch, algo, dims):
     """Written lines never reach the per-line parser; a lenient line does,
-    alone, and both texts give the generator's routes."""
+    alone, and both texts give the generator's routes. The names of 11x11x2
+    are 7, 8 and 9 bytes long, so they cross the byte lookup's first word."""
     import torusroute.routes as routes_mod
 
-    table = _table("sssp", (4, 4, 2))
+    table = _table(algo, dims)
     t = table.topology
     text = table_to_text(table)
     line_parser = routes_mod._parse_line
@@ -619,6 +638,67 @@ def test_parse_table_reads_written_lines_without_the_line_parser(
     monkeypatch.setattr(routes_mod, "_parse_line", record)
     assert parse_table("\n".join(lines) + "\n", t).routes == table.routes
     assert seen == [lines[i]]
+
+
+def _near_misses(word):
+    """Tokens a byte or so away from ``word``: one character changed, one
+    added or dropped, NUL bytes appended, and every prefix and suffix."""
+    yield from (word[:i] + chr(ord(c) ^ 1) + word[i + 1:]
+                for i, c in enumerate(word))
+    yield from (word[:i] + "0" + word[i:] for i in range(len(word) + 1))
+    yield from (word[:i] + word[i + 1:] for i in range(len(word)))
+    yield from (word + "\0" * k for k in range(1, 10))
+    yield from (word[:i] for i in range(len(word)))
+    yield from (word[i:] for i in range(1, len(word)))
+
+
+def _token_soup(words, seed=0):
+    """Every word, its near misses and odd tokens, shuffled and joined by
+    single spaces; an empty token makes a double space."""
+    odd = ["", "", "\t", "\u2212X", "FS\u2212X", "\ud800", "(0,\ud800)",
+           "\u00e9" * 4, "\u20ac" * 3, "\r", "\t(0,0)"]
+    for w in words:
+        odd += [(w * 17)[:n] for n in (7, 8, 9, 16, 17)]
+        odd += [w + "\0" * (n - len(w)) for n in (8, 16, 17) if n > len(w)]
+    tokens = list(words) + [x for w in words for x in _near_misses(w)] + odd
+    random.Random(seed).shuffle(tokens)
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("dims,faults", [
+    ((3, 3), {"failed_nodes": [(2, 2)]}), ((2,), {}), ((4, 2, 2, 2), {}),
+    ((11, 11, 2), {}), ((6, 6, 6), {})],
+    ids=["3x3-failed-node", "2", "4x2x2x2", "11x11x2", "6x6x6"])
+def test_byte_lookup_agrees_with_the_dict(dims, faults):
+    """The byte lookup gives every token of a soup what ``codes.get`` gives
+    it: the code of each name, direction and separator, and -1 for every
+    near miss, even one whose words or length alone match a name."""
+    t = make_torus(list(dims), **faults)
+    codes, m = torusroute.routes._token_codes(t)
+    vocabulary = torusroute.routes._Vocabulary.of(t)
+    assert vocabulary.m == m and not vocabulary.spilled.any()
+    soup = _token_soup(codes)
+    got = vocabulary.lookup(soup.encode("utf-8", "surrogatepass"))
+    assert got.dtype == np.int32
+    assert got.tolist() == [codes.get(x, -1) for x in soup.split(" ")]
+
+
+def test_byte_lookup_sends_long_and_spilled_tokens_to_the_dict(monkeypatch):
+    """Names longer than 16 bytes are looked up in the dict, and so are the
+    tokens of a bucket that found no free slots."""
+    codes = dict(torusroute.routes._token_codes(make_torus([3, 3]))[0])
+    codes.update({"(" + "1," * 8 + "1)": 1, "(" + "12," * 5 + "7)": 2,
+                  "LS" + "-X" * 8: 3})
+    soup = _token_soup(codes, seed=1)
+    want = [codes.get(x, -1) for x in soup.split(" ")]
+    build = torusroute.routes._Vocabulary._build
+    for tries in (torusroute.routes._TRIES, 0):
+        monkeypatch.setattr(torusroute.routes, "_TRIES", tries)
+        vocabulary = build(codes, 9)
+        assert vocabulary.spilled.any() == (vocabulary.size < 0).all() == (
+            tries == 0)
+        got = vocabulary.lookup(soup.encode("utf-8", "surrogatepass"))
+        assert got.tolist() == want
 
 
 # -- per-route reference for the columnar checks ------------------------------
