@@ -18,7 +18,8 @@ load of its link, so all routing-graph edges over one cable weigh the same.
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric. A variant is the link
-  chain of a shortest routing-graph path, read off the edges undecoded. Each
+  chain of a shortest routing-graph path, read off the edges undecoded, and
+  one capped listing (``_variant_lists``) gives every pair its variants. Each
   individual keeps its channel loads as a row that moves with it; a kid's
   row is its first parent's, corrected over the genes where they differ, so
   a generation is bred with array masks and scored in one pass.
@@ -39,15 +40,15 @@ Every hop-level search runs on one kernel, ``_levels``, over one or more
 begin vertices at once; ``_hop_levels`` keeps only its levels and
 ``_bfs_count`` adds path counts and least-edge-id parents. Every
 breadth-first parent tree is read back by one array walk, ``_tree_chains``,
-and the shortest paths that ``build_sssp`` and stage 2 choose from are
-listed by another, ``_path_chains``. The depth-first ``_rg_chains`` lists
-the capped variants of the genetic search and the oracle.
+and every list of shortest paths by another, ``_path_chains``: the paths
+that ``build_sssp`` and stage 2 choose from, the capped variants of the
+genetic search and of ``enumerate_minimal_routes``, and the routes that
+``oracle.oracle_equivalence`` holds against the rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -103,14 +104,6 @@ class GenerationStats:
 _BATCH_CELLS = 1 << 17
 # pairs per batch of ``_path_chains``: bounds the walk's per-path arrays
 _PATH_BATCH = 2048
-
-
-def _matrix(chains) -> np.ndarray:
-    """Link chains (a list or dict view) as matrix rows padded with -1."""
-    lens = np.array([len(c) for c in chains], dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(chains), dtype=np.int32,
-                       count=int(lens.sum()))
-    return _padded(flat, lens, int(lens.max(initial=1)), np.int32)
 
 
 def _routes(rg: RoutingGraph, source: int, chains: np.ndarray) -> list[Route]:
@@ -199,6 +192,18 @@ def _source_batches(rg: RoutingGraph, sources):
     return [sources[i:i + step] for i in range(0, len(sources), step)]
 
 
+def _check_reached(t, src: np.ndarray, dst: np.ndarray,
+                   reached: np.ndarray) -> None:
+    """Raises UnroutablePairError naming every destination that the first
+    source with an unreached pair cannot reach, in pair order; ``src``,
+    ``dst`` and ``reached`` describe the pairs in that order."""
+    if not reached.all():
+        first = src[np.argmin(reached)]
+        raise UnroutablePairError(
+            [(t.coord_str(first), t.coord_str(d))
+             for d in dst[~reached & (src == first)].tolist()])
+
+
 def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
                  depth: int) -> np.ndarray:
     """Link chains of the parent-tree paths from each source to every other
@@ -225,12 +230,7 @@ def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
     src, dst, row_base = src[pair], dst[pair], row_base[pair]
     parent = parent_edge.reshape(-1)
     cur = row_base + rg.end_vid(dst)
-    unreached = parent[cur] < 0
-    if unreached.any():
-        first = src[np.argmax(unreached)]
-        raise UnroutablePairError(
-            [(t.coord_str(first), t.coord_str(d))
-             for d in dst[unreached & (src == first)].tolist()])
+    _check_reached(t, src, dst, parent[cur] >= 0)
     link, tail = rg.walk_edges
     hops = np.empty((len(cur), depth), dtype=np.int32)
     for col in range(depth - 1, -1, -1):
@@ -325,78 +325,25 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
         "bfs", loads[:-1], total_pairs=len(cols.src)))
 
 
-def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
-               budget: int) -> tuple[list[tuple[int, ...]], bool]:
-    """(link chains, truncated) of the shortest paths into ``end``.
-
-    ``dist`` holds one source's hop levels (-1 where unreached). The walk
-    goes depth first back from ``end`` over the in-edges in edge-id order,
-    onto tails one level lower, down to the begin vertex (the only one at
-    level 0). One chain per path, in the order the walk finds them;
-    truncated once ``budget`` paths are found. It shares no code with the
-    array walk ``_path_chains``, so it can serve as a reference for it.
-    """
-    ins, dist = rg.in_edges(), memoryview(dist)
-    chains: list[tuple[int, ...]] = []
-    # frames[k]: the in-edges left to try at the vertex k hops back from
-    # ``end``; path[k]: the link of the one the walk is following
-    frames = [iter(ins[end])]
-    path: list[int] = []
-    while frames:
-        level = dist[end] - len(path) - 1  # of the top frame's tails
-        e = next((e for e in frames[-1] if dist[e[0]] == level), None)
-        if e is None:
-            frames.pop()
-            if path:
-                path.pop()
-        elif level:
-            path.append(e[1])
-            frames.append(iter(ins[e[0]]))
-        else:
-            chains.append(tuple(x for x in (e[1], *reversed(path))
-                                if x != DUMMY_LINK))
-            if len(chains) >= budget:
-                return chains, True
-    return chains, False
-
-
-def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
-                    cap: int) -> tuple[list[tuple[int, ...]], bool]:
-    """(distinct minimal link chains src->dst, truncated), at most ``cap``.
-
-    From one source equal chains mean equal physical steps, so the paths
-    that encode one route (body vs first/last-step encodings, at most four)
-    collapse to one chain; the path budget is 4*cap. Raises
-    UnroutablePairError when ``dist`` does not reach ``dst``.
-    """
-    end = rg.end_vid(dst)
-    if dist[end] < 0:
-        raise UnroutablePairError([(rg.topology.coord_str(src),
-                                    rg.topology.coord_str(dst))])
-    chains, truncated = _rg_chains(rg, dist, end, 4 * cap)
-    distinct = list(dict.fromkeys(chains))
-    if len(distinct) > cap:
-        del distinct[cap:]
-        truncated = True
-    return distinct, truncated
-
-
 def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
                              cap: int = VARIANT_CAP):
     """(variants, truncated): distinct minimal routes in deterministic order.
 
     One variant per distinct link chain of the shortest routing-graph paths
-    (``_variant_chains``), in the order the walk back from the end vertex
-    finds them, each in its least-non-standard legal encoding.
+    (``_variant_lists``), in the order the walk back from the end vertex
+    lists them, each in its least-non-standard legal encoding.
     """
     rg.topology.check_nodes((src, dst))
     if src == dst:
         raise ValueError(f"dst must differ from src, both are {src}")
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    chains, truncated = _variant_chains(rg, _hop_levels(rg, [src])[0], src,
-                                        dst, cap)
-    return _routes(rg, src, np.array(chains)), truncated
+    level = _hop_levels(rg, [src])
+    ends = rg.end_vid(np.array([dst], dtype=np.int64))
+    _check_reached(rg.topology, np.array([src]), np.array([dst]),
+                   level[0, ends] >= 0)
+    chains, _, truncated = _variant_lists(rg, level, [0], ends, cap)
+    return _routes(rg, src, chains), bool(truncated[0])
 
 
 def _pair_stats(rg: RoutingGraph):
@@ -440,8 +387,8 @@ def unique_route_stats(rg: RoutingGraph) -> tuple[int, int]:
 def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
                  ends) -> tuple[np.ndarray, np.ndarray]:
     """(link chains padded with -1, pair of each chain) of every shortest
-    routing-graph path of each pair, pair by pair, each pair's in the order
-    ``_rg_chains`` finds them. Link ids come in the table's id type
+    routing-graph path of each pair, pair by pair, each pair's in
+    depth-first order. Link ids come in the table's id type
     (``routes._id_dtype``) and pair ids as int32.
 
     Pair i runs from the source whose hop levels are row ``rows[i]`` of
@@ -490,6 +437,35 @@ def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
     return _stack(chains), np.concatenate(pair)
 
 
+def _variant_lists(rg: RoutingGraph, levels: np.ndarray, rows, ends,
+                   cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct link chains padded with -1, pair by pair; their count per
+    pair; truncated per pair) of the shortest paths that ``_path_chains``
+    lists for the same pairs, at most ``cap`` per pair.
+
+    From one source equal chains mean equal physical steps, so the paths
+    that encode one route (body vs first/last-step encodings, at most four)
+    collapse to one chain. A pair keeps, of its first 4*cap listed paths,
+    the first ``cap`` distinct chains in listing order. It is truncated when
+    it lists 4*cap paths or more, or when more than ``cap`` of those are
+    distinct.
+    """
+    chains, owner = _path_chains(rg, levels, rows, ends)
+    pairs = np.arange(len(ends) + 1)
+    first = np.searchsorted(owner, pairs)
+    head = np.flatnonzero(np.arange(len(owner)) - first[owner] < 4 * cap)
+    # the first listing of each (pair, chain), in listing order
+    at = np.unique(np.column_stack([owner, chains])[head], axis=0,
+                   return_index=True)[1]
+    distinct = head[np.sort(at)]
+    starts = np.searchsorted(owner[distinct], pairs)
+    rank = np.arange(len(distinct)) - starts[owner[distinct]]
+    kept = distinct[rank < cap]
+    truncated = (np.diff(first) >= 4 * cap) | (np.diff(starts) > cap)
+    return (chains[kept], np.bincount(owner[kept], minlength=len(ends)),
+            truncated)
+
+
 def _lightest(chains: np.ndarray, owner: np.ndarray, first: np.ndarray,
               load: np.ndarray) -> np.ndarray:
     """Per pair, the row of its first chain with the least summed load.
@@ -506,21 +482,18 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     """Least-load minimal-hop route tree slice for a destination set.
 
     Hop count decides first: each destination takes the first of its
-    shortest routing-graph paths (``_path_chains``, in ``_rg_chains``'
-    order) whose links carry the least summed load. ``loads`` is read, not
-    changed. Raises UnroutablePairError naming every unreached destination,
-    in destination order.
+    shortest routing-graph paths (``_path_chains``, in its order) whose
+    links carry the least summed load. ``loads`` is read, not changed.
+    Raises UnroutablePairError naming every unreached destination, in
+    destination order.
     """
     dsts = [d for d in dst_nodes if d != source]
     rg.topology.check_nodes([source, *dsts])
     level = _hop_levels(rg, [source])
-    ends = rg.end_vid(np.array(dsts, dtype=np.int64))
-    missing = level[0, ends] < 0
-    if missing.any():
-        t = rg.topology
-        raise UnroutablePairError(
-            [(t.coord_str(source), t.coord_str(d))
-             for d in np.array(dsts)[missing].tolist()])
+    dst = np.array(dsts, dtype=np.int64)
+    ends = rg.end_vid(dst)
+    _check_reached(rg.topology, np.full(len(dst), source), dst,
+                   level[0, ends] >= 0)
     chains, owner = _path_chains(rg, level, np.zeros(len(dsts), int), ends)
     first = np.searchsorted(owner, np.arange(len(dsts)))
     chains = chains[_lightest(chains, owner, first, np.append(loads, 0))]
@@ -603,32 +576,25 @@ def build_rt_sssp(rg: RoutingGraph,
 
 def _variant_tables(rg: RoutingGraph):
     """(source, variant count and first variant row of every pair in pair
-    order, every variant's link chain padded with -1).
+    order, every variant's link chain padded with -1), ``VARIANT_CAP`` at
+    most per pair (``_variant_lists``).
 
     Raises UnroutablePairError naming every destination the first source
     with one cannot reach, in destination order.
     """
     t = rg.topology
-    nodes = t.live_nodes
-    counts, variants = [], []
+    nodes = np.array(t.live_nodes, dtype=np.int64)
+    levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int32)
     for part in _source_batches(rg, nodes):
-        for source, dist in zip(part, _hop_levels(rg, part)):
-            unreached = [(t.coord_str(source), t.coord_str(dst))
-                         for dst in nodes
-                         if dst != source and dist[rg.end_vid(dst)] < 0]
-            if unreached:
-                raise UnroutablePairError(unreached)
-            rows = []
-            for dst in nodes:
-                if dst != source:
-                    chains = _variant_chains(rg, dist, source, dst,
-                                             VARIANT_CAP)[0]
-                    counts.append(len(chains))
-                    rows += chains
-            variants.append(_matrix(rows))
-    counts = np.array(counts, dtype=np.int64)
-    return (np.repeat(nodes, len(nodes) - 1), counts,
-            np.cumsum(counts) - counts, _stack(variants))
+        levels[part] = _hop_levels(rg, part)
+    src = np.repeat(nodes, len(nodes))
+    dst = np.tile(nodes, len(nodes))
+    pair = src != dst
+    src, dst = src[pair], dst[pair]
+    ends = rg.end_vid(dst)
+    _check_reached(t, src, dst, levels[src, ends] >= 0)
+    chains, counts, _ = _variant_lists(rg, levels, src, ends, VARIANT_CAP)
+    return src, counts, np.cumsum(counts) - counts, chains
 
 
 def build_rt_genetic(rg: RoutingGraph,

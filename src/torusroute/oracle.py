@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import _hop_levels, _rg_chains
+import numpy as np
+
+from .algorithms import _hop_levels, _path_chains
 from .routing_graph import RoutingGraph, apply_augmentation, build_routing_graph
 from .topology import Topology
 
@@ -35,8 +37,10 @@ class RuleConfig:
 
 def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
                        max_len: int) -> list[tuple[int, ...]]:
-    """All rule-valid direction sequences src -> dst up to max_len hops."""
-    t.check_nodes((src,))
+    """All rule-valid direction sequences src -> dst up to max_len hops.
+
+    Raises TopologyError when either end is out of range or failed."""
+    t._live(src)
     n = t.n
     nbr = t.neighbor_table
     dist_to_dst = t.distance_row(dst)  # links are symmetric
@@ -129,28 +133,31 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
         if rules.relaxed_turns:
             rg = apply_augmentation(rg, sorted(rules.relaxed_turns))
     max_len = t.diameter() + MAX_EXTRA  # for pairs the graph cannot route
+    dirs = np.array([d for _, d in t.channels], dtype=np.intp)
     report = EquivalenceReport()
     for src in t.live_nodes:
-        dist = _hop_levels(rg, [src])[0]
-        for dst in t.live_nodes:
-            if dst == src:
-                continue
+        dist = _hop_levels(rg, [src])
+        dsts = np.array([d for d in t.live_nodes if d != src], dtype=np.int64)
+        ends = rg.end_vid(dsts)
+        hops = dist[0, ends] - 1  # the ejection adds no hop
+        reached = hops >= 0
+        # every reached pair's shortest paths, in one listing
+        chains, owner = _path_chains(rg, dist, np.zeros(reached.sum(), int),
+                                     ends[reached])
+        listed = iter(np.split(chains, np.searchsorted(
+            owner, np.arange(1, reached.sum()))))
+        for dst, rg_len in zip(dsts.tolist(), hops.tolist()):
             report.pairs_checked += 1
-            evid = rg.end_vid(dst)
-            rg_len = int(dist[evid]) - 1 if dist[evid] >= 0 else None
             pair = f"{t.coord_str(src)}->{t.coord_str(dst)}"
-            if rg_len is None:
+            if rg_len < 0:
                 routes = brute_force_routes(t, src, dst, rules, max_len)
                 if routes:
                     report.mismatches.append(
                         f"{pair}: oracle finds length {min(map(len, routes))}"
                         " but the routing graph finds nothing")
                 continue
-            chains, truncated = _rg_chains(rg, dist, evid, budget=100000)
-            if truncated:
-                report.mismatches.append(f"{pair}: enumeration budget hit")
-                continue
-            rg_routes = {tuple(t.channels[x][1] for x in c) for c in chains}
+            # every shortest path of a pair has rg_len links
+            rg_routes = set(map(tuple, dirs[next(listed)[:, :rg_len]].tolist()))
             o_len, o_routes = min_routes(t, src, dst, rules, rg_len)
             if o_len != rg_len:
                 report.mismatches.append(

@@ -108,7 +108,6 @@ class RoutingGraph:
         # reads DUMMY_LINK too
         self.in_link = np.full(self.n_vertices, DUMMY_LINK, dtype=np.int32)
         self.in_link[self.edge_head] = self.edge_link
-        self._rev = None
 
     # -- vertex ids ----------------------------------------------------------
     # Per-node layout: begin, dirbit block, FS block, LS block, end. Standard
@@ -166,18 +165,6 @@ class RoutingGraph:
         link = np.append(self.edge_link,
                          np.full(len(begins), DUMMY_LINK, np.int32))[order]
         return indptr, tail.astype(np.intp), link
-
-    def in_edges(self) -> list[tuple[tuple[int, int], ...]]:
-        """Per head vertex, the (tail, link) of its ``back_edges`` as
-        tuples, for the pure-Python walks; cached. Tuples of ints leave the
-        garbage collector's lists at its first pass, where lists would stay
-        and make every full collection longer."""
-        if self._rev is None:
-            indptr, tail, link = self.back_edges
-            bounds = indptr.tolist()
-            pairs = list(zip(tail.tolist(), link.tolist()))
-            self._rev = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return self._rev
 
 
 def _block_edges(rg: RoutingGraph) -> np.ndarray:

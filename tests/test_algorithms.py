@@ -13,9 +13,9 @@ from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         load_report, make_torus, most_remote,
                         unique_route_stats)
 from torusroute import algorithms
-from torusroute.algorithms import (_bfs_count, _hop_levels, _lightest,
-                                   _pair_stats, _path_chains, _rg_chains,
-                                   _variant_tables)
+from torusroute.algorithms import (VARIANT_CAP, _bfs_count, _hop_levels,
+                                   _lightest, _pair_stats, _path_chains,
+                                   _variant_lists, _variant_tables)
 from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.metrics import (PATTERNS, LoadReport, deviation,
@@ -25,7 +25,8 @@ from torusroute.routes import (check_table, encode_chains, make_route,
 from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
-from witnesses import rg_reachable_pairs, turn_count
+from witnesses import (_rg_chains, _variant_chains, rg_reachable_pairs,
+                       turn_count)
 
 GENERATORS = {
     "bfs": build_rt_bfs,
@@ -298,16 +299,47 @@ def test_path_chains_match_depth_first_walk(system, batch):
         assert best[k] - first[k] == costs.index(min(costs))
 
 
-def test_table_generators_leave_in_edge_tuples_unbuilt():
-    """``build_rt_bfs`` and ``build_rt_sssp`` read in-edges only as arrays:
-    neither fills the per-vertex tuple cache of ``RoutingGraph.in_edges``,
-    which only the depth-first ``_rg_chains`` needs."""
-    for dims in ([4, 4], [2, 2], [4, 2, 2]):
-        rg = prepare(make_torus(dims))[0]
-        build_rt_bfs(rg)
-        table = build_rt_sssp(rg)
-        assert table.stats.sssp_calls > 0
-        assert rg._rev is None
+@given(small_faulted_systems())
+@settings(max_examples=60, deadline=None)
+def test_variant_lists_match_depth_first_cap_rule(system):
+    """Differential test of ``_variant_lists`` against the per-pair cap rule
+    of ``witnesses._variant_chains`` over the depth-first walk: at caps 1,
+    2, 3 and ``VARIANT_CAP``, every reachable pair gets the same distinct
+    chains in the same order, so the same count, and the same truncation
+    flag. ``_variant_tables`` gives every pair the ``VARIANT_CAP`` lists, or
+    names every unreached destination of the first source with one."""
+    dims, nodes, links, _, _ = system
+    t = make_torus(dims, nodes, links)
+    rg = prepare(t)[0]
+    live = t.live_nodes
+    dist = _hop_levels(rg, live)
+    pairs = [(i, s, d) for i, s in enumerate(live) for d in live if d != s]
+    reached = [p for p in pairs if dist[p[0], rg.end_vid(p[2])] >= 0]
+    rows = np.array([i for i, _, _ in reached], dtype=np.int64)
+    ends = rg.end_vid(np.array([d for _, _, d in reached], dtype=np.int64))
+    for cap in (1, 2, 3, VARIANT_CAP):
+        chains, counts, truncated = _variant_lists(rg, dist, rows, ends, cap)
+        want = [_variant_chains(rg, dist[i], s, d, cap)
+                for i, s, d in reached]
+        assert counts.tolist() == [len(w) for w, _ in want]
+        assert truncated.tolist() == [cut for _, cut in want]
+        assert [tuple(x for x in c if x >= 0) for c in chains.tolist()] == [
+            c for w, _ in want for c in w]
+
+    missing = [p for p in pairs if p not in reached]
+    if missing:
+        first = missing[0][1]
+        with pytest.raises(UnroutablePairError) as exc:
+            _variant_tables(rg)
+        assert exc.value.pairs == [(t.coord_str(s), t.coord_str(d))
+                                   for _, s, d in missing if s == first]
+    else:  # every pair is reached: ``want`` holds the VARIANT_CAP lists
+        src, counts, offsets, links = _variant_tables(rg)
+        assert src.tolist() == [s for _, s, _ in pairs]
+        assert counts.tolist() == [len(w) for w, _ in want]
+        assert (offsets == np.cumsum(counts) - counts).all()
+        assert [tuple(x for x in c if x >= 0) for c in links.tolist()] == [
+            c for w, _ in want for c in w]
 
 
 def _plain_bfs(rg, source):

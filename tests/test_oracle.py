@@ -6,6 +6,7 @@ from torusroute.errors import TopologyError
 from torusroute.oracle import min_routes
 from torusroute.routing_graph import RoutingGraph
 
+from conftest import prepared
 from witnesses import vertex_info
 
 
@@ -35,6 +36,16 @@ def test_out_of_range_source_raises():
             brute_force_routes(t, bad, 3, RuleConfig.plain(), 4)
 
 
+def test_failed_end_raises():
+    """A failed source raises the TopologyError a failed destination does;
+    neither gives an empty route list."""
+    t = make_torus([4, 4], failed_nodes=[(1, 1)])
+    failed = t.node_id((1, 1))
+    for src, dst in ((failed, 0), (0, failed)):
+        with pytest.raises(TopologyError, match="failed nodes"):
+            brute_force_routes(t, src, dst, RuleConfig.plain(), 6)
+
+
 def test_relaxed_turn_gains_route():
     t = make_torus([3, 3])
     u, v, w = t.node_id((1, 0)), t.node_id((1, 1)), t.node_id((2, 1))
@@ -61,6 +72,15 @@ def test_equivalence_augmented_mesh(mesh22):
     t, rg, g, added = mesh22
     rep = oracle_equivalence(t, RuleConfig.augmented(added), rg=rg)
     assert rep.ok, rep.mismatches[:5]
+
+
+def test_equivalence_pinned_faulted_augmented():
+    """One report of a faulted system with relaxed turns, pinned: every
+    ordered pair of its 31 live nodes is checked, and none mismatches."""
+    t, rg, g, added = prepared([4, 4, 2], failed_nodes=[(0, 2, 0)])
+    assert added
+    rep = oracle_equivalence(t, RuleConfig.augmented(added), rg=rg)
+    assert (rep.pairs_checked, rep.mismatches) == (930, [])
 
 
 def test_mutation_detected(grid33):

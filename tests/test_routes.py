@@ -521,6 +521,26 @@ def test_checkers_import_no_routing_graph():
                     module.__name__, node.lineno, name)
 
 
+def test_library_lists_shortest_paths_only_with_path_chains():
+    """``algorithms._path_chains`` is the library's one shortest-path
+    lister: no module of the package defines or calls the depth-first walk
+    that ``witnesses`` keeps as its reference (``_rg_chains``,
+    ``_variant_chains``), or the per-vertex in-edge tuples that walk
+    reads (``in_edges``)."""
+    banned = {"_rg_chains", "_variant_chains", "in_edges"}
+    package = pathlib.Path(torusroute.routes.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+            else:
+                continue
+            assert name not in banned, (path.name, node.lineno, name)
+
+
 def test_parse_table_lenient_forms():
     """Forms beyond the written one that the parser accepts, and a failed
     node's coordinates, which it leaves for ``check_table`` to report."""

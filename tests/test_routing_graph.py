@@ -6,13 +6,13 @@ from hypothesis import given, settings
 
 from torusroute import (apply_augmentation, build_routing_graph, make_torus,
                         validate_route)
-from torusroute.algorithms import _bfs_count, _hop_levels, _rg_chains
+from torusroute.algorithms import _bfs_count, _hop_levels
 from torusroute.cli import prepare
 from torusroute.routing_graph import DUMMY_LINK, vec_last_direction
 
 from conftest import small_faulted_systems
-from witnesses import (VKind, decode_rg_path, rg_reachable_pairs,
-                       vertex_info)
+from witnesses import (VKind, _rg_chains, decode_rg_path,
+                       rg_reachable_pairs, vertex_info)
 
 
 def vertex_count(n):

@@ -5,19 +5,23 @@ The library keeps shortest routing-graph paths as link chains and never
 decodes a vertex path; these helpers read the vertex layout of
 :class:`~torusroute.routing_graph.RoutingGraph` back into vertex kinds, so
 that the tests can check an emitted route against the graph, and the graph
-against the rules, without the library's encoder.
+against the rules, without the library's encoder. The depth-first walk
+``_rg_chains`` lists shortest paths without the library's array walk
+``algorithms._path_chains``, and is the reference that walk is held to.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from torusroute.algorithms import _hop_levels, _source_batches
+from torusroute.errors import UnroutablePairError
 from torusroute.routes import Route
-from torusroute.routing_graph import (RoutingGraph, code_to_vec,
+from torusroute.routing_graph import (DUMMY_LINK, RoutingGraph, code_to_vec,
                                       vec_last_direction)
 
 
@@ -133,3 +137,77 @@ def turn_count(r: Route) -> int:
     ``build_rt_sssp``, which counts turns in arrays."""
     steps = r.steps
     return sum(1 for a, b in zip(steps, steps[1:]) if a != b)
+
+
+_IN_EDGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def in_edges(rg: RoutingGraph) -> list[tuple[tuple[int, int], ...]]:
+    """Per head vertex, the (tail, link) of its ``back_edges`` as tuples,
+    cached per graph. Tuples of ints leave the garbage collector's lists at
+    its first pass, where lists would stay and make every full collection
+    longer."""
+    if rg not in _IN_EDGES:
+        indptr, tail, link = rg.back_edges
+        bounds = indptr.tolist()
+        pairs = list(zip(tail.tolist(), link.tolist()))
+        _IN_EDGES[rg] = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return _IN_EDGES[rg]
+
+
+def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
+               budget: int) -> tuple[list[tuple[int, ...]], bool]:
+    """(link chains, truncated) of the shortest paths into ``end``.
+
+    ``dist`` holds one source's hop levels (-1 where unreached). The walk
+    goes depth first back from ``end`` over the in-edges in edge-id order,
+    onto tails one level lower, down to the begin vertex (the only one at
+    level 0). One chain per path, in the order the walk finds them;
+    truncated once ``budget`` paths are found. It shares no code with the
+    array walk ``algorithms._path_chains``, so it can serve as a reference
+    for it.
+    """
+    ins, dist = in_edges(rg), memoryview(dist)
+    chains: list[tuple[int, ...]] = []
+    # frames[k]: the in-edges left to try at the vertex k hops back from
+    # ``end``; path[k]: the link of the one the walk is following
+    frames = [iter(ins[end])]
+    path: list[int] = []
+    while frames:
+        level = dist[end] - len(path) - 1  # of the top frame's tails
+        e = next((e for e in frames[-1] if dist[e[0]] == level), None)
+        if e is None:
+            frames.pop()
+            if path:
+                path.pop()
+        elif level:
+            path.append(e[1])
+            frames.append(iter(ins[e[0]]))
+        else:
+            chains.append(tuple(x for x in (e[1], *reversed(path))
+                                if x != DUMMY_LINK))
+            if len(chains) >= budget:
+                return chains, True
+    return chains, False
+
+
+def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
+                    cap: int) -> tuple[list[tuple[int, ...]], bool]:
+    """(distinct minimal link chains src->dst, truncated), at most ``cap``:
+    the per-pair reference of ``algorithms._variant_lists``.
+
+    From one source equal chains mean equal physical steps, so the paths
+    that encode one route (body vs first/last-step encodings, at most four)
+    collapse to one chain; the path budget is 4*cap. Raises
+    UnroutablePairError when ``dist`` does not reach ``dst``.
+    """
+    end = rg.end_vid(dst)
+    if dist[end] < 0:
+        raise UnroutablePairError([(rg.topology.coord_str(src),
+                                    rg.topology.coord_str(dst))])
+    chains, truncated = _rg_chains(rg, dist, end, 4 * cap)
+    distinct = list(dict.fromkeys(chains))
+    if len(distinct) > cap:
+        del distinct[cap:]
+        truncated = True
+    return distinct, truncated
