@@ -88,7 +88,6 @@ class GeneticParams:
 
 @dataclass
 class GenerationStats:
-    algo: str
     link_increments: np.ndarray
     sssp_calls: int = 0
     generations: int = 0
@@ -322,7 +321,7 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     cols = encode_chains(t, src, _stack([chains[s] for s in t.live_nodes]),
                          rg.relaxed)[0]
     return RoutingTable(t, columns=cols, stats=GenerationStats(
-        "bfs", loads[:-1], total_pairs=len(cols.src)))
+        loads[:-1], total_pairs=len(cols.src)))
 
 
 def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
@@ -445,25 +444,19 @@ def _variant_lists(rg: RoutingGraph, levels: np.ndarray, rows, ends,
 
     From one source equal chains mean equal physical steps, so the paths
     that encode one route (body vs first/last-step encodings, at most four)
-    collapse to one chain. A pair keeps, of its first 4*cap listed paths,
-    the first ``cap`` distinct chains in listing order. It is truncated when
-    it lists 4*cap paths or more, or when more than ``cap`` of those are
-    distinct.
+    collapse to one chain. A pair keeps the first ``cap`` distinct chains
+    in listing order, and is truncated when it has more than ``cap``.
     """
     chains, owner = _path_chains(rg, levels, rows, ends)
-    pairs = np.arange(len(ends) + 1)
-    first = np.searchsorted(owner, pairs)
-    head = np.flatnonzero(np.arange(len(owner)) - first[owner] < 4 * cap)
     # the first listing of each (pair, chain), in listing order
-    at = np.unique(np.column_stack([owner, chains])[head], axis=0,
+    at = np.unique(np.column_stack([owner, chains]), axis=0,
                    return_index=True)[1]
-    distinct = head[np.sort(at)]
-    starts = np.searchsorted(owner[distinct], pairs)
+    distinct = np.sort(at)
+    starts = np.searchsorted(owner[distinct], np.arange(len(ends) + 1))
     rank = np.arange(len(distinct)) - starts[owner[distinct]]
     kept = distinct[rank < cap]
-    truncated = (np.diff(first) >= 4 * cap) | (np.diff(starts) > cap)
     return (chains[kept], np.bincount(owner[kept], minlength=len(ends)),
-            truncated)
+            np.diff(starts) > cap)
 
 
 def _lightest(chains: np.ndarray, owner: np.ndarray, first: np.ndarray,
@@ -566,7 +559,7 @@ def build_rt_sssp(rg: RoutingGraph,
             todo = left
     cols.put(rows, encode_chains(t, src, chains[pick], rg.relaxed)[0])
 
-    stats = GenerationStats("sssp", load[:-1],
+    stats = GenerationStats(load[:-1],
                             sssp_calls=calls, unique_pairs=int(unique.sum()),
                             total_pairs=len(unique))
     return RoutingTable(t, stats=stats, columns=cols)
@@ -611,7 +604,7 @@ def build_rt_genetic(rg: RoutingGraph,
     if not len(src):
         return RoutingTable(t, columns=encode_chains(t, src, links,
                                                      rg.relaxed)[0],
-                            stats=GenerationStats("genetic", np.zeros(
+                            stats=GenerationStats(np.zeros(
                                 t.n_channels, dtype=np.int64)))
     gp = perfect_channel_load(t)
     width = t.n_channels + 1  # pads count in the last column
@@ -669,7 +662,7 @@ def build_rt_genetic(rg: RoutingGraph,
             anchor, stagnant = history[-1], 0
 
     cols = encode_chains(t, src, links[offsets + pop[0]], rg.relaxed)[0]
-    stats = GenerationStats("genetic", loads[0, :-1],
+    stats = GenerationStats(loads[0, :-1],
                             generations=generations, total_pairs=len(src),
                             fitness_history=history)
     return RoutingTable(t, columns=cols, stats=stats)

@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
     except ParseError as exc:
         print(f"error: {args.table}: {exc}", file=sys.stderr)
         return EXIT_IO
-    rg, g, added = prepare(t)
+    g, added = augment_cdg(build_cdg(t))
     report = check_table(t, table, added)
     failures = 0
     for kind in ("completeness", "minimality", "validity"):
@@ -257,11 +257,7 @@ def run_sweep(n: int, lo: int, hi: int, samples: int, seed: int, algos,
     """Seeded random-topology sweep; rows ordered by sample index."""
     rows = []
     for i, dims in enumerate(sample_dims(n, lo, hi, samples, seed)):
-        try:
-            res = sweep_one(dims, algos, genetic_params)
-        except Exception as exc:  # noqa: BLE001
-            print(f"sweep sample {i} {dims} failed: {exc}", file=sys.stderr)
-            continue
+        res = sweep_one(dims, algos, genetic_params)
         base_pi = res.get("bfs", {}).get("pi")
         for algo in algos:
             row = dict(res[algo])
@@ -278,6 +274,10 @@ def cmd_sweep(args) -> int:
     if args.min_size > args.max_size:
         _exit_io(f"--min-size {args.min_size} exceeds --max-size "
                  f"{args.max_size}")
+    if args.max_size ** args.n > DEFAULT_NODE_CEILING:
+        _exit_io(f"--max-size {args.max_size} allows {args.max_size ** args.n}"
+                 f" nodes in {args.n} dimensions, over the desk-scale ceiling "
+                 f"of {DEFAULT_NODE_CEILING}")
     rows = run_sweep(args.n, args.min_size, args.max_size, args.samples,
                      args.seed, args.algos, _genetic_params(args))
     out_rows = []

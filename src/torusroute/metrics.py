@@ -19,7 +19,7 @@ class LoadReport:
     pi: int                    # max channel load
     min_load: int
     gamma_perfect: float
-    sigma: dict[int, float]
+    sigma: dict[int, float]    # {4: the k = 4 deviation}
     max_d: int
     loads: np.ndarray | None = None
 
@@ -102,11 +102,9 @@ def pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     if name == "neighbor":
         for s in t.live_nodes:
-            seen = set()
             for d in range(t.ndirs):
                 v = t.neighbor_table[s, d]
-                if v >= 0 and v != s and v not in seen:
-                    seen.add(int(v))
+                if v >= 0:
                     pairs.append((s, int(v)))
     elif name == "tornado":
         shift = -(-t.dims[0] // 2) - 1  # ceil(d1/2) - 1 hops along dim 1
@@ -136,25 +134,24 @@ def pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
 
 
 def _report(loads: np.ndarray, gamma_perfect: float, lengths: np.ndarray,
-            ks, include_loads: bool) -> LoadReport:
+            include_loads: bool) -> LoadReport:
     return LoadReport(
         pi=int(loads.max()) if loads.size else 0,
         min_load=int(loads.min()) if loads.size else 0,
         gamma_perfect=gamma_perfect,
-        sigma={k: deviation(loads, gamma_perfect, k) if loads.size else 0.0
-               for k in ks},
+        sigma={4: deviation(loads, gamma_perfect, 4) if loads.size else 0.0},
         max_d=int(lengths.max(initial=0)),
         loads=loads if include_loads else None,
     )
 
 
-def load_report(rt: RoutingTable, ks=(4,), include_loads=False) -> LoadReport:
+def load_report(rt: RoutingTable, include_loads=False) -> LoadReport:
     """Full-table report: loads, edge-forwarding index, deviation, diameter."""
     return _report(channel_loads(rt), perfect_channel_load(rt.topology),
-                   rt.columns.length, ks, include_loads)
+                   rt.columns.length, include_loads)
 
 
-def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
+def pattern_loads(rt: RoutingTable, pattern: str,
                   include_loads=False) -> LoadReport:
     """Report restricted to one pattern's routes.
 
@@ -182,4 +179,4 @@ def pattern_loads(rt: RoutingTable, pattern: str, ks=(4,),
         raise DisconnectedError(
             f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
     return _report(loads, _per_channel(int(dist.sum(dtype=np.int64)), t),
-                   c.length[rows], ks, include_loads)
+                   c.length[rows], include_loads)

@@ -1,10 +1,12 @@
 """Brute-force route enumeration directly on the topology.
 
-This is the independent side of the differential check: it never touches the
-routing graph. Routes are enumerated as direction sequences in rule shape
-(optional positive first step, a non-decreasing direction-bit-compliant body,
-optional negative last step), pruned by link-graph distance, and deduplicated
-by their physical step sequence.
+``brute_force_routes`` and ``min_routes`` are the independent side of the
+differential check: they never touch the routing graph. Routes are
+enumerated as direction sequences in rule shape (optional positive first
+step, a non-decreasing direction-bit-compliant body, optional negative last
+step), pruned by link-graph distance, and deduplicated by their physical
+step sequence. ``oracle_equivalence`` holds the routing graph's listing of
+shortest paths against them.
 """
 
 from __future__ import annotations

@@ -348,14 +348,16 @@ def _split_breaks(t: Topology, steps: np.ndarray, chan: np.ndarray,
 
 
 def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
-                  relaxed=frozenset()) -> tuple[Columns, np.ndarray]:
+                  relaxed) -> tuple[Columns, np.ndarray]:
     """(columns, legal): every link chain in its first legal split.
 
     Row i is the chain of channel ids ``links[i]`` (padded with -1) from
     ``src[i]``, ``_CHUNK`` rows at a time, each chunk judged in one pass of
-    :func:`_split_breaks`. ``legal[i, j]`` is whether split ``_SPLITS[j]``
-    breaks no rule. A chain read off a shortest routing-graph path has one
-    (Theorem 1); a row without one is written plain.
+    :func:`_split_breaks` with the relaxed turns ``relaxed`` (the
+    dependency-graph edges augmentation added). ``legal[i, j]`` is whether
+    split ``_SPLITS[j]`` breaks no rule. A chain read off a shortest
+    routing-graph path has one (Theorem 1); a row without one is written
+    plain.
     """
     turns = _turn_ids(t, relaxed)
     owner, direction = np.array(t.channels, dtype=np.intp).reshape(-1, 2).T
@@ -562,7 +564,7 @@ def _parse_coord(token: str, t: Topology) -> int:
     try:
         coords = tuple(int(x) for x in token[1:-1].split(","))
         return t.node_id(coords)
-    except Exception as exc:
+    except (ValueError, TopologyError) as exc:
         raise ParseError(f"bad coordinate {token!r}") from exc
 
 

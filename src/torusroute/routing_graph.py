@@ -67,10 +67,11 @@ def _last_directions(n: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
 class RoutingGraph:
     """CSR adjacency over the per-node vertex blocks of a topology."""
 
-    def __init__(self, topology: Topology, edges=None, added=()):
+    def __init__(self, topology: Topology, edges=None, relaxed=frozenset()):
         """``edges`` holds rows (tail, head, link, aug), as an array or a
         list of 4-tuples, in any order; it defaults to the topology's
-        baseline edges. Edge ids follow the tail, ties keep the row order."""
+        baseline edges. Edge ids follow the tail, ties keep the row order.
+        ``relaxed`` holds the dependency-graph turns the edges relax."""
         self.topology = t = topology
         n = t.n
         self.block = 3 ** n + 2 * n + 1
@@ -86,8 +87,7 @@ class RoutingGraph:
         # code of the sign vector holding only direction d
         self.single_codes = [zero + step for step in self.code_step]
         self.code_last, self.dirbit_by_last = _last_directions(n)
-        self.added = tuple(added)
-        self.relaxed = frozenset(self.added)
+        self.relaxed = frozenset(relaxed)
         if edges is None:
             edges = _build_edges(self)
 
@@ -275,4 +275,4 @@ def apply_augmentation(rg: RoutingGraph,
     base = np.stack([rg.edge_tail, rg.edge_head, rg.edge_link, rg.edge_aug],
                     axis=1)
     return RoutingGraph(t, np.concatenate([base, extra]),
-                        added=tuple(rg.added) + tuple(added))
+                        rg.relaxed | frozenset(added))

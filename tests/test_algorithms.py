@@ -134,6 +134,28 @@ def test_enumerate_cap_truncates(desmos):
     assert cut[0] == full[0]  # deterministic prefix
 
 
+def test_enumerate_truncates_only_past_the_cap():
+    """A pair is truncated when it has more than ``cap`` distinct routes,
+    however many shortest paths encode them: on 4x4x2 at cap 1, the 32
+    pairs whose four shortest paths all encode one route keep it and are
+    not truncated."""
+    t, rg, g, added = prepared([4, 4, 2])
+    live = t.live_nodes
+    dist = _hop_levels(rg, live)
+    pairs = [(i, s, d) for i, s in enumerate(live) for d in live if d != s]
+    rows = np.array([i for i, _, _ in pairs], dtype=np.int64)
+    ends = rg.end_vid(np.array([d for _, _, d in pairs], dtype=np.int64))
+    paths = np.bincount(_path_chains(rg, dist, rows, ends)[1],
+                        minlength=len(pairs))
+    routes = _variant_lists(rg, dist, rows, ends, VARIANT_CAP)[1]
+    four_as_one = [p for p, n, k in zip(pairs, paths, routes)
+                   if n == 4 and k == 1]
+    assert len(four_as_one) == 32
+    for _, s, d in four_as_one:
+        variants, truncated = enumerate_minimal_routes(rg, s, d, cap=1)
+        assert len(variants) == 1 and not truncated
+
+
 def test_enumerate_rejects_bad_arguments(ring4):
     t, rg, g, added = ring4
     with pytest.raises(ValueError, match="dst must differ from src"):

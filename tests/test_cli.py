@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from torusroute import (RoutingTable, load_table, load_topology, make_route,
-                        table_to_text)
+from torusroute import (RoutingGraph, RoutingTable, load_report, load_table,
+                        load_topology, make_route, table_to_text)
+from torusroute import cli
 from torusroute.cli import main, run_sweep
 
 
@@ -23,6 +24,8 @@ def test_generate_and_verify_round_trip(tmp_path, capsys):
     assert main(["generate", topo, "--algo", "bfs", "--out", out]) == 0
     report = json.loads((tmp_path / "grid.table.report.json").read_text())
     assert report["routes"] == 72 and report["algo"] == "bfs"
+    table = load_table(out, load_topology(topo))
+    assert report["sigma"] == {"4": load_report(table).sigma[4]}
     capsys.readouterr()
     assert main(["verify", topo, out]) == 0
     shown = capsys.readouterr().out
@@ -167,6 +170,31 @@ def test_node_ceiling_guard(tmp_path):
     assert main(["generate", topo, "--algo", "bfs"]) == 2
 
 
+def test_sweep_refuses_sizes_over_the_ceiling(capsys, monkeypatch):
+    """sweep refuses before drawing a sample when ``--max-size`` to the
+    ``--n``-th power exceeds the node ceiling; at the ceiling it runs."""
+    drawn = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: drawn.append(args)
+                        or [])
+    assert main(["sweep", "--n", "4"]) == 2  # --max-size 8: 4,096 nodes
+    assert capsys.readouterr().err == (
+        "error: --max-size 8 allows 4096 nodes in 4 dimensions, over the "
+        "desk-scale ceiling of 512\n")
+    assert not drawn
+    assert main(["sweep", "--n", "3", "--max-size", "8"]) == 0  # 512 nodes
+    assert len(drawn) == 1
+
+
+def test_run_sweep_propagates_a_generator_failure(monkeypatch):
+    """A failing sample is a defect to report, not a row to drop."""
+    def fail(*args):
+        raise RuntimeError("generator defect")
+
+    monkeypatch.setattr(cli, "generate_table", fail)
+    with pytest.raises(RuntimeError, match="generator defect"):
+        run_sweep(2, 2, 3, 2, seed=0, algos=["bfs"])
+
+
 def test_compare_csv(tmp_path, capsys):
     topo = write_topo(tmp_path, "dims: 3 3\n")
     out = str(tmp_path / "cmp.csv")
@@ -299,10 +327,11 @@ def test_verify_reports_route_between_cut_off_nodes(tmp_path, capsys):
         "  (0)->(2): step 1 (+X from (0)) uses a dead link"]
 
 
-def test_verify_report_golden(tmp_path, capsys):
+def test_verify_report_golden(tmp_path, capsys, monkeypatch):
     """verify's whole output on a 4x2x2x2 table with relaxed turns and more
     than 20 problems of each kind, which pins the first-20 cut and the
-    counts."""
+    counts. verify reads the rules and the dependency graph only: it builds
+    no routing graph."""
     topo = write_topo(tmp_path, "dims: 4 2 2 2\n")
     out = tmp_path / "d.table"
     assert main(["generate", topo, "--algo", "sssp", "--out", str(out)]) == 0
@@ -320,6 +349,11 @@ def test_verify_report_golden(tmp_path, capsys):
     broken = tmp_path / "broken.table"
     broken.write_text(table_to_text(RoutingTable(t, routes)))
     capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a routing graph")
+
+    monkeypatch.setattr(RoutingGraph, "__init__", refuse)
     assert main(["verify", topo, str(broken)]) == 1
     golden = pathlib.Path(__file__).parent / "data" / "verify_4222.out"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

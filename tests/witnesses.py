@@ -12,6 +12,7 @@ against the rules, without the library's encoder. The depth-first walk
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from enum import IntEnum
@@ -156,7 +157,7 @@ def in_edges(rg: RoutingGraph) -> list[tuple[tuple[int, int], ...]]:
 
 
 def _rg_chains(rg: RoutingGraph, dist: np.ndarray, end: int,
-               budget: int) -> tuple[list[tuple[int, ...]], bool]:
+               budget: float) -> tuple[list[tuple[int, ...]], bool]:
     """(link chains, truncated) of the shortest paths into ``end``.
 
     ``dist`` holds one source's hop levels (-1 where unreached). The walk
@@ -198,16 +199,12 @@ def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
 
     From one source equal chains mean equal physical steps, so the paths
     that encode one route (body vs first/last-step encodings, at most four)
-    collapse to one chain; the path budget is 4*cap. Raises
+    collapse to one chain; every path is listed. Raises
     UnroutablePairError when ``dist`` does not reach ``dst``.
     """
     end = rg.end_vid(dst)
     if dist[end] < 0:
         raise UnroutablePairError([(rg.topology.coord_str(src),
                                     rg.topology.coord_str(dst))])
-    chains, truncated = _rg_chains(rg, dist, end, 4 * cap)
-    distinct = list(dict.fromkeys(chains))
-    if len(distinct) > cap:
-        del distinct[cap:]
-        truncated = True
-    return distinct, truncated
+    distinct = list(dict.fromkeys(_rg_chains(rg, dist, end, math.inf)[0]))
+    return distinct[:cap], len(distinct) > cap
