@@ -38,11 +38,15 @@ load of its link, so all routing-graph edges over one cable weigh the same.
 
 Every hop-level search runs on one kernel, ``_levels``, over one or more
 begin vertices at once; ``_hop_levels`` keeps only its levels and
-``_bfs_count`` adds path counts and least-edge-id parents. Every
-breadth-first parent tree is read back by one array walk, ``_tree_chains``,
-and every list of shortest paths by another, ``_path_chains``: the paths
-that ``build_sssp`` and stage 2 choose from, the capped variants of the
-genetic search and of ``enumerate_minimal_routes``, and the routes that
+``_bfs_count`` adds path counts and least-edge-id parents. Every consumer
+reads only paths that end at an END vertex (Theorem 1), and no vertex on a
+shortest path to an END lies deeper than that END, so a search stops once
+each of its rows has reached the END of every live node; vertices past the
+deepest END read as unreached. Every breadth-first parent tree is read
+back by one array walk, ``_tree_chains``, and every list of shortest paths
+by another, ``_path_chains``: the paths that ``build_sssp`` and stage 2
+choose from, the capped variants of the genetic search and of
+``enumerate_minimal_routes``, and the routes that
 ``oracle.oracle_equivalence`` holds against the rules.
 """
 
@@ -57,7 +61,6 @@ from .metrics import deviation, perfect_channel_load
 from .routes import (Route, RoutingTable, _id_dtype, _padded, _stack,
                      encode_chains, route_rows)
 from .routing_graph import DUMMY_LINK, RoutingGraph
-from .topology import most_remote
 
 VARIANT_CAP = 128  # minimal route variants kept per pair
 
@@ -121,13 +124,24 @@ def _levels(rg: RoutingGraph, begins):
     heads); the open edges leave the frontier for vertices their row has not
     reached before, so they are the in-edges of the new vertices from the
     level below.
+
+    The search stops before the first level at which every row has reached
+    the END vertex of every live node (its own END, one edge from BEGIN,
+    among them), so the last level yielded holds the batch's deepest END.
+    Every level, count and parent on a shortest path to an END is complete
+    by then. While some row has a live END unreached, the search runs until
+    no vertex is left.
     """
     nv = rg.n_vertices
     rows = len(begins)
-    frontier = np.asarray(begins, dtype=np.int64) + nv * np.arange(rows)
+    row_base = nv * np.arange(rows)
+    frontier = np.asarray(begins, dtype=np.int64) + row_base
     reached = np.zeros(rows * nv, dtype=bool)
     reached[frontier] = True
-    while len(frontier):
+    # every row's END vertex of every live node, its own END among them
+    ends = (row_base[:, None] + rg.end_vid(
+        np.array(rg.topology.live_nodes, dtype=np.int64))).reshape(-1)
+    while len(frontier) and not reached[ends].all():
         verts = frontier % nv if rows > 1 else frontier
         starts = rg.indptr[verts]
         counts = rg.indptr[verts + 1] - starts
@@ -149,7 +163,8 @@ def _levels(rg: RoutingGraph, begins):
 
 def _hop_levels(rg: RoutingGraph, sources) -> np.ndarray:
     """Hop levels from each of ``sources`` in one level search, one row of
-    ``n_vertices`` per source, -1 where unreached."""
+    ``n_vertices`` per source, -1 where unreached or deeper than the
+    search's deepest END vertex (``_levels``)."""
     begins = rg.begin_vid(np.asarray(sources, dtype=np.int64))
     dist = np.full((len(begins), rg.n_vertices), -1, dtype=np.int32)
     dist[np.arange(len(begins)), begins] = 0
@@ -162,8 +177,9 @@ def _hop_levels(rg: RoutingGraph, sources) -> np.ndarray:
 def _bfs_count(rg: RoutingGraph, sources):
     """(hop levels, shortest-path counts, least-edge-id parent edges) from
     each of ``sources`` in one level search, one row of ``n_vertices`` per
-    source. Levels and parents read -1 where unreached, and the begin
-    vertex has no parent edge."""
+    source. Levels and parents read -1 and counts 0 where unreached or
+    deeper than the search's deepest END vertex (``_levels``), and the
+    begin vertex has no parent edge."""
     shape = (len(sources), rg.n_vertices)
     dist = np.full(shape, -1, dtype=np.int32)
     counts = np.zeros(shape, dtype=np.int64)
@@ -271,10 +287,13 @@ def _bfs_chains(rg: RoutingGraph, source: int, level: np.ndarray,
     picked in one array pass (``_lightest_parents``). Edge ids are
     tail-major, so this is the first claimant when each frontier is
     expanded in ascending arrival load, ties by vertex id. ``level`` holds
-    the source's hop levels, which no ledger changes; ``loads`` ends with
-    the 0 that DUMMY_LINK reads. After the tree is read back, every chain
-    adds one unit of load to each physical link it crosses; an unroutable
-    pair raises before any load is added.
+    the source's hop levels, which no ledger changes; the read-back walks
+    ``level.max()`` hops, the level of its search's deepest END vertex once
+    every END is reached (``_levels``). ``loads`` ends with the 0 that
+    DUMMY_LINK reads.
+    After the tree is read back, every chain adds one unit of load to each
+    physical link it crosses; an unroutable pair raises before any load is
+    added.
     """
     chains = _tree_chains(rg, [source], _lightest_parents(rg, level, loads),
                           int(level.max()))
@@ -296,10 +315,14 @@ def _most_remote_order(t) -> list[int]:
     """The live nodes in ``build_rt_bfs``'s source order: the first live
     node, then each time the remaining node most remote from the last."""
     order = list(t.live_nodes[:1])
-    remaining = set(t.live_nodes[1:])
-    while remaining:
-        order.append(most_remote(t, remaining, order[-1]))
-        remaining.discard(order[-1])
+    remaining = np.zeros(t.num_coords, dtype=bool)
+    remaining[list(t.live_nodes[1:])] = True
+    for _ in range(len(t.live_nodes) - 1):
+        # -2 sits below every hop count, an unreachable node's -1 among
+        # them; argmax keeps the first of ties, the smallest node id
+        at = int(np.argmax(np.where(remaining, t.distances[order[-1]], -2)))
+        order.append(at)
+        remaining[at] = False
     return order
 
 

@@ -269,6 +269,8 @@ def run_sweep(n: int, lo: int, hi: int, samples: int, seed: int, algos,
 
 
 def cmd_sweep(args) -> int:
+    if args.samples < 1:
+        _exit_io(f"--samples must be >= 1, got {args.samples}")
     if args.min_size < 2:
         _exit_io(f"--min-size must be >= 2, got {args.min_size}")
     if args.min_size > args.max_size:

@@ -406,24 +406,45 @@ def _plain_chains(rg, source, parent):
     return out
 
 
+def _stopped(rg, refs):
+    """``_plain_bfs`` results of one batch of sources, cut where the level
+    search stops: past the deepest level at which a row reaches the END
+    vertex of a live node, levels read -1, counts 0 and parents -1. A batch
+    where some row never reaches some live END runs to the end, uncut."""
+    ends = rg.end_vid(np.array(rg.topology.live_nodes))
+    dist = np.array([r[0] for r in refs])
+    if (dist[:, ends] < 0).any():
+        return refs
+    past = dist > dist[:, ends].max()
+    return [tuple(np.where(p, none, a).tolist()
+                  for a, none in zip(r, (-1, 0, -1)))
+            for p, r in zip(past, refs)]
+
+
 @given(small_faulted_systems(), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_batched_level_search_matches_plain_bfs(system, rows):
     """Differential test of stage 1's source-batched level search and array
-    read-back against a plain BFS per source: hop levels, path counts,
-    least-edge-id parents (one batch of every source, and one source
-    alone), and ``_pair_stats``' levels and padded canonical chains with
-    batches of ``rows`` sources. Where a pair is unreached, ``_pair_stats``
-    names the first source with one and all its unreached destinations."""
+    read-back against a plain BFS per source, cut where the batch's search
+    stops (``_stopped``): hop levels, path counts, least-edge-id parents
+    (one batch of every source, and one source alone), and ``_pair_stats``'
+    levels and padded canonical chains with batches of ``rows`` sources.
+    Every END vertex reads its plain BFS level, uncut. Where a pair is
+    unreached, ``_pair_stats`` names the first source with one and all its
+    unreached destinations."""
     dims, nodes, links, src, _ = system
     t = make_torus(dims, nodes, links)
     rg = prepare(t)[0]
     live = t.live_nodes
+    ends = rg.end_vid(np.array(live))
     # finished read-back walks park on vertex 0, which no edge may enter
     assert not (rg.edge_head == 0).any()
     ref = [_plain_bfs(rg, s) for s in live]
     for sources, want in ((live, ref), ([src], [ref[live.index(src)]])):
         dist, counts, parent = _bfs_count(rg, sources)
+        assert dist[:, ends].tolist() == [
+            np.array(r[0])[ends].tolist() for r in want]
+        want = _stopped(rg, want)
         assert dist.tolist() == [r[0] for r in want]
         assert _hop_levels(rg, sources).tolist() == dist.tolist()
         assert counts.tolist() == [r[1] for r in want]
@@ -441,12 +462,24 @@ def test_batched_level_search_matches_plain_bfs(system, rows):
             assert err.value.pairs == next(u for u in unreached if u)
             return
         levels, _, _, links = _pair_stats(rg)
-    assert [levels[s].tolist() for s in live] == [r[0] for r in ref]
+    assert [levels[s].tolist() for s in live] == [
+        r[0] for i in range(0, len(live), rows)
+        for r in _stopped(rg, ref[i:i + rows])]
     flat = [c[d] for c in chains for d in sorted(c)]
     want = np.full((len(flat), max([1, *map(len, flat)])), -1)
     for row, c in zip(want, flat):
         row[:len(c)] = c
     assert links.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("dims, deepest", [
+    ([6], 4), ([7], 4), ([2, 2, 2, 2], 5), ([3, 2, 4, 2], 6), ([6, 6, 6], 10)])
+def test_level_search_stops_at_the_deepest_end(dims, deepest):
+    """The level search ends with the level of its deepest END vertex, not
+    with the deepest vertex reached (6, 7, 5, 10 and 18 levels here) nor
+    with the first END reached."""
+    rg = prepared(dims)[1]
+    assert _hop_levels(rg, [0]).max() == deepest
 
 
 def _lightest_arrival_bfs(rg, source, loads):

@@ -185,6 +185,22 @@ def test_sweep_refuses_sizes_over_the_ceiling(capsys, monkeypatch):
     assert len(drawn) == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sweep_refuses_samples_below_one(tmp_path, capsys, monkeypatch,
+                                         samples):
+    """A sweep of no sample is refused before any is drawn: one error line,
+    exit 2 and no CSV."""
+    drawn = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: drawn.append(args)
+                        or [])
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "2", "--samples", samples,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --samples must be >= 1, got {samples}\n")
+    assert not drawn and not out.exists()
+
+
 def test_run_sweep_propagates_a_generator_failure(monkeypatch):
     """A failing sample is a defect to report, not a row to drop."""
     def fail(*args):
