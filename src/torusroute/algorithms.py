@@ -22,7 +22,10 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   one capped listing (``_variant_lists``) gives every pair its variants. Each
   individual keeps its channel loads as a row that moves with it; a kid's
   row is its first parent's, corrected over the genes where they differ, so
-  a generation is bred with array masks and scored in one pass.
+  a generation is bred with array masks and scored in one pass. Mutation
+  draws only what it uses: a binomial count of sites over the generation's
+  genes, that many distinct sites, and one variant per site, uniform over
+  its pair's; each gene still mutates alone with the mutation probability.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
   grouped by (turn count, length, source) and served by repeated calls that
   give each pair the first of its shortest routing-graph paths with the
@@ -87,6 +90,9 @@ class GeneticParams:
             raise ValueError("stagnation limit must be >= 1")
         if self.max_generations is not None and self.max_generations < 0:
             raise ValueError("max generations must be >= 0")
+        # numpy seeds its generator from non-negative integers only
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -663,9 +669,12 @@ def build_rt_genetic(rg: RoutingGraph,
         lo, hi = (np.repeat(c, 2)[:pop_n, None] for c in cuts.T)
         base = pop[first]
         kids = np.where((lo <= locus) & (locus < hi), pop[other], base)
-        mask = rng.random(kids.shape) < params.mutation
-        redraw = rng.integers(0, counts, size=kids.shape, dtype=np.int64)
-        kids[mask] = redraw[mask]
+        # each gene mutates with probability p: a binomial count of distinct
+        # sites, and one gene drawn for each from its pair's variants
+        sites = rng.choice(kids.size, rng.binomial(kids.size, params.mutation),
+                           replace=False)
+        kid, pair = np.divmod(sites, len(src))
+        kids[kid, pair] = rng.integers(0, counts[pair])
         # each kid's loads: its first-named parent's, plus the variants it
         # takes and minus those it drops where their genes differ
         kid, pair = np.nonzero(kids != base)

@@ -703,6 +703,14 @@ def test_genetic_params_reject_limits_that_skip_the_search():
     GeneticParams(stagnation_limit=1, max_generations=0)
 
 
+def test_genetic_params_reject_a_negative_seed():
+    """numpy cannot seed a generator from a negative integer."""
+    for seed in (-1, -7):
+        with pytest.raises(ValueError, match=r"seed must be >= 0"):
+            GeneticParams(seed=seed)
+    GeneticParams(seed=0)
+
+
 def _per_individual_genetic(rg, params):
     """(table text, fitness history, generations, link increments) of the
     genetic search written one individual at a time: a per-pair crossover
@@ -749,9 +757,10 @@ def _per_individual_genetic(rg, params):
             k2[c1:c2] = pop[a][c1:c2]
             kids.extend((k1, k2))
         kids = np.array(kids[:pop_n])
-        mask = rng.random(kids.shape) < params.mutation
-        redraw = rng.integers(0, counts, size=kids.shape, dtype=np.int64)
-        kids[mask] = redraw[mask]
+        n_sites = rng.binomial(kids.size, params.mutation)
+        for site in rng.choice(kids.size, n_sites, replace=False):
+            kid, pair = divmod(int(site), len(src))
+            kids[kid, pair] = rng.integers(0, counts[pair])
         kid_fits = np.array([fitness(g) for g in kids])
         pool = np.vstack([pop, kids])
         pool_fits = np.concatenate([fits, kid_fits])
@@ -782,6 +791,7 @@ def _per_individual_genetic(rg, params):
     ((6, 2, 2), {}, dict(seed=4, population=8, mutation=1.0)),
     ((3,), {}, dict(seed=0, population=4, stagnation_limit=2)),
     ((4, 4, 2), {"failed_nodes": ((0, 0, 1),)}, dict(seed=0, population=7)),
+    ((6, 2, 2), {}, dict(seed=6, population=7, mutation=0.5)),
 ], ids=repr)
 def test_genetic_matches_per_individual_reference(dims, faults, kwargs):
     """Differential test of the one-pass generation scoring of
@@ -799,6 +809,41 @@ def test_genetic_matches_per_individual_reference(dims, faults, kwargs):
     assert table.stats.generations == generations
     assert table.stats.link_increments.dtype == loads.dtype
     assert table.stats.link_increments.tolist() == loads.tolist()
+
+
+class _DrawLog:
+    """A generator that records how many values each of its draws returns."""
+
+    def __init__(self, rng):
+        self._rng, self.sizes = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+        return logged
+
+
+def test_genetic_generations_draw_no_population_sized_array(monkeypatch):
+    """Only the initial population draws population x pairs values: a
+    generation draws its parents, cuts, a mutation count, that many sites
+    and one gene per site, never a full matrix to mask. One default run on
+    4x2x2x2."""
+    rg = prepared((4, 2, 2, 2))[1]
+    logs = []
+    seeded = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: logs.append(
+        _DrawLog(seeded(seed))) or logs[-1])
+    params = GeneticParams()
+    table = build_rt_genetic(rg, params=params)
+    (log,) = logs
+    full = params.population * table.stats.total_pairs
+    assert log.sizes[0] == full
+    assert table.stats.generations > 0
+    assert max(log.sizes[1:]) < full
 
 
 @pytest.mark.parametrize("dims", [[3, 3], [2, 2], [4, 2], [2, 2, 3]])

@@ -165,6 +165,24 @@ def test_bad_flag_or_unwritable_output_is_io_error(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "{topo}", "--algo", "genetic", "--out", "{out}"],
+    ["compare", "{topo}", "--algos", "genetic", "--out", "{out}"],
+    ["sweep", "--n", "2", "--max-size", "3", "--samples", "2",
+     "--algos", "bfs", "--out", "{out}"],
+])
+def test_negative_seed_is_io_error(tmp_path, capsys, argv):
+    """numpy cannot seed a generator from a negative integer: each command
+    that takes ``--seed`` refuses one with one error line, exit 2 and no
+    output file."""
+    topo = write_topo(tmp_path, "dims: 4 2\n")
+    out = tmp_path / "out"
+    argv = [a.format(topo=topo, out=out) for a in argv]
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 def test_node_ceiling_guard(tmp_path):
     topo = write_topo(tmp_path, "dims: 8 8 4 3\n")  # 768 nodes
     assert main(["generate", topo, "--algo", "bfs"]) == 2
