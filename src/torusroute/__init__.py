@@ -11,11 +11,10 @@ from .metrics import (LoadReport, channel_loads, deviation, load_report,
                       pattern_loads, pattern_pairs, perfect_channel_load)
 from .oracle import RuleConfig, brute_force_routes, oracle_equivalence
 from .routes import (Route, RoutingTable, check_table, load_table,
-                     make_route, parse_table, table_to_text, validate_route,
-                     write_table)
+                     parse_table, table_to_text, validate_route, write_table)
 from .routing_graph import (RoutingGraph, apply_augmentation,
                             build_routing_graph)
-from .topology import (Topology, load_topology, make_torus, most_remote,
-                       parse_topology, topology_to_text)
+from .topology import (Topology, load_topology, make_torus, parse_topology,
+                       topology_to_text)
 
 __version__ = "0.1.0"

@@ -317,7 +317,7 @@ def build_bfs_routes(rg: RoutingGraph, source: int,
     return {r.dst: r for r in _routes(rg, source, chains)}
 
 
-def _most_remote_order(t) -> list[int]:
+def _source_order(t) -> list[int]:
     """The live nodes in ``build_rt_bfs``'s source order: the first live
     node, then each time the remaining node most remote from the last."""
     order = list(t.live_nodes[:1])
@@ -343,7 +343,7 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     t = rg.topology
     loads = np.zeros(t.n_channels + 1, dtype=np.int64)  # DUMMY_LINK's 0 last
     chains = {}
-    for part in _source_batches(rg, _most_remote_order(t)):
+    for part in _source_batches(rg, _source_order(t)):
         for source, level in zip(part, _hop_levels(rg, part)):
             chains[source] = _bfs_chains(rg, source, level, loads)
     src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)  # pair order

@@ -57,13 +57,6 @@ class CDG:
     def direction_of(self, cid: int) -> int:
         return self.channels[cid][1]
 
-    def used_set(self, channel: Channel) -> frozenset[int]:
-        if self.used_dirs is None:
-            raise RuntimeError("used_direction_sets has not run")
-        mask = int(self.used_dirs[self.topology.channel_id[channel]])
-        return frozenset(d for d in range(self.topology.ndirs)
-                         if mask >> d & 1)
-
 
 def _split(key: np.ndarray, value: np.ndarray, n: int) -> list[list[int]]:
     """Per key 0..n-1, the values of its rows in row order."""

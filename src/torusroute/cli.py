@@ -218,32 +218,37 @@ def cmd_compare(args) -> int:
 
 
 def sweep_one(dims, algos, genetic_params=None):
-    """All requested generators on one topology; one result dict per algo."""
+    """All requested generators on one topology; one result dict per algo.
+
+    The unique-route fraction is read from the sssp table's stage 1 when
+    sssp runs, and worked out on its own otherwise."""
     t = make_torus(dims)
     rg, g, added = prepare(t)
     assert_deadlock_free(g)
-    unique, total = unique_route_stats(rg)
-    results = {}
+    runs = {}
     for algo in algos:
         start = time.perf_counter()
         table = generate_table(rg, algo, genetic_params)
         wall = time.perf_counter() - start
-        rep = load_report(table)
-        results[algo] = {
-            "dims": "x".join(str(d) for d in dims),
-            "nodes": len(t.live_nodes),
-            "algo": algo,
-            "pi": rep.pi,
-            "min_load": rep.min_load,
-            "sigma4": rep.sigma[4],
-            "gamma_perfect": rep.gamma_perfect,
-            "max_d": rep.max_d,
-            "unique_fraction": unique / total if total else 1.0,
-            "sssp_calls": (table.stats.sssp_calls
-                           if table.stats is not None else 0),
-            "wall_time_s": wall,
-        }
-    return results
+        runs[algo] = wall, load_report(table), table.stats
+    if "sssp" in runs:
+        stats = runs["sssp"][2]
+        unique, total = stats.unique_pairs, stats.total_pairs
+    else:
+        unique, total = unique_route_stats(rg)
+    return {algo: {
+        "dims": "x".join(str(d) for d in dims),
+        "nodes": len(t.live_nodes),
+        "algo": algo,
+        "pi": rep.pi,
+        "min_load": rep.min_load,
+        "sigma4": rep.sigma[4],
+        "gamma_perfect": rep.gamma_perfect,
+        "max_d": rep.max_d,
+        "unique_fraction": unique / total if total else 1.0,
+        "sssp_calls": stats.sssp_calls if stats is not None else 0,
+        "wall_time_s": wall,
+    } for algo, (wall, rep, stats) in runs.items()}
 
 
 def sample_dims(n: int, lo: int, hi: int, samples: int, seed: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import _hop_levels, _path_chains
-from .routing_graph import RoutingGraph, apply_augmentation, build_routing_graph
+from .routing_graph import RoutingGraph
 from .topology import Topology
 
 CdgEdge = tuple[tuple[int, int], tuple[int, int]]
@@ -27,10 +27,6 @@ MAX_EXTRA = 2  # hops past the diameter searched for an unrouted pair
 @dataclass(frozen=True)
 class RuleConfig:
     relaxed_turns: frozenset[CdgEdge] = frozenset()
-
-    @staticmethod
-    def plain() -> "RuleConfig":
-        return RuleConfig()
 
     @staticmethod
     def augmented(added) -> "RuleConfig":
@@ -120,20 +116,14 @@ class EquivalenceReport:
     pairs_checked: int = 0
     mismatches: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
 
 def oracle_equivalence(t: Topology, rules: RuleConfig,
-                       rg: RoutingGraph | None = None) -> EquivalenceReport:
-    """Compare existence, minimal length and minimal route count per pair."""
+                       rg: RoutingGraph) -> EquivalenceReport:
+    """Compare existence, minimal length and minimal route count per pair
+    between the rules and ``rg``, the routing graph of ``t`` built with the
+    same relaxed turns."""
     if len(t.live_nodes) > 64:
         raise ValueError("oracle equivalence is guarded to <= 64 nodes")
-    if rg is None:
-        rg = build_routing_graph(t)
-        if rules.relaxed_turns:
-            rg = apply_augmentation(rg, sorted(rules.relaxed_turns))
     max_len = t.diameter() + MAX_EXTRA  # for pairs the graph cannot route
     dirs = np.array([d for _, d in t.channels], dtype=np.intp)
     report = EquivalenceReport()

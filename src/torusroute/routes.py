@@ -63,20 +63,6 @@ class Route:
         return len(self.node_seq) - 1
 
 
-def make_route(t: Topology, src: int, fs: int | None, body: Iterable[int],
-               ls: int | None) -> Route:
-    """Build a Route by walking the steps from src (no rule checking)."""
-    body = tuple(body)
-    steps = (() if fs is None else (fs,)) + body + (() if ls is None else (ls,))
-    if steps and src in t.failed_nodes:
-        raise TopologyError(f"node {src} does not exist")
-    nodes, channels = t.walk(src, steps)  # checks that src is a node id
-    if len(channels) < len(steps):
-        raise ValueError(f"step {t.dir_name(steps[len(channels)])} from "
-                         f"{t.coord_str(nodes[-1])} is dead")
-    return Route(src, nodes[-1], fs, body, ls, tuple(nodes))
-
-
 def route_channels(t: Topology, r: Route) -> list[int]:
     """Channel ids a route crosses; IntegrityError at its first dead one."""
     steps = r.steps
@@ -629,17 +615,17 @@ def _token_codes(t: Topology) -> tuple[dict[str, int], int]:
 
 
 # a token of at most 16 bytes is spelled by its length and its first and last
-# little-endian 8-byte words; a longer one is looked up by name
+# little-endian 8-byte words; no name of the written form is longer
 _KEYED = 16
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
                 dtype=np.uint64)
-_TRIES = 256  # displacements tried per bucket before it is left to the dict
+_TRIES = 256  # displacements tried per bucket before its tokens go unplaced
 
 
 def _token_keys(buf: bytes):
-    """(start, length, first word, last word, key) of every token of
-    ``buf`` between 0x20 bytes.
+    """(length, first word, last word, key) of every token of ``buf``
+    between 0x20 bytes.
 
     The tokens are ``str.split(" ")``'s: UTF-8 puts no 0x20 byte inside a
     character. The first word holds a token's first bytes, at most 8, with
@@ -660,7 +646,7 @@ def _token_keys(buf: bytes):
     last = np.zeros_like(first)
     longer = np.flatnonzero(size > 8)
     last[longer] = words[end[longer] - 8]
-    return start, size, first, last, first * _MIX[0] ^ last * _MIX[1]
+    return size, first, last, first * _MIX[0] ^ last * _MIX[1]
 
 
 @dataclass(frozen=True)
@@ -673,13 +659,14 @@ class _Vocabulary:
     two words and code, or length -1 when free; there are at most four
     slots per token, so the arrays are linear in the vocabulary. The slot's
     token is only a candidate: a token takes its code when its length and
-    both words are the slot's.
+    both words are the slot's. A token the table does not place (a bucket
+    that found no free slots, never seen, or a name over 16 bytes, which
+    needs 10**8 nodes) reads -1 like an unknown one, which sends its line
+    to :func:`_parse_line`; only a line end is read from its byte.
     """
-    codes: dict[str, int]  # every token, as :func:`_token_codes` gives them
     m: int
     bits: int  # 2 ** bits buckets and twice as many slots
     displace: np.ndarray  # per bucket
-    spilled: np.ndarray  # per bucket, whether its tokens go to the dict
     size: np.ndarray  # per slot
     first: np.ndarray
     last: np.ndarray
@@ -696,14 +683,13 @@ class _Vocabulary:
     @classmethod
     def _build(cls, codes: dict[str, int], m: int) -> _Vocabulary:
         words = [w for w in codes if len(w.encode()) <= _KEYED]
-        _, size, first, last, key = _token_keys(" ".join(words).encode())
+        size, first, last, key = _token_keys(" ".join(words).encode())
         keys = key.tolist()
         bits = len(words).bit_length()
         buckets: dict[int, list[int]] = {}  # token numbers by bucket
         for i, x in enumerate(keys):
             buckets.setdefault(x >> 64 - bits, []).append(i)
         displace = np.zeros(1 << bits, dtype=np.uint64)
-        spilled = np.zeros(1 << bits, dtype=bool)
         held = [-1] * (2 << bits)  # token number per slot
         mix, whole = int(_MIX[2]), (1 << 64) - 1
         # the largest buckets first, while the most slots are free
@@ -716,32 +702,25 @@ class _Vocabulary:
                     for s, i in zip(at, group):
                         held[s] = i
                     break
-            else:  # never seen: alike keys, or no room
-                spilled[b] = True
         held = np.array(held)
         free = held < 0
         code = np.array([codes[w] for w in words], dtype=np.int32)[held]
-        return cls(codes, m, bits, displace, spilled,
+        return cls(m, bits, displace,
                    np.where(free, -1, size[held]), first[held], last[held],
                    np.where(free, -1, code))
 
     def lookup(self, buf: bytes) -> np.ndarray:
         """Code of every token of ``buf`` (UTF-8, cut at 0x20 bytes), -1 for
-        a token not in the vocabulary: ``codes.get`` on each."""
-        start, size, first, last, key = _token_keys(buf)
+        a token the table does not hold, which no line end is."""
+        size, first, last, key = _token_keys(buf)
         bucket = key >> np.uint64(64 - self.bits)
         at = (((key ^ self.displace[bucket]) * _MIX[2])
               >> np.uint64(63 - self.bits))
         hit = ((self.size[at] == size) & (self.first[at] == first)
                & (self.last[at] == last))
         code = np.where(hit, self.code[at], np.int32(-1))
-        ask = size > _KEYED
-        if self.spilled.any():
-            ask |= self.spilled[bucket]
-        for i in np.flatnonzero(ask).tolist():
-            token = buf[start[i]:start[i] + size[i]]
-            code[i] = self.codes.get(token.decode("utf-8", "surrogatepass"),
-                                     -1)
+        # the chunk reader cuts lines at the line ends, placed or not
+        code[(size == 1) & (first == 0x0A)] = _END * self.m
         return code
 
 
@@ -824,11 +803,11 @@ def parse_table(text: str, t: Topology) -> RoutingTable:
     0x20 bytes, which gives ``str.split(" ")``'s tokens, and each token is
     matched on its bytes against the names of the written form: its length
     and first and last 8-byte words must equal those of the one candidate
-    its key picks (:class:`_Vocabulary`); a token longer than 16 bytes is
-    looked up by name. A line in the written form is read from the codes.
-    Any other line falls back to a per-line reader, which accepts forms like
-    ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X`` and words every ParseError. A
-    pair given twice is a ParseError that names both lines.
+    its key picks (:class:`_Vocabulary`). A line in the written form is
+    read from the codes. Any other line falls back to a per-line reader,
+    which accepts forms like ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X`` and
+    words every ParseError. A pair given twice is a ParseError that names
+    both lines.
     """
     vocabulary = _Vocabulary.of(t)
     lines = text.splitlines()

@@ -10,7 +10,7 @@ Every hop distance is read from one table, ``Topology.distances``.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -62,8 +62,6 @@ class Topology:
         self.num_coords = int(np.prod(self.dims))
         self.failed_nodes = failed_nodes
         self.failed_links = failed_links
-        self._strides = tuple(
-            int(np.prod(self.dims[j + 1:])) for j in range(self.n))
         self.neighbor_table = self._build_neighbor_table()
         self.live_nodes = tuple(
             u for u in range(self.num_coords) if u not in failed_nodes)
@@ -87,13 +85,8 @@ class Topology:
     def _build_neighbor_table(self) -> np.ndarray:
         """Node reached from each node along each direction, or -1: a mesh
         axis does not wrap, and a failed node or a failed link has no link."""
-        n, size = self.n, self.num_coords
-        dims, eye = np.array(self.dims), np.eye(n, dtype=np.int64)
-        # per (node, direction, axis), the coordinates one step on
-        moved = (np.indices(self.dims).reshape(n, size).T[:, None]
-                 + np.concatenate([eye, -eye]))
-        table = ((moved % dims) @ self._strides).astype(np.int32)
-        table[((dims == 2) & ((moved < 0) | (moved >= dims))).any(axis=2)] = -1
+        size = self.num_coords
+        table = _torus_neighbors(self.dims).copy()
         failed = np.zeros(size + 1, dtype=bool)  # index -1 stays False
         failed[list(self.failed_nodes)] = True
         table[failed[table] | failed[:size, None]] = -1
@@ -137,16 +130,6 @@ class Topology:
         return self.dir_names[d]
 
     # -- queries -----------------------------------------------------------
-
-    def neighbor(self, u: int, d: int) -> int | None:
-        """Node reached from u along d, or None if the link is absent."""
-        self.check_nodes((u,))
-        if u in self.failed_nodes:
-            raise TopologyError(f"node {u} does not exist")
-        if not 0 <= d < self.ndirs:
-            raise TopologyError(f"direction index {d} out of range")
-        v = int(self.neighbor_table[u, d])
-        return v if v >= 0 else None
 
     def walk(self, src: int, steps: Iterable[int]
              ) -> tuple[list[int], list[int]]:
@@ -244,19 +227,21 @@ def _node_id(dims: Sequence[int], coords: Sequence[int]) -> int:
     return u
 
 
-def _unfaulted_neighbor(dims: Sequence[int], u: int, d: int) -> int | None:
-    """Node reached from ``u`` along ``d`` when nothing has failed, or None
-    past the end of a mesh axis (size 2), which does not wrap."""
-    n = len(dims)
-    if not 0 <= d < 2 * n:
-        raise TopologyError(f"direction index {d} out of range")
-    c = list(_coords(dims, u))
-    j = d % n
-    c[j] += 1 if d < n else -1
-    if dims[j] == 2 and not 0 <= c[j] < 2:
-        return None
-    c[j] %= dims[j]
-    return _node_id(dims, c)
+@lru_cache(maxsize=64)
+def _torus_neighbors(dims: tuple[int, ...]) -> np.ndarray:
+    """Read-only (node x direction) table of the node reached when nothing
+    has failed, or -1 past the end of a mesh axis (size 2), which does not
+    wrap. One broadcast over the coordinate grid."""
+    n, size = len(dims), math.prod(dims)
+    strides = [math.prod(dims[j + 1:]) for j in range(n)]
+    shape, eye = np.array(dims), np.eye(n, dtype=np.int64)
+    # per (node, direction, axis), the coordinates one step on
+    moved = (np.indices(dims).reshape(n, size).T[:, None]
+             + np.concatenate([eye, -eye]))
+    table = ((moved % shape) @ strides).astype(np.int32)
+    table[((shape == 2) & ((moved < 0) | (moved >= shape))).any(axis=2)] = -1
+    table.flags.writeable = False
+    return table
 
 
 def make_torus(dims: Sequence[int],
@@ -282,12 +267,15 @@ def make_torus(dims: Sequence[int],
 
     nodes = frozenset(as_node(r) for r in failed_nodes)
 
+    torus = _torus_neighbors(dims)
     links = set()
     for ref, d in failed_links:
         u = as_node(ref)
         d = int(d)
-        v = _unfaulted_neighbor(dims, u, d)
-        if v is None:
+        if not 0 <= d < 2 * n:  # -1 would wrap to the last direction
+            raise TopologyError(f"direction index {d} out of range")
+        v = int(torus[u, d])
+        if v < 0:
             name = "(" + ",".join(map(str, _coords(dims, u))) + ")"
             raise TopologyError(f"failed link ({name},{direction_name(d, n)})"
                                 " does not exist")
@@ -295,18 +283,6 @@ def make_torus(dims: Sequence[int],
         links.add((v, opposite_direction(d, n)))
 
     return Topology(dims, nodes, frozenset(links))
-
-
-def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:
-    """Candidate farthest from ``from_``; ties go to the smallest node id."""
-    order = sorted(candidates)
-    if not order:
-        raise TopologyError("most_remote requires a nonempty candidate set")
-    t.check_nodes((order[0], order[-1]))
-    if t.failed_nodes.intersection(order):
-        raise TopologyError("distance between failed nodes is undefined")
-    row = t.distance_row(from_)
-    return max(order, key=row.__getitem__)  # max keeps the first of ties
 
 
 # -- topology spec files ---------------------------------------------------
@@ -368,13 +344,12 @@ def topology_to_text(t: Topology) -> str:
     lines = ["dims: " + " ".join(str(d) for d in t.dims)]
     for u in sorted(t.failed_nodes):
         lines.append("fail-node: " + " ".join(str(c) for c in t.coords(u)))
+    torus = _torus_neighbors(t.dims)
     skip = set()
     for (u, d) in sorted(t.failed_links):
         if (u, d) in skip:
             continue
-        v = _unfaulted_neighbor(t.dims, u, d)
-        if v is not None:
-            skip.add((v, t.opposite(d)))  # emit each cable once
+        skip.add((int(torus[u, d]), t.opposite(d)))  # emit each cable once
         lines.append("fail-link: " + " ".join(str(c) for c in t.coords(u))
                      + " " + t.dir_name(d))
     return "\n".join(lines) + "\n"

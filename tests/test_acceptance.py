@@ -143,7 +143,7 @@ def test_criterion_2_theorem1_equivalence():
                 for dims in itertools.product((2, 3, 4), repeat=n)]
     for dims in all_dims:
         t = make_torus(dims)
-        rep = oracle_equivalence(t, RuleConfig.plain())
+        rep = oracle_equivalence(t, RuleConfig(), build_routing_graph(t))
         mismatches += [f"{dims} plain: {m}" for m in rep.mismatches[:2]]
         rg, g, added = prepare(t)
         rep = oracle_equivalence(t, RuleConfig.augmented(added), rg=rg)
@@ -165,7 +165,7 @@ def test_criterion_2_theorem1_equivalence():
         rg, g, added = prepare(t)
         rep = oracle_equivalence(t, RuleConfig.augmented(added), rg=rg)
         mismatches += [f"{dims} fault: {m}" for m in rep.mismatches[:2]]
-        rep = oracle_equivalence(t, RuleConfig.plain())
+        rep = oracle_equivalence(t, RuleConfig(), build_routing_graph(t))
         mismatches += [f"{dims} fault plain: {m}" for m in rep.mismatches[:2]]
         faulted += 1
     elapsed = time.perf_counter() - start

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from torusroute import (GeneticParams, RoutingTable, build_bfs_routes,
                         build_rt_bfs, build_rt_genetic, build_rt_sssp,
                         build_sssp, channel_loads, enumerate_minimal_routes,
-                        load_report, make_torus, most_remote,
-                        unique_route_stats)
+                        load_report, make_torus, unique_route_stats)
 from torusroute import algorithms
 from torusroute.algorithms import (VARIANT_CAP, _bfs_count, _hop_levels,
                                    _lightest, _pair_stats, _path_chains,
@@ -20,13 +19,13 @@ from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.metrics import (PATTERNS, LoadReport, deviation,
                                pattern_loads, perfect_channel_load)
-from torusroute.routes import (check_table, encode_chains, make_route,
-                               parse_table, table_to_text)
+from torusroute.routes import (check_table, encode_chains, parse_table,
+                               table_to_text)
 from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
-from witnesses import (_rg_chains, _variant_chains, rg_reachable_pairs,
-                       turn_count)
+from witnesses import (_rg_chains, _variant_chains, make_route, most_remote,
+                       rg_reachable_pairs, turn_count)
 
 GENERATORS = {
     "bfs": build_rt_bfs,

@@ -7,9 +7,12 @@ import sys
 import pytest
 
 from torusroute import (RoutingGraph, RoutingTable, load_report, load_table,
-                        load_topology, make_route, table_to_text)
-from torusroute import cli
-from torusroute.cli import main, run_sweep
+                        load_topology, make_torus, table_to_text,
+                        unique_route_stats)
+from torusroute import algorithms, cli
+from torusroute.cli import main, prepare, run_sweep
+
+from witnesses import make_route
 
 
 def write_topo(tmp_path, text, name="t.topo"):
@@ -275,6 +278,27 @@ def test_run_sweep_rows_have_unique_fraction():
     rows = run_sweep(2, 2, 3, 3, seed=5, algos=["bfs", "sssp"])
     assert all(0.0 <= row["unique_fraction"] <= 1.0 for row in rows)
     assert all(row["max_d"] >= 1 for row in rows)
+
+
+@pytest.mark.parametrize("algos", [["bfs", "sssp"], ["bfs"]])
+def test_sweep_runs_stage_1_once_per_sample(monkeypatch, algos):
+    """Every row's unique fraction is ``unique_route_stats`` of its torus,
+    and stage 1 (``_pair_stats``) runs once per sample: sssp's own when
+    sssp runs, ``unique_route_stats``' otherwise."""
+    real, calls = algorithms._pair_stats, []
+
+    def counted(rg):
+        calls.append(rg)
+        return real(rg)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(algorithms, "_pair_stats", counted)
+        rows = run_sweep(3, 2, 3, 4, seed=7, algos=algos)
+    assert len(calls) == 4 and len(rows) == 4 * len(algos)
+    for row in rows:
+        t = make_torus([int(d) for d in row["dims"].split("x")])
+        unique, total = unique_route_stats(prepare(t)[0])
+        assert row["unique_fraction"] == unique / total
 
 
 def test_run_sweep_same_seed_same_rows():

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusroute import (RoutingTable, build_rt_bfs, build_rt_sssp,
-                        channel_loads, deviation, load_report, make_route,
-                        make_torus, pattern_loads, pattern_pairs,
-                        perfect_channel_load)
+                        channel_loads, deviation, load_report, make_torus,
+                        pattern_loads, pattern_pairs, perfect_channel_load)
 from torusroute.errors import IntegrityError, TopologyError
 from torusroute.metrics import _transpose_node
 
 from conftest import prepared
+from witnesses import make_route
 
 
 def test_two_node_loads():

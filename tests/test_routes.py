@@ -5,6 +5,7 @@ from dataclasses import fields
 import math
 import pathlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import torusroute.cdg
 import torusroute.routes
 from torusroute import (GeneticParams, Route, RoutingTable, build_rt_bfs,
                         build_rt_genetic, build_rt_sssp, channel_loads,
-                        make_route, make_torus, parse_table, table_to_text,
+                        make_torus, parse_table, table_to_text,
                         validate_route)
 from torusroute.algorithms import _pair_stats
 from torusroute.cli import _used_turns, prepare, used_turn_cycle_check
@@ -25,7 +26,7 @@ from torusroute.routes import (_SPLITS, Columns, _violations, check_table,
                                encode_chains, route_channels)
 
 from conftest import prepared, small_faulted_systems
-from witnesses import decode_rg_path, route_to_rg_path
+from witnesses import decode_rg_path, make_route, route_to_rg_path
 
 
 def test_decode_single_body_step(grid33):
@@ -176,11 +177,11 @@ def test_encoder_splits_match_violations(system, with_relaxed):
     def walk_on(u, steps, hops):
         u = t.walk(u, steps)[0][-1]
         for _ in range(hops):
-            live = [d for d in range(t.ndirs) if t.neighbor(u, d) is not None]
+            live = [d for d in range(t.ndirs) if t.neighbor_table[u, d] >= 0]
             if not live:
                 break
             steps.append(rnd.choice(live))
-            u = t.neighbor(u, steps[-1])
+            u = int(t.neighbor_table[u, steps[-1]])
         return tuple(steps)
 
     starts = [(src, [])] * 30 + [(a[0], [a[1], b[1]]) for a, b in added[:30]]
@@ -541,6 +542,19 @@ def test_library_has_no_catch_all_handler():
                     not in broad, (path.name, node.lineno)
 
 
+def _defined_or_called(path):
+    """(line, name) of every function a module defines or calls."""
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Call):
+            yield node.lineno, getattr(node.func, "id",
+                                       getattr(node.func, "attr", None))
+
+
+PACKAGE = pathlib.Path(torusroute.routes.__file__).parent
+
+
 def test_library_lists_shortest_paths_only_with_path_chains():
     """``algorithms._path_chains`` is the library's one shortest-path
     lister: no module of the package defines or calls the depth-first walk
@@ -548,17 +562,27 @@ def test_library_lists_shortest_paths_only_with_path_chains():
     ``_variant_chains``), or the per-vertex in-edge tuples that walk
     reads (``in_edges``)."""
     banned = {"_rg_chains", "_variant_chains", "in_edges"}
-    package = pathlib.Path(torusroute.routes.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
-            elif isinstance(node, ast.Call):
-                name = getattr(node.func, "id",
-                               getattr(node.func, "attr", None))
-            else:
-                continue
-            assert name not in banned, (path.name, node.lineno, name)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in _defined_or_called(path):
+            assert name not in banned, (path.name, line, name)
+
+
+def test_library_keeps_no_test_only_helpers():
+    """The per-route and per-node references live in ``witnesses``
+    (``make_route``, ``most_remote``); the tests read the used sets from
+    ``CDG.used_dirs`` and links from ``Topology.neighbor_table``. No module
+    of the package defines or calls those helpers, ``used_set`` or the
+    scalar neighbour rule ``_unfaulted_neighbor``, and ``Topology`` has no
+    ``neighbor`` method."""
+    banned = {"make_route", "most_remote", "used_set", "_unfaulted_neighbor"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in _defined_or_called(path):
+            assert name not in banned, (path.name, line, name)
+    topology = ast.parse((PACKAGE / "topology.py").read_text("utf-8"))
+    cls = next(node for node in topology.body
+               if isinstance(node, ast.ClassDef) and node.name == "Topology")
+    assert "neighbor" not in {node.name for node in cls.body
+                              if isinstance(node, ast.FunctionDef)}
 
 
 def test_parse_table_lenient_forms():
@@ -716,29 +740,37 @@ def test_byte_lookup_agrees_with_the_dict(dims, faults):
     t = make_torus(list(dims), **faults)
     codes, m = torusroute.routes._token_codes(t)
     vocabulary = torusroute.routes._Vocabulary.of(t)
-    assert vocabulary.m == m and not vocabulary.spilled.any()
+    assert vocabulary.m == m and (vocabulary.size >= 0).sum() == len(codes)
     soup = _token_soup(codes)
     got = vocabulary.lookup(soup.encode("utf-8", "surrogatepass"))
     assert got.dtype == np.int32
     assert got.tolist() == [codes.get(x, -1) for x in soup.split(" ")]
 
 
-def test_byte_lookup_sends_long_and_spilled_tokens_to_the_dict(monkeypatch):
-    """Names longer than 16 bytes are looked up in the dict, and so are the
-    tokens of a bucket that found no free slots."""
-    codes = dict(torusroute.routes._token_codes(make_torus([3, 3]))[0])
-    codes.update({"(" + "1," * 8 + "1)": 1, "(" + "12," * 5 + "7)": 2,
-                  "LS" + "-X" * 8: 3})
-    soup = _token_soup(codes, seed=1)
-    want = [codes.get(x, -1) for x in soup.split(" ")]
-    build = torusroute.routes._Vocabulary._build
-    for tries in (torusroute.routes._TRIES, 0):
-        monkeypatch.setattr(torusroute.routes, "_TRIES", tries)
-        vocabulary = build(codes, 9)
-        assert vocabulary.spilled.any() == (vocabulary.size < 0).all() == (
-            tries == 0)
-        got = vocabulary.lookup(soup.encode("utf-8", "surrogatepass"))
-        assert got.tolist() == want
+@pytest.mark.parametrize("key", [("sssp", (4, 2, 2, 2)), ("bfs", (3, 3)),
+                                 ("bfs", (3, 3, 3, 3))], ids=repr)
+def test_parse_with_nothing_placed(key, monkeypatch):
+    """A token the byte lookup does not place reads -1 and sends its line
+    to ``_parse_line``. With no token placed at all, every line goes there,
+    and the columns still equal the default parse's in every field, dtype
+    and width; a malformed line gives the same ParseError."""
+    table = _table(*key)
+    t = table.topology
+    text = table_to_text(table)
+    lines = text.splitlines()
+    lines[len(lines) // 2] = lines[len(lines) // 2].replace(" |", " :", 1)
+    bad = "\n".join(lines) + "\n"
+    want = parse_table(text, t)
+    with pytest.raises(ParseError) as err:
+        parse_table(bad, t)
+    monkeypatch.setattr(torusroute.routes, "_TRIES", 0)
+    monkeypatch.setattr(torusroute.routes, "_VOCABULARIES",
+                        weakref.WeakKeyDictionary())
+    assert (torusroute.routes._Vocabulary.of(t).size < 0).all()
+    assert_same_columns(parse_table(text, t), want)
+    with pytest.raises(ParseError) as again:
+        parse_table(bad, t)
+    assert str(again.value) == str(err.value)
 
 
 # -- per-route reference for the columnar checks ------------------------------

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from torusroute import (Route, RoutingTable, RuleConfig, brute_force_routes,
                         build_bfs_routes, build_routing_graph, build_sssp,
-                        enumerate_minimal_routes, make_route, make_torus,
-                        most_remote, validate_route)
+                        enumerate_minimal_routes, make_torus, validate_route)
 from torusroute.errors import DisconnectedError, ParseError, TopologyError
 from torusroute.routes import route_channels
 from torusroute.topology import (direction_name, load_topology,
@@ -16,13 +15,15 @@ from torusroute.topology import (direction_name, load_topology,
                                  parse_topology,
                                  sum_pair_distances, topology_to_text)
 
+from witnesses import make_route, most_remote
+
 small_dims = st.lists(st.integers(2, 4), min_size=1, max_size=3)
 
 
 def bfs_row(t, a):
     """Hops from live node ``a`` to every node id, -1 where unreached: a
-    plain breadth-first search over ``Topology.neighbor``, the reference for
-    every distance query."""
+    plain breadth-first search over ``Topology.neighbor_table``, the
+    reference for every distance query."""
     row = [-1] * t.num_coords
     row[a] = 0
     frontier = [a]
@@ -30,8 +31,8 @@ def bfs_row(t, a):
         nxt = []
         for u in frontier:
             for d in range(t.ndirs):
-                v = t.neighbor(u, d)
-                if v is not None and row[v] < 0:
+                v = int(t.neighbor_table[u, d])
+                if v >= 0 and row[v] < 0:
                     row[v] = row[u] + 1
                     nxt.append(v)
         frontier = nxt
@@ -46,18 +47,18 @@ def test_desmos_node_count():
 def test_two_node_mesh_has_two_directed_links():
     t = make_torus([2])
     assert set(t.channels) == {(0, 0), (1, 1)}  # (0,+X) and (1,-X)
-    assert t.neighbor(0, 0) == 1
-    assert t.neighbor(1, 0) is None  # no wraparound duplicate
-    assert t.neighbor(1, 1) == 0
-    assert t.neighbor(0, 1) is None
+    assert t.neighbor_table[0, 0] == 1
+    assert t.neighbor_table[1, 0] == -1  # no wraparound duplicate
+    assert t.neighbor_table[1, 1] == 0
+    assert t.neighbor_table[0, 1] == -1
 
 
 def test_failed_link_symmetrized():
     t = make_torus([3, 3], failed_links=[((0, 0), 0)])
     u = t.node_id((0, 0))
     v = t.node_id((1, 0))
-    assert t.neighbor(u, 0) is None
-    assert t.neighbor(v, t.opposite(0)) is None
+    assert t.neighbor_table[u, 0] == -1
+    assert t.neighbor_table[v, t.opposite(0)] == -1
 
 
 def test_make_torus_errors():
@@ -81,9 +82,9 @@ def test_direction_order_and_opposite():
 
 def test_neighbor_wraparound_and_ring():
     t = make_torus([3, 3])
-    assert t.neighbor(t.node_id((2, 0)), 0) == t.node_id((0, 0))
+    assert t.neighbor_table[t.node_id((2, 0)), 0] == t.node_id((0, 0))
     r = make_torus([4])
-    assert r.neighbor(3, 0) == 0
+    assert r.neighbor_table[3, 0] == 0
 
 
 def test_walk_live_route():
@@ -114,9 +115,9 @@ def test_neighbor_inverse(dims, data):
     t = make_torus(dims)
     u = data.draw(st.sampled_from(t.live_nodes))
     d = data.draw(st.integers(0, t.ndirs - 1))
-    v = t.neighbor(u, d)
-    if v is not None:
-        assert t.neighbor(v, t.opposite(d)) == u
+    v = t.neighbor_table[u, d]
+    if v >= 0:
+        assert t.neighbor_table[v, t.opposite(d)] == u
 
 
 def test_distance_examples():
@@ -155,13 +156,13 @@ def test_out_of_range_node_ids_raise():
             with pytest.raises(TopologyError, match="out of range"):
                 t.distance(3, bad)
             with pytest.raises(TopologyError, match="out of range"):
-                most_remote(t, {bad, 1}, 0)
+                t.check_nodes((1, bad))
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 t.coords(bad)
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 t.coord_str(bad)
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
-                brute_force_routes(t, 3, bad, RuleConfig.plain(), 4)
+                brute_force_routes(t, 3, bad, RuleConfig(), 4)
             # checked at entry: a negative source never meets its begin
             # vertex in the tree read-back, and a negative destination
             # would index the last node's end vertex
@@ -178,10 +179,6 @@ def test_out_of_range_node_ids_raise():
             # a source row -1 would wrap to the last node's links
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 t.walk(bad, [0])
-            with pytest.raises(TopologyError, match=f"node id {bad} out"):
-                t.neighbor(bad, 0)
-            with pytest.raises(TopologyError, match=f"node id {bad} out"):
-                make_route(t, bad, None, [0], None)
             stray = Route(bad, 14, None, (0,), None, (15, 14))
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 route_channels(t, stray)
@@ -194,9 +191,26 @@ def test_out_of_range_node_ids_raise():
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 RoutingTable(t, {(0, 4): route, (0, bad): route})
         assert not loads.any()
+
+
+def test_failed_link_checks():
+    """``make_torus`` refuses a failed link whose direction index is out of
+    range (-1 would wrap to the last direction) or that runs off the end of
+    a mesh axis, and ``topology_to_text`` writes each failed cable once."""
     for d in (-1, 4, 9):
         with pytest.raises(TopologyError, match="direction index"):
-            make_torus([4, 4]).neighbor(0, d)
+            make_torus([4, 4], failed_links=[(0, d)])
+    for ref, d in (((1, 0), 0), ((0, 2), 2)):
+        with pytest.raises(TopologyError, match="does not exist"):
+            make_torus([2, 3], failed_links=[(ref, d)])
+    # -X from (0,1) wraps to (2,1); +Y from (2,0) is the mesh axis' cable
+    t = make_torus([3, 2], failed_links=[((0, 1), 2), ((2, 0), 1)])
+    assert len(t.failed_links) == 4
+    text = topology_to_text(t)
+    assert text == ("dims: 3 2\n"
+                    "fail-link: 0 1 -X\n"
+                    "fail-link: 2 0 +Y\n")
+    assert parse_topology(text).failed_links == t.failed_links
 
 
 def test_most_remote():

@@ -1,5 +1,6 @@
 """Independent witnesses of Theorem 1 (routing-graph paths are exactly the
-rule-legal routes), and per-route references that only the tests use.
+rule-legal routes), and per-route and per-node references that only the
+tests use.
 
 The library keeps shortest routing-graph paths as link chains and never
 decodes a vertex path; these helpers read the vertex layout of
@@ -16,14 +17,16 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Iterable
 
 import numpy as np
 
 from torusroute.algorithms import _hop_levels, _source_batches
-from torusroute.errors import UnroutablePairError
+from torusroute.errors import TopologyError, UnroutablePairError
 from torusroute.routes import Route
 from torusroute.routing_graph import (DUMMY_LINK, RoutingGraph, code_to_vec,
                                       vec_last_direction)
+from torusroute.topology import Topology
 
 
 class VKind(IntEnum):
@@ -138,6 +141,34 @@ def turn_count(r: Route) -> int:
     ``build_rt_sssp``, which counts turns in arrays."""
     steps = r.steps
     return sum(1 for a, b in zip(steps, steps[1:]) if a != b)
+
+
+def make_route(t: Topology, src: int, fs: int | None, body: Iterable[int],
+               ls: int | None) -> Route:
+    """Build a Route by walking the steps from src (no rule checking)."""
+    body = tuple(body)
+    steps = (() if fs is None else (fs,)) + body + (() if ls is None else (ls,))
+    if steps and src in t.failed_nodes:
+        raise TopologyError(f"node {src} does not exist")
+    nodes, channels = t.walk(src, steps)  # checks that src is a node id
+    if len(channels) < len(steps):
+        raise ValueError(f"step {t.dir_name(steps[len(channels)])} from "
+                         f"{t.coord_str(nodes[-1])} is dead")
+    return Route(src, nodes[-1], fs, body, ls, tuple(nodes))
+
+
+def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:
+    """Candidate farthest from ``from_``; ties go to the smallest node id.
+    One step of ``build_rt_bfs``'s source order, picked by a scan over
+    ``distance_row``: the reference for ``algorithms._source_order``."""
+    order = sorted(candidates)
+    if not order:
+        raise TopologyError("most_remote requires a nonempty candidate set")
+    t.check_nodes((order[0], order[-1]))
+    if t.failed_nodes.intersection(order):
+        raise TopologyError("distance between failed nodes is undefined")
+    row = t.distance_row(from_)
+    return max(order, key=row.__getitem__)  # max keeps the first of ties
 
 
 _IN_EDGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
