@@ -14,7 +14,6 @@ from .routes import (Route, RoutingTable, check_table, load_table,
                      parse_table, table_to_text, validate_route, write_table)
 from .routing_graph import (RoutingGraph, apply_augmentation,
                             build_routing_graph)
-from .topology import (Topology, load_topology, make_torus, parse_topology,
-                       topology_to_text)
+from .topology import Topology, load_topology, make_torus, parse_topology
 
 __version__ = "0.1.0"

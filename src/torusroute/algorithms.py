@@ -646,7 +646,7 @@ def build_rt_genetic(rg: RoutingGraph,
                        dtype=np.int64).astype(np.uint8)
     loads = np.array([np.bincount(counted[offsets + g].ravel(),
                                   minlength=width) for g in pop])
-    fits = deviation(loads[:, :-1], gp, 4)
+    fits = deviation(loads[:, :-1], gp)
     order = np.argsort(fits, kind="stable")
     pop, loads, fits = pop[order], loads[order], fits[order]
     history = [float(fits[0])]
@@ -682,7 +682,7 @@ def build_rt_genetic(rg: RoutingGraph,
             (kid[:, None] * width + counted[offsets[pair] + g[kid, pair]])
             .ravel(), minlength=pop_n * width) for g in (kids, base))
         kid_loads = loads[first] + (taken - dropped).reshape(pop_n, width)
-        kid_fits = deviation(kid_loads[:, :-1], gp, 4)
+        kid_fits = deviation(kid_loads[:, :-1], gp)
 
         order = np.argsort(np.concatenate([fits, kid_fits]),
                            kind="stable")[:pop_n]

@@ -12,23 +12,20 @@ class ParseError(ValueError):
 class UnroutablePairError(RuntimeError):
     """One or more node pairs cannot be routed under the routing rules."""
 
-    def __init__(self, pairs, message=None):
+    def __init__(self, pairs):
         self.pairs = list(pairs)
-        if message is None:
-            shown = ", ".join(f"{s}->{d}" for s, d in self.pairs[:8])
-            more = "" if len(self.pairs) <= 8 else f" (+{len(self.pairs) - 8} more)"
-            message = f"unroutable pairs: {shown}{more}"
-        super().__init__(message)
+        shown = ", ".join(f"{s}->{d}" for s, d in self.pairs[:8])
+        more = "" if len(self.pairs) <= 8 else f" (+{len(self.pairs) - 8} more)"
+        super().__init__(f"unroutable pairs: {shown}{more}")
 
 
 class DeadlockCycleError(RuntimeError):
     """A channel dependency cycle crossing a direction change was found."""
 
-    def __init__(self, cycle, message=None):
+    def __init__(self, cycle):
         self.cycle = list(cycle)
-        if message is None:
-            message = "dependency cycle: " + " -> ".join(str(c) for c in self.cycle)
-        super().__init__(message)
+        super().__init__("dependency cycle: "
+                         + " -> ".join(str(c) for c in self.cycle))
 
 
 class IntegrityError(RuntimeError):

@@ -19,7 +19,7 @@ class LoadReport:
     pi: int                    # max channel load
     min_load: int
     gamma_perfect: float
-    sigma: dict[int, float]    # {4: the k = 4 deviation}
+    sigma: dict[int, float]    # {4: σ₄}
     max_d: int
     loads: np.ndarray | None = None
 
@@ -44,9 +44,9 @@ def channel_loads(rt: RoutingTable) -> np.ndarray:
     return np.bincount(chan[chan >= 0], minlength=rt.topology.n_channels)
 
 
-def deviation(loads: np.ndarray, gamma_perfect: float,
-              k: int = 4) -> float | np.ndarray:
-    """k-th-power mean deviation of channel loads from the perfect load.
+def deviation(loads: np.ndarray, gamma_perfect: float) -> float | np.ndarray:
+    """σ₄, the fourth-power mean deviation of channel loads from the perfect
+    load.
 
     A float for one load vector; for a matrix, an array of one deviation
     per row, each bitwise equal to the float of that row alone.
@@ -54,13 +54,11 @@ def deviation(loads: np.ndarray, gamma_perfect: float,
     loads = np.asarray(loads, dtype=np.float64)
     if loads.size == 0:
         raise ValueError("deviation over an empty channel set")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    means = np.mean(np.abs(gamma_perfect - loads) ** k, axis=-1)
+    means = np.mean(np.abs(gamma_perfect - loads) ** 4, axis=-1)
     if loads.ndim == 1:
-        return float(means ** (1.0 / k))
+        return float(means ** 0.25)
     # the root one scalar at a time: an array power may round differently
-    return np.array([m ** (1.0 / k) for m in means])
+    return np.array([m ** 0.25 for m in means])
 
 
 def perfect_channel_load(t: Topology) -> float:
@@ -139,7 +137,7 @@ def _report(loads: np.ndarray, gamma_perfect: float, lengths: np.ndarray,
         pi=int(loads.max()) if loads.size else 0,
         min_load=int(loads.min()) if loads.size else 0,
         gamma_perfect=gamma_perfect,
-        sigma={4: deviation(loads, gamma_perfect, 4) if loads.size else 0.0},
+        sigma={4: deviation(loads, gamma_perfect) if loads.size else 0.0},
         max_d=int(lengths.max(initial=0)),
         loads=loads if include_loads else None,
     )

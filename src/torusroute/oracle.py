@@ -41,7 +41,7 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
     t._live(src)
     n = t.n
     nbr = t.neighbor_table
-    dist_to_dst = t.distance_row(dst)  # links are symmetric
+    dist_to_dst = t.distances[t._live(dst)].tolist()  # links are symmetric
     relaxed = rules.relaxed_turns
     found: set[tuple[int, ...]] = set()
 
@@ -124,7 +124,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
     same relaxed turns."""
     if len(t.live_nodes) > 64:
         raise ValueError("oracle equivalence is guarded to <= 64 nodes")
-    max_len = t.diameter() + MAX_EXTRA  # for pairs the graph cannot route
+    max_len = int(t.distances.max()) + MAX_EXTRA  # past the diameter
     dirs = np.array([d for _, d in t.channels], dtype=np.intp)
     report = EquivalenceReport()
     for src in t.live_nodes:

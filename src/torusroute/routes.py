@@ -4,10 +4,9 @@ A :class:`RoutingTable` holds one form, its :class:`Columns`: one row per
 route in sorted (src, dst) order, with ``src``, ``dst``, ``fs``, ``ls``, a
 padded ``steps`` matrix, a padded ``nodes`` matrix and ``length``. The
 generators encode their link chains into columns (:func:`encode_chains`),
-:func:`parse_table` fills them from text, a mapping of :class:`Route` objects
-is written into them, each route under its key's pair, and
-:func:`table_to_text` writes every table from them. A :class:`Route` is a
-row read back (:func:`route_rows`).
+:func:`parse_table` fills them from text, and :func:`table_to_text` writes
+every table from them. A :class:`Route` is a row read back
+(:func:`route_rows`).
 
 Text is read back a chunk of lines at a time, as bytes: each chunk is
 encoded to UTF-8 once and cut into tokens at its 0x20 bytes, and every token
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -371,29 +370,17 @@ def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
 class RoutingTable:
     """Exactly one route per ordered node pair, plus generation statistics.
 
-    The table holds only its :class:`Columns`. A ``routes`` mapping is
-    written into columns, each route under its key's pair, and not kept, so
-    a table reports alike whether it was built from a mapping, generated or
-    parsed from its own text. Its ``routes`` view is read back from the
-    columns when something asks for it.
+    The table holds only its :class:`Columns`, so a table reports alike
+    whether it was generated or parsed from its own text. Its ``routes``
+    view is read back from the columns when something asks for it.
     """
 
-    def __init__(self, topology: Topology,
-                 routes: Mapping[tuple[int, int], Route] | None = None,
-                 stats=None, *, columns: Columns | None = None):
+    def __init__(self, topology: Topology, columns: Columns, stats=None):
         self.topology = topology
+        self.columns = columns
         self.stats = stats
         self._routes = None
         self._walked = None
-        if columns is None:
-            keys = sorted(routes)
-            topology.check_nodes(chain.from_iterable(keys))
-            rs = [routes[key] for key in keys]
-            columns = _columns(
-                topology, [s for s, _ in keys], [d for _, d in keys],
-                [r.fs for r in rs], [r.body for r in rs], [r.ls for r in rs],
-                [r.node_seq for r in rs])
-        self.columns = columns
 
     def __len__(self):
         return len(self.columns.src)
@@ -578,8 +565,12 @@ def _parse_line(line: str, t: Topology):
         if d is not None:
             body.append(d)
         elif tok.startswith("FS"):
+            if fs is not None:
+                raise ParseError("more than one first step")
             fs = direction(tok[2:])
         elif tok.startswith("LS"):
+            if ls is not None:
+                raise ParseError("more than one last step")
             ls = direction(tok[2:])
         else:
             body.append(parse_direction(tok, t.n))
@@ -806,8 +797,9 @@ def parse_table(text: str, t: Topology) -> RoutingTable:
     its key picks (:class:`_Vocabulary`). A line in the written form is
     read from the codes. Any other line falls back to a per-line reader,
     which accepts forms like ``( 0,1)``, ``(+1,01)`` and U+2212 ``−X`` and
-    words every ParseError. A pair given twice is a ParseError that names
-    both lines.
+    words every ParseError; it takes a first or last step marker anywhere in
+    the step list, but refuses a second one. A pair given twice is a
+    ParseError that names both lines.
     """
     vocabulary = _Vocabulary.of(t)
     lines = text.splitlines()

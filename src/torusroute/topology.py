@@ -47,9 +47,8 @@ class Topology:
     (``"+X"``) with its inverse ``dir_of_name``, and ``coord_names[u]``
     (``"(x,y,z)"``, failed nodes included, built on first use) with its
     inverse ``node_of_name``. :attr:`distances` (built on first use) is the
-    single source of hop distance: :meth:`distance`, :meth:`distance_row`,
-    :meth:`diameter`, :meth:`is_connected` and :func:`sum_pair_distances`
-    read it.
+    single source of hop distance: :meth:`distance`, :meth:`is_connected`
+    and :func:`sum_pair_distances` read it, and other readers index it.
 
     Construct through :func:`make_torus`.
     """
@@ -194,13 +193,6 @@ class Topology:
         dist = int(self.distances[self._live(a), self._live(b)])
         return dist if dist >= 0 else None
 
-    def distance_row(self, a: int) -> list[int]:
-        """Hops from live node ``a`` to each node id; -1 where unreached."""
-        return self.distances[self._live(a)].tolist()
-
-    def diameter(self) -> int:
-        return int(self.distances.max(initial=0))
-
     def is_connected(self) -> bool:
         live = len(self.live_nodes)
         return live > 0 and np.count_nonzero(self.distances >= 0) == live ** 2
@@ -338,21 +330,6 @@ def parse_topology(text: str) -> Topology:
         return make_torus(dims, failed_nodes, failed_links)
     except TopologyError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def topology_to_text(t: Topology) -> str:
-    lines = ["dims: " + " ".join(str(d) for d in t.dims)]
-    for u in sorted(t.failed_nodes):
-        lines.append("fail-node: " + " ".join(str(c) for c in t.coords(u)))
-    torus = _torus_neighbors(t.dims)
-    skip = set()
-    for (u, d) in sorted(t.failed_links):
-        if (u, d) in skip:
-            continue
-        skip.add((int(torus[u, d]), t.opposite(d)))  # emit each cable once
-        lines.append("fail-link: " + " ".join(str(c) for c in t.coords(u))
-                     + " " + t.dir_name(d))
-    return "\n".join(lines) + "\n"
 
 
 def read_text(path) -> str:

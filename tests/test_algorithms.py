@@ -25,7 +25,7 @@ from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
 from witnesses import (_rg_chains, _variant_chains, make_route, most_remote,
-                       rg_reachable_pairs, turn_count)
+                       rg_reachable_pairs, table_of, turn_count)
 
 GENERATORS = {
     "bfs": build_rt_bfs,
@@ -238,8 +238,8 @@ def test_sssp_exact_routes_under_random_loads(desmos):
     loads = rng.integers(0, 50, size=t.n_channels).astype(np.int64)
     before = loads.copy()
     routes = build_sssp(rg, 0, list(t.live_nodes[1:]), loads)
-    text = table_to_text(RoutingTable(t, {(0, d): r
-                                          for d, r in routes.items()}))
+    text = table_to_text(table_of(t, {(0, d): r
+                                      for d, r in routes.items()}))
     assert len(routes) == len(t.live_nodes) - 1
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "40c56d3a1f7fb6018e2579d97e7cd8e62b713d70c4cb8133d177d2eda994420d")
@@ -728,7 +728,7 @@ def _per_individual_genetic(rg, params):
                            minlength=n_channels + 1)[:n_channels]
 
     def fitness(genes):
-        return deviation(loads_of(genes), gp, 4)
+        return deviation(loads_of(genes), gp)
 
     pop_n = params.population
     pop = rng.integers(0, counts, size=(pop_n, len(src)), dtype=np.int64)

@@ -6,13 +6,12 @@ import sys
 
 import pytest
 
-from torusroute import (RoutingGraph, RoutingTable, load_report, load_table,
-                        load_topology, make_torus, table_to_text,
-                        unique_route_stats)
+from torusroute import (RoutingGraph, load_report, load_table, load_topology,
+                        make_torus, table_to_text, unique_route_stats)
 from torusroute import algorithms, cli
 from torusroute.cli import main, prepare, run_sweep
 
-from witnesses import make_route
+from witnesses import make_route, table_of
 
 
 def write_topo(tmp_path, text, name="t.topo"):
@@ -345,6 +344,24 @@ def test_verify_rejects_a_pair_given_twice(tmp_path, capsys):
         f"on line {valid + 1}\n")
 
 
+def test_verify_refuses_two_first_steps(tmp_path, capsys):
+    topo = write_topo(tmp_path, "dims: 3 3\n")
+    out = tmp_path / "grid.table"
+    assert main(["generate", topo, "--algo", "bfs", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("(0,0) -> (1,1) :"))
+    lines[at] = "(0,0) -> (1,1) : FS+Y FS+X +Y | nodes: (0,0) (1,0) (1,1)"
+    twice = tmp_path / "twice.table"
+    twice.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", topo, str(twice)]) == 2
+    shown = capsys.readouterr()
+    assert shown.out == ""
+    assert shown.err == (
+        f"error: {twice}: line {at + 1}: more than one first step\n")
+
+
 def test_verify_reports_dead_channel_route_once(tmp_path, capsys):
     """A route from a failed node is a validity problem, not a deadlock.
 
@@ -405,7 +422,7 @@ def test_verify_report_golden(tmp_path, capsys, monkeypatch):
             r = make_route(t, s, r.fs, r.body[::-1], r.ls)
         routes[(s, d)] = r
     broken = tmp_path / "broken.table"
-    broken.write_text(table_to_text(RoutingTable(t, routes)))
+    broken.write_text(table_to_text(table_of(t, routes)))
     capsys.readouterr()
 
     def refuse(*args, **kwargs):

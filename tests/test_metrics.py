@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusroute import (RoutingTable, build_rt_bfs, build_rt_sssp,
-                        channel_loads, deviation, load_report, make_torus,
-                        pattern_loads, pattern_pairs, perfect_channel_load)
+from torusroute import (build_rt_bfs, build_rt_sssp, channel_loads, deviation,
+                        load_report, make_torus, pattern_loads, pattern_pairs,
+                        perfect_channel_load)
 from torusroute.errors import IntegrityError, TopologyError
 from torusroute.metrics import _transpose_node
 
 from conftest import prepared
-from witnesses import make_route
+from witnesses import make_route, table_of
 
 
 def test_two_node_loads():
@@ -29,7 +29,7 @@ def test_two_node_loads():
 def test_single_pair_load():
     t = make_torus([4])
     r = make_route(t, 0, None, [0], None)
-    table = RoutingTable(t, {(0, 1): r})
+    table = table_of(t, {(0, 1): r})
     loads = channel_loads(table)
     assert loads[t.channel_id[(0, 0)]] == 1
     assert loads.sum() == 1
@@ -51,8 +51,8 @@ def test_mesh22_minimum_pi_is_three(mesh22):
     best = 99
     keys = sorted(variants)
     for choice in itertools.product(*(range(len(variants[k])) for k in keys)):
-        table = RoutingTable(t, {k: variants[k][c]
-                                 for k, c in zip(keys, choice)})
+        table = table_of(t, {k: variants[k][c]
+                             for k, c in zip(keys, choice)})
         best = min(best, int(channel_loads(table).max()))
     assert best == 3
     for algo in (build_rt_bfs, build_rt_sssp):
@@ -60,26 +60,24 @@ def test_mesh22_minimum_pi_is_three(mesh22):
 
 
 def test_deviation_examples():
-    assert deviation(np.array([2, 2, 2, 2]), 2.0, 4) == 0.0
-    assert deviation(np.array([1, 3]), 2.0, 4) == 1.0
+    assert deviation(np.array([2, 2, 2, 2]), 2.0) == 0.0
+    assert deviation(np.array([1, 3]), 2.0) == 1.0
     with pytest.raises(ValueError):
-        deviation(np.array([]), 1.0, 4)
-    with pytest.raises(ValueError):
-        deviation(np.array([1.0]), 1.0, 0)
+        deviation(np.array([]), 1.0)
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=30),
-       st.integers(1, 6), st.randoms(use_true_random=False))
+       st.randoms(use_true_random=False))
 @settings(max_examples=50, deadline=None)
-def test_deviation_properties(loads, k, rnd):
+def test_deviation_properties(loads, rnd):
     """Uniform loads deviate by zero; deviation ignores channel order."""
     uniform = np.full(len(loads), float(loads[0]))
-    assert deviation(uniform, float(loads[0]), k) == 0.0
+    assert deviation(uniform, float(loads[0])) == 0.0
     loads = np.array(loads, dtype=float)
     gp = float(loads.mean())
     shuffled = loads.copy()
     rnd.shuffle(shuffled)
-    assert deviation(loads, gp, k) == pytest.approx(deviation(shuffled, gp, k))
+    assert deviation(loads, gp) == pytest.approx(deviation(shuffled, gp))
 
 
 @pytest.mark.parametrize("rows,channels", [(1, 1), (3, 7), (100, 16),
@@ -93,10 +91,9 @@ def test_deviation_rows_equal_single_calls(rows, channels):
     wide = rng.integers(0, 300, size=(rows, channels + 1))
     gp = float(rng.random() * 200)
     for loads in (wide[:, :-1], np.ascontiguousarray(wide[:, :-1])):
-        for k in (1, 2, 3, 4):
-            got = deviation(loads, gp, k)
-            assert got.shape == (rows,) and got.dtype == np.float64
-            assert got.tolist() == [deviation(row, gp, k) for row in loads]
+        got = deviation(loads, gp)
+        assert got.shape == (rows,) and got.dtype == np.float64
+        assert got.tolist() == [deviation(row, gp) for row in loads]
 
 
 def test_perfect_channel_load_examples():
@@ -176,7 +173,7 @@ def test_pattern_referencing_failed_node():
 
 def test_pattern_loads_names_a_missing_pair():
     t = make_torus([3])
-    table = RoutingTable(t, {(0, 1): make_route(t, 0, None, [0], None)})
+    table = table_of(t, {(0, 1): make_route(t, 0, None, [0], None)})
     with pytest.raises(KeyError) as err:
         pattern_loads(table, "neighbor")
     assert err.value.args == ("no route for pattern pair (0)->(2)",)
@@ -186,12 +183,12 @@ def test_load_integrity_failure():
     t, rg, g, added = prepared([3, 3])
     faulty = make_torus([3, 3], failed_links=[((0, 0), 0)])
     r = make_route(t, t.node_id((0, 0)), None, [0], None)
-    table = RoutingTable(faulty, {(r.src, r.dst): r})
+    table = table_of(faulty, {(r.src, r.dst): r})
     dead = r"route \(0,0\)->\(1,0\) crosses dead channel \(0,0\)\+X"
     with pytest.raises(IntegrityError, match=dead):
         channel_loads(table)
     # the tornado pattern on 3x3 holds the pair (0,0)->(1,0)
-    full = RoutingTable(faulty, build_rt_bfs(rg).routes)
+    full = table_of(faulty, build_rt_bfs(rg).routes)
     with pytest.raises(IntegrityError, match=dead):
         pattern_loads(full, "tornado")
     # a dead route outside the pattern is not the pattern's error: the pair

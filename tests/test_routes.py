@@ -1,6 +1,7 @@
 import ast
 import functools
 import hashlib
+import inspect
 from dataclasses import fields
 import math
 import pathlib
@@ -14,10 +15,9 @@ from hypothesis import strategies as st
 
 import torusroute.cdg
 import torusroute.routes
-from torusroute import (GeneticParams, Route, RoutingTable, build_rt_bfs,
-                        build_rt_genetic, build_rt_sssp, channel_loads,
-                        make_torus, parse_table, table_to_text,
-                        validate_route)
+from torusroute import (GeneticParams, Route, build_rt_bfs, build_rt_genetic,
+                        build_rt_sssp, channel_loads, make_torus, parse_table,
+                        table_to_text, validate_route)
 from torusroute.algorithms import _pair_stats
 from torusroute.cli import _used_turns, prepare, used_turn_cycle_check
 from torusroute.errors import (DisconnectedError, IntegrityError, ParseError,
@@ -26,7 +26,8 @@ from torusroute.routes import (_SPLITS, Columns, _violations, check_table,
                                encode_chains, route_channels)
 
 from conftest import prepared, small_faulted_systems
-from witnesses import decode_rg_path, make_route, route_to_rg_path
+from witnesses import (decode_rg_path, make_route, route_to_rg_path,
+                       table_of)
 
 
 def test_decode_single_body_step(grid33):
@@ -338,11 +339,11 @@ def test_table_line_format(mesh22):
     t, rg, g, added = mesh22
     u, v, w = t.node_id((0, 0)), t.node_id((0, 1)), t.node_id((1, 1))
     r = make_route(t, u, 1, [0], None)
-    table = RoutingTable(t, {(u, w): r})
+    table = table_of(t, {(u, w): r})
     assert table_to_text(table) == (
         "(0,0) -> (1,1) : FS+Y +X | nodes: (0,0) (0,1) (1,1)\n")
     empty = Route(u, u, None, (), None, (u,))
-    assert table_to_text(RoutingTable(t, {(u, w): r, (u, u): empty})) == (
+    assert table_to_text(table_of(t, {(u, w): r, (u, u): empty})) == (
         "(0,0) -> (0,0) :  | nodes: (0,0)\n"
         "(0,0) -> (1,1) : FS+Y +X | nodes: (0,0) (0,1) (1,1)\n")
 
@@ -457,7 +458,7 @@ def test_generated_tables_are_born_as_columns(key):
     channel_loads(table)
     assert table._routes is None
     assert_same_columns(table, parse_table(text, t))
-    assert table_to_text(RoutingTable(t, table.routes)) == text
+    assert table_to_text(table_of(t, table.routes)) == text
 
 
 def test_large_sssp_table_pinned():
@@ -585,6 +586,28 @@ def test_library_keeps_no_test_only_helpers():
                               if isinstance(node, ast.FunctionDef)}
 
 
+def test_library_objects_have_one_way_in():
+    """A table is built from columns only, topology text is only read, hop
+    distances are read from ``Topology.distances``, the deviation is σ₄ and
+    each error builds its message from its data alone: no module of the
+    package defines or calls ``topology_to_text``, ``distance_row`` or
+    ``diameter``, and no signature takes a second way in."""
+    banned = {"topology_to_text", "distance_row", "diameter"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in _defined_or_called(path):
+            assert name not in banned, (path.name, line, name)
+
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(torusroute.RoutingTable.__init__) == [
+        "self", "topology", "columns", "stats"]
+    assert "k" not in params(torusroute.deviation)
+    for error in (torusroute.UnroutablePairError,
+                  torusroute.DeadlockCycleError):
+        assert "message" not in params(error.__init__)
+
+
 def test_parse_table_lenient_forms():
     """Forms beyond the written one that the parser accepts, and a failed
     node's coordinates, which it leaves for ``check_table`` to report."""
@@ -629,6 +652,15 @@ def test_parse_table_errors():
         ("(0,0) -> (1,0) : +Q | nodes: (0,0) (1,0)\n",
          "line 1: bad direction '+Q' for 2 dimensions"),
         ("(0,0) -> (1,0) : +X\n", "line 1: missing node sequence"),
+        # one first step and one last step, in any place, but not two
+        (good + "(0,0) -> (1,1) : FS+Y FS+X +Y | nodes: (0,0) (1,0) (1,1)\n",
+         "line 2: more than one first step"),
+        ("(0,0) -> (1,1) : +X FS+Y FS+X | nodes: (0,0) (1,0) (1,1)\n",
+         "line 1: more than one first step"),
+        ("(1,1) -> (0,0) : -X LS-Y LS-Y | nodes: (1,1) (0,1) (0,0)\n",
+         "line 1: more than one last step"),
+        ("(1,1) -> (0,0) : LS-X -Y LS-Y | nodes: (1,1) (0,1) (0,0)\n",
+         "line 1: more than one last step"),
         ("(0,0) -> (1,0) : +X | nodes:\n",
          "line 1: bad direction '|' for 2 dimensions"),
         # a lone surrogate reaches the per-line reader, not the encoder
@@ -656,13 +688,13 @@ def test_check_table_classes(grid33):
     broken = dict(table.routes)
     key = sorted(broken)[0]
     del broken[key]
-    report = check_table(t, RoutingTable(t, broken), added)
+    report = check_table(t, table_of(t, broken), added)
     assert len(report["completeness"]) == 1
 
     detour = dict(table.routes)
     u, v = t.node_id((0, 0)), t.node_id((0, 2))
     detour[(u, v)] = make_route(t, u, None, [1, 1], None)  # 2 hops, minimal 1
-    report = check_table(t, RoutingTable(t, detour), added)
+    report = check_table(t, table_of(t, detour), added)
     assert report["minimality"]
 
 
@@ -942,7 +974,7 @@ def test_columnar_checks_match_per_route_reference(case, lenient):
     corrupted table, both parsed from text and built from Routes, equal the
     per-route loops and each other."""
     t, added, generated, routes = case
-    text = table_to_text(RoutingTable(t, routes))
+    text = table_to_text(table_of(t, routes))
     if lenient:  # one line through the per-line parser
         lines = text.splitlines()
         lines[len(lines) // 2] = "  " + lines[len(lines) // 2]
@@ -951,7 +983,7 @@ def test_columnar_checks_match_per_route_reference(case, lenient):
     want_ids = reference_link_ids(t, routes)
     want_turns = reference_used_turns(t, routes)
     walks = []
-    for table in (parse_table(text, t), RoutingTable(t, routes)):
+    for table in (parse_table(text, t), table_of(t, routes)):
         assert table.routes == as_written(routes)
         assert check_table(t, table, added) == want_report
         try:
@@ -982,7 +1014,7 @@ def test_check_table_misfiled_route(grid33):
     routes = dict(build_rt_bfs(rg).routes)
     u, v, w = t.node_id((0, 0)), t.node_id((0, 1)), t.node_id((1, 1))
     routes[(u, v)] = routes[(u, w)]
-    table = RoutingTable(t, routes)
+    table = table_of(t, routes)
     report = check_table(t, table, added)
     assert report == check_table(t, parse_table(table_to_text(table), t),
                                  added)
@@ -1001,7 +1033,7 @@ def test_check_table_minimal_route_that_reuses_a_dimension():
     r = make_route(t, u, None, (1, 2, 3), None)  # +Y -X -Y
     assert len(r) == t.distance(u, v) == 3
     routes = {(u, v): r}
-    report = check_table(t, RoutingTable(t, routes))
+    report = check_table(t, table_of(t, routes))
     assert report == reference_check_table(t, routes, ())
     assert report["validity"] == [
         "(1,0)->(0,0): body step 3 (-Y) reuses dimension 2 with the "

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusroute import (Route, RoutingTable, RuleConfig, brute_force_routes,
-                        build_bfs_routes, build_routing_graph, build_sssp,
+from torusroute import (Route, RuleConfig, brute_force_routes, build_bfs_routes,
+                        build_routing_graph, build_sssp,
                         enumerate_minimal_routes, make_torus, validate_route)
 from torusroute.errors import DisconnectedError, ParseError, TopologyError
 from torusroute.routes import route_channels
 from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
-                                 parse_topology,
-                                 sum_pair_distances, topology_to_text)
+                                 parse_topology, sum_pair_distances)
 
-from witnesses import make_route, most_remote
+from witnesses import most_remote, topology_to_text
 
 small_dims = st.lists(st.integers(2, 4), min_size=1, max_size=3)
 
@@ -150,8 +149,6 @@ def test_out_of_range_node_ids_raise():
         loads = np.zeros(t.n_channels, dtype=np.int64)
         for bad in (-1, t.num_coords):
             with pytest.raises(TopologyError, match="out of range"):
-                t.distance_row(bad)
-            with pytest.raises(TopologyError, match="out of range"):
                 t.distance(bad, 3)
             with pytest.raises(TopologyError, match="out of range"):
                 t.distance(3, bad)
@@ -184,12 +181,6 @@ def test_out_of_range_node_ids_raise():
                 route_channels(t, stray)
             with pytest.raises(TopologyError, match=f"node id {bad} out"):
                 validate_route(t, stray)
-            # a key of a route mapping, before it can index a pair
-            route = make_route(t, 0, None, [1], None)
-            with pytest.raises(TopologyError, match=f"node id {bad} out"):
-                RoutingTable(t, {(bad, 0): route})
-            with pytest.raises(TopologyError, match=f"node id {bad} out"):
-                RoutingTable(t, {(0, 4): route, (0, bad): route})
         assert not loads.any()
 
 
@@ -294,14 +285,10 @@ def check_distance_queries(t):
     for a in range(t.num_coords):
         if a in t.failed_nodes:
             with pytest.raises(TopologyError):
-                t.distance_row(a)
-            with pytest.raises(TopologyError):
                 t.distance(a, live[0])
             continue
-        assert t.distance_row(a) == rows[a]
         assert [t.distance(a, b) for b in live] == [
             None if rows[a][b] < 0 else rows[a][b] for b in live]
-    assert t.diameter() == max(max(r) for r in rows.values())
     cut = [(a, b) for a in live for b in live if rows[a][b] < 0]
     assert t.is_connected() == (not cut)
     if cut:
@@ -348,16 +335,13 @@ def test_name_tables_and_distance_rows(t, data):
     for d in range(t.ndirs):
         name = t.dir_name(d)
         assert t.dir_of_name[name] == parse_direction(name, t.n) == d
-    for u in t.failed_nodes:
-        with pytest.raises(TopologyError):
-            t.distance_row(u)
 
     def dist(a, b):
         d = t.distance(a, b)
         return -1 if d is None else d
 
     for a in t.live_nodes:
-        row = t.distance_row(a)
+        row = t.distances[a].tolist()
         assert [row[b] for b in t.live_nodes] == [
             dist(a, b) for b in t.live_nodes]
         assert row == bfs_row(t, a)

@@ -1,6 +1,6 @@
 """Independent witnesses of Theorem 1 (routing-graph paths are exactly the
-rule-legal routes), and per-route and per-node references that only the
-tests use.
+rule-legal routes), and per-route and per-node references and fixture
+writers that only the tests use.
 
 The library keeps shortest routing-graph paths as link chains and never
 decodes a vertex path; these helpers read the vertex layout of
@@ -17,16 +17,16 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from torusroute.algorithms import _hop_levels, _source_batches
 from torusroute.errors import TopologyError, UnroutablePairError
-from torusroute.routes import Route
+from torusroute.routes import Route, RoutingTable, _columns
 from torusroute.routing_graph import (DUMMY_LINK, RoutingGraph, code_to_vec,
                                       vec_last_direction)
-from torusroute.topology import Topology
+from torusroute.topology import Topology, _torus_neighbors
 
 
 class VKind(IntEnum):
@@ -160,15 +160,44 @@ def make_route(t: Topology, src: int, fs: int | None, body: Iterable[int],
 def most_remote(t: Topology, candidates: Iterable[int], from_: int) -> int:
     """Candidate farthest from ``from_``; ties go to the smallest node id.
     One step of ``build_rt_bfs``'s source order, picked by a scan over
-    ``distance_row``: the reference for ``algorithms._source_order``."""
+    ``from_``'s row of ``distances``: the reference for
+    ``algorithms._source_order``."""
     order = sorted(candidates)
     if not order:
         raise TopologyError("most_remote requires a nonempty candidate set")
     t.check_nodes((order[0], order[-1]))
     if t.failed_nodes.intersection(order):
         raise TopologyError("distance between failed nodes is undefined")
-    row = t.distance_row(from_)
+    row = t.distances[t._live(from_)].tolist()
     return max(order, key=row.__getitem__)  # max keeps the first of ties
+
+
+def table_of(t: Topology, routes: Mapping[tuple[int, int], Route]
+             ) -> RoutingTable:
+    """A table of ``routes``, each Route written into the columns under its
+    key's pair, in sorted pair order."""
+    keys = sorted(routes)
+    rs = [routes[key] for key in keys]
+    return RoutingTable(t, _columns(
+        t, [s for s, _ in keys], [d for _, d in keys], [r.fs for r in rs],
+        [r.body for r in rs], [r.ls for r in rs], [r.node_seq for r in rs]))
+
+
+def topology_to_text(t: Topology) -> str:
+    """The topology file text of ``t``: its dims, then each failed node and
+    each failed cable once, in id order."""
+    lines = ["dims: " + " ".join(str(d) for d in t.dims)]
+    for u in sorted(t.failed_nodes):
+        lines.append("fail-node: " + " ".join(str(c) for c in t.coords(u)))
+    torus = _torus_neighbors(t.dims)
+    skip = set()
+    for (u, d) in sorted(t.failed_links):
+        if (u, d) in skip:
+            continue
+        skip.add((int(torus[u, d]), t.opposite(d)))  # emit each cable once
+        lines.append("fail-link: " + " ".join(str(c) for c in t.coords(u))
+                     + " " + t.dir_name(d))
+    return "\n".join(lines) + "\n"
 
 
 _IN_EDGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
