@@ -21,7 +21,7 @@ from .errors import (DeadlockCycleError, DisconnectedError, ParseError,
                      TopologyError, UnroutablePairError)
 from .metrics import PATTERNS, load_report, pattern_loads, pattern_pairs
 from .routes import check_table, load_table, write_table
-from .routing_graph import apply_augmentation, build_routing_graph
+from .routing_graph import RoutingGraph
 from .topology import Topology, load_topology, make_torus
 
 EXIT_OK = 0
@@ -36,10 +36,7 @@ DEFAULT_NODE_CEILING = 512
 def prepare(t: Topology):
     """(augmented routing graph, augmented dependency graph, added turns)."""
     g, added = augment_cdg(build_cdg(t))  # works out the used sets first
-    rg = build_routing_graph(t)
-    if added:
-        rg = apply_augmentation(rg, added)
-    return rg, g, added
+    return RoutingGraph(t, added), g, added
 
 
 def generate_table(rg, algo: str, params: GeneticParams | None = None):

@@ -553,7 +553,8 @@ def _parse_line(line: str, t: Topology):
         d = dir_of.get(token)
         return parse_direction(token, t.n) if d is None else d
 
-    head, _, nodes_part = line.partition(" | nodes: ")
+    # an empty node list leaves the stripped line ending in "| nodes:"
+    head, _, nodes_part = f"{line} ".partition(" | nodes: ")
     pair_part, _, steps_part = head.partition(" : ")
     src_s, _, dst_s = pair_part.partition(" -> ")
     src = _parse_coord(src_s, t)

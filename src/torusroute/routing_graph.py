@@ -8,11 +8,11 @@ for each negative direction (arrived via a non-standard last step d), and END
 (ejection). Per node that is 3^n + 2n + 1 vertices.
 
 The rules fix a block's edges from the dimension count alone: one template,
-:func:`_block_edges`, lists them as (tail, direction, head) offsets, and the
+:func:`_template`, lists them as (tail, direction, head) offsets, and the
 topology only wires it, by the neighbour each direction reaches from a live
 node. Baseline edges keep the global direction order and never step into the
 immediate opposite of the previous direction; order-violating first/last-step
-turns enter only through :func:`apply_augmentation`, fed by the channel
+turns enter only through the constructor's ``relaxed``, fed by the channel
 dependency graph analysis.
 """
 
@@ -48,50 +48,78 @@ def vec_last_direction(vec: Sequence[int], n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _last_directions(n: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    """(per DIRBIT code ascending, its last direction; per direction d, the
-    block offsets of the DIRBIT vertices whose last direction is d, codes
-    ascending), shared read-only by every graph of n dimensions. The
-    template reads the first, and the last-step turns of
-    :func:`apply_augmentation` leave the vertices of the second."""
-    zero = (3 ** n - 1) // 2
-    last = tuple(vec_last_direction(code_to_vec(c, n), n)
-                 for c in range(3 ** n) if c != zero)
-    by_last = tuple(1 + np.flatnonzero(np.array(last) == d)
-                    for d in range(2 * n))
-    for offsets in by_last:
-        offsets.flags.writeable = False
-    return last, by_last
+def _template(n: int) -> tuple[np.ndarray, tuple[int, ...],
+                               tuple[np.ndarray, ...]]:
+    """The block layout that every graph of n dimensions reads, as offsets
+    (vertex ids at node 0), read-only:
+
+    - one node's baseline edges as rows (tail, direction or -1 for
+      ejection, head), tails ascending: BEGIN, DIRBIT codes ascending, FS, LS;
+    - per direction, the DIRBIT vertex that holds it alone;
+    - per direction d, the DIRBIT vertices whose last direction is d, codes
+      ascending.
+    """
+    zero, fs = (3 ** n - 1) // 2, 3 ** n  # FS(d) and LS(d) sit at fs + d
+    end = fs + 2 * n
+
+    def dirbit(code: int) -> int:
+        return code + (code < zero)
+
+    # a sign vector's DIRBIT code is sum (s_j + 1) * 3^j, so taking direction
+    # d (sign s in dimension j = d % n) in a dimension of zero sign adds
+    # step[d] = s * 3^j to the code
+    step = [3 ** (d % n) if d < n else -3 ** (d % n) for d in range(2 * n)]
+    single = tuple(dirbit(zero + s) for s in step)
+
+    # BEGIN: single-direction steps, positive non-standard first steps, eject
+    rows = [(0, d, single[d]) for d in range(2 * n)]
+    rows += [(0, d, fs + d) for d in range(n)]
+    rows.append((0, -1, end))
+
+    # DIRBIT vertices: repeat the last direction, or take a later one in an
+    # unused dimension (direction-bit rule), or leave by a negative last step
+    by_last: list[list[int]] = [[] for _ in range(2 * n)]
+    for c in range(3 ** n):
+        if c == zero:
+            continue
+        vec = code_to_vec(c, n)
+        last, src = vec_last_direction(vec, n), dirbit(c)
+        by_last[last].append(src)
+        rows.append((src, last, src))
+        rows += [(src, k, dirbit(c + step[k]))
+                 for k in range(last + 1, 2 * n) if vec[k % n] == 0]
+        opp_last = (last + n) % (2 * n)
+        rows += [(src, k, fs + k)
+                 for k in range(max(n, last + 1), 2 * n) if k != opp_last]
+        rows.append((src, -1, end))
+
+    # FS vertices: continue with a strictly later, non-opposite direction
+    for l in range(n):
+        rows += [(fs + l, k, single[k])
+                 for k in range(l + 1, 2 * n) if k != l + n]
+        rows.append((fs + l, -1, end))
+
+    # LS vertices only eject
+    rows += [(fs + k, -1, end) for k in range(n, 2 * n)]
+    arrays = (np.array(rows, dtype=np.int64), *map(np.array, by_last))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0], single, arrays[1:]
 
 
 class RoutingGraph:
     """CSR adjacency over the per-node vertex blocks of a topology."""
 
-    def __init__(self, topology: Topology, edges=None, relaxed=frozenset()):
-        """``edges`` holds rows (tail, head, link, aug), as an array or a
-        list of 4-tuples, in any order; it defaults to the topology's
-        baseline edges. Edge ids follow the tail, ties keep the row order.
-        ``relaxed`` holds the dependency-graph turns the edges relax."""
+    def __init__(self, topology: Topology, relaxed=()):
+        """The block template at every live node and the dependency-graph
+        turns of ``relaxed`` (see :func:`_relaxed_edges`), in sorted order.
+        Edge ids follow the tail, ties keep that order."""
         self.topology = t = topology
-        n = t.n
-        self.block = 3 ** n + 2 * n + 1
+        self.block = 3 ** t.n + 2 * t.n + 1
         self.n_vertices = t.num_coords * self.block
-        # a sign vector's DIRBIT code is sum (s_j + 1) * 3^j, so taking
-        # direction d (sign s in dimension j = d % n) in a dimension of zero
-        # sign adds code_step[d] = s * 3^j to the code
-        zero = (3 ** n - 1) // 2
-        self.codes = [c for c in range(3 ** n) if c != zero]
-        self._code_offset = {c: i for i, c in enumerate(self.codes)}
-        self.code_step = [3 ** (d % n) if d < n else -3 ** (d % n)
-                          for d in range(2 * n)]
-        # code of the sign vector holding only direction d
-        self.single_codes = [zero + step for step in self.code_step]
-        self.code_last, self.dirbit_by_last = _last_directions(n)
         self.relaxed = frozenset(relaxed)
-        if edges is None:
-            edges = _build_edges(self)
-
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 4)
+        edges = np.concatenate([_build_edges(self),
+                                _relaxed_edges(self, sorted(self.relaxed))])
         edges = edges[np.argsort(edges[:, 0], kind="stable")]
         self.edge_tail = edges[:, 0].astype(np.int32)
         self.edge_head = edges[:, 1].astype(np.int32)
@@ -118,14 +146,13 @@ class RoutingGraph:
         return node * self.block
 
     def dirbit_vid(self, node: int, code: int) -> int:
-        return node * self.block + 1 + self._code_offset[code]
+        zero = (3 ** self.topology.n - 1) // 2  # the code no vertex holds
+        return node * self.block + code + (code < zero)
 
     def fs_vid(self, node: int, d: int) -> int:
-        return node * self.block + 1 + len(self.codes) + d
+        return node * self.block + 3 ** self.topology.n + d
 
-    def ls_vid(self, node: int, d: int) -> int:
-        n = self.topology.n
-        return node * self.block + 1 + len(self.codes) + n + (d - n)
+    ls_vid = fs_vid  # FS(d) and LS(d) share an offset: d says which
 
     def end_vid(self, node: int) -> int:
         return (node + 1) * self.block - 1
@@ -167,51 +194,11 @@ class RoutingGraph:
         return indptr, tail.astype(np.intp), link
 
 
-def _block_edges(rg: RoutingGraph) -> np.ndarray:
-    """One node's baseline edges as rows (tail offset, direction or -1 for
-    ejection, head offset), in tail-offset order: BEGIN, DIRBIT codes
-    ascending, FS, LS. The offsets are the vertex ids at node 0."""
-    n = rg.topology.n
-    single = rg.single_codes
-    end = rg.end_vid(0)
-    rows: list[tuple[int, int, int]] = []
-
-    # BEGIN: single-direction steps, positive non-standard first steps, eject
-    begin = rg.begin_vid(0)
-    rows += [(begin, d, rg.dirbit_vid(0, single[d])) for d in range(2 * n)]
-    rows += [(begin, d, rg.fs_vid(0, d)) for d in range(n)]
-    rows.append((begin, -1, end))
-
-    # DIRBIT vertices: repeat the last direction, or take a later one in an
-    # unused dimension (direction-bit rule), or leave by a negative last step
-    for c, last in zip(rg.codes, rg.code_last):
-        vec = code_to_vec(c, n)
-        src = rg.dirbit_vid(0, c)
-        rows.append((src, last, src))
-        rows += [(src, k, rg.dirbit_vid(0, c + rg.code_step[k]))
-                 for k in range(last + 1, 2 * n) if vec[k % n] == 0]
-        opp_last = (last + n) % (2 * n)
-        rows += [(src, k, rg.ls_vid(0, k))
-                 for k in range(max(n, last + 1), 2 * n) if k != opp_last]
-        rows.append((src, -1, end))
-
-    # FS vertices: continue with a strictly later, non-opposite direction
-    for l in range(n):
-        src = rg.fs_vid(0, l)
-        rows += [(src, k, rg.dirbit_vid(0, single[k]))
-                 for k in range(l + 1, 2 * n) if k != l + n]
-        rows.append((src, -1, end))
-
-    # LS vertices only eject
-    rows += [(rg.ls_vid(0, k), -1, end) for k in range(n, 2 * n)]
-    return np.array(rows, dtype=np.int64)
-
-
 def _build_edges(rg: RoutingGraph) -> np.ndarray:
     """Baseline edge rows (tail, head, link, aug) in tail order: the block
     template at every live node, without the steps whose link is absent."""
     t = rg.topology
-    tail, k, head = _block_edges(rg).T
+    tail, k, head = _template(t.n)[0].T
     live = np.array(t.live_nodes, dtype=np.int64)[:, None]
     eject = k < 0  # an ejection row indexes the last direction, then drops it
     head_node = np.where(eject, live, t.neighbor_table[live, k])
@@ -230,15 +217,21 @@ def build_routing_graph(t: Topology) -> RoutingGraph:
 def apply_augmentation(rg: RoutingGraph,
                        added: Iterable[tuple[tuple[int, int], tuple[int, int]]]
                        ) -> RoutingGraph:
-    """New routing graph with the relaxed turns of ``added`` wired in.
+    """The routing graph of ``rg``'s topology with the relaxed turns of
+    ``rg`` and of ``added``: a turn already wired in is wired once."""
+    return RoutingGraph(rg.topology, rg.relaxed | frozenset(added))
 
-    Each added dependency-graph edge [(u_i, D_i), (u_j, D_j)] has D_i > D_j
-    and u_j = u_i + D_i. A positive D_i becomes a first-step turn
+
+def _relaxed_edges(rg: RoutingGraph, turns) -> np.ndarray:
+    """Edge rows (tail, head, link, aug) of the relaxed ``turns``, in order.
+
+    Each dependency-graph edge [(u_i, D_i), (u_j, D_j)] has D_i > D_j and
+    u_j = u_i + D_i. A positive D_i becomes a first-step turn
     FS(D_i)@u_j -> DIRBIT(D_j); a negative D_i with negative D_j becomes a
     last-step turn DIRBIT(last=D_i)@u_j -> LS(D_j). Anything else is rejected.
     """
     t = rg.topology
-    added = list(added)
+    _, single, by_last = _template(t.n)
 
     def reject(edge, why: str) -> ValueError:
         (ui, di), (uj, dj) = edge
@@ -247,7 +240,7 @@ def apply_augmentation(rg: RoutingGraph,
                           f"{t.dir_name(dj)})] {why}")
 
     tails, heads, links = [], [], []  # per turn: its tails, head and link
-    for edge in added:
+    for edge in turns:
         (ui, di), (uj, dj) = edge
         if di <= dj:
             raise reject(edge, "does not violate the direction order")
@@ -259,9 +252,9 @@ def apply_augmentation(rg: RoutingGraph,
         uk = nodes[2]
         if di < t.n:  # usable as a first positive step
             tails.append([rg.fs_vid(uj, di)])
-            heads.append(rg.dirbit_vid(uk, rg.single_codes[dj]))
+            heads.append(uk * rg.block + single[dj])
         elif dj >= t.n:  # usable as a last negative step
-            tails.append(uj * rg.block + rg.dirbit_by_last[di])
+            tails.append(uj * rg.block + by_last[di])
             heads.append(rg.ls_vid(uk, dj))
         else:
             raise reject(edge, "matches neither a first-step nor a "
@@ -269,10 +262,6 @@ def apply_augmentation(rg: RoutingGraph,
         links.append(channels[1])
 
     counts = [len(x) for x in tails]
-    extra = np.stack([np.concatenate([[], *tails]), np.repeat(heads, counts),
-                      np.repeat(links, counts), np.ones(sum(counts))],
-                     axis=1).astype(np.int64)
-    base = np.stack([rg.edge_tail, rg.edge_head, rg.edge_link, rg.edge_aug],
-                    axis=1)
-    return RoutingGraph(t, np.concatenate([base, extra]),
-                        rg.relaxed | frozenset(added))
+    return np.stack([np.concatenate([[], *tails]), np.repeat(heads, counts),
+                     np.repeat(links, counts), np.ones(sum(counts))],
+                    axis=1).astype(np.int64)

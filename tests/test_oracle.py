@@ -7,7 +7,6 @@ from torusroute.oracle import min_routes
 from torusroute.routing_graph import RoutingGraph
 
 from conftest import prepared
-from witnesses import vertex_info
 
 
 def test_two_node_single_route():
@@ -83,15 +82,17 @@ def test_equivalence_pinned_faulted_augmented():
     assert (rep.pairs_checked, rep.mismatches) == (930, [])
 
 
-def test_mutation_detected(grid33):
-    """Deleting a rule family from the routing graph must surface."""
-    t, rg, g, added = grid33
-    keep = [i for i in range(rg.n_edges)
-            if vertex_info(rg, int(rg.edge_tail[i])).kind.name != "BEGIN"
-            or vertex_info(rg, int(rg.edge_head[i])).kind.name != "DIRBIT"]
-    hacked = RoutingGraph(t, [
-        (int(rg.edge_tail[i]), int(rg.edge_head[i]), int(rg.edge_link[i]),
-         bool(rg.edge_aug[i])) for i in keep])
+def test_mutation_detected(monkeypatch):
+    """Deleting a rule family from the routing graph must surface: a block
+    template without its BEGIN -> DIRBIT rows."""
+    import torusroute.routing_graph as rg_mod
+
+    rows, single, by_last = rg_mod._template(2)
+    keep = ~((rows[:, 0] == 0) & (rows[:, 2] < 3 ** 2))
+    monkeypatch.setattr(rg_mod, "_template",
+                        lambda n: (rows[keep], single, by_last))
+    t = make_torus([3, 3])
+    hacked = RoutingGraph(t)
     rep = oracle_equivalence(t, RuleConfig(), rg=hacked)
     assert rep.mismatches
 

@@ -14,7 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torusroute.cdg
+import torusroute.cli
 import torusroute.routes
+import torusroute.routing_graph
 from torusroute import (GeneticParams, Route, build_rt_bfs, build_rt_genetic,
                         build_rt_sssp, channel_loads, make_torus, parse_table,
                         table_to_text, validate_route)
@@ -608,6 +610,38 @@ def test_library_objects_have_one_way_in():
         assert "message" not in params(error.__init__)
 
 
+def test_routing_graph_is_built_once(monkeypatch):
+    """A routing graph depends on its topology and its relaxed turns alone,
+    and reads one block template per dimension count:
+    ``RoutingGraph.__init__`` takes exactly ``topology, relaxed``,
+    ``prepare`` builds one graph, no module defines or calls
+    ``_block_edges`` or ``_last_directions``, and a graph keeps no layout
+    table of its own."""
+    banned = {"_block_edges", "_last_directions"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in _defined_or_called(path):
+            assert name not in banned, (path.name, line, name)
+
+    graph = torusroute.routing_graph.RoutingGraph
+    assert list(inspect.signature(graph.__init__).parameters) == [
+        "self", "topology", "relaxed"]
+    built = []
+
+    class Counted(graph):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(torusroute.routing_graph, "RoutingGraph", Counted)
+    monkeypatch.setattr(torusroute.cli, "RoutingGraph", Counted,
+                        raising=False)
+    rg, g, added = prepare(make_torus([2, 2]))
+    assert added and len(built) == 1 and rg.relaxed == frozenset(added)
+    for name in ("codes", "_code_offset", "code_step", "single_codes",
+                 "code_last", "dirbit_by_last"):
+        assert not hasattr(rg, name), name
+
+
 def test_parse_table_lenient_forms():
     """Forms beyond the written one that the parser accepts, and a failed
     node's coordinates, which it leaves for ``check_table`` to report."""
@@ -661,7 +695,9 @@ def test_parse_table_errors():
          "line 1: more than one last step"),
         ("(1,1) -> (0,0) : LS-X -Y LS-Y | nodes: (1,1) (0,1) (0,0)\n",
          "line 1: more than one last step"),
-        ("(0,0) -> (1,0) : +X | nodes:\n",
+        ("(0,0) -> (1,0) : +X | nodes:\n", "line 1: missing node sequence"),
+        ("(0,0) -> (1,0) : +X | nodes: \n", "line 1: missing node sequence"),
+        ("(0,0) -> (1,0) : +X | nodes:(0,0) (1,0)\n",
          "line 1: bad direction '|' for 2 dimensions"),
         # a lone surrogate reaches the per-line reader, not the encoder
         (good + "(0,1) -> (1,1) : +X | nodes: (0,1) (1,1)\ud800\n",

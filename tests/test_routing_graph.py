@@ -317,3 +317,10 @@ def test_edge_order_pinned(key):
     rg, g, added = prepare(t)
     assert len(added) == n_added
     assert _edge_order_digest(rg) == (augmented or base)
+    # the baseline graph with the added turns wired in is prepare's graph,
+    # and wiring the same turns in again changes nothing
+    once = apply_augmentation(build_routing_graph(t), added)
+    twice = apply_augmentation(once, added)
+    assert once.relaxed == twice.relaxed == frozenset(added)
+    assert _edge_order_digest(once) == _edge_order_digest(twice) == (
+        augmented or base)

@@ -51,16 +51,14 @@ def vertex_info(rg: RoutingGraph, vid: int) -> RGVertexInfo:
     node, off = divmod(vid, rg.block)
     if off == 0:
         return RGVertexInfo(node, VKind.BEGIN)
-    off -= 1
-    if off < len(rg.codes):
-        return RGVertexInfo(node, VKind.DIRBIT,
-                            vec=code_to_vec(rg.codes[off], n))
-    off -= len(rg.codes)
+    if off < 3 ** n:  # DIRBIT codes ascending, the zero vector's left out
+        code = off - (off <= (3 ** n - 1) // 2)
+        return RGVertexInfo(node, VKind.DIRBIT, vec=code_to_vec(code, n))
+    off -= 3 ** n
     if off < n:
         return RGVertexInfo(node, VKind.FS, direction=off)
-    off -= n
-    if off < n:
-        return RGVertexInfo(node, VKind.LS, direction=n + off)
+    if off < 2 * n:
+        return RGVertexInfo(node, VKind.LS, direction=off)
     return RGVertexInfo(node, VKind.END)
 
 
