@@ -51,6 +51,18 @@ by another, ``_path_chains``: the paths that ``build_sssp`` and stage 2
 choose from, the capped variants of the genetic search and of
 ``enumerate_minimal_routes``, and the routes that
 ``oracle.oracle_equivalence`` holds against the rules.
+
+Stage 1 of ``build_rt_sssp`` and the hop levels of ``build_rt_bfs`` search
+once per translation orbit (``_orbits``). On a topology with no failed node
+or link and no relaxed turn, shifting the whole system along its wrap-around
+axes (size 3 or more) maps the routing graph onto itself: every in-edge of a
+vertex leaves one node (``RoutingGraph.in_link``), so edge-id order among a
+vertex's in-edges is the order of their tails' offsets in that node's block,
+which a shift keeps. Hop levels, path counts and least-edge-id parent trees,
+and so canonical chains, their encodings and uniqueness, are then the
+shifted copies of the orbit's representative's. Everywhere else every node
+is its own orbit. ``bfs``'s ledger-driven tree picks and stage 2 stay per
+source.
 """
 
 from __future__ import annotations
@@ -110,7 +122,8 @@ class GenerationStats:
 # (rows x n_vertices) cells of one source-batched level search: bounds the
 # flat per-vertex arrays of a batch, whatever the topology's size
 _BATCH_CELLS = 1 << 17
-# pairs per batch of ``_path_chains``: bounds the walk's per-path arrays
+# pairs per batch of ``_path_chains`` and of ``_pair_stats``' shifted rows:
+# bounds their per-pair arrays
 _PATH_BATCH = 2048
 
 
@@ -211,6 +224,44 @@ def _source_batches(rg: RoutingGraph, sources):
     ``_BATCH_CELLS`` cells each (one source at the least)."""
     step = max(1, _BATCH_CELLS // rg.n_vertices)
     return [sources[i:i + step] for i in range(0, len(sources), step)]
+
+
+def _orbit_axes(rg: RoutingGraph) -> np.ndarray:
+    """Per axis, whether a shift along it maps the routing graph onto
+    itself: a wrap-around axis (size 3 or more) of a topology with no failed
+    node or link and no relaxed turn. A mesh axis (size 2) never shifts."""
+    t = rg.topology
+    symmetric = not (t.failed_nodes or t.failed_links or rg.relaxed)
+    return np.array([symmetric and size >= 3 for size in t.dims])
+
+
+def _orbits(rg: RoutingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(representative, shift, unshift) of every node id.
+
+    A node's representative is the node with its coordinates on the
+    shifting axes (``_orbit_axes``) set to 0, and the shift that takes the
+    representative to the node maps the routing graph onto itself, so every
+    search from the one is the other's, shifted. Node u as seen from source
+    s is node ``shift[s, u]`` as seen from s's representative, and
+    ``unshift[s]`` is the inverse of ``shift[s]``. Where no axis shifts,
+    every node is its own representative and both tables are the identity,
+    read-only views of one row.
+    """
+    t = rg.topology
+    size = t.num_coords
+    coords = np.indices(t.dims).reshape(t.n, size)
+    strides = np.cumprod((1,) + t.dims[:0:-1])[::-1]
+    moves = _orbit_axes(rg)
+    rep = strides @ np.where(moves[:, None], 0, coords)
+
+    def frame(sign: int) -> np.ndarray:
+        # the axes that do not shift keep u's coordinates, as rep[u] does
+        table = np.broadcast_to(rep, (size, size))
+        for a in np.flatnonzero(moves):
+            table = table + ((coords[a] + sign * coords[a, :, None])
+                             % t.dims[a] * strides[a])
+        return table
+    return rep, frame(-1), frame(1)
 
 
 def _check_reached(t, src: np.ndarray, dst: np.ndarray,
@@ -337,15 +388,30 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
 
     Neither the source order nor the hop levels depend on the ledger, so one
     level search serves a batch of sources in that order
-    (``_source_batches``); each source's tree is then picked against the
-    ledger its predecessors left (``_bfs_chains``).
+    (``_source_batches``), and it searches only the representatives
+    (``_orbits``) that the batch's sources need and no earlier batch
+    searched; a source reads its representative's levels through its shift,
+    and a representative's levels are dropped after its last source. Each
+    source's tree is then picked against the ledger its predecessors left
+    (``_bfs_chains``).
     """
     t = rg.topology
+    rep, shift, _ = _orbits(rg)
+    order = _source_order(t)
+    last = {int(rep[s]): s for s in order}  # each representative's last
+    levels = {}  # the hop levels of the representatives still needed
     loads = np.zeros(t.n_channels + 1, dtype=np.int64)  # DUMMY_LINK's 0 last
     chains = {}
-    for part in _source_batches(rg, _source_order(t)):
-        for source, level in zip(part, _hop_levels(rg, part)):
-            chains[source] = _bfs_chains(rg, source, level, loads)
+    for part in _source_batches(rg, order):
+        need = [r for r in dict.fromkeys(rep[part].tolist())
+                if r not in levels]
+        levels.update(zip(need, _hop_levels(rg, need)))
+        for source in part:
+            r = int(rep[source])
+            level = levels.pop(r) if last[r] == source else levels[r]
+            level = level.reshape(t.num_coords, rg.block)[shift[source]]
+            chains[source] = _bfs_chains(rg, source, level.reshape(-1),
+                                         loads)
     src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)  # pair order
     cols = encode_chains(t, src, _stack([chains[s] for s in t.live_nodes]),
                          rg.relaxed)[0]
@@ -379,19 +445,24 @@ def _pair_stats(rg: RoutingGraph):
     failed; columns of every pair's canonical route in pair order; unique
     mask; their link chains padded with -1).
 
-    One level search serves a batch of sources (``_source_batches``), and
-    one array walk reads every pair's canonical chain off the batch's
+    Only the representatives (``_orbits``) are searched, read back and
+    encoded. One level search serves a batch of them (``_source_batches``),
+    and one array walk reads every pair's canonical chain off the batch's
     least-edge-id parent trees (``_tree_chains``). A pair's minimal route is
     unique exactly when its shortest routing-graph paths are as many as the
     canonical chain's legal splits, since a second physical route would add
-    splits of its own.
+    splits of its own. Every other source reads its levels, and each of its
+    pairs its row, from its representative through its shift; the row's
+    nodes and links are shifted back.
     """
     t = rg.topology
     nodes = np.array(t.live_nodes, dtype=np.int64)
     ends = rg.end_vid(nodes)
+    rep, shift, unshift = _orbits(rg)
+    reps = np.unique(rep[nodes])
     levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int8)
     chains, paths = [], [np.zeros(0, np.int64)]
-    for part in _source_batches(rg, nodes):
+    for part in _source_batches(rg, reps):
         dist, counts, parent_edge = _bfs_count(rg, part)
         deepest = int(dist.max(initial=0))
         chains.append(_tree_chains(rg, part, parent_edge, deepest))
@@ -399,10 +470,31 @@ def _pair_stats(rg: RoutingGraph):
         if deepest > np.iinfo(levels.dtype).max:
             levels = levels.astype(np.min_scalar_type(-1 - deepest))
         levels[part] = dist
+    grid = levels.reshape(t.num_coords, t.num_coords, rg.block)
+    for s in nodes[rep[nodes] != nodes].tolist():
+        grid[s] = grid[rep[s], shift[s]]
     links = _stack(chains)
-    src = np.repeat(nodes, len(nodes) - 1)
-    cols, legal = encode_chains(t, src, links, rg.relaxed)
+    cols, legal = encode_chains(t, np.repeat(reps, len(nodes) - 1), links,
+                                rg.relaxed)
     unique = np.concatenate(paths) == legal.sum(axis=1)
+
+    # pair (s, d) is the representatives' pair (rep[s], u = shift[s, d]):
+    # u's slot among the live nodes, less one past rep[s]'s own, in the
+    # block of rows of rep[s]
+    slot = np.zeros(t.num_coords, dtype=np.intp)
+    slot[nodes] = np.arange(len(nodes))
+    src, dst = np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
+    src, dst = src[src != dst], dst[src != dst]
+    u, r = slot[shift[src, dst]], slot[rep[src]]
+    at = np.searchsorted(reps, rep[src]) * (len(nodes) - 1) + u - (u > r)
+    cols, unique, links = cols.take(at), unique[at], links[at]
+    for i in range(0, len(at), _PATH_BATCH):
+        rows = slice(i, i + _PATH_BATCH)
+        seq, steps = cols.nodes[rows], cols.steps[rows]
+        seq[:] = np.where(seq >= 0, unshift[src[rows, None], seq], -1)
+        links[rows] = np.where(steps >= 0,
+                               t.channel_table[seq[:, :-1], steps], -1)
+    cols.src[:], cols.dst[:] = src, dst
     return levels, cols, unique, links
 
 
@@ -488,15 +580,18 @@ def _variant_lists(rg: RoutingGraph, levels: np.ndarray, rows, ends,
             np.diff(starts) > cap)
 
 
-def _lightest(chains: np.ndarray, owner: np.ndarray, first: np.ndarray,
+def _lightest(chains: np.ndarray, first: np.ndarray,
               load: np.ndarray) -> np.ndarray:
     """Per pair, the row of its first chain with the least summed load.
 
     The rows of ``chains`` (padded with -1, which reads the 0 at the end of
-    ``load``) go pair by pair, ``owner`` naming the pair of each, and
-    ``first`` holds the first row of every pair.
+    ``load``) go pair by pair, every pair with one row at the least, and
+    ``first`` holds the first row of every pair. The least (load, row) of a
+    pair is its least load * rows + row.
     """
-    return np.lexsort((load[chains].sum(axis=1), owner))[first]
+    rows = len(chains)
+    key = np.add.reduce(load[chains], 1) * rows + np.arange(rows)
+    return np.minimum.reduceat(key, first) % rows
 
 
 def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
@@ -518,7 +613,7 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
                    level[0, ends] >= 0)
     chains, owner = _path_chains(rg, level, np.zeros(len(dsts), int), ends)
     first = np.searchsorted(owner, np.arange(len(dsts)))
-    chains = chains[_lightest(chains, owner, first, np.append(loads, 0))]
+    chains = chains[_lightest(chains, first, np.append(loads, 0))]
     return {r.dst: r for r in _routes(rg, source, chains)}
 
 
@@ -575,7 +670,7 @@ def build_rt_sssp(rg: RoutingGraph,
         todo = range(hi - lo)
         while todo:
             calls += 1
-            best = _lightest(group, owner[at:to], heads, load).tolist()
+            best = _lightest(group, heads, load).tolist()
             used, left = set(), []
             for j in todo:
                 chosen = cands[best[j]]
@@ -584,7 +679,7 @@ def build_rt_sssp(rg: RoutingGraph,
                     pick[lo + j] = at + best[j]
                 else:
                     left.append(j)
-            load[list(used)] += 1
+            load[np.fromiter(used, np.intp, len(used))] += 1
             todo = left
     cols.put(rows, encode_chains(t, src, chains[pick], rg.relaxed)[0])
 

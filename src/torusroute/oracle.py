@@ -40,7 +40,8 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
     Raises TopologyError when either end is out of range or failed."""
     t._live(src)
     n = t.n
-    nbr = t.neighbor_table
+    nbr = t.neighbor_rows  # plain lists: cheaper than numpy scalar access
+    opposite = [t.opposite(d) for d in range(2 * n)]
     dist_to_dst = t.distances[t._live(dst)].tolist()  # links are symmetric
     relaxed = rules.relaxed_turns
     found: set[tuple[int, ...]] = set()
@@ -57,9 +58,9 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
         if seq and total + 1 <= max_len:
             last = seq[-1]
             for ld in range(n, 2 * n):
-                if nbr[node, ld] != dst:
+                if nbr[node][ld] != dst:
                     continue
-                ok = last < ld and ld != t.opposite(last)
+                ok = last < ld and ld != opposite[last]
                 if not ok and ((tail_node, last), (node, ld)) not in relaxed:
                     continue
                 found.add(prefix + tuple(seq) + (ld,))
@@ -67,12 +68,12 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
             return
         last = seq[-1] if seq else None
         for d in range(2 * n):
-            v = nbr[node, d]
-            if v < 0 or not feasible(int(v), total + 1):
+            v = nbr[node][d]
+            if v < 0 or not feasible(v, total + 1):
                 continue
             if not seq:
                 if fs is not None:
-                    ok = fs < d and d != t.opposite(fs)
+                    ok = fs < d and d != opposite[fs]
                     if not ok and ((fs_node, fs), (node, d)) not in relaxed:
                         continue
             else:
@@ -83,7 +84,7 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
             old = vec[d % n]
             vec[d % n] = 1 if d < n else -1
             seq.append(d)
-            body(int(v), seq, vec, fs, fs_node, node)
+            body(v, seq, vec, fs, fs_node, node)
             seq.pop()
             vec[d % n] = old
 
@@ -91,13 +92,13 @@ def brute_force_routes(t: Topology, src: int, dst: int, rules: RuleConfig,
         body(src, [], [0] * n, None, -1, -1)
     if max_len >= 1:
         for fd in range(n):
-            v = nbr[src, fd]
+            v = nbr[src][fd]
             if v < 0:
                 continue
             if v == dst:
                 found.add((fd,))  # a route may be a lone first step
-            if feasible(int(v), 1):
-                body(int(v), [], [0] * n, fd, src, src)
+            if feasible(v, 1):
+                body(v, [], [0] * n, fd, src, src)
     return sorted(found)
 
 

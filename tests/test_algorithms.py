@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from torusroute.cli import prepare, used_turn_cycle_check
 from torusroute.errors import UnroutablePairError
 from torusroute.metrics import (PATTERNS, LoadReport, deviation,
                                pattern_loads, perfect_channel_load)
-from torusroute.routes import (check_table, encode_chains, parse_table,
-                               table_to_text)
+from torusroute.routes import (Columns, check_table, encode_chains,
+                               parse_table, table_to_text)
 from torusroute.routing_graph import DUMMY_LINK
 
 from conftest import pending_groups, prepared, small_faulted_systems
@@ -314,7 +315,7 @@ def test_path_chains_match_depth_first_walk(system, batch):
 
     load = np.append(rng.integers(0, 3, t.n_channels), 0)
     first = np.searchsorted(owner, np.arange(len(pairs)))
-    best = _lightest(chains, owner, first, load)
+    best = _lightest(chains, first, load)
     for k, w in enumerate(want):
         costs = [int(load[list(c)].sum()) for c in w]
         assert best[k] - first[k] == costs.index(min(costs))
@@ -592,6 +593,67 @@ def test_stage1_names_first_unroutable_source(dims, faults, want, rows,
     with pytest.raises(UnroutablePairError) as err:
         build_rt_sssp(rg)
     assert err.value.pairs == want
+
+
+def _no_orbit_axes(rg):
+    """Stands in for ``algorithms._orbit_axes``: no axis shifts, so every
+    node is its own orbit and every source is searched."""
+    return np.zeros(rg.topology.n, dtype=bool)
+
+
+def _outputs_of_stage1_and_tables(rg):
+    """What the orbits feed: ``_pair_stats`` and the bfs and sssp tables."""
+    return _pair_stats(rg), build_rt_bfs(rg), build_rt_sssp(rg)
+
+
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=4)
+       .filter(lambda dims: np.prod(dims) <= 216))
+@settings(max_examples=40, deadline=None)
+def test_orbits_match_singleton_orbits(dims):
+    """Differential test of orbit sharing on fault-free tori against
+    singleton orbits (every source searched): ``_pair_stats``' levels, every
+    column field (values, dtype, pad width), unique mask and links, and the
+    bfs and sssp tables, byte for byte, with their stats. Without relaxed
+    turns a system has one orbit per node of its mesh axes (size 2)."""
+    t = make_torus(dims)
+    rg, _, added = prepare(t)
+    rep = algorithms._orbits(rg)[0]
+    assert len(np.unique(rep)) == (t.num_coords if added else np.prod(
+        [size for size in dims if size < 3]))
+    shared = _outputs_of_stage1_and_tables(rg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_orbit_axes", _no_orbit_axes)
+        alone = _outputs_of_stage1_and_tables(rg)
+    (levels, cols, unique, links), bfs, sssp = shared
+    want_levels, want_cols, want_unique, want_links = alone[0]
+    for got, want in ((levels, want_levels), (unique, want_unique),
+                      (links, want_links), *(
+                          (getattr(cols, f.name), getattr(want_cols, f.name))
+                          for f in fields(Columns))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+    for got, want in zip((bfs, sssp), alone[1:]):
+        assert table_to_text(got) == table_to_text(want)
+        assert (got.stats.link_increments == want.stats.link_increments).all()
+        assert (got.stats.sssp_calls, got.stats.unique_pairs) == (
+            want.stats.sssp_calls, want.stats.unique_pairs)
+
+
+@pytest.mark.parametrize("dims,faults", [
+    ([4, 4, 3], {"failed_nodes": [5]}),
+    ([4, 4, 3], {"failed_links": [(5, 1)]}),
+    ([4, 2, 2, 2], {}),
+], ids=["failed-node", "failed-link", "relaxed-turns"])
+def test_orbits_are_singletons_unless_fault_free_without_turns(dims, faults):
+    """A failed node, a failed link or a relaxed turn (4x2x2x2 has some)
+    breaks the shift symmetry: every node is its own representative, and
+    both shift tables are the identity."""
+    t, rg, g, added = prepared(dims, **faults)
+    assert bool(added) == (dims == [4, 2, 2, 2])
+    rep, shift, unshift = algorithms._orbits(rg)
+    nodes = np.arange(t.num_coords)
+    assert (rep == nodes).all()
+    assert (shift == nodes).all() and (unshift == nodes).all()
 
 
 @pytest.mark.parametrize("algo", sorted(GENERATORS))

@@ -417,6 +417,17 @@ GOLDEN_DIGESTS = {
     ("sssp-stage2", (4, 4, 2), NODE_442): (
         "df6c6d97999436f16159047f26b6dcd7"
         "d662331efd0b042b0febb8e5a22c71e9"),
+    # a mesh axis beside two wrap axes, and no relaxed turn
+    ("bfs", (2, 4, 4)): (
+        "9919e9b1acd243eea7e107054d9e454f"
+        "ae77dfd04a78d005993e6a209f2acb34"),
+    ("sssp", (2, 4, 4)): (
+        "24c974a478e08fb660e72d70f5e63d36"
+        "d840dff90ee63f6a0dc529889f8fb50a"),
+    # four dimensions, as Angara has
+    ("sssp", (3, 3, 3, 3)): (
+        "65f44ea7e55610829d2324413e378e17"
+        "15348aefc4db36cdf08c09f0aa5ffd24"),
 }
 
 # stage 2's call count on the golden sssp tables
@@ -427,6 +438,7 @@ SSSP_CALLS = {
     ("sssp-stage2", (4, 4), FAULTED_44): 126,
     ("sssp", (4, 4, 2), NODE_442): 337,
     ("sssp-stage2", (4, 4, 2), NODE_442): 449,
+    ("sssp", (2, 4, 4)): 282,
 }
 
 
