@@ -13,8 +13,9 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   most-remote heuristic, each level's frontier expanded lightest arrival
   first. Every in-edge of a vertex crosses the same link, so the arrival
   load that orders a frontier is known from the ledger before the search:
-  hop levels come from one level search per batch of sources, and each
-  source's tree is picked in one array pass over the edges.
+  hop levels come from one level search per batch of sources, they name
+  the only edges that can be parents, and each source's tree is picked in
+  one array pass over those.
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric. A variant is the link
@@ -36,8 +37,9 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   fixes. Stage 2 needs no search of its own: a pending pair has few
   shortest paths, and one array walk back from the end vertices over stage
   1's hop levels, ``_path_chains``, lists them all as link chains before
-  the first call; each call only sums their loads. Only the pending pairs'
-  chosen chains are encoded again, into stage 1's columns.
+  the first call (``_pending_chains``); each call only sums their loads.
+  Only the pending pairs' chosen chains are encoded again, into stage 1's
+  columns.
 
 Every hop-level search runs on one kernel, ``_levels``, over one or more
 begin vertices at once; ``_hop_levels`` keeps only its levels and
@@ -52,22 +54,34 @@ choose from, the capped variants of the genetic search and of
 ``enumerate_minimal_routes``, and the routes that
 ``oracle.oracle_equivalence`` holds against the rules.
 
-Stage 1 of ``build_rt_sssp`` and the hop levels of ``build_rt_bfs`` search
-once per translation orbit (``_orbits``). On a topology with no failed node
-or link and no relaxed turn, shifting the whole system along its wrap-around
-axes (size 3 or more) maps the routing graph onto itself: every in-edge of a
-vertex leaves one node (``RoutingGraph.in_link``), so edge-id order among a
-vertex's in-edges is the order of their tails' offsets in that node's block,
-which a shift keeps. Hop levels, path counts and least-edge-id parent trees,
-and so canonical chains, their encodings and uniqueness, are then the
-shifted copies of the orbit's representative's. Everywhere else every node
-is its own orbit. ``bfs``'s ledger-driven tree picks and stage 2 stay per
-source.
+Every step that reads no ledger runs once per translation orbit
+(``_Orbits``): stage 1 of ``build_rt_sssp`` and its stage-2 path listing,
+and the hop levels and parent candidates of ``build_rt_bfs``. On a
+topology with no failed node or link, shifting the whole system along its
+wrap-around axes (size 3 or more) maps the routing graph onto itself, as
+long as it maps the relaxed turns onto themselves: the block template is
+wired the same at every node, and so is every turn of a shift-invariant
+set. ``_orbit_axes`` does not assume that ``augment_cdg``'s turn set is
+invariant: it moves every turn one step along each wrap-around axis, and
+unless that gives back the same set it keeps every node its own orbit, as
+it does under any fault. Edge ids survive the shift in order: every
+in-edge of a vertex leaves one node (``RoutingGraph.in_link``), relaxed
+edges among them, and no two share a tail, so edge-id order among a
+vertex's in-edges is the order of their tails' offsets in that node's
+block, which a shift keeps. Hop levels, path counts, least-edge-id parent
+trees, canonical chains, their encodings and uniqueness, and the
+depth-first lists of shortest paths are then the shifted copies of the
+orbit's representative's. A ledger-driven pick stays per source but can run
+in the representative's frame: ``bfs`` reads the ledger through the
+source's link map, picks among its representative's parent candidates and
+maps the chains back before they add load; stage 2's calls read the lists
+mapped to each source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -229,39 +243,121 @@ def _source_batches(rg: RoutingGraph, sources):
 def _orbit_axes(rg: RoutingGraph) -> np.ndarray:
     """Per axis, whether a shift along it maps the routing graph onto
     itself: a wrap-around axis (size 3 or more) of a topology with no failed
-    node or link and no relaxed turn. A mesh axis (size 2) never shifts."""
+    node or link whose relaxed turns are shift-invariant. A mesh axis (size
+    2) never shifts. The relaxed set is checked, not assumed: it must give
+    itself back when every turn moves one step along each wrap-around axis,
+    or no axis shifts."""
     t = rg.topology
-    symmetric = not (t.failed_nodes or t.failed_links or rg.relaxed)
-    return np.array([symmetric and size >= 3 for size in t.dims])
+    axes = np.array([size >= 3 for size in t.dims])
+    if t.failed_nodes or t.failed_links or not axes.any():
+        return np.zeros_like(axes)
+    nbr = t.neighbor_rows
+    for a in np.flatnonzero(axes).tolist():  # +a is direction a
+        moved = {((nbr[ui][a], di), (nbr[uj][a], dj))
+                 for (ui, di), (uj, dj) in rg.relaxed}
+        if moved != rg.relaxed:
+            return np.zeros_like(axes)
+    return axes
 
 
-def _orbits(rg: RoutingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(representative, shift, unshift) of every node id.
+class _Orbits:
+    """The translation orbits of a routing graph's nodes, built once per
+    generator call.
 
-    A node's representative is the node with its coordinates on the
-    shifting axes (``_orbit_axes``) set to 0, and the shift that takes the
-    representative to the node maps the routing graph onto itself, so every
-    search from the one is the other's, shifted. Node u as seen from source
-    s is node ``shift[s, u]`` as seen from s's representative, and
-    ``unshift[s]`` is the inverse of ``shift[s]``. Where no axis shifts,
-    every node is its own representative and both tables are the identity,
-    read-only views of one row.
+    ``rep`` gives every node id its representative: the node with its
+    coordinates on the shifting axes (``_orbit_axes``) set to 0. The shift
+    that takes the representative to the node maps the routing graph onto
+    itself, so every search from the one is the other's, shifted. ``reps``
+    holds the live nodes' representatives, ascending. ``single`` says that
+    no axis shifts: every node is then its own orbit, and readers skip every
+    map. The maps are built only where read: ``shift[s, u]`` is node u as
+    seen from source s's representative and ``unshift[s]`` its inverse, two
+    node tables of every source, while ``source_frames`` gives a batch of
+    sources' link maps.
     """
-    t = rg.topology
-    size = t.num_coords
-    coords = np.indices(t.dims).reshape(t.n, size)
-    strides = np.cumprod((1,) + t.dims[:0:-1])[::-1]
-    moves = _orbit_axes(rg)
-    rep = strides @ np.where(moves[:, None], 0, coords)
 
-    def frame(sign: int) -> np.ndarray:
+    def __init__(self, rg: RoutingGraph):
+        t = self.topology = rg.topology
+        self._coords = np.indices(t.dims).reshape(t.n, t.num_coords)
+        self._strides = np.cumprod((1,) + t.dims[:0:-1])[::-1]
+        moves = _orbit_axes(rg)
+        self._moves = np.flatnonzero(moves)
+        self.single = not len(self._moves)
+        self.rep = self._strides @ np.where(moves[:, None], 0, self._coords)
+        self.reps = np.unique(self.rep[np.array(t.live_nodes, np.intp)])
+
+    def _frame(self, sources, sign: int) -> np.ndarray:
+        """Per source of ``sources`` (an index of node ids: a list, an array
+        or a slice), one row over the node ids: each node as seen from the
+        source's representative (sign -1), or back (sign 1). With no
+        shifting axis both are a read-only view of the identity."""
+        t = self.topology
         # the axes that do not shift keep u's coordinates, as rep[u] does
-        table = np.broadcast_to(rep, (size, size))
-        for a in np.flatnonzero(moves):
-            table = table + ((coords[a] + sign * coords[a, :, None])
-                             % t.dims[a] * strides[a])
+        table = np.broadcast_to(self.rep, (len(self._coords[0, sources]),
+                                           t.num_coords))
+        for a in self._moves:
+            table = table + ((self._coords[a] + sign
+                              * self._coords[a, sources, None])
+                             % t.dims[a] * self._strides[a])
         return table
-    return rep, frame(-1), frame(1)
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        return self._frame(slice(None), -1)
+
+    @cached_property
+    def unshift(self) -> np.ndarray:
+        return self._frame(slice(None), 1)
+
+    @cached_property
+    def _channels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node, direction) of every channel id."""
+        return np.nonzero(self.topology.channel_table >= 0)
+
+    def source_frames(self, sources) -> tuple[np.ndarray, np.ndarray]:
+        """(link maps, rows), one row per source of ``sources``, on a system
+        with no failed node.
+
+        A source's link map takes a link id as seen from its representative
+        r to the link as seen from the source, and ends with the -1 that
+        DUMMY_LINK (-1) reads. Per destination of the source in pair order,
+        its rows row holds the row of r's destination it is, in r's pair
+        order.
+        """
+        t = self.topology
+        sources = np.asarray(sources)
+        node, d = self._channels
+        maps = np.full((len(sources), t.n_channels + 1), -1, dtype=np.int32)
+        maps[:, :-1] = t.channel_table[self._frame(sources, 1)[:, node], d]
+        at = self._frame(sources, -1)
+        at = at[np.arange(t.num_coords) != sources[:, None]].reshape(
+            len(sources), -1)
+        return maps, at - (at > self.rep[sources, None])
+
+    @cached_property
+    def _link_moves(self) -> np.ndarray:
+        """Per source s and node v (flat, s-major): what to add to the id of
+        a link of v to get the link as seen from s. Channel ids go node by
+        node, and the nodes ``unshift`` pairs have the same links, since
+        only mesh-axis coordinates (which no shift moves) decide which
+        exist."""
+        first = np.searchsorted(self._channels[0],
+                                np.arange(self.topology.num_coords))
+        return (first[self.unshift] - first).astype(np.int32).reshape(-1)
+
+    def links_to_sources(self, src: np.ndarray,
+                         links: np.ndarray) -> np.ndarray:
+        """Row i of ``links`` (link ids padded with -1, as seen from the
+        representative of ``src[i]``), as seen from ``src[i]``."""
+        size = self.topology.num_coords
+        node, moves = self._channels[0], self._link_moves
+        out = np.empty_like(links)
+        for i in range(0, len(links), _PATH_BATCH):
+            rows = slice(i, i + _PATH_BATCH)
+            hops = links[rows]
+            at = node[hops] + src[rows, None].astype(np.intp) * size
+            out[rows] = np.where(hops >= 0, hops + moves[at], -1)
+        return out
 
 
 def _check_reached(t, src: np.ndarray, dst: np.ndarray,
@@ -335,6 +431,33 @@ def _lightest_parents(rg: RoutingGraph, level: np.ndarray,
     return np.where(best < none, best % rg.n_edges, -1)
 
 
+def _parent_candidates(rg: RoutingGraph, level: np.ndarray):
+    """(edge ids, the link each one's tail was entered by, each head's first
+    index, the heads, depth) of the edges that ``_lightest_parents`` picks
+    from for the hop levels ``level``, head by head, each head's in edge-id
+    order; depth is ``level.max()``. No ledger changes them, so one listing
+    serves every source of an orbit (``_pick_parents``)."""
+    tail, head, arrival = rg.wide_edges
+    e = np.flatnonzero(level[tail] + 1 == level[head])
+    e = e[np.argsort(head[e], kind="stable")]
+    heads = head[e]
+    new = np.ones(len(e), dtype=bool)
+    np.not_equal(heads[1:], heads[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return e, arrival[e], first, heads[first], int(level.max())
+
+
+def _pick_parents(rg: RoutingGraph, candidates,
+                  ledger: np.ndarray) -> np.ndarray:
+    """``_lightest_parents`` over a ``_parent_candidates`` listing: one
+    minimum per head, with no pass over every edge or every vertex."""
+    e, arrival, first, heads, _ = candidates
+    parent = np.full(rg.n_vertices, -1, dtype=np.int64)
+    key = ledger[arrival].astype(np.int64) * rg.n_edges + e
+    parent[heads] = np.minimum.reduceat(key, first) % rg.n_edges
+    return parent
+
+
 def _bfs_chains(rg: RoutingGraph, source: int, level: np.ndarray,
                 loads: np.ndarray) -> np.ndarray:
     """Breadth-first tree chains from one source, then weight bookkeeping.
@@ -356,6 +479,20 @@ def _bfs_chains(rg: RoutingGraph, source: int, level: np.ndarray,
                           int(level.max()))
     loads += np.bincount(chains[chains >= 0], minlength=len(loads))
     return chains
+
+
+def _shifted_bfs_chains(rg: RoutingGraph, rep: int, candidates,
+                        links: np.ndarray, rows: np.ndarray,
+                        loads: np.ndarray) -> np.ndarray:
+    """``_bfs_chains`` of a source in the frame of its representative
+    ``rep``: the parents are picked from ``rep``'s ``_parent_candidates``
+    against the ledger read through the source's link map ``links``, and
+    the tree's chains are mapped back to the source, add their load and are
+    put in its pair order by ``rows`` (``_Orbits.source_frames``)."""
+    parent = _pick_parents(rg, candidates, loads[links])
+    chains = links[_tree_chains(rg, [rep], parent, candidates[-1])]
+    loads += np.bincount(chains[chains >= 0], minlength=len(loads))
+    return chains[rows]
 
 
 def build_bfs_routes(rg: RoutingGraph, source: int,
@@ -389,32 +526,42 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     Neither the source order nor the hop levels depend on the ledger, so one
     level search serves a batch of sources in that order
     (``_source_batches``), and it searches only the representatives
-    (``_orbits``) that the batch's sources need and no earlier batch
-    searched; a source reads its representative's levels through its shift,
-    and a representative's levels are dropped after its last source. Each
-    source's tree is then picked against the ledger its predecessors left
-    (``_bfs_chains``).
+    (``_Orbits``) that the batch's sources need and no earlier batch
+    searched; what a representative's sources read of it is dropped after
+    its last. Each source's tree is then picked against the ledger its
+    predecessors left. With singleton orbits that is ``_bfs_chains`` on the
+    source's own levels. Otherwise the pick runs in the representative's
+    frame, over its parent candidates (``_pick_parents``) and the ledger
+    read through the source's link map, and the chains are mapped back to
+    the source before they add their load.
     """
     t = rg.topology
-    rep, shift, _ = _orbits(rg)
+    orb = _Orbits(rg)
     order = _source_order(t)
-    last = {int(rep[s]): s for s in order}  # each representative's last
-    levels = {}  # the hop levels of the representatives still needed
+    last = {int(orb.rep[s]): s for s in order}  # each representative's last
+    # per representative still needed: its hop levels, or with orbits its
+    # parent candidates
+    found = {}
     loads = np.zeros(t.n_channels + 1, dtype=np.int64)  # DUMMY_LINK's 0 last
     chains = {}
     for part in _source_batches(rg, order):
-        need = [r for r in dict.fromkeys(rep[part].tolist())
-                if r not in levels]
-        levels.update(zip(need, _hop_levels(rg, need)))
-        for source in part:
-            r = int(rep[source])
-            level = levels.pop(r) if last[r] == source else levels[r]
-            level = level.reshape(t.num_coords, rg.block)[shift[source]]
-            chains[source] = _bfs_chains(rg, source, level.reshape(-1),
-                                         loads)
+        need = [r for r in dict.fromkeys(orb.rep[part].tolist())
+                if r not in found]
+        levels = _hop_levels(rg, need)
+        found.update(zip(need, levels if orb.single else (
+            _parent_candidates(rg, level) for level in levels)))
+        if not orb.single:
+            maps, rows = orb.source_frames(part)
+        for i, source in enumerate(part):
+            r = int(orb.rep[source])
+            mine = found.pop(r) if last[r] == source else found[r]
+            chains[source] = (
+                _bfs_chains(rg, source, mine, loads) if orb.single else
+                _shifted_bfs_chains(rg, r, mine, maps[i], rows[i], loads))
     src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)  # pair order
-    cols = encode_chains(t, src, _stack([chains[s] for s in t.live_nodes]),
-                         rg.relaxed)[0]
+    # popped, so that only the stacked copy lives on through the encoding
+    links = _stack([chains.pop(s) for s in t.live_nodes])
+    cols = encode_chains(t, src, links, rg.relaxed)[0]
     return RoutingTable(t, columns=cols, stats=GenerationStats(
         loads[:-1], total_pairs=len(cols.src)))
 
@@ -440,26 +587,27 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
     return _routes(rg, src, chains), bool(truncated[0])
 
 
-def _pair_stats(rg: RoutingGraph):
+def _pair_stats(rg: RoutingGraph, orb: _Orbits | None = None):
     """(hop levels, one row per node id, -1 where unreached or the node
     failed; columns of every pair's canonical route in pair order; unique
     mask; their link chains padded with -1).
 
-    Only the representatives (``_orbits``) are searched, read back and
-    encoded. One level search serves a batch of them (``_source_batches``),
-    and one array walk reads every pair's canonical chain off the batch's
-    least-edge-id parent trees (``_tree_chains``). A pair's minimal route is
-    unique exactly when its shortest routing-graph paths are as many as the
-    canonical chain's legal splits, since a second physical route would add
-    splits of its own. Every other source reads its levels, and each of its
-    pairs its row, from its representative through its shift; the row's
-    nodes and links are shifted back.
+    Only the representatives (``orb``, or the graph's ``_Orbits``) are
+    searched, read back and encoded. One level search serves a batch of
+    them (``_source_batches``), and one array walk reads every pair's
+    canonical chain off the batch's least-edge-id parent trees
+    (``_tree_chains``). A pair's minimal route is unique exactly when its
+    shortest routing-graph paths are as many as the canonical chain's legal
+    splits, since a second physical route would add splits of its own.
+    Every other source reads its levels, and each of its pairs its row,
+    from its representative through its shift; the row's nodes and links
+    are shifted back.
     """
     t = rg.topology
+    orb = orb or _Orbits(rg)
     nodes = np.array(t.live_nodes, dtype=np.int64)
     ends = rg.end_vid(nodes)
-    rep, shift, unshift = _orbits(rg)
-    reps = np.unique(rep[nodes])
+    reps = orb.reps
     levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int8)
     chains, paths = [], [np.zeros(0, np.int64)]
     for part in _source_batches(rg, reps):
@@ -470,14 +618,17 @@ def _pair_stats(rg: RoutingGraph):
         if deepest > np.iinfo(levels.dtype).max:
             levels = levels.astype(np.min_scalar_type(-1 - deepest))
         levels[part] = dist
-    grid = levels.reshape(t.num_coords, t.num_coords, rg.block)
-    for s in nodes[rep[nodes] != nodes].tolist():
-        grid[s] = grid[rep[s], shift[s]]
     links = _stack(chains)
     cols, legal = encode_chains(t, np.repeat(reps, len(nodes) - 1), links,
                                 rg.relaxed)
     unique = np.concatenate(paths) == legal.sum(axis=1)
+    if orb.single:  # every pair's row is its own source's, in place
+        return levels, cols, unique, links
 
+    rep, shift, unshift = orb.rep, orb.shift, orb.unshift
+    grid = levels.reshape(t.num_coords, t.num_coords, rg.block)
+    for s in nodes[rep[nodes] != nodes].tolist():
+        grid[s] = grid[rep[s], shift[s]]
     # pair (s, d) is the representatives' pair (rep[s], u = shift[s, d]):
     # u's slot among the live nodes, less one past rep[s]'s own, in the
     # block of rows of rep[s]
@@ -617,6 +768,33 @@ def build_sssp(rg: RoutingGraph, source: int, dst_nodes,
     return {r.dst: r for r in _routes(rg, source, chains)}
 
 
+def _pending_chains(rg: RoutingGraph, orb: _Orbits, levels: np.ndarray,
+                    src: np.ndarray, dst: np.ndarray):
+    """(link chains padded with -1, first chain row of every pair and one
+    past the last) of every shortest routing-graph path of each pair
+    (``src[i]``, ``dst[i]``), pair by pair, each pair's in depth-first order
+    (``_path_chains``); ``levels`` holds the hop levels of every
+    representative, one row per node id.
+
+    The paths of (s, d) are the shifted paths of (rep[s], shift[s, d]), so
+    each distinct representatives' pair is listed once, and each pair takes
+    its chains with their links as seen from its own source.
+    """
+    if orb.single or not len(src):
+        chains, owner = _path_chains(rg, levels, src, rg.end_vid(dst))
+        return chains, np.searchsorted(owner, np.arange(len(src) + 1))
+    size = rg.topology.num_coords
+    keys, inverse = np.unique(orb.rep[src] * size + orb.shift[src, dst],
+                              return_inverse=True)
+    listed, owner = _path_chains(rg, levels, keys // size,
+                                 rg.end_vid(keys % size))
+    start = np.searchsorted(owner, np.arange(len(keys) + 1))
+    n = np.diff(start)[inverse]
+    first = np.concatenate([[0], np.cumsum(n)])
+    at = np.arange(first[-1]) + np.repeat(start[inverse] - first[:-1], n)
+    return orb.links_to_sources(np.repeat(src, n), listed[at]), first
+
+
 def build_rt_sssp(rg: RoutingGraph,
                   skip_unique_stage: bool = False) -> RoutingTable:
     """Two-stage shortest-path routing table (unique routes, sort and group).
@@ -642,7 +820,8 @@ def build_rt_sssp(rg: RoutingGraph,
     through stage 2, which is the instrumentation baseline for call counts.
     """
     t = rg.topology
-    levels, cols, unique, links = _pair_stats(rg)
+    orb = _Orbits(rg)
+    levels, cols, unique, links = _pair_stats(rg, orb)
     fixed = unique & (not skip_unique_stage)
     fixed_links = links[fixed]
     # the ledger; DUMMY_LINK (-1) reads the 0 at its end
@@ -655,9 +834,8 @@ def build_rt_sssp(rg: RoutingGraph,
     # the pending rows in group order: by (turn count, length, source), row
     order = np.lexsort((src, length, turns))
     rows, length, src, turns = (a[order] for a in (rows, length, src, turns))
-    chains, owner = _path_chains(rg, levels, src,
-                                 rg.end_vid(cols.dst[rows].astype(np.int64)))
-    first = np.searchsorted(owner, np.arange(len(rows) + 1))
+    chains, first = _pending_chains(rg, orb, levels, src,
+                                    cols.dst[rows].astype(np.int64))
     keys = np.stack([turns, length, src])
     new = np.flatnonzero((np.diff(keys, prepend=-1) != 0).any(axis=0))
 

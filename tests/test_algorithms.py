@@ -22,7 +22,7 @@ from torusroute.metrics import (PATTERNS, LoadReport, deviation,
                                pattern_loads, perfect_channel_load)
 from torusroute.routes import (Columns, check_table, encode_chains,
                                parse_table, table_to_text)
-from torusroute.routing_graph import DUMMY_LINK
+from torusroute.routing_graph import DUMMY_LINK, RoutingGraph
 
 from conftest import pending_groups, prepared, small_faulted_systems
 from witnesses import (_rg_chains, _variant_chains, make_route, most_remote,
@@ -613,13 +613,13 @@ def test_orbits_match_singleton_orbits(dims):
     """Differential test of orbit sharing on fault-free tori against
     singleton orbits (every source searched): ``_pair_stats``' levels, every
     column field (values, dtype, pad width), unique mask and links, and the
-    bfs and sssp tables, byte for byte, with their stats. Without relaxed
-    turns a system has one orbit per node of its mesh axes (size 2)."""
+    bfs and sssp tables, byte for byte, with their stats. With or without
+    relaxed turns a system has one orbit per node of its mesh axes (size
+    2)."""
     t = make_torus(dims)
-    rg, _, added = prepare(t)
-    rep = algorithms._orbits(rg)[0]
-    assert len(np.unique(rep)) == (t.num_coords if added else np.prod(
-        [size for size in dims if size < 3]))
+    rg = prepare(t)[0]
+    rep = algorithms._Orbits(rg).rep
+    assert len(np.unique(rep)) == np.prod([size for size in dims if size < 3])
     shared = _outputs_of_stage1_and_tables(rg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "_orbit_axes", _no_orbit_axes)
@@ -642,18 +642,84 @@ def test_orbits_match_singleton_orbits(dims):
 @pytest.mark.parametrize("dims,faults", [
     ([4, 4, 3], {"failed_nodes": [5]}),
     ([4, 4, 3], {"failed_links": [(5, 1)]}),
-    ([4, 2, 2, 2], {}),
-], ids=["failed-node", "failed-link", "relaxed-turns"])
-def test_orbits_are_singletons_unless_fault_free_without_turns(dims, faults):
-    """A failed node, a failed link or a relaxed turn (4x2x2x2 has some)
-    breaks the shift symmetry: every node is its own representative, and
-    both shift tables are the identity."""
+], ids=["failed-node", "failed-link"])
+def test_orbits_are_singletons_on_faulted_systems(dims, faults):
+    """A failed node or a failed link breaks the shift symmetry: every node
+    is its own representative, and both shift tables are the identity."""
     t, rg, g, added = prepared(dims, **faults)
-    assert bool(added) == (dims == [4, 2, 2, 2])
-    rep, shift, unshift = algorithms._orbits(rg)
+    orb = algorithms._Orbits(rg)
     nodes = np.arange(t.num_coords)
-    assert (rep == nodes).all()
-    assert (shift == nodes).all() and (unshift == nodes).all()
+    assert orb.single and (orb.rep == nodes).all()
+    assert (orb.shift == nodes).all() and (orb.unshift == nodes).all()
+
+
+def test_orbits_follow_the_relaxed_turns(desmos):
+    """4x2x2x2 has relaxed turns, and its set is shift-invariant: one orbit
+    per node of its three mesh axes. A graph with one turn of that set is
+    not invariant, and every node is its own orbit."""
+    t, rg, g, added = desmos
+    assert added
+    assert len(algorithms._Orbits(rg).reps) == 8
+    lone = algorithms._Orbits(RoutingGraph(t, [min(added)]))
+    assert lone.single and (lone.rep == np.arange(t.num_coords)).all()
+
+
+@pytest.mark.parametrize("dims", [[6, 6, 6], [4, 2, 2, 2], [2, 4, 4]],
+                         ids=["6x6x6", "4x2x2x2", "2x4x4"])
+def test_shared_stage2_listing_matches_per_source_listing(dims):
+    """Stage 2's listing once per representatives' pair
+    (``_pending_chains``) against ``_path_chains`` from every source's own
+    hop levels: every pair in a shuffled order (so a pair's representatives'
+    pair comes back many times, from many sources) gets the same chains,
+    row for row, and the same first rows."""
+    t, rg, g, added = prepared(dims)
+    orb = algorithms._Orbits(rg)
+    assert not orb.single and len(orb.reps) < t.num_coords
+    levels = _pair_stats(rg, orb)[0]
+    live = np.array(t.live_nodes)
+    src, dst = np.repeat(live, len(live)), np.tile(live, len(live))
+    order = np.random.default_rng(5).permutation(np.flatnonzero(src != dst))
+    src, dst = src[order], dst[order]
+    chains, first = algorithms._pending_chains(rg, orb, levels, src, dst)
+    own = _hop_levels(rg, live)
+    want, owner = _path_chains(rg, own, src, rg.end_vid(dst))
+    assert chains.dtype == want.dtype and chains.shape == want.shape
+    assert (chains == want).all()
+    assert (first == np.searchsorted(owner, np.arange(len(src) + 1))).all()
+    assert (np.repeat(np.arange(len(src)), np.diff(first)) == owner).all()
+
+
+@pytest.mark.parametrize("dims", [[6, 6, 6], [4, 2, 2, 2], [2, 4, 4]],
+                         ids=["6x6x6", "4x2x2x2", "2x4x4"])
+def test_bfs_pick_in_the_representative_frame(dims):
+    """``build_rt_bfs``'s parent pick in the representative's frame against
+    ``_lightest_parents`` on the source's own hop levels, under random
+    ledgers of few distinct loads (many ties). On its own levels
+    ``_pick_parents`` gives the same parent of every vertex. From the
+    representative's parent candidates and the source's link map,
+    ``_shifted_bfs_chains`` gives ``_bfs_chains``' chains in the same order
+    and adds the same load."""
+    t, rg, g, added = prepared(dims)
+    orb = algorithms._Orbits(rg)
+    assert not orb.single
+    rng = np.random.default_rng(11)
+    candidates = {r: algorithms._parent_candidates(rg, level) for r, level
+                  in zip(orb.reps.tolist(), _hop_levels(rg, orb.reps))}
+    sources = rng.choice(t.num_coords, 24, replace=False)
+    maps, rows = orb.source_frames(sources)
+    for s, links, at in zip(sources.tolist(), maps, rows):
+        ledger = np.append(rng.integers(0, 3, t.n_channels), 0)
+        level = _hop_levels(rg, [s])[0]
+        assert (algorithms._pick_parents(
+            rg, algorithms._parent_candidates(rg, level), ledger)
+            == algorithms._lightest_parents(rg, level, ledger)).all()
+        want_ledger, got_ledger = ledger.copy(), ledger.copy()
+        want = algorithms._bfs_chains(rg, s, level, want_ledger)
+        got = algorithms._shifted_bfs_chains(
+            rg, int(orb.rep[s]), candidates[int(orb.rep[s])], links, at,
+            got_ledger)
+        assert got.tolist() == want.tolist()
+        assert (got_ledger == want_ledger).all()
 
 
 @pytest.mark.parametrize("algo", sorted(GENERATORS))

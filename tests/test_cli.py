@@ -286,9 +286,9 @@ def test_sweep_runs_stage_1_once_per_sample(monkeypatch, algos):
     sssp runs, ``unique_route_stats``' otherwise."""
     real, calls = algorithms._pair_stats, []
 
-    def counted(rg):
+    def counted(rg, *orbits):
         calls.append(rg)
-        return real(rg)
+        return real(rg, *orbits)
 
     with monkeypatch.context() as mp:
         mp.setattr(algorithms, "_pair_stats", counted)
