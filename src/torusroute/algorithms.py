@@ -14,8 +14,9 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   first. Every in-edge of a vertex crosses the same link, so the arrival
   load that orders a frontier is known from the ledger before the search:
   hop levels come from one level search per batch of sources, they name
-  the only edges that can be parents, and each source's tree is picked in
-  one array pass over those.
+  the only edges that can be parents (``_parent_candidates``, read head by
+  head off ``RoutingGraph.back_edges``), and every source's tree is picked
+  in one array pass over its representative's (``_bfs_chains``).
 * ``build_rt_genetic``: a genetic search over per-pair minimal route variants
   with two-point crossover, panmictic parent selection, per-gene mutation and
   elitist truncation, scored by the deviation metric. A variant is the link
@@ -56,7 +57,9 @@ choose from, the capped variants of the genetic search and of
 
 Every step that reads no ledger runs once per translation orbit
 (``_Orbits``): stage 1 of ``build_rt_sssp`` and its stage-2 path listing,
-and the hop levels and parent candidates of ``build_rt_bfs``. On a
+and the hop levels and parent candidates of ``build_rt_bfs``. Every source
+takes the same path; a node that is its own orbit is the case where every
+map is the identity. On a
 topology with no failed node or link, shifting the whole system along its
 wrap-around axes (size 3 or more) maps the routing graph onto itself, as
 long as it maps the relaxed turns onto themselves: the block template is
@@ -71,11 +74,14 @@ vertex's in-edges is the order of their tails' offsets in that node's
 block, which a shift keeps. Hop levels, path counts, least-edge-id parent
 trees, canonical chains, their encodings and uniqueness, and the
 depth-first lists of shortest paths are then the shifted copies of the
-orbit's representative's. A ledger-driven pick stays per source but can run
+orbit's representative's. A ledger-driven pick stays per source but runs
 in the representative's frame: ``bfs`` reads the ledger through the
 source's link map, picks among its representative's parent candidates and
 maps the chains back before they add load; stage 2's calls read the lists
-mapped to each source.
+mapped to each source. ``_Orbits`` holds the only two maps from a
+representative's frame to a source's: the row of a pair's representatives'
+pair in stage 1's pair order (``pair_rows``) and link ids
+(``links_to_sources``).
 """
 
 from __future__ import annotations
@@ -262,18 +268,21 @@ def _orbit_axes(rg: RoutingGraph) -> np.ndarray:
 
 class _Orbits:
     """The translation orbits of a routing graph's nodes, built once per
-    generator call.
+    generator call, and the one place that maps a representative's frame to
+    a source's.
 
     ``rep`` gives every node id its representative: the node with its
     coordinates on the shifting axes (``_orbit_axes``) set to 0. The shift
     that takes the representative to the node maps the routing graph onto
     itself, so every search from the one is the other's, shifted. ``reps``
-    holds the live nodes' representatives, ascending. ``single`` says that
-    no axis shifts: every node is then its own orbit, and readers skip every
-    map. The maps are built only where read: ``shift[s, u]`` is node u as
-    seen from source s's representative and ``unshift[s]`` its inverse, two
-    node tables of every source, while ``source_frames`` gives a batch of
-    sources' link maps.
+    holds the live nodes' representatives, ascending, and ``dests`` the
+    number of destinations of every source. ``pair_rows`` maps pairs,
+    through ``shift[s, u]``, node u as seen from source s's representative,
+    and ``links_to_sources`` maps link ids, through its inverse
+    ``unshift[s]``: two node tables of every source, built only where read.
+    ``single`` says that no axis shifts: every node is then its own orbit
+    and every map the identity, which the two steps that would only copy
+    through one skip (``links_to_sources`` and ``_pair_stats``' reorder).
     """
 
     def __init__(self, rg: RoutingGraph):
@@ -284,55 +293,47 @@ class _Orbits:
         self._moves = np.flatnonzero(moves)
         self.single = not len(self._moves)
         self.rep = self._strides @ np.where(moves[:, None], 0, self._coords)
-        self.reps = np.unique(self.rep[np.array(t.live_nodes, np.intp)])
+        nodes = np.array(t.live_nodes, np.intp)
+        self.reps = np.unique(self.rep[nodes])
+        self.dests = len(nodes) - 1
+        self._slot = np.zeros(t.num_coords, dtype=np.intp)  # among the live
+        self._slot[nodes] = np.arange(len(nodes))
 
-    def _frame(self, sources, sign: int) -> np.ndarray:
-        """Per source of ``sources`` (an index of node ids: a list, an array
-        or a slice), one row over the node ids: each node as seen from the
-        source's representative (sign -1), or back (sign 1). With no
-        shifting axis both are a read-only view of the identity."""
+    def _frame(self, sign: int) -> np.ndarray:
+        """Per node id s, one row over the node ids: each node as seen from
+        s's representative (sign -1), or back (sign 1). With no shifting
+        axis both are a read-only view of the identity."""
         t = self.topology
         # the axes that do not shift keep u's coordinates, as rep[u] does
-        table = np.broadcast_to(self.rep, (len(self._coords[0, sources]),
-                                           t.num_coords))
+        table = np.broadcast_to(self.rep, (t.num_coords, t.num_coords))
         for a in self._moves:
-            table = table + ((self._coords[a] + sign
-                              * self._coords[a, sources, None])
-                             % t.dims[a] * self._strides[a])
+            moved = self._coords[a] + sign * self._coords[a, :, None]
+            table = table + moved % t.dims[a] * self._strides[a]
         return table
 
     @cached_property
     def shift(self) -> np.ndarray:
-        return self._frame(slice(None), -1)
+        return self._frame(-1)
 
     @cached_property
     def unshift(self) -> np.ndarray:
-        return self._frame(slice(None), 1)
+        return self._frame(1)
+
+    def pair_rows(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Per pair (``src[i]``, ``dst[i]``), the row of its representatives'
+        pair (rep[s], shift[s, d]) in stage 1's pair order: the
+        representatives ascending, each one's ``dests`` destinations, the
+        other live nodes, ascending. A row // ``dests`` is its
+        representative's index in ``reps``, and a row % ``dests`` its
+        destination's index among that representative's."""
+        rep = self.rep[src]
+        u, r = self._slot[self.shift[src, dst]], self._slot[rep]
+        return np.searchsorted(self.reps, rep) * self.dests + u - (u > r)
 
     @cached_property
-    def _channels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(node, direction) of every channel id."""
-        return np.nonzero(self.topology.channel_table >= 0)
-
-    def source_frames(self, sources) -> tuple[np.ndarray, np.ndarray]:
-        """(link maps, rows), one row per source of ``sources``, on a system
-        with no failed node.
-
-        A source's link map takes a link id as seen from its representative
-        r to the link as seen from the source, and ends with the -1 that
-        DUMMY_LINK (-1) reads. Per destination of the source in pair order,
-        its rows row holds the row of r's destination it is, in r's pair
-        order.
-        """
-        t = self.topology
-        sources = np.asarray(sources)
-        node, d = self._channels
-        maps = np.full((len(sources), t.n_channels + 1), -1, dtype=np.int32)
-        maps[:, :-1] = t.channel_table[self._frame(sources, 1)[:, node], d]
-        at = self._frame(sources, -1)
-        at = at[np.arange(t.num_coords) != sources[:, None]].reshape(
-            len(sources), -1)
-        return maps, at - (at > self.rep[sources, None])
+    def _channel_node(self) -> np.ndarray:
+        """The node of every channel id."""
+        return np.nonzero(self.topology.channel_table >= 0)[0]
 
     @cached_property
     def _link_moves(self) -> np.ndarray:
@@ -341,16 +342,19 @@ class _Orbits:
         node, and the nodes ``unshift`` pairs have the same links, since
         only mesh-axis coordinates (which no shift moves) decide which
         exist."""
-        first = np.searchsorted(self._channels[0],
+        first = np.searchsorted(self._channel_node,
                                 np.arange(self.topology.num_coords))
         return (first[self.unshift] - first).astype(np.int32).reshape(-1)
 
     def links_to_sources(self, src: np.ndarray,
                          links: np.ndarray) -> np.ndarray:
         """Row i of ``links`` (link ids padded with -1, as seen from the
-        representative of ``src[i]``), as seen from ``src[i]``."""
+        representative of ``src[i]``), as seen from ``src[i]``: ``links``
+        itself when every node is its own orbit."""
+        if self.single:
+            return links
         size = self.topology.num_coords
-        node, moves = self._channels[0], self._link_moves
+        node, moves = self._channel_node, self._link_moves
         out = np.empty_like(links)
         for i in range(0, len(links), _PATH_BATCH):
             rows = slice(i, i + _PATH_BATCH)
@@ -358,6 +362,16 @@ class _Orbits:
             at = node[hops] + src[rows, None].astype(np.intp) * size
             out[rows] = np.where(hops >= 0, hops + moves[at], -1)
         return out
+
+
+def _pairs(t, sources) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, destination, the source's index in ``sources``) of every
+    pair from each of ``sources`` to every other live node, in pair
+    order."""
+    nodes = np.array(t.live_nodes, dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64)
+    at, to = np.nonzero(sources[:, None] != nodes)
+    return sources[at], nodes[to], at
 
 
 def _check_reached(t, src: np.ndarray, dst: np.ndarray,
@@ -389,13 +403,8 @@ def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
     order.
     """
     t = rg.topology
-    sources = np.asarray(sources, dtype=np.int64)
-    nodes = np.array(t.live_nodes, dtype=np.int64)
-    src = np.repeat(sources, len(nodes))
-    dst = np.tile(nodes, len(sources))
-    row_base = np.repeat(np.arange(len(sources)) * rg.n_vertices, len(nodes))
-    pair = dst != src
-    src, dst, row_base = src[pair], dst[pair], row_base[pair]
+    src, dst, row = _pairs(t, sources)
+    row_base = row * rg.n_vertices
     parent = parent_edge.reshape(-1)
     cur = row_base + rg.end_vid(dst)
     _check_reached(t, src, dst, parent[cur] >= 0)
@@ -410,47 +419,30 @@ def _tree_chains(rg: RoutingGraph, sources, parent_edge: np.ndarray,
     return _padded(hops[kept], lens, int(lens.max(initial=1)), np.int32)
 
 
-def _lightest_parents(rg: RoutingGraph, level: np.ndarray,
-                      loads: np.ndarray) -> np.ndarray:
-    """Per vertex, its in-edge from the hop level below with the least
-    (load of the link its tail was entered by, edge id); -1 where none.
-
-    ``level`` holds one source's hop levels (-1 where unreached). Every
-    in-edge of a vertex crosses one link (``RoutingGraph.in_link``), so the
-    key of an edge is known from the ledger alone, before any search. The
-    begin vertex, which no edge enters, reads DUMMY_LINK (-1), so the ledger
-    ends with one more entry, a 0.
-    """
-    tail, head, arrival = rg.wide_edges
-    e = np.flatnonzero(level[tail] + 1 == level[head])
-    key = loads[arrival[e]].astype(np.int64)
-    # the least (key, edge id) as the least key * n_edges + edge id
-    none = np.iinfo(np.int64).max
-    best = np.full(rg.n_vertices, none)
-    np.minimum.at(best, head[e], key * rg.n_edges + e)
-    return np.where(best < none, best % rg.n_edges, -1)
-
-
 def _parent_candidates(rg: RoutingGraph, level: np.ndarray):
     """(edge ids, the link each one's tail was entered by, each head's first
-    index, the heads, depth) of the edges that ``_lightest_parents`` picks
-    from for the hop levels ``level``, head by head, each head's in edge-id
-    order; depth is ``level.max()``. No ledger changes them, so one listing
-    serves every source of an orbit (``_pick_parents``)."""
-    tail, head, arrival = rg.wide_edges
-    e = np.flatnonzero(level[tail] + 1 == level[head])
-    e = e[np.argsort(head[e], kind="stable")]
-    heads = head[e]
+    index, the heads, depth) of the edges from each hop level of ``level``
+    to the next, head by head, each head's in edge-id order
+    (``RoutingGraph.back_edges``); depth is ``level.max()``, the level of
+    the search's deepest END vertex (``_levels``). No ledger changes them,
+    so one listing serves every source of an orbit."""
+    indptr, tail, _, edge = rg.back_edges
+    at = np.flatnonzero(level[tail] == np.repeat(level - 1, np.diff(indptr)))
+    e = edge[at]
+    heads = rg.edge_head[e].astype(np.intp)
     new = np.ones(len(e), dtype=bool)
     np.not_equal(heads[1:], heads[:-1], out=new[1:])
     first = np.flatnonzero(new)
-    return e, arrival[e], first, heads[first], int(level.max())
+    return (e, rg.in_link[tail[at]].astype(np.intp), first, heads[first],
+            int(level.max()))
 
 
 def _pick_parents(rg: RoutingGraph, candidates,
                   ledger: np.ndarray) -> np.ndarray:
-    """``_lightest_parents`` over a ``_parent_candidates`` listing: one
-    minimum per head, with no pass over every edge or every vertex."""
+    """Per vertex, its ``_parent_candidates`` edge with the least (``ledger``
+    load of the link its tail was entered by, edge id), in one minimum per
+    head; -1 where none. DUMMY_LINK (-1), which a begin vertex reads, reads
+    the 0 at the end of ``ledger``."""
     e, arrival, first, heads, _ = candidates
     parent = np.full(rg.n_vertices, -1, dtype=np.int64)
     key = ledger[arrival].astype(np.int64) * rg.n_edges + e
@@ -458,54 +450,49 @@ def _pick_parents(rg: RoutingGraph, candidates,
     return parent
 
 
-def _bfs_chains(rg: RoutingGraph, source: int, level: np.ndarray,
-                loads: np.ndarray) -> np.ndarray:
+def _bfs_chains(rg: RoutingGraph, rep: int, candidates, links: np.ndarray,
+                rows, loads: np.ndarray) -> np.ndarray:
     """Breadth-first tree chains from one source, then weight bookkeeping.
 
     Lightest arrival first: a vertex's parent is its in-edge from the level
-    below with the least (load of the link the tail arrived over, edge id),
-    picked in one array pass (``_lightest_parents``). Edge ids are
-    tail-major, so this is the first claimant when each frontier is
-    expanded in ascending arrival load, ties by vertex id. ``level`` holds
-    the source's hop levels, which no ledger changes; the read-back walks
-    ``level.max()`` hops, the level of its search's deepest END vertex once
-    every END is reached (``_levels``). ``loads`` ends with the 0 that
-    DUMMY_LINK reads.
-    After the tree is read back, every chain adds one unit of load to each
-    physical link it crosses; an unroutable pair raises before any load is
-    added.
+    below with the least (load of the link the tail arrived over, edge id).
+    Edge ids are tail-major, so this is the first claimant when each
+    frontier is expanded in ascending arrival load, ties by vertex id. The
+    pick runs in the frame of the source's representative ``rep``, over its
+    ``_parent_candidates``, against the ledger ``loads`` (which ends with
+    DUMMY_LINK's 0) read through the source's link map ``links``; the
+    chains are mapped back, add one unit of load to each physical link they
+    cross, and go in the source's pair order by ``rows`` (``_Orbits``; a
+    source that is its own representative reads identity maps). An
+    unroutable pair raises before any load is added.
     """
-    chains = _tree_chains(rg, [source], _lightest_parents(rg, level, loads),
-                          int(level.max()))
-    loads += np.bincount(chains[chains >= 0], minlength=len(loads))
-    return chains
-
-
-def _shifted_bfs_chains(rg: RoutingGraph, rep: int, candidates,
-                        links: np.ndarray, rows: np.ndarray,
-                        loads: np.ndarray) -> np.ndarray:
-    """``_bfs_chains`` of a source in the frame of its representative
-    ``rep``: the parents are picked from ``rep``'s ``_parent_candidates``
-    against the ledger read through the source's link map ``links``, and
-    the tree's chains are mapped back to the source, add their load and are
-    put in its pair order by ``rows`` (``_Orbits.source_frames``)."""
     parent = _pick_parents(rg, candidates, loads[links])
     chains = links[_tree_chains(rg, [rep], parent, candidates[-1])]
     loads += np.bincount(chains[chains >= 0], minlength=len(loads))
     return chains[rows]
 
 
+def _link_ids(t) -> np.ndarray:
+    """Every channel id, then DUMMY_LINK: the identity link map."""
+    return np.append(np.arange(t.n_channels, dtype=np.int32),
+                     np.int32(DUMMY_LINK))
+
+
 def build_bfs_routes(rg: RoutingGraph, source: int,
                      loads: np.ndarray) -> dict[int, Route]:
-    """Breadth-first routes from one source; see ``_bfs_chains``."""
-    rg.topology.check_nodes([source])
+    """Breadth-first routes from one source, its own representative; see
+    ``_bfs_chains``."""
+    t = rg.topology
+    t.check_nodes([source])
     ledger = np.append(loads, 0)
-    chains = _bfs_chains(rg, source, _hop_levels(rg, [source])[0], ledger)
+    candidates = _parent_candidates(rg, _hop_levels(rg, [source])[0])
+    chains = _bfs_chains(rg, source, candidates, _link_ids(t),
+                         np.arange(len(t.live_nodes) - 1), ledger)
     loads[:] = ledger[:-1]
     return {r.dst: r for r in _routes(rg, source, chains)}
 
 
-def _source_order(t) -> list[int]:
+def _source_order(t) -> np.ndarray:
     """The live nodes in ``build_rt_bfs``'s source order: the first live
     node, then each time the remaining node most remote from the last."""
     order = list(t.live_nodes[:1])
@@ -517,7 +504,7 @@ def _source_order(t) -> list[int]:
         at = int(np.argmax(np.where(remaining, t.distances[order[-1]], -2)))
         order.append(at)
         remaining[at] = False
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
@@ -527,37 +514,30 @@ def build_rt_bfs(rg: RoutingGraph) -> RoutingTable:
     level search serves a batch of sources in that order
     (``_source_batches``), and it searches only the representatives
     (``_Orbits``) that the batch's sources need and no earlier batch
-    searched; what a representative's sources read of it is dropped after
-    its last. Each source's tree is then picked against the ledger its
-    predecessors left. With singleton orbits that is ``_bfs_chains`` on the
-    source's own levels. Otherwise the pick runs in the representative's
-    frame, over its parent candidates (``_pick_parents``) and the ledger
-    read through the source's link map, and the chains are mapped back to
-    the source before they add their load.
+    searched. Each representative's parent candidates are listed once and
+    dropped after its last source. Every source's tree is then picked
+    against the ledger its predecessors left, in its representative's frame
+    (``_bfs_chains``), through the batch's link maps and pair rows.
     """
     t = rg.topology
     orb = _Orbits(rg)
     order = _source_order(t)
     last = {int(orb.rep[s]): s for s in order}  # each representative's last
-    # per representative still needed: its hop levels, or with orbits its
-    # parent candidates
-    found = {}
+    found = {}  # per representative still needed: its parent candidates
     loads = np.zeros(t.n_channels + 1, dtype=np.int64)  # DUMMY_LINK's 0 last
     chains = {}
     for part in _source_batches(rg, order):
         need = [r for r in dict.fromkeys(orb.rep[part].tolist())
                 if r not in found]
-        levels = _hop_levels(rg, need)
-        found.update(zip(need, levels if orb.single else (
-            _parent_candidates(rg, level) for level in levels)))
-        if not orb.single:
-            maps, rows = orb.source_frames(part)
-        for i, source in enumerate(part):
+        found.update((r, _parent_candidates(rg, level))
+                     for r, level in zip(need, _hop_levels(rg, need)))
+        maps = orb.links_to_sources(part, np.tile(_link_ids(t),
+                                                  (len(part), 1)))
+        rows = orb.pair_rows(*_pairs(t, part)[:2]).reshape(len(part), -1)
+        for source, links, at in zip(part.tolist(), maps, rows % orb.dests):
             r = int(orb.rep[source])
             mine = found.pop(r) if last[r] == source else found[r]
-            chains[source] = (
-                _bfs_chains(rg, source, mine, loads) if orb.single else
-                _shifted_bfs_chains(rg, r, mine, maps[i], rows[i], loads))
+            chains[source] = _bfs_chains(rg, r, mine, links, at, loads)
     src = np.repeat(t.live_nodes, len(t.live_nodes) - 1)  # pair order
     # popped, so that only the stacked copy lives on through the encoding
     links = _stack([chains.pop(s) for s in t.live_nodes])
@@ -588,9 +568,9 @@ def enumerate_minimal_routes(rg: RoutingGraph, src: int, dst: int,
 
 
 def _pair_stats(rg: RoutingGraph, orb: _Orbits | None = None):
-    """(hop levels, one row per node id, -1 where unreached or the node
-    failed; columns of every pair's canonical route in pair order; unique
-    mask; their link chains padded with -1).
+    """(hop levels of the representatives, one row each in ``reps`` order,
+    -1 where unreached; columns of every pair's canonical route in pair
+    order; unique mask; their link chains padded with -1).
 
     Only the representatives (``orb``, or the graph's ``_Orbits``) are
     searched, read back and encoded. One level search serves a batch of
@@ -599,16 +579,16 @@ def _pair_stats(rg: RoutingGraph, orb: _Orbits | None = None):
     (``_tree_chains``). A pair's minimal route is unique exactly when its
     shortest routing-graph paths are as many as the canonical chain's legal
     splits, since a second physical route would add splits of its own.
-    Every other source reads its levels, and each of its pairs its row,
-    from its representative through its shift; the row's nodes and links
-    are shifted back.
+    Every pair then reads the row of its representatives' pair
+    (``_Orbits.pair_rows``), with the row's nodes and links mapped to its
+    own source.
     """
     t = rg.topology
     orb = orb or _Orbits(rg)
     nodes = np.array(t.live_nodes, dtype=np.int64)
     ends = rg.end_vid(nodes)
     reps = orb.reps
-    levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int8)
+    levels = np.full((len(reps), rg.n_vertices), -1, dtype=np.int8)
     chains, paths = [], [np.zeros(0, np.int64)]
     for part in _source_batches(rg, reps):
         dist, counts, parent_edge = _bfs_count(rg, part)
@@ -617,7 +597,7 @@ def _pair_stats(rg: RoutingGraph, orb: _Orbits | None = None):
         paths.append(counts[:, ends][nodes != part[:, None]])
         if deepest > np.iinfo(levels.dtype).max:
             levels = levels.astype(np.min_scalar_type(-1 - deepest))
-        levels[part] = dist
+        levels[np.searchsorted(reps, part)] = dist
     links = _stack(chains)
     cols, legal = encode_chains(t, np.repeat(reps, len(nodes) - 1), links,
                                 rg.relaxed)
@@ -625,26 +605,15 @@ def _pair_stats(rg: RoutingGraph, orb: _Orbits | None = None):
     if orb.single:  # every pair's row is its own source's, in place
         return levels, cols, unique, links
 
-    rep, shift, unshift = orb.rep, orb.shift, orb.unshift
-    grid = levels.reshape(t.num_coords, t.num_coords, rg.block)
-    for s in nodes[rep[nodes] != nodes].tolist():
-        grid[s] = grid[rep[s], shift[s]]
-    # pair (s, d) is the representatives' pair (rep[s], u = shift[s, d]):
-    # u's slot among the live nodes, less one past rep[s]'s own, in the
-    # block of rows of rep[s]
-    slot = np.zeros(t.num_coords, dtype=np.intp)
-    slot[nodes] = np.arange(len(nodes))
-    src, dst = np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
-    src, dst = src[src != dst], dst[src != dst]
-    u, r = slot[shift[src, dst]], slot[rep[src]]
-    at = np.searchsorted(reps, rep[src]) * (len(nodes) - 1) + u - (u > r)
-    cols, unique, links = cols.take(at), unique[at], links[at]
+    src, dst, _ = _pairs(t, nodes)
+    at = orb.pair_rows(src, dst)
+    cols, unique = cols.take(at), unique[at]
+    links = orb.links_to_sources(src, links[at])
+    unshift = orb.unshift
     for i in range(0, len(at), _PATH_BATCH):
         rows = slice(i, i + _PATH_BATCH)
-        seq, steps = cols.nodes[rows], cols.steps[rows]
+        seq = cols.nodes[rows]
         seq[:] = np.where(seq >= 0, unshift[src[rows, None], seq], -1)
-        links[rows] = np.where(steps >= 0,
-                               t.channel_table[seq[:, :-1], steps], -1)
     cols.src[:], cols.dst[:] = src, dst
     return levels, cols, unique, links
 
@@ -673,7 +642,7 @@ def _path_chains(rg: RoutingGraph, levels: np.ndarray, rows,
     the rows left-aligned, as in ``_tree_chains``.
     """
     nv = rg.n_vertices
-    indptr, tail, link = rg.back_edges
+    indptr, tail, link, _ = rg.back_edges
     flat = levels.reshape(-1)
     dtype = _id_dtype(rg.topology)
     chains, pair = [np.full((0, 1), -1, dtype=dtype)], [np.zeros(0, np.int32)]
@@ -773,21 +742,19 @@ def _pending_chains(rg: RoutingGraph, orb: _Orbits, levels: np.ndarray,
     """(link chains padded with -1, first chain row of every pair and one
     past the last) of every shortest routing-graph path of each pair
     (``src[i]``, ``dst[i]``), pair by pair, each pair's in depth-first order
-    (``_path_chains``); ``levels`` holds the hop levels of every
-    representative, one row per node id.
+    (``_path_chains``); ``levels`` holds the hop levels of the
+    representatives, one row each in ``orb.reps`` order (``_pair_stats``).
 
-    The paths of (s, d) are the shifted paths of (rep[s], shift[s, d]), so
-    each distinct representatives' pair is listed once, and each pair takes
-    its chains with their links as seen from its own source.
+    The paths of (s, d) are the shifted paths of its representatives' pair
+    (``_Orbits.pair_rows``), so each distinct representatives' pair is
+    listed once, from its representative's levels, and each pair takes its
+    chains with their links as seen from its own source.
     """
-    if orb.single or not len(src):
-        chains, owner = _path_chains(rg, levels, src, rg.end_vid(dst))
-        return chains, np.searchsorted(owner, np.arange(len(src) + 1))
-    size = rg.topology.num_coords
-    keys, inverse = np.unique(orb.rep[src] * size + orb.shift[src, dst],
-                              return_inverse=True)
-    listed, owner = _path_chains(rg, levels, keys // size,
-                                 rg.end_vid(keys % size))
+    nodes = np.array(rg.topology.live_nodes, dtype=np.int64)
+    keys, inverse = np.unique(orb.pair_rows(src, dst), return_inverse=True)
+    rep, j = np.divmod(keys, orb.dests)
+    ends = rg.end_vid(nodes[j + (j >= np.searchsorted(nodes, orb.reps[rep]))])
+    listed, owner = _path_chains(rg, levels, rep, ends)
     start = np.searchsorted(owner, np.arange(len(keys) + 1))
     n = np.diff(start)[inverse]
     first = np.concatenate([[0], np.cumsum(n)])
@@ -804,7 +771,7 @@ def build_rt_sssp(rg: RoutingGraph,
     its searches go in batches of sources (``_pair_stats``): one level
     search and one array read-back per batch. Stage 2 lists every pending
     pair's shortest routing-graph paths as link chains, in group order, from
-    stage 1's hop levels (``_path_chains``). Each call then gives every
+    stage 1's hop levels (``_pending_chains``). Each call then gives every
     remaining pair of a group the first of its chains with the least summed
     load on the live ledger and routes, in pair order, each chain that
     shares no link with a chain routed before it in the same call; calls
@@ -882,10 +849,7 @@ def _variant_tables(rg: RoutingGraph):
     levels = np.full((t.num_coords, rg.n_vertices), -1, dtype=np.int32)
     for part in _source_batches(rg, nodes):
         levels[part] = _hop_levels(rg, part)
-    src = np.repeat(nodes, len(nodes))
-    dst = np.tile(nodes, len(nodes))
-    pair = src != dst
-    src, dst = src[pair], dst[pair]
+    src, dst, _ = _pairs(t, nodes)
     ends = rg.end_vid(dst)
     _check_reached(t, src, dst, levels[src, ends] >= 0)
     chains, counts, _ = _variant_lists(rg, levels, src, ends, VARIANT_CAP)

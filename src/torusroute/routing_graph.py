@@ -160,15 +160,6 @@ class RoutingGraph:
     # -- adjacency helpers ----------------------------------------------------
 
     @cached_property
-    def wide_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tail, head, the link the tail is entered by) of every edge as
-        intp arrays, cached: NumPy gathers with intp indices without first
-        casting them."""
-        tail, head = (a.astype(np.intp) for a in (self.edge_tail,
-                                                  self.edge_head))
-        return tail, head, self.in_link[tail].astype(np.intp)
-
-    @cached_property
     def walk_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(link, tail) of every edge, cached, each with one more entry that
         edge -1 reads: DUMMY_LINK, and vertex 0, a BEGIN vertex that no edge
@@ -177,11 +168,12 @@ class RoutingGraph:
                 np.append(self.edge_tail, 0))
 
     @cached_property
-    def back_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, tail, link) of every vertex's in-edges in edge-id order,
-        cached, as CSR rows over head vertices. A BEGIN vertex, which no edge
-        enters, reads one in-edge from itself over DUMMY_LINK, so a walk back
-        that reaches a begin vertex stays there."""
+    def back_edges(self) -> tuple[np.ndarray, ...]:
+        """(indptr, tail, link, edge id) of every vertex's in-edges in
+        edge-id order, cached, as CSR rows over head vertices. A BEGIN
+        vertex, which no edge enters, reads one in-edge from itself over
+        DUMMY_LINK, with edge id -1, so a walk back that reaches a begin
+        vertex stays there."""
         begins = np.arange(0, self.n_vertices, self.block, dtype=np.int32)
         head = np.concatenate([self.edge_head, begins])
         order = np.argsort(head, kind="stable")
@@ -191,7 +183,8 @@ class RoutingGraph:
         tail = np.concatenate([self.edge_tail, begins])[order]
         link = np.append(self.edge_link,
                          np.full(len(begins), DUMMY_LINK, np.int32))[order]
-        return indptr, tail.astype(np.intp), link
+        edge = np.where(order < self.n_edges, order, -1)
+        return indptr, tail.astype(np.intp), link, edge
 
 
 def _build_edges(rg: RoutingGraph) -> np.ndarray:

@@ -428,10 +428,10 @@ def test_batched_level_search_matches_plain_bfs(system, rows):
     read-back against a plain BFS per source, cut where the batch's search
     stops (``_stopped``): hop levels, path counts, least-edge-id parents
     (one batch of every source, and one source alone), and ``_pair_stats``'
-    levels and padded canonical chains with batches of ``rows`` sources.
-    Every END vertex reads its plain BFS level, uncut. Where a pair is
-    unreached, ``_pair_stats`` names the first source with one and all its
-    unreached destinations."""
+    levels of the representatives and padded canonical chains with batches
+    of ``rows`` representatives. Every END vertex reads its plain BFS
+    level, uncut. Where a pair is unreached, ``_pair_stats`` names the
+    first source with one and all its unreached destinations."""
     dims, nodes, links, src, _ = system
     t = make_torus(dims, nodes, links)
     rg = prepare(t)[0]
@@ -462,9 +462,9 @@ def test_batched_level_search_matches_plain_bfs(system, rows):
             assert err.value.pairs == next(u for u in unreached if u)
             return
         levels, _, _, links = _pair_stats(rg)
-    assert [levels[s].tolist() for s in live] == [
-        r[0] for i in range(0, len(live), rows)
-        for r in _stopped(rg, ref[i:i + rows])]
+    reps = [ref[live.index(r)] for r in algorithms._Orbits(rg).reps.tolist()]
+    assert levels.tolist() == [r[0] for i in range(0, len(reps), rows)
+                               for r in _stopped(rg, reps[i:i + rows])]
     flat = [c[d] for c in chains for d in sorted(c)]
     want = np.full((len(flat), max([1, *map(len, flat)])), -1)
     for row, c in zip(want, flat):
@@ -611,21 +611,22 @@ def _outputs_of_stage1_and_tables(rg):
 @settings(max_examples=40, deadline=None)
 def test_orbits_match_singleton_orbits(dims):
     """Differential test of orbit sharing on fault-free tori against
-    singleton orbits (every source searched): ``_pair_stats``' levels, every
-    column field (values, dtype, pad width), unique mask and links, and the
-    bfs and sssp tables, byte for byte, with their stats. With or without
-    relaxed turns a system has one orbit per node of its mesh axes (size
-    2)."""
+    singleton orbits (every source searched): ``_pair_stats``' levels of the
+    representatives, every column field (values, dtype, pad width), unique
+    mask and links, and the bfs and sssp tables, byte for byte, with their
+    stats. With or without relaxed turns a system has one orbit per node of
+    its mesh axes (size 2)."""
     t = make_torus(dims)
     rg = prepare(t)[0]
-    rep = algorithms._Orbits(rg).rep
-    assert len(np.unique(rep)) == np.prod([size for size in dims if size < 3])
+    reps = algorithms._Orbits(rg).reps
+    assert len(reps) == np.prod([size for size in dims if size < 3])
     shared = _outputs_of_stage1_and_tables(rg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "_orbit_axes", _no_orbit_axes)
         alone = _outputs_of_stage1_and_tables(rg)
     (levels, cols, unique, links), bfs, sssp = shared
     want_levels, want_cols, want_unique, want_links = alone[0]
+    want_levels = want_levels[reps]  # singleton orbits: one row per node
     for got, want in ((levels, want_levels), (unique, want_unique),
                       (links, want_links), *(
                           (getattr(cols, f.name), getattr(want_cols, f.name))
@@ -689,37 +690,45 @@ def test_shared_stage2_listing_matches_per_source_listing(dims):
     assert (np.repeat(np.arange(len(src)), np.diff(first)) == owner).all()
 
 
-@pytest.mark.parametrize("dims", [[6, 6, 6], [4, 2, 2, 2], [2, 4, 4]],
-                         ids=["6x6x6", "4x2x2x2", "2x4x4"])
-def test_bfs_pick_in_the_representative_frame(dims):
+@pytest.mark.parametrize("dims,faults,lone_turn", [
+    ([6, 6, 6], {}, False), ([4, 2, 2, 2], {}, False), ([2, 4, 4], {}, False),
+    ([4, 4, 3], {"failed_nodes": [5]}, False), ([2, 2, 2, 2], {}, False),
+    ([4, 2, 2, 2], {}, True),
+], ids=["6x6x6", "4x2x2x2", "2x4x4", "4x4x3-node", "2x2x2x2",
+        "4x2x2x2-one-turn"])
+def test_bfs_pick_in_the_representative_frame(dims, faults, lone_turn):
     """``build_rt_bfs``'s parent pick in the representative's frame against
-    ``_lightest_parents`` on the source's own hop levels, under random
-    ledgers of few distinct loads (many ties). On its own levels
-    ``_pick_parents`` gives the same parent of every vertex. From the
-    representative's parent candidates and the source's link map,
-    ``_shifted_bfs_chains`` gives ``_bfs_chains``' chains in the same order
-    and adds the same load."""
-    t, rg, g, added = prepared(dims)
+    ``_lightest_arrival_bfs`` from the source itself, under random ledgers
+    of few distinct loads (many ties): from the representative's parent
+    candidates, the source's link map (``_Orbits.links_to_sources``) and
+    its pair rows (``_Orbits.pair_rows``), ``_bfs_chains`` gives every
+    destination's chain in pair order and adds the same load. The last
+    three systems are singleton orbits, where every map is the identity: a
+    failed node, every axis of size 2, and one turn of a shift-invariant
+    set (``RoutingGraph(t, [min(added)])``)."""
+    t, rg, g, added = prepared(dims, **faults)
+    if lone_turn:
+        rg = RoutingGraph(t, [min(added)])
     orb = algorithms._Orbits(rg)
-    assert not orb.single
+    assert orb.single == bool(faults or lone_turn or max(dims) == 2)
     rng = np.random.default_rng(11)
     candidates = {r: algorithms._parent_candidates(rg, level) for r, level
                   in zip(orb.reps.tolist(), _hop_levels(rg, orb.reps))}
-    sources = rng.choice(t.num_coords, 24, replace=False)
-    maps, rows = orb.source_frames(sources)
-    for s, links, at in zip(sources.tolist(), maps, rows):
+    live = np.array(t.live_nodes)
+    sources = rng.choice(live, min(24, len(live)), replace=False)
+    maps = orb.links_to_sources(sources, np.tile(algorithms._link_ids(t),
+                                                 (len(sources), 1)))
+    rows = orb.pair_rows(*algorithms._pairs(t, sources)[:2]) % orb.dests
+    for s, links, at in zip(sources.tolist(), maps,
+                            rows.reshape(len(sources), -1)):
         ledger = np.append(rng.integers(0, 3, t.n_channels), 0)
-        level = _hop_levels(rg, [s])[0]
-        assert (algorithms._pick_parents(
-            rg, algorithms._parent_candidates(rg, level), ledger)
-            == algorithms._lightest_parents(rg, level, ledger)).all()
-        want_ledger, got_ledger = ledger.copy(), ledger.copy()
-        want = algorithms._bfs_chains(rg, s, level, want_ledger)
-        got = algorithms._shifted_bfs_chains(
-            rg, int(orb.rep[s]), candidates[int(orb.rep[s])], links, at,
-            got_ledger)
-        assert got.tolist() == want.tolist()
-        assert (got_ledger == want_ledger).all()
+        want_ledger = ledger[:-1].copy()
+        want = _lightest_arrival_bfs(rg, s, want_ledger)
+        r = int(orb.rep[s])
+        got = algorithms._bfs_chains(rg, r, candidates[r], links, at, ledger)
+        assert [[x for x in row if x >= 0] for row in got.tolist()] == [
+            want[d] for d in t.live_nodes if d != s]
+        assert (ledger[:-1] == want_ledger).all()
 
 
 @pytest.mark.parametrize("algo", sorted(GENERATORS))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import torusroute.algorithms
 import torusroute.cdg
 import torusroute.cli
 import torusroute.routes
@@ -652,6 +653,38 @@ def test_routing_graph_is_built_once(monkeypatch):
     for name in ("codes", "_code_offset", "code_step", "single_codes",
                  "code_last", "dirbit_by_last"):
         assert not hasattr(rg, name), name
+
+
+@pytest.mark.parametrize("dims,faults", [
+    ([4, 4, 3], {}), ([4, 4, 3], {"failed_nodes": [5]})],
+    ids=["fault-free", "failed-node"])
+def test_bfs_picks_parents_on_one_path(dims, faults, monkeypatch):
+    """``build_rt_bfs`` picks every source's parents on one path, whether
+    the source shares an orbit or is its own: no module defines, calls or
+    reads the second pick (``_lightest_parents`` with its full edge scan,
+    ``wide_edges``), its twin read-back (``_shifted_bfs_chains``) or a
+    per-source frame builder (``source_frames``), and ``_pick_parents``
+    runs exactly once per live source, on a fault-free and a faulted
+    system."""
+    banned = {"_lightest_parents", "_shifted_bfs_chains", "source_frames",
+              "wide_edges"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in _defined_or_called(path):
+            assert name not in banned, (path.name, line, name)
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in banned, (path.name, node.lineno)
+    algorithms = torusroute.algorithms
+    real, picked = algorithms._pick_parents, []
+
+    def counted(*args):
+        picked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algorithms, "_pick_parents", counted)
+    t, rg, g, added = prepared(dims, **faults)
+    build_rt_bfs(rg)
+    assert len(picked) == len(t.live_nodes)
 
 
 def test_parse_table_lenient_forms():

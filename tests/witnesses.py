@@ -207,7 +207,7 @@ def in_edges(rg: RoutingGraph) -> list[tuple[tuple[int, int], ...]]:
     its first pass, where lists would stay and make every full collection
     longer."""
     if rg not in _IN_EDGES:
-        indptr, tail, link = rg.back_edges
+        indptr, tail, link, _ = rg.back_edges
         bounds = indptr.tolist()
         pairs = list(zip(tail.tolist(), link.tolist()))
         _IN_EDGES[rg] = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
