@@ -23,11 +23,15 @@ load of its link, so all routing-graph edges over one cable weigh the same.
   chain of a shortest routing-graph path, read off the edges undecoded, and
   one capped listing (``_variant_lists``) gives every pair its variants. Each
   individual keeps its channel loads as a row that moves with it; a kid's
-  row is its first parent's, corrected over the genes where they differ, so
-  a generation is bred with array masks and scored in one pass. Mutation
-  draws only what it uses: a binomial count of sites over the generation's
-  genes, that many distinct sites, and one variant per site, uniform over
-  its pair's; each gene still mutates alone with the mutation probability.
+  row is its first parent's, corrected over the genes where they differ.
+  Both kids of a couple differ from their first-named parents at the same
+  genes, the window genes where the parents differ, so one count of those
+  genes' chains corrects both rows with opposite signs; a mutated site
+  swaps the chain of the gene it overwrites for its new one, and one
+  ``deviation`` call scores the generation. Mutation draws only what it
+  uses: a binomial count of sites over the generation's genes, that many
+  distinct sites, and one variant per site, uniform over its pair's; each
+  gene still mutates alone with the mutation probability.
 * ``build_rt_sssp``: unique minimal routes fixed first, the remaining pairs
   grouped by (turn count, length, source) and served by repeated calls that
   give each pair the first of its shortest routing-graph paths with the
@@ -874,14 +878,23 @@ def build_rt_genetic(rg: RoutingGraph,
                                 t.n_channels, dtype=np.int64)))
     gp = perfect_channel_load(t)
     width = t.n_channels + 1  # pads count in the last column
-    counted = np.where(links < 0, t.n_channels, links)
+    # chains[k, v]: the channel of variant v's k-th link, or the pad column;
+    # position-major, so a gather of variants takes one run per position
+    chains = np.ascontiguousarray(np.where(links < 0, t.n_channels, links).T)
     rng = np.random.default_rng(params.seed)
+
+    def tally(rows, variants, n_rows):
+        """Channel counts of the variants' chains, summed per row."""
+        at = np.take(chains, variants, axis=1)
+        at += rows * width
+        return np.bincount(at.ravel(), minlength=n_rows * width).reshape(
+            n_rows, width)
 
     pop_n = params.population
     # genes fit in uint8: a pair has at most VARIANT_CAP (128) variants
     pop = rng.integers(0, counts, size=(pop_n, len(src)),
                        dtype=np.int64).astype(np.uint8)
-    loads = np.array([np.bincount(counted[offsets + g].ravel(),
+    loads = np.array([np.bincount(chains[:, offsets + g].ravel(),
                                   minlength=width) for g in pop])
     fits = deviation(loads[:, :-1], gp)
     order = np.argsort(fits, kind="stable")
@@ -893,32 +906,48 @@ def build_rt_genetic(rg: RoutingGraph,
     most = (float("inf") if params.max_generations is None
             else params.max_generations)
     half = pop_n // 2 + pop_n % 2
-    locus = np.arange(len(src))
     while stagnant < params.stagnation_limit and generations < most:
         generations += 1
         parents = rng.integers(0, pop_n, size=(half, 2))
         cuts = np.sort(rng.integers(0, len(src) + 1, size=(half, 2)), axis=1)
-        # pair i breeds kid 2i from its parents in order and kid 2i + 1 from
-        # them swapped, each taking the other parent's genes between the
-        # cuts; an odd population drops the last kid
-        first = parents.reshape(-1)[:pop_n]
-        other = parents[:, ::-1].reshape(-1)[:pop_n]
-        lo, hi = (np.repeat(c, 2)[:pop_n, None] for c in cuts.T)
-        base = pop[first]
-        kids = np.where((lo <= locus) & (locus < hi), pop[other], base)
+        # couple i breeds kid 2i from its parents in order and kid 2i + 1
+        # from them swapped, each taking the other parent's genes between
+        # the cuts; an odd population drops the last kid. Both kids differ
+        # from their first-named parent at the same genes, the window genes
+        # where the parents differ, so their load corrections are opposite.
+        # a and b: every couple's window genes of its first and second
+        # parent, end to end; then the couple and pair of each that differs
+        lo, hi = cuts.T
+        ends = np.cumsum(hi - lo)
+        a, b = (np.concatenate([pop[p, i:j] for p, i, j in zip(
+            side.tolist(), lo.tolist(), hi.tolist())]) for side in parents.T)
+        at = np.flatnonzero(a != b)
+        couple = np.searchsorted(ends, at, side="right")
+        pair = at - (ends - hi)[couple]
+        a, b = a[at], b[at]
+        # every kid (an odd population's dropped one too) starts as its
+        # first-named parent and takes the other's differing window genes
+        first = parents.reshape(-1)
+        kids, kid_loads = pop[first], loads[first]
+        genes = kids.reshape(-1)  # a view: gene s is kid s // pairs
+        slot = 2 * len(src) * couple + pair
+        genes[slot], genes[slot + len(src)] = b, a
+        swap = (tally(couple, offsets[pair] + b, half)
+                - tally(couple, offsets[pair] + a, half))
+        kid_loads[0::2] += swap
+        kid_loads[1::2] -= swap
+        kids, kid_loads = kids[:pop_n], kid_loads[:pop_n]
         # each gene mutates with probability p: a binomial count of distinct
-        # sites, and one gene drawn for each from its pair's variants
+        # sites, and one gene drawn for each from its pair's variants; a
+        # site's kid takes the new variant's chain and drops the old one's
         sites = rng.choice(kids.size, rng.binomial(kids.size, params.mutation),
                            replace=False)
         kid, pair = np.divmod(sites, len(src))
-        kids[kid, pair] = rng.integers(0, counts[pair])
-        # each kid's loads: its first-named parent's, plus the variants it
-        # takes and minus those it drops where their genes differ
-        kid, pair = np.nonzero(kids != base)
-        taken, dropped = (np.bincount(
-            (kid[:, None] * width + counted[offsets[pair] + g[kid, pair]])
-            .ravel(), minlength=pop_n * width) for g in (kids, base))
-        kid_loads = loads[first] + (taken - dropped).reshape(pop_n, width)
+        old = genes[sites]
+        new = rng.integers(0, counts[pair])
+        genes[sites] = new
+        kid_loads += (tally(kid, offsets[pair] + new, pop_n)
+                      - tally(kid, offsets[pair] + old, pop_n))
         kid_fits = deviation(kid_loads[:, :-1], gp)
 
         order = np.argsort(np.concatenate([fits, kid_fits]),

@@ -928,30 +928,72 @@ def _per_individual_genetic(rg, params):
     ((3,), {}, dict(seed=0, population=4, stagnation_limit=2)),
     ((4, 4, 2), {"failed_nodes": ((0, 0, 1),)}, dict(seed=0, population=7)),
     ((6, 2, 2), {}, dict(seed=6, population=7, mutation=0.5)),
+    ((3, 2), {}, dict(seed=17, population=2)),
+    ((3, 2), {}, dict(seed=6, population=5)),
+    ((4, 4, 2), {}, dict(seed=1)),
 ], ids=repr)
-def test_genetic_matches_per_individual_reference(dims, faults, kwargs):
+def test_genetic_matches_per_individual_reference(dims, faults, kwargs,
+                                                  monkeypatch):
     """Differential test of the one-pass generation scoring of
     ``build_rt_genetic`` (kid loads kept as corrections of a parent's row)
     against ``_per_individual_genetic``: the same table, fitness history
     (bitwise), generation count and link increments, over odd and tiny
-    populations, mutation 0 and 1, the one-variant space of a 3-ring and a
-    faulted system."""
+    populations, mutation 0 and 1, the one-variant space of a 3-ring, a
+    faulted system and one default run on 4x4x2. The cases of
+    ``_BREEDING_EDGES`` must draw the edges named there."""
     t, rg, g, added = prepared(dims, **faults)
     params = GeneticParams(**kwargs)
+    logs = []
+    seeded = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: logs.append(
+        _DrawLog(seeded(seed))) or logs[-1])
     table = build_rt_genetic(rg, params=params)
+    monkeypatch.undo()
     text, history, generations, loads = _per_individual_genetic(rg, params)
     assert table_to_text(table) == text
     assert table.stats.fitness_history == history
     assert table.stats.generations == generations
     assert table.stats.link_increments.dtype == loads.dtype
     assert table.stats.link_increments.tolist() == loads.tolist()
+    want = _BREEDING_EDGES.get((dims, params.seed, params.population), set())
+    assert want <= _breeding_edges(logs[0].draws, params.population,
+                                   table.stats.total_pairs)
+
+
+# the breeding edges that a reference case's draws must hit
+_BREEDING_EDGES = {
+    ((3, 2), 17, 2): {"empty window", "full window", "same parents"},
+    ((3, 2), 6, 5): {"empty window", "full window", "same parents",
+                     "dropped kid"},
+    ((4, 4, 2), 1, 100): {"empty window", "same parents"},
+}
+
+
+def _breeding_edges(draws, pop_n, n_pairs):
+    """The breeding edges among a genetic search's recorded draws: a couple
+    with equal cuts, one whose cuts span every gene and whose parents are
+    two individuals, one that breeds an individual with itself, and a
+    generation of an odd population, whose last kid is dropped."""
+    edges = set()
+    # after the initial population, a generation draws its parents, cuts,
+    # mutation count, sites and their genes
+    for parents, cuts, *_ in zip(*[iter(draws[1:])] * 5):
+        lo, hi = np.sort(cuts, axis=1).T
+        same = parents[:, 0] == parents[:, 1]
+        hits = {"empty window": lo == hi,
+                "full window": (lo == 0) & (hi == n_pairs) & ~same,
+                "same parents": same,
+                "dropped kid": pop_n % 2 == 1}
+        edges |= {edge for edge, hit in hits.items() if np.any(hit)}
+    return edges
 
 
 class _DrawLog:
-    """A generator that records how many values each of its draws returns."""
+    """A generator that records each of its draws and how many values it
+    returns."""
 
     def __init__(self, rng):
-        self._rng, self.sizes = rng, []
+        self._rng, self.sizes, self.draws = rng, [], []
 
     def __getattr__(self, name):
         draw = getattr(self._rng, name)
@@ -959,6 +1001,7 @@ class _DrawLog:
         def logged(*args, **kwargs):
             out = draw(*args, **kwargs)
             self.sizes.append(np.size(out))
+            self.draws.append(out)
             return out
         return logged
 
@@ -980,6 +1023,20 @@ def test_genetic_generations_draw_no_population_sized_array(monkeypatch):
     assert log.sizes[0] == full
     assert table.stats.generations > 0
     assert max(log.sizes[1:]) < full
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 2, 2), (6, 2, 2)])
+def test_genetic_scores_each_generation_in_one_deviation_call(dims,
+                                                              monkeypatch):
+    """One ``deviation`` call scores the initial population and one scores
+    each generation's kids, as the benchmark's ``algorithms.genetic_evals``
+    counter assumes. One default run each."""
+    calls = []
+    monkeypatch.setattr(algorithms, "deviation", lambda *args: calls.append(
+        args) or deviation(*args))
+    table = build_rt_genetic(prepared(dims)[1], params=GeneticParams())
+    assert table.stats.generations > 0
+    assert len(calls) == table.stats.generations + 1
 
 
 @pytest.mark.parametrize("dims", [[3, 3], [2, 2], [4, 2], [2, 2, 3]])
