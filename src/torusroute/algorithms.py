@@ -287,16 +287,16 @@ class _Orbits:
     ``single`` says that no axis shifts: every node is then its own orbit
     and every map the identity, which the two steps that would only copy
     through one skip (``links_to_sources`` and ``_pair_stats``' reorder).
+    Coordinates, strides and the node of each link id are read off the
+    topology's layout arrays (``grid``, ``strides``, ``channel_node``).
     """
 
     def __init__(self, rg: RoutingGraph):
         t = self.topology = rg.topology
-        self._coords = np.indices(t.dims).reshape(t.n, t.num_coords)
-        self._strides = np.cumprod((1,) + t.dims[:0:-1])[::-1]
         moves = _orbit_axes(rg)
         self._moves = np.flatnonzero(moves)
         self.single = not len(self._moves)
-        self.rep = self._strides @ np.where(moves[:, None], 0, self._coords)
+        self.rep = t.strides @ np.where(moves[:, None], 0, t.grid)
         nodes = np.array(t.live_nodes, np.intp)
         self.reps = np.unique(self.rep[nodes])
         self.dests = len(nodes) - 1
@@ -311,8 +311,8 @@ class _Orbits:
         # the axes that do not shift keep u's coordinates, as rep[u] does
         table = np.broadcast_to(self.rep, (t.num_coords, t.num_coords))
         for a in self._moves:
-            moved = self._coords[a] + sign * self._coords[a, :, None]
-            table = table + moved % t.dims[a] * self._strides[a]
+            moved = t.grid[a] + sign * t.grid[a, :, None]
+            table = table + moved % t.dims[a] * t.strides[a]
         return table
 
     @cached_property
@@ -335,19 +335,14 @@ class _Orbits:
         return np.searchsorted(self.reps, rep) * self.dests + u - (u > r)
 
     @cached_property
-    def _channel_node(self) -> np.ndarray:
-        """The node of every channel id."""
-        return np.nonzero(self.topology.channel_table >= 0)[0]
-
-    @cached_property
     def _link_moves(self) -> np.ndarray:
         """Per source s and node v (flat, s-major): what to add to the id of
         a link of v to get the link as seen from s. Channel ids go node by
         node, and the nodes ``unshift`` pairs have the same links, since
         only mesh-axis coordinates (which no shift moves) decide which
         exist."""
-        first = np.searchsorted(self._channel_node,
-                                np.arange(self.topology.num_coords))
+        t = self.topology
+        first = np.searchsorted(t.channel_node, np.arange(t.num_coords))
         return (first[self.unshift] - first).astype(np.int32).reshape(-1)
 
     def links_to_sources(self, src: np.ndarray,
@@ -358,7 +353,7 @@ class _Orbits:
         if self.single:
             return links
         size = self.topology.num_coords
-        node, moves = self._channel_node, self._link_moves
+        node, moves = self.topology.channel_node, self._link_moves
         out = np.empty_like(links)
         for i in range(0, len(links), _PATH_BATCH):
             rows = slice(i, i + _PATH_BATCH)
@@ -885,7 +880,8 @@ def build_rt_genetic(rg: RoutingGraph,
 
     def tally(rows, variants, n_rows):
         """Channel counts of the variants' chains, summed per row."""
-        at = np.take(chains, variants, axis=1)
+        # widened first: row offsets overflow int16 link ids
+        at = np.take(chains, variants, axis=1).astype(np.intp)
         at += rows * width
         return np.bincount(at.ravel(), minlength=n_rows * width).reshape(
             n_rows, width)

@@ -81,7 +81,7 @@ def _template(n: int, kind: str) -> np.ndarray:
 def _turns(t: Topology, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(tail, head) channel ids of every turn of ``kind`` whose channels
     exist, ordered by tail, then by head direction."""
-    node, d = np.nonzero(t.channel_table >= 0)  # the channels in id order
+    node, d = t.channel_node, t.channel_dir
     heads = t.channel_table[t.neighbor_table[node, d]]
     tail, k = np.nonzero(_template(t.n, kind)[d] & (heads >= 0))
     return tail, heads[tail, k]

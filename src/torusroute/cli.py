@@ -19,7 +19,7 @@ from .algorithms import (GeneticParams, build_rt_bfs, build_rt_genetic,
 from .cdg import CDG, assert_deadlock_free, augment_cdg, build_cdg
 from .errors import (DeadlockCycleError, DisconnectedError, ParseError,
                      TopologyError, UnroutablePairError)
-from .metrics import PATTERNS, load_report, pattern_loads, pattern_pairs
+from .metrics import PATTERNS, _pattern_arrays, load_report, pattern_loads
 from .routes import check_table, load_table, write_table
 from .routing_graph import RoutingGraph
 from .topology import Topology, load_topology, make_torus
@@ -147,11 +147,9 @@ def cmd_verify(args) -> int:
     try:
         table = load_table(args.table, t)
     except OSError as exc:
-        print(f"error: cannot read {args.table}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _exit_io(f"cannot read {args.table}: {exc}")
     except ParseError as exc:
-        print(f"error: {args.table}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _exit_io(f"{args.table}: {exc}")
     g, added = augment_cdg(build_cdg(t))
     report = check_table(t, table, added)
     failures = 0
@@ -182,7 +180,7 @@ def cmd_compare(args) -> int:
     _check_ceiling(t, args.force)
     try:
         for pattern in args.patterns:
-            pattern_pairs(t, pattern)
+            _pattern_arrays(t, pattern)
     except TopologyError as exc:
         _exit_io(str(exc))
     params = _genetic_params(args)

@@ -76,59 +76,47 @@ def _per_channel(total: int, t: Topology) -> float:
 
 # -- traffic patterns ---------------------------------------------------------
 
-def _transpose_node(t: Topology, u: int) -> int:
-    """Mixed-radix transpose: reversed coordinates ranked in reversed dims.
+def _pattern_arrays(t: Topology, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) node id arrays of a synthetic pattern's ordered pairs, by
+    source, then by destination (neighbor: by direction).
 
-    Coincides with plain coordinate reversal when the dimension vector is a
-    palindrome, and is a bijection on node ids for every dimension vector.
+    Raises TopologyError naming the first failed node, in source order,
+    that the tornado or the transpose sends to.
     """
-    coords = t.coords(u)
-    rev_dims = t.dims[::-1]
-    rank = 0
-    for c, d in zip(coords[::-1], rev_dims):
-        rank = rank * d + c
-    return rank
+    name = name.lower()
+    if name not in PATTERNS:
+        raise ValueError(f"unknown pattern {name!r}")
+    if name == "neighbor":  # one pair per channel, in channel id order
+        return t.channel_node, t.neighbor_table[t.channel_node, t.channel_dir]
+    src = np.array(t.live_nodes, dtype=np.intp)
+    if name == "alltoall":
+        at, to = np.nonzero(src[:, None] != src)
+        return src[at], src[to]
+    grid = t.grid[:, src]
+    if name == "tornado":  # ceil(d1/2) - 1 hops along dim 1
+        shift = -(-t.dims[0] // 2) - 1
+        dst = src + ((grid[0] + shift) % t.dims[0] - grid[0]) * t.strides[0]
+    else:
+        # mixed-radix transpose: the reversed coordinates ranked in the
+        # reversed dims, which weighs coordinate j by the product of the
+        # sizes before it. Plain coordinate reversal when the dimension
+        # vector is a palindrome, and a bijection on node ids for every one.
+        dst = (t.num_coords // (t.strides * t.dims)) @ grid
+    keep = dst != src
+    src, dst = src[keep], dst[keep]
+    failed = np.zeros(t.num_coords, dtype=bool)
+    failed[list(t.failed_nodes)] = True
+    if failed[dst].any():
+        raise TopologyError(
+            f"{name} pattern references failed node "
+            f"{t.coord_str(int(dst[np.argmax(failed[dst])]))}")
+    return src, dst
 
 
 def pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
     """Ordered (src, dst) pairs of a synthetic communication pattern."""
-    name = name.lower()
-    if name not in PATTERNS:
-        raise ValueError(f"unknown pattern {name!r}")
-    if name == "alltoall":
-        return [(s, d) for s in t.live_nodes for d in t.live_nodes if s != d]
-    pairs: list[tuple[int, int]] = []
-    if name == "neighbor":
-        for s in t.live_nodes:
-            for d in range(t.ndirs):
-                v = t.neighbor_table[s, d]
-                if v >= 0:
-                    pairs.append((s, int(v)))
-    elif name == "tornado":
-        shift = -(-t.dims[0] // 2) - 1  # ceil(d1/2) - 1 hops along dim 1
-        if shift:
-            for s in t.live_nodes:
-                coords = list(t.coords(s))
-                coords[0] = (coords[0] + shift) % t.dims[0]
-                dst = t.node_id(coords)
-                if dst == s:
-                    continue
-                if dst in t.failed_nodes:
-                    raise TopologyError(
-                        f"tornado pattern references failed node "
-                        f"{t.coord_str(dst)}")
-                pairs.append((s, dst))
-    else:  # transpose
-        for s in t.live_nodes:
-            dst = _transpose_node(t, s)
-            if dst == s:
-                continue
-            if dst in t.failed_nodes:
-                raise TopologyError(
-                    f"transpose pattern references failed node "
-                    f"{t.coord_str(dst)}")
-            pairs.append((s, dst))
-    return pairs
+    src, dst = _pattern_arrays(t, name)
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 def _report(loads: np.ndarray, gamma_perfect: float, lengths: np.ndarray,
@@ -157,24 +145,24 @@ def pattern_loads(rt: RoutingTable, pattern: str,
     the channel count, so alltoall reduces to the full-table report.
     """
     t = rt.topology
-    pairs = pattern_pairs(t, pattern)
+    src, dst = _pattern_arrays(t, pattern)
     c = rt.columns
     keys = c.src.astype(np.int64) * t.num_coords + c.dst  # sorted
-    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    want = src * t.num_coords + dst
+    want = src.astype(np.int64) * t.num_coords + dst
     rows = np.searchsorted(keys, want)
     found = rows < len(keys)
     found[found] = keys[rows[found]] == want[found]
+
+    def pair(i) -> str:
+        return f"{t.coord_str(int(src[i]))}->{t.coord_str(int(dst[i]))}"
+
     if not found.all():
-        s, d = pairs[int(np.argmin(found))]
-        raise KeyError(f"no route for pattern pair "
-                       f"{t.coord_str(s)}->{t.coord_str(d)}")
+        raise KeyError(f"no route for pattern pair {pair(np.argmin(found))}")
     ids = rt.channel_matrix(rows)
     loads = np.bincount(ids[ids >= 0], minlength=t.n_channels)
     dist = t.distances[src, dst]
     if (dist < 0).any():
-        s, d = pairs[int(np.argmax(dist < 0))]
         raise DisconnectedError(
-            f"pattern pair {t.coord_str(s)}->{t.coord_str(d)} unreachable")
+            f"pattern pair {pair(np.argmax(dist < 0))} unreachable")
     return _report(loads, _per_channel(int(dist.sum(dtype=np.int64)), t),
                    c.length[rows], include_loads)

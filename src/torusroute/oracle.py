@@ -126,7 +126,7 @@ def oracle_equivalence(t: Topology, rules: RuleConfig,
     if len(t.live_nodes) > 64:
         raise ValueError("oracle equivalence is guarded to <= 64 nodes")
     max_len = int(t.distances.max()) + MAX_EXTRA  # past the diameter
-    dirs = np.array([d for _, d in t.channels], dtype=np.intp)
+    dirs = t.channel_dir
     report = EquivalenceReport()
     for src in t.live_nodes:
         dist = _hop_levels(rg, [src])

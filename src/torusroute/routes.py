@@ -345,8 +345,8 @@ def encode_chains(t: Topology, src: np.ndarray, links: np.ndarray,
     plain.
     """
     turns = _turn_ids(t, relaxed)
-    owner, direction = np.array(t.channels, dtype=np.intp).reshape(-1, 2).T
-    head = t.neighbor_table[owner, direction]
+    direction = t.channel_dir
+    head = t.neighbor_table[t.channel_node, direction]
     dtype = _id_dtype(t)
     parts, legal = [], []
     for i in range(0, max(len(src), 1), _CHUNK):

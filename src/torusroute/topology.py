@@ -5,13 +5,18 @@ physical cable per node pair, exposed as one +dir channel and one -dir channel
 (no wraparound duplicate). Directions are ordered +X +Y +Z +K -X -Y -Z -K and
 are represented as integers 0..2n-1 (0..n-1 positive, n..2n-1 negative).
 Every hop distance is read from one table, ``Topology.distances``.
+
+Both id layouts are worked out here alone, and every other module reads
+them off a topology's read-only arrays: node ids are row-major over the
+coordinate grid (``Topology.grid``, one row per axis and one column per node
+id, with its ``strides``), and channel ids go node by node in direction
+order (``channel_node`` and ``channel_dir`` per channel id).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +54,8 @@ class Topology:
     inverse ``node_of_name``. :attr:`distances` (built on first use) is the
     single source of hop distance: :meth:`distance`, :meth:`is_connected`
     and :func:`sum_pair_distances` read it, and other readers index it.
+    ``grid`` and ``strides`` are the single source of the node layout, and
+    ``channel_node`` and ``channel_dir`` of the channel layout.
 
     Construct through :func:`make_torus`.
     """
@@ -59,6 +66,7 @@ class Topology:
         self.n = len(self.dims)
         self.ndirs = 2 * self.n
         self.num_coords = int(np.prod(self.dims))
+        self.grid, self.strides = _grid(self.dims)
         self.failed_nodes = failed_nodes
         self.failed_links = failed_links
         self.neighbor_table = self._build_neighbor_table()
@@ -66,6 +74,8 @@ class Topology:
             u for u in range(self.num_coords) if u not in failed_nodes)
         # the live links, node by node (a failed node has none)
         node, d = np.nonzero(self.neighbor_table >= 0)
+        node.flags.writeable = d.flags.writeable = False
+        self.channel_node, self.channel_dir = node, d
         self.channels: tuple[tuple[int, int], ...] = tuple(
             zip(node.tolist(), d.tolist()))
         self.channel_id = {c: i for i, c in enumerate(self.channels)}
@@ -97,16 +107,15 @@ class Topology:
 
     def coords(self, u: int) -> tuple[int, ...]:
         self.check_nodes((u,))
-        return _coords(self.dims, u)
+        return tuple(self.grid[:, u].tolist())
 
     def node_id(self, coords: Sequence[int]) -> int:
         return _node_id(self.dims, coords)
 
     @cached_property
     def coord_names(self) -> tuple[str, ...]:
-        # node ids are row-major, the order product walks the coordinates
         return tuple("(" + ",".join(map(str, row)) + ")"
-                     for row in product(*map(range, self.dims)))
+                     for row in self.grid.T.tolist())
 
     @cached_property
     def node_of_name(self) -> dict[str, int]:
@@ -198,15 +207,6 @@ class Topology:
         return live > 0 and np.count_nonzero(self.distances >= 0) == live ** 2
 
 
-def _coords(dims: Sequence[int], u: int) -> tuple[int, ...]:
-    """Coordinates of node id ``u``; ids are row-major."""
-    out = []
-    for d in reversed(dims):
-        out.append(u % d)
-        u //= d
-    return tuple(reversed(out))
-
-
 def _node_id(dims: Sequence[int], coords: Sequence[int]) -> int:
     """Row-major node id of ``coords``; TopologyError when out of range."""
     if len(coords) != len(dims):
@@ -220,16 +220,25 @@ def _node_id(dims: Sequence[int], coords: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=64)
+def _grid(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only coordinate grid (one row per axis, one column per node id)
+    and its row-major strides: node id u is ``strides @ grid[:, u]``."""
+    grid = np.indices(dims).reshape(len(dims), -1)
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1].copy()
+    grid.flags.writeable = strides.flags.writeable = False
+    return grid, strides
+
+
+@lru_cache(maxsize=64)
 def _torus_neighbors(dims: tuple[int, ...]) -> np.ndarray:
     """Read-only (node x direction) table of the node reached when nothing
     has failed, or -1 past the end of a mesh axis (size 2), which does not
     wrap. One broadcast over the coordinate grid."""
-    n, size = len(dims), math.prod(dims)
-    strides = [math.prod(dims[j + 1:]) for j in range(n)]
+    grid, strides = _grid(dims)
+    n = len(dims)
     shape, eye = np.array(dims), np.eye(n, dtype=np.int64)
     # per (node, direction, axis), the coordinates one step on
-    moved = (np.indices(dims).reshape(n, size).T[:, None]
-             + np.concatenate([eye, -eye]))
+    moved = grid.T[:, None] + np.concatenate([eye, -eye])
     table = ((moved % shape) @ strides).astype(np.int32)
     table[((shape == 2) & ((moved < 0) | (moved >= shape))).any(axis=2)] = -1
     table.flags.writeable = False
@@ -268,9 +277,9 @@ def make_torus(dims: Sequence[int],
             raise TopologyError(f"direction index {d} out of range")
         v = int(torus[u, d])
         if v < 0:
-            name = "(" + ",".join(map(str, _coords(dims, u))) + ")"
-            raise TopologyError(f"failed link ({name},{direction_name(d, n)})"
-                                " does not exist")
+            name = ",".join(map(str, _grid(dims)[0][:, u].tolist()))
+            raise TopologyError(f"failed link (({name}),"
+                                f"{direction_name(d, n)}) does not exist")
         links.add((u, d))
         links.add((v, opposite_direction(d, n)))
 

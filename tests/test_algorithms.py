@@ -931,6 +931,7 @@ def _per_individual_genetic(rg, params):
     ((3, 2), {}, dict(seed=17, population=2)),
     ((3, 2), {}, dict(seed=6, population=5)),
     ((4, 4, 2), {}, dict(seed=1)),
+    ((4, 4, 4), {}, dict(seed=1, max_generations=3)),
 ], ids=repr)
 def test_genetic_matches_per_individual_reference(dims, faults, kwargs,
                                                   monkeypatch):
@@ -939,7 +940,8 @@ def test_genetic_matches_per_individual_reference(dims, faults, kwargs,
     against ``_per_individual_genetic``: the same table, fitness history
     (bitwise), generation count and link increments, over odd and tiny
     populations, mutation 0 and 1, the one-variant space of a 3-ring, a
-    faulted system and one default run on 4x4x2. The cases of
+    faulted system, one default run on 4x4x2 and a 4x4x4 system, whose row
+    offsets outgrow int16 link ids. The cases of
     ``_BREEDING_EDGES`` must draw the edges named there."""
     t, rg, g, added = prepared(dims, **faults)
     params = GeneticParams(**kwargs)

@@ -317,6 +317,15 @@ def test_generate_genetic_flags(tmp_path):
     assert main(["verify", topo, out]) == 0
 
 
+def test_generate_genetic_on_4x4x4(tmp_path):
+    """A population's channel counts outgrow int16 link ids on 4x4x4."""
+    topo = write_topo(tmp_path, "dims: 4 4 4\n")
+    out = str(tmp_path / "ga.table")
+    assert main(["generate", topo, "--algo", "genetic", "--stagnation", "1",
+                 "--out", out]) == 0
+    assert main(["verify", topo, out]) == 0
+
+
 def test_console_module_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "torusroute", "--help"],

@@ -9,10 +9,10 @@ from torusroute import (build_rt_bfs, build_rt_sssp, channel_loads, deviation,
                         load_report, make_torus, pattern_loads, pattern_pairs,
                         perfect_channel_load)
 from torusroute.errors import IntegrityError, TopologyError
-from torusroute.metrics import _transpose_node
+from torusroute.metrics import PATTERNS
 
-from conftest import prepared
-from witnesses import make_route, table_of
+from conftest import prepared, small_faulted_systems
+from witnesses import _transpose_node, loop_pattern_pairs, make_route, table_of
 
 
 def test_two_node_loads():
@@ -163,6 +163,38 @@ def test_transpose_is_bijection_and_palindrome_reversal():
     td = make_torus([4, 2, 2, 2])
     targets = {_transpose_node(td, u) for u in td.live_nodes}
     assert targets == set(td.live_nodes)
+
+
+def _pairs_or_message(pairs, t, name):
+    try:
+        return pairs(t, name)
+    except TopologyError as exc:
+        return f"TopologyError: {exc}"
+
+
+def _assert_patterns_match_loops(t):
+    for name in PATTERNS:
+        got = _pairs_or_message(pattern_pairs, t, name)
+        assert got == _pairs_or_message(loop_pattern_pairs, t, name), name
+        if isinstance(got, list):
+            assert all(type(s) is int and type(d) is int for s, d in got)
+
+
+@pytest.mark.parametrize("dims,failed", [
+    ([4, 2, 2, 2], []), ([8], []), ([3, 4, 5], [(1, 2, 3)]),
+    ([3, 4, 5], [(0, 0, 0), (2, 3, 4)]), ([3, 4, 5], [(2, 3, 1), (0, 1, 0)])])
+def test_pattern_pairs_match_per_node_loops(dims, failed):
+    """``pattern_pairs`` gives the per-node loops' pairs, in their order,
+    for every pattern, and the same TopologyError message naming the first
+    failed node, in source order, that a pattern sends to."""
+    _assert_patterns_match_loops(make_torus(dims, failed))
+
+
+@given(small_faulted_systems())
+@settings(max_examples=60, deadline=None)
+def test_pattern_pairs_match_per_node_loops_on_small_systems(system):
+    dims, nodes, links, _, _ = system
+    _assert_patterns_match_loops(make_torus(dims, nodes, links))
 
 
 def test_pattern_referencing_failed_node():

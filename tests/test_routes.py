@@ -603,14 +603,33 @@ def test_library_keeps_no_test_only_helpers():
 
 def test_library_objects_have_one_way_in():
     """A table is built from columns only, topology text is only read, hop
-    distances are read from ``Topology.distances``, the deviation is σ₄ and
+    distances are read from ``Topology.distances``, the node and channel
+    id layouts from ``Topology``'s layout arrays, the deviation is σ₄ and
     each error builds its message from its data alone: no module of the
     package defines or calls ``topology_to_text``, ``distance_row`` or
-    ``diameter``, and no signature takes a second way in."""
-    banned = {"topology_to_text", "distance_row", "diameter"}
+    ``diameter``, or defines, calls or reads a second layout derivation
+    (``_coords``, ``_transpose_node``, ``_channel_node``); no module but
+    ``topology`` builds the grid or strides from ``dims``, reads channels
+    back off ``channel_table`` or ``neighbor_table`` with ``nonzero``, or
+    turns ``channels`` into an array; and no signature takes a second way
+    in."""
+    banned = {"topology_to_text", "distance_row", "diameter", "_coords",
+              "_transpose_node", "_channel_node"}
+    layout = {"indices": {"dims"}, "cumprod": {"dims"},
+              "nonzero": {"channel_table", "neighbor_table"},
+              "array": {"channels"}, "asarray": {"channels"}}
     for path in sorted(PACKAGE.glob("*.py")):
         for line, name in _defined_or_called(path):
             assert name not in banned, (path.name, line, name)
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in banned, (path.name, node.lineno)
+            call = (getattr(node.func, "attr", None)
+                    if isinstance(node, ast.Call) else None)
+            if call in layout and path.name != "topology.py":
+                read = {a.attr for arg in node.args for a in ast.walk(arg)
+                        if isinstance(a, ast.Attribute)}
+                assert not read & layout[call], (path.name, node.lineno)
 
     def params(f):
         return list(inspect.signature(f).parameters)

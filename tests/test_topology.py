@@ -14,6 +14,7 @@ from torusroute.topology import (direction_name, load_topology,
                                  opposite_direction, parse_direction,
                                  parse_topology, sum_pair_distances)
 
+from conftest import small_faulted_systems
 from witnesses import most_remote, topology_to_text
 
 small_dims = st.lists(st.integers(2, 4), min_size=1, max_size=3)
@@ -273,6 +274,46 @@ def test_link_tables_match_coordinate_reference(t):
     assert t.channel_table.tolist() == channel_table
     assert t.neighbor_table.dtype == t.channel_table.dtype == np.int32
     assert t.channel_id == {c: i for i, c in enumerate(channels)}
+
+
+def check_layout(t):
+    """The layout arrays against a row-major decode of every node id and
+    against the channel tuples and table: ``grid`` column u holds u's
+    coordinates, ``strides`` ranks them back to u, and channel id i is
+    ``(channel_node[i], channel_dir[i])``."""
+    for u in range(t.num_coords):
+        coords, rest = [], u
+        for size in reversed(t.dims):
+            rest, c = divmod(rest, size)
+            coords.insert(0, c)
+        assert t.grid[:, u].tolist() == coords
+        assert t.coords(u) == tuple(coords)
+        assert all(type(c) is int for c in t.coords(u))
+        assert t.node_id(coords) == int(t.strides @ t.grid[:, u]) == u
+        assert t.coord_names[u] == "(" + ",".join(map(str, coords)) + ")"
+    assert t.grid.shape == (t.n, t.num_coords)
+    assert t.strides.tolist() == [math.prod(t.dims[j + 1:])
+                                  for j in range(t.n)]
+    node, d = t.channel_node, t.channel_dir
+    assert list(zip(node.tolist(), d.tolist())) == list(t.channels)
+    assert (t.channel_table[node, d] == np.arange(t.n_channels)).all()
+    assert np.count_nonzero(t.channel_table >= 0) == t.n_channels
+    for a in (t.grid, t.strides, node, d):
+        assert not a.flags.writeable
+
+
+@given(small_faulted_systems())
+@settings(max_examples=60, deadline=None)
+def test_layout_arrays_match_node_ids_and_channels(system):
+    dims, nodes, links, _, _ = system
+    check_layout(make_torus(dims, nodes, links))
+
+
+@pytest.mark.parametrize("dims,failed", [
+    ([4, 2, 2, 2], []), ([2, 2, 2, 2], [(1, 0, 1, 0)]),
+    ([3, 2, 4, 2], [(2, 1, 3, 0)]), ([3, 3, 3, 3], [])])
+def test_layout_arrays_on_four_dimensions(dims, failed):
+    check_layout(make_torus(dims, failed))
 
 
 def check_distance_queries(t):

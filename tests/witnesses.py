@@ -181,6 +181,59 @@ def table_of(t: Topology, routes: Mapping[tuple[int, int], Route]
         [r.body for r in rs], [r.ls for r in rs], [r.node_seq for r in rs]))
 
 
+def _transpose_node(t: Topology, u: int) -> int:
+    """Mixed-radix transpose: reversed coordinates ranked in reversed dims.
+
+    Coincides with plain coordinate reversal when the dimension vector is a
+    palindrome, and is a bijection on node ids for every dimension vector.
+    """
+    coords = t.coords(u)
+    rev_dims = t.dims[::-1]
+    rank = 0
+    for c, d in zip(coords[::-1], rev_dims):
+        rank = rank * d + c
+    return rank
+
+
+def loop_pattern_pairs(t: Topology, name: str) -> list[tuple[int, int]]:
+    """Ordered (src, dst) pairs of a synthetic communication pattern, one
+    node at a time: the reference for ``metrics.pattern_pairs``."""
+    if name == "alltoall":
+        return [(s, d) for s in t.live_nodes for d in t.live_nodes if s != d]
+    pairs: list[tuple[int, int]] = []
+    if name == "neighbor":
+        for s in t.live_nodes:
+            for d in range(t.ndirs):
+                v = t.neighbor_table[s, d]
+                if v >= 0:
+                    pairs.append((s, int(v)))
+    elif name == "tornado":
+        shift = -(-t.dims[0] // 2) - 1  # ceil(d1/2) - 1 hops along dim 1
+        if shift:
+            for s in t.live_nodes:
+                coords = list(t.coords(s))
+                coords[0] = (coords[0] + shift) % t.dims[0]
+                dst = t.node_id(coords)
+                if dst == s:
+                    continue
+                if dst in t.failed_nodes:
+                    raise TopologyError(
+                        f"tornado pattern references failed node "
+                        f"{t.coord_str(dst)}")
+                pairs.append((s, dst))
+    else:  # transpose
+        for s in t.live_nodes:
+            dst = _transpose_node(t, s)
+            if dst == s:
+                continue
+            if dst in t.failed_nodes:
+                raise TopologyError(
+                    f"transpose pattern references failed node "
+                    f"{t.coord_str(dst)}")
+            pairs.append((s, dst))
+    return pairs
+
+
 def topology_to_text(t: Topology) -> str:
     """The topology file text of ``t``: its dims, then each failed node and
     each failed cable once, in id order."""
