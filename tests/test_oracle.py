@@ -1,12 +1,26 @@
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusroute import (RuleConfig, brute_force_routes, build_routing_graph,
-                        make_torus, oracle_equivalence)
+from torusroute import (RuleConfig, augment_cdg, brute_force_routes,
+                        build_cdg, build_routing_graph, make_torus,
+                        oracle_equivalence)
 from torusroute.errors import TopologyError
-from torusroute.oracle import min_routes
 from torusroute.routing_graph import RoutingGraph
+from torusroute.rules import min_routes, source_routes
 
-from conftest import prepared
+from conftest import prepared, small_faulted_systems
+from witnesses import pair_routes
+
+
+def _digest(rep):
+    """(pairs checked, mismatch count, SHA-256 of the mismatch lines)."""
+    text = "\n".join(rep.mismatches)
+    return (rep.pairs_checked, len(rep.mismatches),
+            hashlib.sha256(text.encode()).hexdigest())
 
 
 def test_two_node_single_route():
@@ -95,6 +109,21 @@ def test_mutation_detected(monkeypatch):
     hacked = RoutingGraph(t)
     rep = oracle_equivalence(t, RuleConfig(), rg=hacked)
     assert rep.mismatches
+    # the whole report, pinned: every pair's line and their order
+    assert _digest(rep) == (
+        72, 27,
+        "d1bada4504f3636064042cf46e49701abc9d23975b2b0825ff5ccf50904f9bb4")
+
+
+def test_extra_routes_detected(desmos):
+    """A routing graph with routes the rules lack must surface: 4x2x2x2's
+    augmented graph against the plain rules, whose relaxed turns add
+    minimal routes to 656 of the 992 pairs. The report is pinned."""
+    t, rg, g, added = desmos
+    rep = oracle_equivalence(t, RuleConfig(), rg=rg)
+    assert _digest(rep) == (
+        992, 656,
+        "1b00dd7c54bf7802c3d9b618f17bda6b634ca6befebe44f558b3aa808ea1bf0e")
 
 
 def test_equivalence_guard():
@@ -121,3 +150,47 @@ def test_oracle_order_independence():
     a = brute_force_routes(t, 0, 5, RuleConfig(), max_len=4)
     b = brute_force_routes(t, 0, 5, RuleConfig(), max_len=4)
     assert a == b and a == sorted(set(a))
+
+
+def _check_against_witness(t, src, rules, budgets):
+    found = source_routes(t, src, rules, budgets)
+    assert sorted(found) == np.flatnonzero(budgets >= 0).tolist()
+    for d in range(t.num_coords):
+        if d in t.failed_nodes:
+            assert not found.get(d), d
+        else:
+            want = pair_routes(t, src, d, rules, int(budgets[d]))
+            assert sorted(found.get(d, ())) == want, (d, int(budgets[d]))
+
+
+@given(small_faulted_systems(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_source_routes_match_pair_witness(system, augmented, data):
+    """One per-source search gives every destination exactly the routes
+    that the per-pair witness lists within that destination's budget,
+    whatever the mix of budgets: none (-1), 0, 1, the hop distance and the
+    distance plus 2. A route back to the source goes through
+    ``brute_force_routes`` too."""
+    dims, nodes, links, src, _ = system
+    t = make_torus(dims, nodes, links)
+    rules = (RuleConfig.augmented(augment_cdg(build_cdg(t))[1]) if augmented
+             else RuleConfig())
+    dist = t.distances[src].astype(np.int64)
+    pick = np.array(data.draw(st.lists(st.integers(0, 4), min_size=t.num_coords,
+                                       max_size=t.num_coords)))
+    budgets = np.choose(pick, [np.full_like(dist, -1), np.zeros_like(dist),
+                               np.ones_like(dist), dist, dist + 2])
+    _check_against_witness(t, src, rules, budgets)
+    loop = data.draw(st.integers(-1, max(dims) + 2))
+    assert brute_force_routes(t, src, src, rules, loop) == pair_routes(
+        t, src, src, rules, loop)
+
+
+def test_source_routes_past_one_mask_word():
+    """More than 64 destinations spread each mask over several words."""
+    t = make_torus([5, 5, 3], failed_nodes=[(1, 1, 1)])
+    rules = RuleConfig.augmented(augment_cdg(build_cdg(t))[1])
+    dist = t.distances[0].astype(np.int64)
+    budgets = dist + 2 * (np.arange(t.num_coords) % 3 == 0)
+    assert (budgets >= 0).sum() > 64
+    _check_against_witness(t, 0, rules, budgets)

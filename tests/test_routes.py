@@ -18,6 +18,7 @@ import torusroute.cdg
 import torusroute.cli
 import torusroute.routes
 import torusroute.routing_graph
+import torusroute.rules
 from torusroute import (GeneticParams, Route, build_rt_bfs, build_rt_genetic,
                         build_rt_sssp, channel_loads, make_torus, parse_table,
                         table_to_text, validate_route)
@@ -520,10 +521,11 @@ def test_table_routes_are_routing_graph_paths(dims, faulted):
 
 def test_checkers_import_no_routing_graph():
     """The checkers stay independent of the code they check: ``routes``
-    (``check_table``) and ``cdg`` (``assert_deadlock_free``) import nothing
-    from the routing graph, the generators or the oracle, at any depth."""
+    (``check_table``), ``cdg`` (``assert_deadlock_free``) and ``rules``
+    (the oracle's brute-force side) import nothing from the routing graph,
+    the generators or the oracle, at any depth."""
     checked = {"routing_graph", "algorithms", "oracle"}
-    for module in (torusroute.routes, torusroute.cdg):
+    for module in (torusroute.routes, torusroute.cdg, torusroute.rules):
         tree = ast.parse(pathlib.Path(module.__file__).read_text("utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

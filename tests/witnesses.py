@@ -9,6 +9,8 @@ that the tests can check an emitted route against the graph, and the graph
 against the rules, without the library's encoder. The depth-first walk
 ``_rg_chains`` lists shortest paths without the library's array walk
 ``algorithms._path_chains``, and is the reference that walk is held to.
+On the rules' side, ``pair_routes`` enumerates one pair's rule-legal routes
+by its own recursive search, the reference of ``rules.source_routes``.
 """
 
 from __future__ import annotations
@@ -319,3 +321,75 @@ def _variant_chains(rg: RoutingGraph, dist: np.ndarray, src: int, dst: int,
                                     rg.topology.coord_str(dst))])
     distinct = list(dict.fromkeys(_rg_chains(rg, dist, end, math.inf)[0]))
     return distinct[:cap], len(distinct) > cap
+
+
+def pair_routes(t: Topology, src: int, dst: int, rules,
+                max_len: int) -> list[tuple[int, ...]]:
+    """All rule-valid direction sequences src -> dst up to max_len hops,
+    sorted: one recursive depth-first search for the one pair, pruned by
+    ``dst``'s hop distance alone. It shares no code with the per-source
+    search ``rules.source_routes`` and is the reference it is held to.
+
+    Raises TopologyError when either end is out of range or failed."""
+    t._live(src)
+    n = t.n
+    nbr = t.neighbor_rows
+    opposite = [t.opposite(d) for d in range(2 * n)]
+    dist_to_dst = t.distances[t._live(dst)].tolist()  # links are symmetric
+    relaxed = rules.relaxed_turns
+    found: set[tuple[int, ...]] = set()
+
+    def feasible(node: int, used: int) -> bool:
+        return 0 <= dist_to_dst[node] <= max_len - used
+
+    def body(node: int, seq: list[int], vec: list[int], fs: int | None,
+             fs_node: int, tail_node: int):
+        prefix = () if fs is None else (fs,)
+        total = len(prefix) + len(seq)
+        if node == dst and seq:
+            found.add(prefix + tuple(seq))
+        if seq and total + 1 <= max_len:
+            last = seq[-1]
+            for ld in range(n, 2 * n):
+                if nbr[node][ld] != dst:
+                    continue
+                ok = last < ld and ld != opposite[last]
+                if not ok and ((tail_node, last), (node, ld)) not in relaxed:
+                    continue
+                found.add(prefix + tuple(seq) + (ld,))
+        if total >= max_len:
+            return
+        last = seq[-1] if seq else None
+        for d in range(2 * n):
+            v = nbr[node][d]
+            if v < 0 or not feasible(v, total + 1):
+                continue
+            if not seq:
+                if fs is not None:
+                    ok = fs < d and d != opposite[fs]
+                    if not ok and ((fs_node, fs), (node, d)) not in relaxed:
+                        continue
+            else:
+                if d < last:
+                    continue
+                if d != last and vec[d % n] != 0:
+                    continue
+            old = vec[d % n]
+            vec[d % n] = 1 if d < n else -1
+            seq.append(d)
+            body(v, seq, vec, fs, fs_node, node)
+            seq.pop()
+            vec[d % n] = old
+
+    if feasible(src, 0):
+        body(src, [], [0] * n, None, -1, -1)
+    if max_len >= 1:
+        for fd in range(n):
+            v = nbr[src][fd]
+            if v < 0:
+                continue
+            if v == dst:
+                found.add((fd,))  # a route may be a lone first step
+            if feasible(v, 1):
+                body(v, [], [0] * n, fd, src, src)
+    return sorted(found)
